@@ -20,7 +20,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -362,7 +361,7 @@ def _element_mean(mesh, nodal):
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(tree, digest, out, seed, threads):
+def cmd_solve(tree, digest, out, seed):
     task, tpath = _task_block(tree, "solve")
     _no_extras(task, {"kind", "mode"}, tpath)
     mode = _string(task, "mode", tpath, default="nonlinear",
@@ -426,7 +425,7 @@ def cmd_solve(tree, digest, out, seed, threads):
     return EXIT_OK
 
 
-def cmd_sweep(tree, digest, out, seed, threads):
+def cmd_sweep(tree, digest, out, seed):
     task, tpath = _task_block(tree, "sweep")
     _no_extras(task, {"kind", "limit", "lambda_high", "lambda_low",
                       "per_decade", "p0"}, tpath)
@@ -503,7 +502,7 @@ def annulus_validation(refinements, r=10.0, config=None):
     return rows
 
 
-def cmd_oracle(tree, digest, out, seed, threads):
+def cmd_oracle(tree, digest, out, seed):
     task, tpath = _task_block(tree, "oracle")
     _no_extras(task, {"kind", "annulus_r", "L", "n_scales", "refinements",
                       "quad_rtol"}, tpath)
@@ -584,7 +583,7 @@ def _disc_mask(mesh, center, radius):
     return (d <= radius) & (mesh.element_region == "matrix")
 
 
-def cmd_tomo(tree, digest, out, seed, threads):
+def cmd_tomo(tree, digest, out, seed):
     task, tpath = _task_block(tree, "tomo")
     _no_extras(task, {"kind", "defects", "eta", "seed", "delta",
                       "test_radii_m", "test_spacing_m", "mode",
@@ -675,19 +674,14 @@ def cmd_tomo(tree, digest, out, seed, threads):
 
     domains = tomography.disc_test_domains(mesh, radii, spacing=spacing)
 
-    def test_matrix(domain):
+    tests = []
+    for domain in domains:
         tm = qmesh.relabel_elements(mesh, domain.element_mask, "test-domain")
-        return tomography.conductance_matrix(
+        tests.append((domain, tomography.conductance_matrix(
             tm, materials.MaterialMap({**models, "test-domain": defect_model}),
             amplitude=amplitude, mode=mode, config=cfg, scenario=domain.id,
-        )
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            g_tests = list(pool.map(test_matrix, domains))
-    else:
-        g_tests = [test_matrix(d) for d in domains]
-    rec = tomography.mpm_reconstruct(measured, list(zip(domains, g_tests)),
-                                     delta, tol=psd_tol)
+        )))
+    rec = tomography.mpm_reconstruct(measured, tests, delta, tol=psd_tol)
 
     areas = qmesh.element_areas(mesh)
     v_area = float(areas[vmask].sum())
@@ -763,8 +757,6 @@ def _build_parser():
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured noise seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent solves")
     return parser
 
 
@@ -776,7 +768,7 @@ def main(argv=None):
         _validate_top(tree, needs_geometry)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return handler(tree, digest, out, args.seed, max(args.threads, 1))
+        return handler(tree, digest, out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

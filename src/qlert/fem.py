@@ -1,4 +1,4 @@
-"""P1 assembly, constraint handling, and conjugate-gradient solves.
+"""P1 assembly, constraint handling, and linear solves.
 
 Piecewise-linear triangles with one conductivity value per element (exact
 for the fixed-point linearization, since P1 gradients are element
@@ -9,6 +9,12 @@ which enforces the constant-potential constraint exactly and leaves the
 net current into a floating group at zero. Perfectly insulating regions
 are realized by excluding their elements, which imposes the natural
 no-flux condition on the interface.
+
+The fixed-point driver solves each linearized system by Jacobi-
+preconditioned conjugate gradients (``solve_spd``). A conductivity that
+does not depend on the field needs no iteration: ``Assembler.solve_direct``
+factors the free block once and solves any number of boundary-value
+columns against that one factorization.
 """
 
 from __future__ import annotations
@@ -128,10 +134,7 @@ class DofMap:
 
 @dataclass(frozen=True)
 class StiffnessSystem:
-    """Eliminated SPD system K_ff x = -K_fd u_d.
-
-    ``rhs_for`` rebuilds the right-hand side for new Dirichlet values on
-    the same node set without reassembling the matrix."""
+    """Eliminated SPD system K_ff x = -K_fd u_d."""
 
     matrix: sparse.csr_matrix
     k_fd: sparse.csr_matrix
@@ -139,21 +142,6 @@ class StiffnessSystem:
     bc_nodes: np.ndarray
     bc_values: np.ndarray
     rhs: np.ndarray
-
-    def rhs_for(self, bc_values):
-        fixed_vals = _fixed_master_values(self.dof_map, self.bc_nodes, bc_values)
-        return -self.k_fd @ fixed_vals
-
-    def with_bc(self, bc_values):
-        bc_values = np.asarray(bc_values, dtype=float)
-        dm = self.dof_map
-        fv = np.array(dm.fixed_value)
-        fv[dm.parent[self.bc_nodes]] = bc_values
-        dof_map = DofMap(dm.parent, dm.index, fv, dm.n_free)
-        return StiffnessSystem(
-            self.matrix, self.k_fd, dof_map, self.bc_nodes, bc_values,
-            self.rhs_for(bc_values),
-        )
 
 
 @dataclass(frozen=True)
@@ -188,18 +176,6 @@ def _union(parent, a, b):
     ra, rb = _find(parent, a), _find(parent, b)
     if ra != rb:
         parent[max(ra, rb)] = min(ra, rb)
-
-
-def _fixed_master_values(dof_map, bc_nodes, bc_values):
-    """Values aligned with the k_fd column order (fixed masters ascending)."""
-    bc_values = np.asarray(bc_values, dtype=float)
-    masters = dof_map.parent[bc_nodes]
-    fixed_masters = np.flatnonzero(dof_map.index == FIXED)
-    vals = np.zeros(len(fixed_masters))
-    pos = {int(m): k for k, m in enumerate(fixed_masters)}
-    for m, v in zip(masters, bc_values):
-        vals[pos[int(m)]] = v
-    return vals
 
 
 class Assembler:
@@ -310,8 +286,10 @@ class Assembler:
                              "element outside merged or excluded regions")
         return sk
 
-    def assemble(self, per_element_sigma, bc_values):
-        """StiffnessSystem for the given conductivities and boundary values."""
+    def _blocks(self, per_element_sigma):
+        """(K_ff, K_fd) in CSR. K_fd's columns are the fixed masters in
+        ascending order, which are the sorted ``bc_nodes`` themselves: a
+        Dirichlet node never shares a merged group."""
         sk = self._sigma_kept(per_element_sigma)
         vals = sk[:, None, None] * self._s_local
         n = self.n_free
@@ -322,7 +300,11 @@ class Assembler:
             (vals[self._fd], (self._fd_rows, self._fd_cols)),
             shape=(n, self.n_fixed),
         ).tocsr()
+        return k_ff, k_fd
 
+    def assemble(self, per_element_sigma, bc_values):
+        """StiffnessSystem for the given conductivities and boundary values."""
+        k_ff, k_fd = self._blocks(per_element_sigma)
         bc_values = np.asarray(bc_values, dtype=float)
         if bc_values.shape != self.bc_nodes.shape:
             raise ValueError("bc_values must align with the assembler's bc_nodes")
@@ -330,15 +312,41 @@ class Assembler:
         fv = np.array(fixed_value)
         fv[parent[self.bc_nodes]] = bc_values
         dof_map = DofMap(parent, index, fv, self.n_free)
-        rhs = -k_fd @ _fixed_master_values(dof_map, self.bc_nodes, bc_values)
         return StiffnessSystem(
             matrix=k_ff,
             k_fd=k_fd,
             dof_map=dof_map,
             bc_nodes=self.bc_nodes,
             bc_values=bc_values,
-            rhs=rhs,
+            rhs=-k_fd @ bc_values,
         )
+
+    def solve_direct(self, per_element_sigma, bc_values):
+        """Nodal potentials for k sets of boundary values at once.
+
+        Meant for a conductivity that does not depend on the field: the
+        free block is assembled and LU-factored once, and all k columns of
+        ``bc_values`` (shape (len(bc_nodes), k), rows aligned with the
+        sorted ``bc_nodes``) are solved against that factorization.
+        Returns a (node_count, k) array, NaN on nodes that only excluded
+        elements touch."""
+        # imported here so that the commands that never factor do not pay
+        # for loading scipy.sparse.linalg
+        from scipy.sparse.linalg import splu
+
+        bc_values = np.asarray(bc_values, dtype=float)
+        if bc_values.ndim != 2 or bc_values.shape[0] != len(self.bc_nodes):
+            raise ValueError("bc_values must be (len(bc_nodes), k)")
+        k_ff, k_fd = self._blocks(per_element_sigma)
+        rhs = -k_fd @ bc_values
+        x = splu(k_ff.tocsc()).solve(rhs) if self.n_free else rhs
+        parent, index, _ = self.dof_map_template
+        idx = index[parent]
+        free = idx >= 0
+        u = np.full((self.mesh.node_count, bc_values.shape[1]), np.nan)
+        u[free] = x[idx[free]]
+        u[self.bc_nodes] = bc_values
+        return u
 
     def raw_matrix(self, per_element_sigma):
         """Unconstrained nodal stiffness over the kept elements; reaction

@@ -213,6 +213,14 @@ class MaterialModel:
     def without_regularization(self):
         return replace(self, e_floor=0.0, sigma_cap=np.inf)
 
+    @property
+    def field_independent(self):
+        """True when sigma is one constant for every field: linear, or
+        weighted power with exponent 2."""
+        return self.kind == "linear" or (
+            self.kind == "weighted-power" and self.p == 2.0
+        )
+
 
 def _check_field(E):
     E = np.asarray(E, dtype=float)
@@ -376,13 +384,6 @@ class MaterialMap:
         for label in np.unique(mesh.element_region):
             m = mesh.region_mask(label)
             out[m] = sigma(self.for_region(label), E_elements[m])
-        return out
-
-    def energy_elements(self, mesh, E_elements):
-        out = np.empty(mesh.element_count)
-        for label in np.unique(mesh.element_region):
-            m = mesh.region_mask(label)
-            out[m] = energy_density(self.for_region(label), E_elements[m])
         return out
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "VIOLATIONS",
     "record_violation",
     "clear_violations",
+    "check_max_principle",
     "solve_nonlinear",
     "solve_pec_limit",
     "solve_pei_limit",
@@ -167,17 +168,26 @@ def _monitor(u, bc_values, energies, context, damping):
             )
     else:
         monitors["energy_descent_ok"] = True
+    ok, excess = check_max_principle(u, bc_values, context)
+    monitors["max_principle_ok"] = ok
+    monitors["max_principle_excess"] = excess
+    return monitors
+
+
+def check_max_principle(u, bc_values, context):
+    """Discrete maximum principle: the finite entries of ``u`` stay within
+    the range of ``bc_values`` up to MAX_PRINCIPLE_RTOL of its span.
+    Files a breach under ``context``; returns (ok, excess >= 0)."""
     finite = u[np.isfinite(u)]
     lo, hi = float(bc_values.min()), float(bc_values.max())
     span = max(hi - lo, abs(hi), abs(lo), 1e-300)
     under = lo - float(finite.min())
     over = float(finite.max()) - hi
     worst = max(under, over)
-    monitors["max_principle_ok"] = worst <= MAX_PRINCIPLE_RTOL * span
-    monitors["max_principle_excess"] = max(worst, 0.0)
-    if not monitors["max_principle_ok"]:
+    ok = worst <= MAX_PRINCIPLE_RTOL * span
+    if not ok:
         record_violation("max-principle", context, worst, f"span={span}")
-    return monitors
+    return ok, max(worst, 0.0)
 
 
 def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),

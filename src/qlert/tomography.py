@@ -9,11 +9,14 @@ the true defect V must satisfy G_T - G_V >= 0; testing that inequality
 against noisy data, shifted by the noise bound, yields an upper-bound
 reconstruction as the union of accepted test domains.
 
-Eigenvalue work is done by a plain cyclic Jacobi iteration: the
-matrices are electrode-sized (tens of rows), dense, and symmetric, so
-nothing heavier is warranted. PSD decisions are taken on the zero-mean
-subspace (the all-ones pattern is not observable with zero-mean
-excitations); the undeflated spectrum is kept as a diagnostic.
+When no active material depends on the field (every pec-limit imaging
+problem), the whole matrix comes from one assembly and one sparse LU
+factorization with all patterns as right-hand-side columns; otherwise
+each pattern runs the fixed-point solver. Eigenvalues come from LAPACK
+(``numpy.linalg.eigvalsh``) after a symmetry check. PSD decisions are
+taken on the zero-mean subspace (the all-ones pattern is not observable
+with zero-mean excitations); the undeflated spectrum is kept as a
+diagnostic.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import fem
 from . import mesh as qmesh
@@ -119,6 +123,15 @@ class Reconstruction:
 # ---------------------------------------------------------------------------
 
 
+def _element_sigma(mesh, material_map, labels, e_mag):
+    """Per-element sigma on the given regions; placeholder 1 elsewhere."""
+    sig = np.ones(mesh.element_count)
+    for lab in labels:
+        mask = mesh.region_mask(lab)
+        sig[mask] = material_sigma(material_map.for_region(lab), e_mag[mask])
+    return sig
+
+
 def conductance_matrix(mesh, material_map, amplitude=1e-3, mode="pec-limit",
                        electrodes=None, pec_regions=None, config=None,
                        scenario=""):
@@ -130,7 +143,12 @@ def conductance_matrix(mesh, material_map, amplitude=1e-3, mode="pec-limit",
     reaction current through electrode i. With ``mode="pec-limit"`` the
     regions in ``pec_regions`` (the mesh's inclusions by default) are
     replaced by floating perfect conductors; ``mode="nonlinear"`` keeps
-    every material and iterates."""
+    every material.
+
+    When every remaining material is field-independent, all patterns are
+    solved at once by ``fem.Assembler.solve_direct``; otherwise each
+    pattern runs ``solver.solve_nonlinear`` with ``config``. Either way
+    every pattern passes the maximum-principle monitor."""
     if amplitude <= 0:
         raise ValueError("amplitude must be positive")
     if mode not in ("nonlinear", "pec-limit"):
@@ -154,24 +172,38 @@ def conductance_matrix(mesh, material_map, amplitude=1e-3, mode="pec-limit",
     active = sorted(set(np.unique(mesh.element_region)) - set(pec_regions))
     asm = fem.Assembler(mesh, all_nodes, pec_regions=pec_regions)
     m = len(ids)
-    g = np.zeros((m, m))
-    slices = np.concatenate([[0], np.cumsum([len(gr) for gr in groups])])
-    for j in range(m):
-        values = np.full(len(all_nodes), -amplitude / m)
-        values[slices[j]:slices[j + 1]] += amplitude
-        sol = solver.solve_nonlinear(
-            mesh, material_map, (all_nodes, values), config,
-            pec_regions=pec_regions,
-            context=f"conductance pattern {ids[j]}",
+    sizes = [len(gr) for gr in groups]
+    owner = np.repeat(np.arange(m), sizes)  # electrode position per node
+    patterns = np.full((len(all_nodes), m), -amplitude / m)
+    patterns[np.arange(len(all_nodes)), owner] += amplitude
+    if all(material_map.for_region(lab).field_independent for lab in active):
+        sig = _element_sigma(mesh, material_map, active,
+                             np.zeros(mesh.element_count))
+        order = np.argsort(all_nodes)  # the Assembler's sorted bc_nodes
+        u = asm.solve_direct(sig, patterns[order])
+        for j in range(m):
+            solver.check_max_principle(u[:, j], patterns[:, j],
+                                       f"conductance pattern {ids[j]}")
+        # electrode-by-node incidence: row i sums the currents of group i
+        incidence = sparse.csr_matrix(
+            (np.ones(len(all_nodes)), (owner, all_nodes)),
+            shape=(m, mesh.node_count),
         )
-        e_mag = np.hypot(sol.element_gradient[:, 0], sol.element_gradient[:, 1])
-        sig = np.ones(mesh.element_count)
-        for lab in active:
-            mask = mesh.region_mask(lab)
-            sig[mask] = material_sigma(material_map.for_region(lab), e_mag[mask])
-        reactions = asm.raw_matrix(sig) @ np.nan_to_num(sol.nodal_potential)
-        for i, gr in enumerate(groups):
-            g[i, j] = reactions[gr].sum()
+        g = incidence @ (asm.raw_matrix(sig) @ np.nan_to_num(u))
+    else:
+        g = np.zeros((m, m))
+        for j in range(m):
+            sol = solver.solve_nonlinear(
+                mesh, material_map, (all_nodes, patterns[:, j]), config,
+                pec_regions=pec_regions,
+                context=f"conductance pattern {ids[j]}",
+            )
+            e_mag = np.hypot(sol.element_gradient[:, 0],
+                             sol.element_gradient[:, 1])
+            sig = _element_sigma(mesh, material_map, active, e_mag)
+            reactions = asm.raw_matrix(sig) @ np.nan_to_num(sol.nodal_potential)
+            for i, gr in enumerate(groups):
+                g[i, j] = reactions[gr].sum()
 
     scale = max(float(np.max(np.abs(g))), 1e-300)
     asymmetry = float(np.max(np.abs(g - g.T))) / scale
@@ -187,45 +219,18 @@ def conductance_matrix(mesh, material_map, amplitude=1e-3, mode="pec-limit",
 
 
 def symmetric_eigenvalues(matrix, sym_tol=1e-8):
-    """All eigenvalues of a small symmetric matrix, ascending.
+    """All eigenvalues of a symmetric matrix, ascending.
 
-    Cyclic Jacobi rotations; meant for electrode-sized matrices (a few
-    dozen rows), where simplicity beats sophistication."""
+    Checks that the matrix is square and symmetric to ``sym_tol``
+    relative to its largest entry, then hands its symmetric part to
+    LAPACK (``numpy.linalg.eigvalsh``)."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     scale = max(float(np.max(np.abs(a))), 1e-300)
     if float(np.max(np.abs(a - a.T))) > sym_tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    if n == 1:
-        return a[0].copy()
-    frob = max(float(np.linalg.norm(a)), 1e-300)
-    for _ in range(60):
-        off = float(np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2)))
-        if off <= 1e-14 * frob:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                sign = 1.0 if theta >= 0 else -1.0
-                t = sign / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-    else:
-        raise RuntimeError("Jacobi iteration did not converge")
-    return np.sort(np.diag(a))
+    return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
 def spectral_norm(matrix, sym_tol=1e-8):
@@ -238,8 +243,7 @@ def is_psd(matrix, tol=0.0, sym_tol=1e-8):
     """(flag, min eigenvalue): positive semidefinite up to -tol."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    eigs = symmetric_eigenvalues(matrix, sym_tol=sym_tol)
-    low = float(eigs if np.ndim(eigs) == 0 else eigs[0])
+    low = float(symmetric_eigenvalues(matrix, sym_tol=sym_tol)[0])
     return low >= -tol, low
 
 

@@ -3,10 +3,15 @@ byte-level determinism."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qlert
 from qlert import cli
 
 
@@ -300,3 +305,15 @@ class TestExitCodes:
         code = run("oracle", path, blocker / "out")
         assert code == cli.EXIT_IO
         assert "error" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_sparse_linalg_unloaded():
+    # solve and sweep never factor a matrix; the direct solver imports
+    # scipy.sparse.linalg on first use, so cold starts do not pay for it
+    src = str(Path(qlert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, qlert.cli; "
+             "print('scipy.sparse.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

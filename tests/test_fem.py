@@ -337,3 +337,32 @@ class TestValidation:
         asm = fem.Assembler(mesh, qm.outer_boundary_nodes(mesh))
         with pytest.raises(ValueError, match="align"):
             asm.assemble(np.ones(mesh.element_count), np.zeros(2))
+
+
+class TestSolveDirect:
+    @pytest.mark.parametrize("regions", [
+        {"pec_regions": ("inclusion-1",)},
+        {"excluded_regions": ("inclusion-1", "inclusion-2")},
+    ])
+    def test_columns_match_one_cg_solve_each(self, regions):
+        mesh = qm.generate_petal_cable(6.0, [(3.0, 0.0), (-3.0, 0.0)], 1.0, 3)
+        asm = fem.Assembler(mesh, qm.outer_boundary_nodes(mesh), **regions)
+        sigma = 1.0 + qm.element_centroids(mesh)[:, 0] ** 2
+        x, y = mesh.nodes[asm.bc_nodes].T
+        columns = np.column_stack([x, x * y - 2.0, np.full_like(x, 3.0)])
+        u = asm.solve_direct(sigma, columns)
+        assert u.shape == (mesh.node_count, 3)
+        for k in range(3):
+            system = asm.assemble(sigma, columns[:, k])
+            ref = system.dof_map.expand(fem.solve_spd(system, tol=1e-13).x)
+            assert np.array_equal(np.isnan(u[:, k]), np.isnan(ref))
+            ok = ~np.isnan(ref)
+            assert np.abs(u[ok, k] - ref[ok]).max() <= 1e-10 * np.abs(ref[ok]).max()
+        assert np.all(u[asm.bc_nodes] == columns)
+
+    def test_rejects_misaligned_columns(self):
+        mesh = qm.generate_disk(1.0, 1)
+        asm = fem.Assembler(mesh, qm.outer_boundary_nodes(mesh))
+        with pytest.raises(ValueError, match="bc_nodes"):
+            asm.solve_direct(np.ones(mesh.element_count),
+                             np.zeros(len(asm.bc_nodes)))

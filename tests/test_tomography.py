@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qlert import fem, materials, tomography as tomo
+from qlert import fem, materials, solver, tomography as tomo
 from qlert import mesh as qm
 
 SIGMA_BG = 5.55e7
@@ -373,3 +373,89 @@ class TestReconstruction:
         assert len(contained) >= 3
         assert set(contained) <= set(rec.accepted)
         assert np.all(rec.union_mask[vmask])
+
+
+def fixed_point_g(mesh, mmap, amplitude, pec_regions=()):
+    """Conductance matrix built the replaced way: one fixed-point solve
+    per pattern, currents read per electrode group, then symmetrized."""
+    electrodes = qm.electrode_nodes(mesh)
+    groups = [electrodes[i] for i in sorted(electrodes)]
+    all_nodes = np.concatenate(groups)
+    m = len(groups)
+    asm = fem.Assembler(mesh, all_nodes, pec_regions=pec_regions)
+    g = np.zeros((m, m))
+    for j in range(m):
+        values = np.full(len(all_nodes), -amplitude / m)
+        values[np.isin(all_nodes, groups[j])] += amplitude
+        sol = solver.solve_nonlinear(mesh, mmap, (all_nodes, values),
+                                     pec_regions=pec_regions)
+        e_mag = np.hypot(*sol.element_gradient.T)
+        reactions = (asm.raw_matrix(mmap.sigma_elements(mesh, e_mag))
+                     @ np.nan_to_num(sol.nodal_potential))
+        g[:, j] = [reactions[gr].sum() for gr in groups]
+    return 0.5 * (g + g.T)
+
+
+class TestDirectConductance:
+    def test_cable_pec_limit_matches_fixed_point_path(self, tagged_cable):
+        mmap = cable_map(tagged_cable)
+        g = tomo.conductance_matrix(tagged_cable, mmap, amplitude=1e-3)
+        ref = fixed_point_g(tagged_cable, mmap, 1e-3,
+                            pec_regions=tagged_cable.inclusion_regions())
+        assert np.abs(g.matrix - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert g.asymmetry <= 1e-12
+
+    def test_disk_matches_fixed_point_path(self, tagged_disk):
+        mmap = materials.MaterialMap({"matrix": materials.linear(3.0)})
+        g = tomo.conductance_matrix(tagged_disk, mmap, amplitude=1.0)
+        ref = fixed_point_g(tagged_disk, mmap, 1.0)
+        assert np.abs(g.matrix - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert g.asymmetry <= 1e-12
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"assemblers": 0, "fixed_point": 0}
+        assembler, solve_nonlinear = fem.Assembler, solver.solve_nonlinear
+
+        class CountingAssembler(assembler):
+            def __init__(self, *args, **kwargs):
+                calls["assemblers"] += 1
+                super().__init__(*args, **kwargs)
+
+        def counting_solve(*args, **kwargs):
+            calls["fixed_point"] += 1
+            return solve_nonlinear(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "Assembler", CountingAssembler)
+        monkeypatch.setattr(solver, "solve_nonlinear", counting_solve)
+        return calls
+
+    @pytest.mark.parametrize("model", [materials.linear(2.0),
+                                       materials.weighted_power(2.0, 2.0)])
+    def test_field_independent_matrix_factors_once(self, tagged_disk, counts,
+                                                   model):
+        mmap = materials.MaterialMap({"matrix": model})
+        g = tomo.conductance_matrix(tagged_disk, mmap, amplitude=1.0,
+                                    mode="nonlinear")
+        assert counts == {"assemblers": 1, "fixed_point": 0}
+        assert g.size == 8
+
+    def test_ej_nonlinear_matrix_keeps_one_solve_per_pattern(self, tagged_cable,
+                                                             counts):
+        g = tomo.conductance_matrix(tagged_cable, cable_map(tagged_cable),
+                                    amplitude=1e-3, mode="nonlinear")
+        assert counts["fixed_point"] == g.size == 16
+        assert counts["assemblers"] == 1 + g.size
+
+    def test_direct_path_files_max_principle_breaches(self, tagged_disk,
+                                                      monkeypatch):
+        monkeypatch.setattr(solver, "MAX_PRINCIPLE_RTOL", -1.0)
+        mmap = materials.MaterialMap({"matrix": materials.linear(1.0)})
+        tomo.conductance_matrix(tagged_disk, mmap, amplitude=1.0)
+        filed = list(solver.VIOLATIONS)
+        solver.clear_violations()
+        ids = sorted(qm.electrode_nodes(tagged_disk))
+        assert [v["kind"] for v in filed] == ["max-principle"] * len(ids)
+        assert [v["context"] for v in filed] == [
+            f"conductance pattern {i}" for i in ids
+        ]
