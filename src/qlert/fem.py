@@ -11,7 +11,9 @@ are realized by excluding their elements, which imposes the natural
 no-flux condition on the interface.
 
 The fixed-point driver solves each linearized system by Jacobi-
-preconditioned conjugate gradients (``solve_spd``). A conductivity that
+preconditioned conjugate gradients (``solve_spd``), started from zero so
+that the answer depends on the system alone and not on where the
+iteration began (see ``solver.solve_nonlinear``). A conductivity that
 does not depend on the field needs no iteration: ``Assembler.solve_direct``
 factors the free block once and solves any number of boundary-value
 columns against that one factorization.
@@ -163,19 +165,32 @@ class FieldSolution:
     monitors: dict = field(default_factory=dict)
 
 
-def _find(parent, i):
-    root = i
-    while parent[root] != root:
-        root = parent[root]
-    while parent[i] != root:
-        parent[i], i = root, parent[i]
-    return root
+def _component_min(n, tris):
+    """Smallest node index in each node's connected component, where the
+    triangles (K, 3) join their corners.
 
-
-def _union(parent, a, b):
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra != rb:
-        parent[max(ra, rb)] = min(ra, rb)
+    Min-label propagation with pointer jumping: every label is a node of
+    the same component no larger than the node itself, each round hooks
+    the root on one side of an edge to the smaller root on the other, and
+    jumping then points every node straight at its root. A round that
+    hooks nothing leaves one root per component, its smallest node."""
+    a = np.concatenate([tris[:, 0], tris[:, 0]])
+    b = np.concatenate([tris[:, 1], tris[:, 2]])
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        la, lb = label[a], label[b]
+        split = la != lb
+        if not split.any():
+            return label
+        la, lb = la[split], lb[split]
+        lo = np.minimum(la, lb)
+        np.minimum.at(label, la, lo)
+        np.minimum.at(label, lb, lo)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 class Assembler:
@@ -208,13 +223,8 @@ class Assembler:
         pec = np.isin(region, self.pec_regions)
         self.kept = np.flatnonzero(~drop)
 
-        # merge constant-potential groups
-        parent = np.arange(mesh.node_count, dtype=np.int64)
-        for tri in mesh.elements[pec]:
-            _union(parent, tri[0], tri[1])
-            _union(parent, tri[0], tri[2])
-        for i in range(len(parent)):
-            parent[i] = _find(parent, i)
+        # merge constant-potential groups onto their smallest node
+        parent = _component_min(mesh.node_count, mesh.elements[pec])
 
         group_size = np.bincount(parent, minlength=mesh.node_count)
         if np.any(group_size[parent[bc_nodes]] > 1):
@@ -238,14 +248,9 @@ class Assembler:
         self.dof_map_template = (parent, index, fixed_value)
 
         # every kept component must see a fixed value
-        conn = np.arange(mesh.node_count, dtype=np.int64)
-        for tri in kept_tris:
-            _union(conn, tri[0], tri[1])
-            _union(conn, tri[0], tri[2])
-        roots = np.array([_find(conn, int(m)) for m in np.flatnonzero(active)])
-        anchored = {int(_find(conn, int(parent[n]))) for n in bc_nodes}
-        stranded = set(roots.tolist()) - anchored
-        if stranded:
+        conn = _component_min(mesh.node_count, kept_tris)
+        stranded = np.setdiff1d(conn[active], conn[parent[bc_nodes]])
+        if len(stranded):
             raise SingularSystemError(
                 f"{len(stranded)} mesh component(s) carry no boundary value"
             )
@@ -385,7 +390,10 @@ def solve_spd(system, tol=1e-10, max_iter=None, x0=None):
 
     Stops when the plain residual norm drops to ``tol`` times the
     right-hand side norm; raises NonConvergenceError (with the recorded
-    preconditioned-norm history) when the iteration cap is hit first."""
+    preconditioned-norm history) when the iteration cap is hit first.
+    ``x0`` is the starting vector, zero by default. The result depends on
+    it within that tolerance, which is why ``solver.solve_nonlinear``
+    leaves it at zero."""
     if isinstance(system, StiffnessSystem):
         a, b = system.matrix, system.rhs
     else:

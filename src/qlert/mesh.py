@@ -524,26 +524,33 @@ def region_interface_edges(mesh, label):
     """Edges separating ``label`` elements from the rest of the mesh.
 
     Returns (edges, inside, outside): node-pair rows (K, 2) plus the
-    adjacent element index on the region side and on the far side."""
+    adjacent element index on the region side and on the far side. Rows
+    are sorted by (edge, inside, outside)."""
     in_region = mesh.region_mask(label)
     if not in_region.any():
         raise MeshError(f"region '{label}' has no elements")
-    owner = {}
-    rows = []
-    for e, tri in enumerate(mesh.elements):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(a, b)), int(max(a, b)))
-            if key in owner:
-                other = owner.pop(key)
-                if in_region[e] != in_region[other]:
-                    inside, outside = (e, other) if in_region[e] else (other, e)
-                    rows.append((key[0], key[1], inside, outside))
-            else:
-                owner[key] = e
-    if not rows:
+    keys = np.sort(mesh.elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    owner = np.repeat(np.arange(mesh.element_count, dtype=np.int64), 3)
+    # occurrences of one edge, in element order (lexsort is stable); they
+    # pair up first with second, third with fourth, ...
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    keys, owner = keys[order], owner[order]
+    new_run = np.ones(len(keys), dtype=bool)
+    new_run[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    run_start = np.maximum.accumulate(np.where(new_run, np.arange(len(keys)), 0))
+    second = np.flatnonzero((np.arange(len(keys)) - run_start) % 2 == 1)
+    first_el, second_el = owner[second - 1], owner[second]
+    cross = in_region[first_el] != in_region[second_el]
+    second, first_el, second_el = second[cross], first_el[cross], second_el[cross]
+    if not len(second):
         raise MeshError(f"region '{label}' has no interface edges")
-    rows.sort()
-    arr = np.array(rows, dtype=np.int64)
+    second_in = in_region[second_el]
+    arr = np.column_stack([
+        keys[second],
+        np.where(second_in, second_el, first_el),
+        np.where(second_in, first_el, second_el),
+    ])
+    arr = arr[np.lexsort(arr.T[::-1])]
     return arr[:, :2], arr[:, 2], arr[:, 3]
 
 

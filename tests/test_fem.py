@@ -170,6 +170,148 @@ class TestPecMerging:
             fem.Assembler(mesh, bad, pec_regions=("inclusion-1",))
 
 
+def _find(parent, i):
+    root = i
+    while parent[root] != root:
+        root = parent[root]
+    while parent[i] != root:
+        parent[i], i = root, parent[i]
+    return root
+
+
+def _union(parent, a, b):
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra != rb:
+        parent[max(ra, rb)] = min(ra, rb)
+
+
+def union_find_groups(mesh, bc_nodes, pec_regions=(), excluded_regions=()):
+    """Union-find reference for the Assembler's merge and anchoring checks:
+    returns the master of every node, or raises the error the Assembler
+    must raise, with the same message."""
+    bc_nodes = np.unique(np.asarray(bc_nodes, dtype=np.int64))
+    region = mesh.element_region
+    pec = np.isin(region, pec_regions)
+    kept = ~np.isin(region, tuple(pec_regions) + tuple(excluded_regions))
+    parent = np.arange(mesh.node_count, dtype=np.int64)
+    for tri in mesh.elements[pec]:
+        _union(parent, tri[0], tri[1])
+        _union(parent, tri[0], tri[2])
+    for i in range(len(parent)):
+        parent[i] = _find(parent, i)
+    group_size = np.bincount(parent, minlength=mesh.node_count)
+    if np.any(group_size[parent[bc_nodes]] > 1):
+        raise fem.ConflictError(
+            "constant-potential group touches the Dirichlet boundary"
+        )
+    kept_tris = parent[mesh.elements[kept]]
+    active = np.zeros(mesh.node_count, dtype=bool)
+    active[kept_tris.ravel()] = True
+    conn = np.arange(mesh.node_count, dtype=np.int64)
+    for tri in kept_tris:
+        _union(conn, tri[0], tri[1])
+        _union(conn, tri[0], tri[2])
+    roots = np.array([_find(conn, int(m)) for m in np.flatnonzero(active)])
+    anchored = {int(_find(conn, int(parent[n]))) for n in bc_nodes}
+    stranded = set(roots.tolist()) - anchored
+    if stranded:
+        raise fem.SingularSystemError(
+            f"{len(stranded)} mesh component(s) carry no boundary value"
+        )
+    return parent
+
+
+def _ring_bands(mesh, bands):
+    cen = qm.element_centroids(mesh)
+    rad = np.hypot(cen[:, 0], cen[:, 1])
+    mask = np.zeros(mesh.element_count, dtype=bool)
+    for lo, hi in bands:
+        mask |= (rad > lo) & (rad < hi)
+    return qm.relabel_elements(mesh, mask, "defect-band", kind="defect")
+
+
+def _outer_nodes(mesh):
+    return [lo for lo in qm.boundary_loops(mesh) if lo["outer"]][0]["nodes"]
+
+
+class TestGroupsMatchUnionFind:
+    def _cases(self):
+        disk = qm.generate_disk(1.0, 3)
+        two = qm.generate_petal_cable(6.0, [(3.0, 0.0), (-3.0, 0.0)], 1.0, 3)
+        cable = qm.generate_petal_cable(
+            0.6e-3,
+            [(0.35e-3 * np.cos(np.radians(30 + 60 * k)),
+              0.35e-3 * np.sin(np.radians(30 + 60 * k))) for k in range(6)],
+            0.12e-3, 4,
+        )
+        petals = cable.inclusion_regions()
+        annulus = qm.generate_annulus(1.0, 4.0, 3)
+        banded = _ring_bands(annulus, [(1.4, 1.9), (2.6, 3.1)])
+        one_band = _ring_bands(qm.generate_annulus(1.0, 4.0, 2), [(1.4, 2.4)])
+        return [
+            (disk, qm.outer_boundary_nodes(disk), {}),
+            (two, qm.outer_boundary_nodes(two),
+             {"pec_regions": ("inclusion-1", "inclusion-2")}),
+            (two, qm.outer_boundary_nodes(two),
+             {"excluded_regions": ("inclusion-1",),
+              "pec_regions": ("inclusion-2",)}),
+            (cable, qm.outer_boundary_nodes(cable), {"pec_regions": petals}),
+            (cable, qm.outer_boundary_nodes(cable), {"excluded_regions": petals}),
+            (annulus, all_boundary_nodes(annulus), {}),
+            (banded, all_boundary_nodes(banded),
+             {"pec_regions": ("defect-band",)}),
+            # conflict: a petal node is a Dirichlet node
+            (two, np.concatenate([
+                qm.outer_boundary_nodes(two),
+                np.unique(two.elements[two.region_mask("inclusion-1")])[:1],
+            ]), {"pec_regions": ("inclusion-1",)}),
+            # two stranded rings inside two insulating bands
+            (banded, np.asarray(_outer_nodes(banded)),
+             {"excluded_regions": ("defect-band",)}),
+            # one stranded ring inside one insulating band
+            (one_band, np.asarray(_outer_nodes(one_band)),
+             {"excluded_regions": ("defect-band",)}),
+        ]
+
+    def test_parent_and_errors_equal_union_find(self):
+        outcomes = set()
+        for mesh, bc, kw in self._cases():
+            try:
+                expect = union_find_groups(mesh, bc, **kw)
+            except (fem.ConflictError, fem.SingularSystemError) as err:
+                with pytest.raises(type(err)) as got:
+                    fem.Assembler(mesh, bc, **kw)
+                assert str(got.value) == str(err)
+                outcomes.add(str(err))
+                continue
+            asm = fem.Assembler(mesh, bc, **kw)
+            parent = asm.dof_map_template[0]
+            assert parent.dtype == expect.dtype
+            assert np.array_equal(parent, expect)
+            outcomes.add("ok")
+        assert outcomes == {
+            "ok",
+            "constant-potential group touches the Dirichlet boundary",
+            "2 mesh component(s) carry no boundary value",
+            "1 mesh component(s) carry no boundary value",
+        }
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=30),
+    )))
+    def test_component_min_equals_union_find(self, case):
+        n, tris = case
+        tris = np.array(tris, dtype=np.int64).reshape(-1, 3)
+        parent = np.arange(n, dtype=np.int64)
+        for tri in tris:
+            _union(parent, tri[0], tri[1])
+            _union(parent, tri[0], tri[2])
+        expect = np.array([_find(parent, i) for i in range(n)])
+        assert np.array_equal(fem._component_min(n, tris), expect)
+
+
 @pytest.fixture(scope="module")
 def excluded_solution():
     mesh = qm.generate_petal_cable(6.0, [(3.0, 0.0), (-3.0, 0.0)], 1.0, 3)

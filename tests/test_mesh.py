@@ -300,3 +300,87 @@ class TestInterfaceEdges:
         m = qm.generate_disk(1.0, 2)
         with pytest.raises(qm.MeshError, match="interface"):
             qm.region_interface_edges(m, "matrix")
+
+
+def interface_edges_loop(mesh, label):
+    """Element-by-element reference for ``region_interface_edges``: each
+    edge key meets its first owner in a dict, the next owner pops it."""
+    in_region = mesh.region_mask(label)
+    if not in_region.any():
+        raise qm.MeshError(f"region '{label}' has no elements")
+    owner = {}
+    rows = []
+    for e, tri in enumerate(mesh.elements):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (int(min(a, b)), int(max(a, b)))
+            if key in owner:
+                other = owner.pop(key)
+                if in_region[e] != in_region[other]:
+                    inside, outside = (e, other) if in_region[e] else (other, e)
+                    rows.append((key[0], key[1], inside, outside))
+            else:
+                owner[key] = e
+    if not rows:
+        raise qm.MeshError(f"region '{label}' has no interface edges")
+    rows.sort()
+    arr = np.array(rows, dtype=np.int64)
+    return arr[:, :2], arr[:, 2], arr[:, 3]
+
+
+def _carve_ring(mesh, lo, hi):
+    cen = qm.element_centroids(mesh)
+    rad = np.hypot(cen[:, 0], cen[:, 1])
+    return qm.relabel_elements(mesh, (rad > lo) & (rad < hi), "defect-1")
+
+
+def _edge_fan():
+    # four triangles on the edge (0, 1), as a mesh file may hold: the
+    # loop pairs its owners first with second and third with fourth
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
+                      [0.5, 2.0], [0.5, -2.0]])
+    elements = [[0, 1, 2], [0, 1, 3], [0, 1, 4], [0, 1, 5]]
+    labels = ["matrix", "inclusion-1", "matrix", "inclusion-1"]
+    return qm._make_mesh(nodes, elements, labels,
+                         {"matrix": "matrix", "inclusion-1": "inclusion"})
+
+
+class TestInterfaceEdgesMatchLoop:
+    MESHES = {
+        "fan": _edge_fan,
+        "disk": lambda: _carve_ring(qm.generate_disk(1.0, 3), 0.3, 0.6),
+        "annulus": lambda: _carve_ring(qm.generate_annulus(1.0, 4.0, 2), 1.5, 2.5),
+        "cable": lambda: qm.generate_petal_cable(
+            0.6e-3,
+            [(0.35e-3 * np.cos(np.radians(30 + 60 * k)),
+              0.35e-3 * np.sin(np.radians(30 + 60 * k))) for k in range(6)],
+            0.12e-3, 4,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MESHES))
+    def test_rows_equal_the_loop_for_every_region(self, name):
+        m = self.MESHES[name]()
+        for label in m.region_table:
+            try:
+                expect = interface_edges_loop(m, label)
+            except qm.MeshError as err:
+                with pytest.raises(qm.MeshError) as got:
+                    qm.region_interface_edges(m, label)
+                assert str(got.value) == str(err)
+                continue
+            got = qm.region_interface_edges(m, label)
+            for g, e in zip(got, expect):
+                assert g.dtype == e.dtype and g.shape == e.shape
+                assert np.array_equal(g, e)
+
+    @pytest.mark.parametrize("mesh, label", [
+        (qm.generate_disk(1.0, 2), "matrix"),
+        (qm.generate_annulus(1.0, 4.0, 1), "matrix"),
+        (qm.generate_disk(1.0, 2), "inclusion-9"),
+    ])
+    def test_errors_equal_the_loop(self, mesh, label):
+        with pytest.raises(qm.MeshError) as expect:
+            interface_edges_loop(mesh, label)
+        with pytest.raises(qm.MeshError) as got:
+            qm.region_interface_edges(mesh, label)
+        assert str(got.value) == str(expect.value)

@@ -194,6 +194,47 @@ class TestSolveNonlinear:
         assert "element 1" in str(info.value)
 
 
+def cli_cable_solve(phase_deg, amplitude_v):
+    """The README cable at refinement 5, built the way ``qlert solve``
+    builds it, solved in nonlinear mode with the default controls."""
+    from qlert import cli
+
+    tree = {
+        "geometry": {
+            "shape": "cable", "outer_radius_m": 0.6e-3,
+            "petal_radius_m": 0.12e-3, "refinement": 5,
+            "petals": {"count": 6, "ring_radius_m": 0.35e-3,
+                       "phase_deg": phase_deg},
+        },
+        "materials": {
+            "matrix": {"model": "linear", "sigma_s_per_m": 5.55e7},
+            "inclusions": {"model": "ej-power-law", "jc_a_per_mm2": 8000.0,
+                           "n": 27.0, "e0_v_per_m": 1e-4},
+        },
+        "boundary": {"profile": "x-linear", "amplitude_v": amplitude_v},
+    }
+    mesh = cli.build_mesh(tree)
+    mmap = materials.MaterialMap(cli.build_material_models(tree, mesh))
+    f, _, _ = cli.build_boundary(tree, mesh)
+    return solver.solve_nonlinear(mesh, mmap, f, cli.build_solver_config(tree))
+
+
+class TestSaturatedPetals:
+    # Petals whose E-J conductivity sits at sigma_cap next to a copper
+    # matrix: the fixed-point change must settle once sigma does, rather
+    # than track linear-solver noise up to the iteration cap.
+
+    @pytest.mark.parametrize("phase_deg, amplitude_v", [
+        (30.0, 10e-3),  # the README cable
+        (90.0, 2e-3),
+    ])
+    def test_cable_converges_with_clean_monitors(self, phase_deg, amplitude_v):
+        sol = cli_cable_solve(phase_deg, amplitude_v)
+        assert sol.iterations <= 40
+        assert sol.monitors["energy_descent_ok"]
+        assert sol.monitors["max_principle_ok"]
+
+
 class TestLimitSolves:
     def test_pec_zero_data_gives_zero_solution(self, holed_disk):
         nodes = qm.outer_boundary_nodes(holed_disk)
