@@ -310,13 +310,8 @@ class Assembler:
     def assemble(self, per_element_sigma, bc_values):
         """StiffnessSystem for the given conductivities and boundary values."""
         k_ff, k_fd = self._blocks(per_element_sigma)
+        dof_map = self.dof_map(bc_values)
         bc_values = np.asarray(bc_values, dtype=float)
-        if bc_values.shape != self.bc_nodes.shape:
-            raise ValueError("bc_values must align with the assembler's bc_nodes")
-        parent, index, fixed_value = self.dof_map_template
-        fv = np.array(fixed_value)
-        fv[parent[self.bc_nodes]] = bc_values
-        dof_map = DofMap(parent, index, fv, self.n_free)
         return StiffnessSystem(
             matrix=k_ff,
             k_fd=k_fd,
@@ -325,6 +320,17 @@ class Assembler:
             bc_values=bc_values,
             rhs=-k_fd @ bc_values,
         )
+
+    def dof_map(self, bc_values):
+        """DofMap holding ``bc_values`` (aligned with the sorted
+        ``bc_nodes``) at the fixed masters."""
+        bc_values = np.asarray(bc_values, dtype=float)
+        if bc_values.shape != self.bc_nodes.shape:
+            raise ValueError("bc_values must align with the assembler's bc_nodes")
+        parent, index, fixed_value = self.dof_map_template
+        fv = np.array(fixed_value)
+        fv[parent[self.bc_nodes]] = bc_values
+        return DofMap(parent, index, fv, self.n_free)
 
     def solve_direct(self, per_element_sigma, bc_values):
         """Nodal potentials for k sets of boundary values at once.

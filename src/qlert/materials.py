@@ -132,18 +132,6 @@ class MaterialModel:
 
     # -- piecewise machinery -------------------------------------------------
 
-    def _raw_sigma(self, E):
-        """Unregularized law at E > 0 (scalar), before floor and cap."""
-        if self.kind == "linear":
-            return self.sigma0
-        if self.kind == "weighted-power":
-            return self.theta * E ** (self.p - 2.0)
-        if self.kind == "ej-power-law":
-            return (self.jc / self.e0) * (E / self.e0) ** ((1.0 - self.n) / self.n)
-        if self.kind == "custom-tabulated":
-            return float(np.interp(E, self.e_table, self.sigma_table))
-        raise ValueError(f"unknown material kind '{self.kind}'")
-
     @cached_property
     def _pieces(self):
         cap, floor = self.sigma_cap, self.e_floor
@@ -153,11 +141,7 @@ class MaterialModel:
         if self.kind == "linear":
             pass
         elif self.kind in ("weighted-power", "ej-power-law"):
-            if self.kind == "weighted-power":
-                theta, m = self.theta, self.p - 2.0
-            else:
-                m = (1.0 - self.n) / self.n
-                theta = (self.jc / self.e0) * self.e0 ** (-m)
+            theta, m = self._power_law()
             if m != 0.0 and np.isfinite(cap) and theta > 0:
                 ecap = (cap / theta) ** (1.0 / m)
                 if np.isfinite(ecap) and ecap > 0:
@@ -180,17 +164,20 @@ class MaterialModel:
                 cum[i + 1] = np.inf
         return bounds, pieces, cum
 
+    def _power_law(self):
+        """(theta, m) with sigma = theta * E**m, for the two power laws."""
+        if self.kind == "weighted-power":
+            return self.theta, self.p - 2.0
+        m = (1.0 - self.n) / self.n
+        return (self.jc / self.e0) * self.e0 ** (-m), m
+
     def _classify(self, lo, hi, mid):
         cap, floor = self.sigma_cap, self.e_floor
         e_eff = max(mid, floor)
         if self.kind == "linear":
             return _Piece(lo, hi, _CONST, min(self.sigma0, cap), 0.0)
         if self.kind in ("weighted-power", "ej-power-law"):
-            if self.kind == "weighted-power":
-                theta, m = self.theta, self.p - 2.0
-            else:
-                m = (1.0 - self.n) / self.n
-                theta = (self.jc / self.e0) * self.e0 ** (-m)
+            theta, m = self._power_law()
             val = theta * e_eff**m if e_eff > 0 else np.inf
             if mid < floor or m == 0.0:
                 return _Piece(lo, hi, _CONST, min(val, cap), 0.0)
@@ -229,35 +216,32 @@ def _check_field(E):
     return E
 
 
-def sigma(model, E):
-    """Regularized conductivity at field magnitude ``E`` (elementwise)."""
+def _by_piece(model, E, value):
+    """``value(i, piece, E_i)`` on the field magnitudes ``E_i`` that fall
+    in piece i, assembled elementwise; a float for scalar ``E``."""
     E = _check_field(E)
     scalar = E.ndim == 0
     E = np.atleast_1d(E)
     bounds, pieces, _ = model._pieces
     idx = np.clip(np.searchsorted(bounds, E, side="right") - 1, 0, len(pieces) - 1)
     out = np.empty_like(E)
-    with np.errstate(divide="ignore"):
-        for i, pc in enumerate(pieces):
-            m = idx == i
-            if m.any():
-                out[m] = pc.sigma_at(E[m])
+    for i, pc in enumerate(pieces):
+        m = idx == i
+        if m.any():
+            out[m] = value(i, pc, E[m])
     return float(out[0]) if scalar else out
+
+
+def sigma(model, E):
+    """Regularized conductivity at field magnitude ``E`` (elementwise)."""
+    with np.errstate(divide="ignore"):
+        return _by_piece(model, E, lambda i, pc, e: pc.sigma_at(e))
 
 
 def energy_density(model, E):
     """Energy density Q(E) = integral of sigma(xi)*xi from 0 to E."""
-    E = _check_field(E)
-    scalar = E.ndim == 0
-    E = np.atleast_1d(E)
-    bounds, pieces, cum = model._pieces
-    idx = np.clip(np.searchsorted(bounds, E, side="right") - 1, 0, len(pieces) - 1)
-    out = np.empty_like(E)
-    for i, pc in enumerate(pieces):
-        m = idx == i
-        if m.any():
-            out[m] = cum[i] + pc.integral(pc.lo, E[m])
-    return float(out[0]) if scalar else out
+    cum = model._pieces[2]
+    return _by_piece(model, E, lambda i, pc, e: cum[i] + pc.integral(pc.lo, e))
 
 
 def current_density(model, E):
@@ -378,10 +362,16 @@ class MaterialMap:
         d[label] = model
         return MaterialMap(d)
 
-    def sigma_elements(self, mesh, E_elements):
-        """Per-element conductivity for per-element field magnitudes."""
-        out = np.empty(mesh.element_count)
-        for label in np.unique(mesh.element_region):
+    def sigma_elements(self, mesh, E_elements, labels=None):
+        """Per-element conductivity for per-element field magnitudes.
+
+        Evaluates the regions in ``labels`` (every mesh region by default)
+        and looks up no other; their elements get the placeholder 1, and
+        their fields are never read, so they may be NaN."""
+        if labels is None:
+            labels = np.unique(mesh.element_region)
+        out = np.ones(mesh.element_count)
+        for label in labels:
             m = mesh.region_mask(label)
             out[m] = sigma(self.for_region(label), E_elements[m])
         return out

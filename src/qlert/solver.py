@@ -26,7 +26,8 @@ import numpy as np
 
 from . import fem
 from . import mesh as qmesh
-from .materials import sigma as material_sigma
+# bench/spans.py checks and wraps this binding; nothing here calls it
+from .materials import sigma as material_sigma  # noqa: F401
 from .materials import validate_assumptions
 
 __all__ = [
@@ -137,15 +138,6 @@ def _auto_damping(material_map, labels):
     return 1.0
 
 
-def _sigma_for(mesh, material_map, labels, e_elements):
-    """Per-element sigma on the given regions; placeholder 1 elsewhere."""
-    out = np.ones(mesh.element_count)
-    for lab in labels:
-        mask = mesh.region_mask(lab)
-        out[mask] = material_sigma(material_map.for_region(lab), e_elements[mask])
-    return out
-
-
 def _check_finite_field(e_mag, kept, context):
     bad = ~np.isfinite(e_mag[kept])
     if bad.any():
@@ -224,11 +216,7 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
     span = float(values.max() - values.min())
     if span == 0.0:
         # constant data: the constant field is the exact minimizer
-        parent, index, fixed_value = asm.dof_map_template
-        fv = np.array(fixed_value)
-        fv[parent[nodes]] = values
-        dof_map = fem.DofMap(parent, index, fv, asm.n_free)
-        u = dof_map.expand(np.full(asm.n_free, values[0]))
+        u = asm.dof_map(values).expand(np.full(asm.n_free, values[0]))
         monitors = _monitor(u, values, [0.0], context, damping)
         return fem.FieldSolution(
             nodal_potential=u,
@@ -243,8 +231,8 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
     if isinstance(config.initial_guess, str):
         diam = float(np.max(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)))
         e_char = span / max(diam, 1e-300)
-        sig0 = _sigma_for(mesh, material_map, active,
-                          np.full(mesh.element_count, e_char))
+        sig0 = material_map.sigma_elements(
+            mesh, np.full(mesh.element_count, e_char), active)
         system = asm.assemble(sig0, values)
         if config.initial_guess == "zero":
             x = np.zeros(asm.n_free)
@@ -258,8 +246,8 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
         if u.shape != (mesh.node_count,):
             raise ValueError("provided initial guess must be a nodal vector")
         system = asm.assemble(
-            _sigma_for(mesh, material_map, active,
-                       np.hypot(*fem.element_gradients(mesh, u).T)),
+            material_map.sigma_elements(
+                mesh, np.hypot(*fem.element_gradients(mesh, u).T), active),
             values,
         )
         # project the guess onto this bc: free dofs only
@@ -276,7 +264,7 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
         grads = fem.element_gradients(mesh, u)
         e_mag = np.hypot(grads[:, 0], grads[:, 1])
         _check_finite_field(e_mag, kept, context)
-        sig = _sigma_for(mesh, material_map, active, e_mag)
+        sig = material_map.sigma_elements(mesh, e_mag, active)
         system = asm.assemble(sig, values)
         # Start from zero, not from x: CG stops at a relative residual of
         # linear_tol, and where it lands inside that ball depends on its

@@ -29,7 +29,8 @@ from scipy import sparse
 from . import fem
 from . import mesh as qmesh
 from . import solver
-from .materials import sigma as material_sigma
+# bench/spans.py checks and wraps this binding; nothing here calls it
+from .materials import sigma as material_sigma  # noqa: F401
 
 __all__ = [
     "ConductanceMatrix",
@@ -123,15 +124,6 @@ class Reconstruction:
 # ---------------------------------------------------------------------------
 
 
-def _element_sigma(mesh, material_map, labels, e_mag):
-    """Per-element sigma on the given regions; placeholder 1 elsewhere."""
-    sig = np.ones(mesh.element_count)
-    for lab in labels:
-        mask = mesh.region_mask(lab)
-        sig[mask] = material_sigma(material_map.for_region(lab), e_mag[mask])
-    return sig
-
-
 def conductance_matrix(mesh, material_map, amplitude=1e-3, mode="pec-limit",
                        electrodes=None, pec_regions=None, config=None,
                        scenario=""):
@@ -176,19 +168,19 @@ def conductance_matrix(mesh, material_map, amplitude=1e-3, mode="pec-limit",
     owner = np.repeat(np.arange(m), sizes)  # electrode position per node
     patterns = np.full((len(all_nodes), m), -amplitude / m)
     patterns[np.arange(len(all_nodes)), owner] += amplitude
+    # electrode-by-node incidence: row i sums the currents of electrode i
+    incidence = sparse.csr_matrix(
+        (np.ones(len(all_nodes)), (owner, all_nodes)),
+        shape=(m, mesh.node_count),
+    )
     if all(material_map.for_region(lab).field_independent for lab in active):
-        sig = _element_sigma(mesh, material_map, active,
-                             np.zeros(mesh.element_count))
+        sig = material_map.sigma_elements(
+            mesh, np.zeros(mesh.element_count), active)
         order = np.argsort(all_nodes)  # the Assembler's sorted bc_nodes
         u = asm.solve_direct(sig, patterns[order])
         for j in range(m):
             solver.check_max_principle(u[:, j], patterns[:, j],
                                        f"conductance pattern {ids[j]}")
-        # electrode-by-node incidence: row i sums the currents of group i
-        incidence = sparse.csr_matrix(
-            (np.ones(len(all_nodes)), (owner, all_nodes)),
-            shape=(m, mesh.node_count),
-        )
         g = incidence @ (asm.raw_matrix(sig) @ np.nan_to_num(u))
     else:
         g = np.zeros((m, m))
@@ -200,10 +192,9 @@ def conductance_matrix(mesh, material_map, amplitude=1e-3, mode="pec-limit",
             )
             e_mag = np.hypot(sol.element_gradient[:, 0],
                              sol.element_gradient[:, 1])
-            sig = _element_sigma(mesh, material_map, active, e_mag)
-            reactions = asm.raw_matrix(sig) @ np.nan_to_num(sol.nodal_potential)
-            for i, gr in enumerate(groups):
-                g[i, j] = reactions[gr].sum()
+            sig = material_map.sigma_elements(mesh, e_mag, active)
+            g[:, j] = incidence @ (
+                asm.raw_matrix(sig) @ np.nan_to_num(sol.nodal_potential))
 
     scale = max(float(np.max(np.abs(g))), 1e-300)
     asymmetry = float(np.max(np.abs(g - g.T))) / scale

@@ -480,6 +480,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="align"):
             asm.assemble(np.ones(mesh.element_count), np.zeros(2))
 
+    def test_dof_map_matches_assemble_and_checks_alignment(self):
+        mesh = qm.generate_petal_cable(6.0, [(3.0, 0.0)], 1.0, 2)
+        asm = fem.Assembler(mesh, qm.outer_boundary_nodes(mesh),
+                            pec_regions=("inclusion-1",))
+        values = mesh.nodes[asm.bc_nodes, 0]
+        dof_map = asm.dof_map(values)
+        ref = asm.assemble(np.ones(mesh.element_count), values).dof_map
+        for name in ("parent", "index", "fixed_value"):
+            assert np.array_equal(getattr(dof_map, name), getattr(ref, name),
+                                  equal_nan=True)
+        assert dof_map.n_free == ref.n_free == asm.n_free
+        assert np.array_equal(dof_map.fixed_value[asm.bc_nodes], values)
+        with pytest.raises(ValueError, match="align"):
+            asm.dof_map(np.zeros(len(asm.bc_nodes) + 1))
+
 
 class TestSolveDirect:
     @pytest.mark.parametrize("regions", [

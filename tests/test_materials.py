@@ -225,3 +225,152 @@ class TestMaterialMap:
         s = mm.sigma_elements(cable, E)
         assert np.all(s[cable.region_mask("matrix")] == 2.0)
         assert np.all(s[cable.region_mask("inclusion-1")] == 5.0)
+
+
+# ---------------------------------------------------------------------------
+# references: the per-function piece loops and the solver's per-element
+# evaluator that sigma, energy_density and MaterialMap.sigma_elements replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_sigma(model, E):
+    E = qmat._check_field(E)
+    scalar = E.ndim == 0
+    E = np.atleast_1d(E)
+    bounds, pieces, _ = model._pieces
+    idx = np.clip(np.searchsorted(bounds, E, side="right") - 1, 0, len(pieces) - 1)
+    out = np.empty_like(E)
+    with np.errstate(divide="ignore"):
+        for i, pc in enumerate(pieces):
+            m = idx == i
+            if m.any():
+                out[m] = pc.sigma_at(E[m])
+    return float(out[0]) if scalar else out
+
+
+def reference_energy_density(model, E):
+    E = qmat._check_field(E)
+    scalar = E.ndim == 0
+    E = np.atleast_1d(E)
+    bounds, pieces, cum = model._pieces
+    idx = np.clip(np.searchsorted(bounds, E, side="right") - 1, 0, len(pieces) - 1)
+    out = np.empty_like(E)
+    for i, pc in enumerate(pieces):
+        m = idx == i
+        if m.any():
+            out[m] = cum[i] + pc.integral(pc.lo, E[m])
+    return float(out[0]) if scalar else out
+
+
+def reference_sigma_for(mesh, material_map, labels, e_elements):
+    out = np.ones(mesh.element_count)
+    for lab in labels:
+        mask = mesh.region_mask(lab)
+        out[mask] = qmat.sigma(material_map.for_region(lab), e_elements[mask])
+    return out
+
+
+LAWS = {
+    "linear": qmat.linear(5.55e7),
+    "weighted-p2": qmat.weighted_power(2.0, 2.0),
+    "weighted-p3": qmat.weighted_power(1.5, 3.0),
+    "ej": qmat.ej_power_law(8e9, 27),
+    "ej-bare": qmat.ej_power_law(8e9, 27, e_floor=0.0, sigma_cap=np.inf),
+    "preset": qmat.preset("YBCO-AMSC"),
+    "tabulated": qmat.tabulated([1e-6, 1.0, 2.0], [3.0, 4.0, 3.5],
+                                e_floor=1e-8, sigma_cap=3.8),
+}
+
+
+def probe_fields(model):
+    """Zero, the floor, every breakpoint with its float neighbours, and a
+    log sweep plus random draws over twenty decades."""
+    cuts = np.concatenate([model.piece_bounds(), [model.e_floor]])
+    cuts = cuts[np.isfinite(cuts) & (cuts > 0)]
+    rng = np.random.default_rng(7)
+    return np.concatenate([
+        [0.0, model.e_floor / 2],
+        cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, np.inf),
+        np.geomspace(1e-16, 1e4, 2000),
+        10.0 ** rng.uniform(-16, 4, 2000),
+    ])
+
+
+class TestOneLookup:
+    @pytest.mark.parametrize("kind", sorted(LAWS))
+    def test_arrays_match_reference_exactly(self, kind):
+        model = LAWS[kind]
+        e = probe_fields(model)
+        np.testing.assert_array_equal(qmat.sigma(model, e),
+                                      reference_sigma(model, e))
+        np.testing.assert_array_equal(qmat.energy_density(model, e),
+                                      reference_energy_density(model, e))
+
+    @pytest.mark.parametrize("kind", sorted(LAWS))
+    def test_scalars_match_reference_exactly(self, kind):
+        model = LAWS[kind]
+        for e in (0, 0.0, model.e_floor, np.float64(1e-4), np.array(2.5),
+                  *(float(c) for c in model.piece_bounds())):
+            for fn, ref in ((qmat.sigma, reference_sigma),
+                            (qmat.energy_density, reference_energy_density)):
+                got, want = fn(model, e), ref(model, e)
+                assert type(got) is float and type(want) is float
+                assert got == want
+
+    def test_shapes_and_errors_follow_the_input(self):
+        model = LAWS["ej"]
+        e = np.geomspace(1e-6, 1.0, 6).reshape(2, 3)
+        assert qmat.sigma(model, e).shape == (2, 3)
+        assert qmat.energy_density(model, e).shape == (2, 3)
+        for fn in (qmat.sigma, qmat.energy_density):
+            with pytest.raises(ValueError):
+                fn(model, np.nan)
+
+
+class TestSigmaElements:
+    @pytest.fixture(scope="class")
+    def cable(self):
+        from qlert import mesh as qm
+
+        return qm.generate_petal_cable(1.0, [(-0.5, 0.0), (0.5, 0.0)], 0.3, 2)
+
+    @pytest.fixture(scope="class")
+    def full_map(self):
+        return qmat.MaterialMap({
+            "matrix": LAWS["linear"],
+            "inclusion-1": LAWS["ej"],
+            "inclusion-2": LAWS["tabulated"],
+        })
+
+    def test_matches_reference_on_every_subset(self, cable, full_map):
+        e = 10.0 ** np.random.default_rng(3).uniform(-14, 2, cable.element_count)
+        labels = sorted(set(cable.element_region))
+        for subset in ([], labels[:1], labels[1:], labels):
+            np.testing.assert_array_equal(
+                full_map.sigma_elements(cable, e, subset),
+                reference_sigma_for(cable, full_map, subset, e),
+            )
+        np.testing.assert_array_equal(
+            full_map.sigma_elements(cable, e),
+            reference_sigma_for(cable, full_map, labels, e),
+        )
+
+    def test_placeholder_one_outside_the_labels(self, cable, full_map):
+        e = np.full(cable.element_count, 1e-3)
+        s = full_map.sigma_elements(cable, e, ["inclusion-1"])
+        inside = cable.region_mask("inclusion-1")
+        assert np.all(s[~inside] == 1.0)
+        assert np.all(s[inside] == qmat.sigma(LAWS["ej"], 1e-3))
+
+    def test_other_regions_are_neither_looked_up_nor_read(self, cable,
+                                                          full_map):
+        partial = qmat.MaterialMap({"matrix": qmat.linear(2.0)})
+        e = np.full(cable.element_count, np.nan)
+        matrix = cable.region_mask("matrix")
+        e[matrix] = 1.0
+        s = partial.sigma_elements(cable, e, ["matrix"])
+        assert np.all(s[matrix] == 2.0) and np.all(s[~matrix] == 1.0)
+        with pytest.raises(KeyError, match="inclusion-1"):
+            partial.sigma_elements(cable, np.ones(cable.element_count))
+        with pytest.raises(ValueError, match="finite"):
+            full_map.sigma_elements(cable, e, ["matrix", "inclusion-1"])

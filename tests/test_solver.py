@@ -161,6 +161,18 @@ class TestSolveNonlinear:
         assert sol.energy == 0.0
         assert np.all(sol.nodal_potential == 2.5)
 
+    @pytest.mark.parametrize("values_of", [lambda x: np.full_like(x, 2.5),
+                                           lambda x: x],
+                             ids=["constant", "varying"])
+    def test_repeated_boundary_nodes_rejected_for_any_data(self, disk3,
+                                                           values_of):
+        nodes = qm.outer_boundary_nodes(disk3)
+        nodes = np.concatenate([nodes, nodes[:1]])
+        values = values_of(disk3.nodes[nodes, 0])
+        mmap = materials.MaterialMap({"matrix": materials.linear(1.0)})
+        with pytest.raises(ValueError, match="align"):
+            solver.solve_nonlinear(disk3, mmap, (nodes, values))
+
     def test_nonfinite_boundary_data_rejected(self, disk3):
         nodes = qm.outer_boundary_nodes(disk3)
         values = disk3.nodes[nodes, 0].copy()

@@ -412,6 +412,14 @@ class TestDirectConductance:
         assert np.abs(g.matrix - ref).max() <= 1e-10 * np.abs(ref).max()
         assert g.asymmetry <= 1e-12
 
+    def test_nonlinear_readout_matches_group_sums(self, tagged_disk):
+        mmap = materials.MaterialMap(
+            {"matrix": materials.weighted_power(2.0, 1.5)})
+        g = tomo.conductance_matrix(tagged_disk, mmap, amplitude=1.0,
+                                    mode="nonlinear")
+        ref = fixed_point_g(tagged_disk, mmap, 1.0)
+        assert np.abs(g.matrix - ref).max() <= 1e-14 * np.abs(ref).max()
+
     @pytest.fixture
     def counts(self, monkeypatch):
         calls = {"assemblers": 0, "fixed_point": 0}
