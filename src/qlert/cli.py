@@ -321,7 +321,7 @@ def _write_csv(path, digest, header, rows):
     lines = [f"# config sha256:{digest}", ",".join(header)]
     for row in rows:
         lines.append(",".join(
-            str(v) if isinstance(v, (int, np.integer)) else _fnum(v)
+            str(v) if isinstance(v, (int, np.integer, str)) else _fnum(v)
             for v in row
         ))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -640,10 +640,29 @@ def cmd_tomo(tree, digest, out, seed):
     if not vmask.any():
         _fail(dpath, "defect discs select no matrix elements")
 
-    g_bg = tomography.conductance_matrix(
-        mesh, materials.MaterialMap(models), amplitude=amplitude, mode=mode,
-        config=cfg, scenario="background",
-    )
+    if mode == "pec-limit":
+        # one factorization; each test matrix is a low-rank update of it
+        operator = tomography.ConductanceOperator(
+            mesh, materials.MaterialMap(models), amplitude=amplitude)
+        g_bg = operator.background("background")
+
+        def test_matrix(domain):
+            return operator.matrix(domain.element_mask, defect_model,
+                                   domain.id)
+    else:
+        g_bg = tomography.conductance_matrix(
+            mesh, materials.MaterialMap(models), amplitude=amplitude,
+            mode=mode, config=cfg, scenario="background",
+        )
+
+        def test_matrix(domain):
+            tm = qmesh.relabel_elements(mesh, domain.element_mask,
+                                        "test-domain")
+            return tomography.conductance_matrix(
+                tm, materials.MaterialMap({**models,
+                                           "test-domain": defect_model}),
+                amplitude=amplitude, mode=mode, config=cfg, scenario=domain.id,
+            )
     dmesh = qmesh.relabel_elements(mesh, vmask, "defect-1")
     g_v = tomography.conductance_matrix(
         dmesh, materials.MaterialMap({**models, "defect-1": defect_model}),
@@ -674,13 +693,7 @@ def cmd_tomo(tree, digest, out, seed):
 
     domains = tomography.disc_test_domains(mesh, radii, spacing=spacing)
 
-    tests = []
-    for domain in domains:
-        tm = qmesh.relabel_elements(mesh, domain.element_mask, "test-domain")
-        tests.append((domain, tomography.conductance_matrix(
-            tm, materials.MaterialMap({**models, "test-domain": defect_model}),
-            amplitude=amplitude, mode=mode, config=cfg, scenario=domain.id,
-        )))
+    tests = [(domain, test_matrix(domain)) for domain in domains]
     rec = tomography.mpm_reconstruct(measured, tests, delta, tol=psd_tol)
 
     areas = qmesh.element_areas(mesh)
@@ -692,6 +705,16 @@ def cmd_tomo(tree, digest, out, seed):
     ids = [f"electrode_{i}" for i in g_bg.electrode_ids]
     _write_csv(out / "background_g.csv", digest, ids, g_bg.matrix)
     _write_csv(out / "measured_g.csv", digest, ids, measured.matrix)
+    accepted = np.zeros(len(domains), dtype=int)
+    accepted[list(rec.accepted)] = 1
+    _write_csv(
+        out / "domains.csv", digest,
+        ("domain", "cx_m", "cy_m", "radius_m", "min_eig", "raw_min_eig",
+         "margin", "accepted"),
+        ((d.id, d.center[0], d.center[1], d.radius, rec.min_eigenvalues[k],
+          rec.raw_min_eigenvalues[k], rec.min_eigenvalues[k] + psd_tol,
+          accepted[k]) for k, d in enumerate(domains)),
+    )
     centroids = qmesh.element_centroids(mesh)
     _write_csv(
         out / "reconstruction.csv", digest,

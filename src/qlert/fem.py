@@ -16,7 +16,8 @@ that the answer depends on the system alone and not on where the
 iteration began (see ``solver.solve_nonlinear``). A conductivity that
 does not depend on the field needs no iteration: ``Assembler.solve_direct``
 factors the free block once and solves any number of boundary-value
-columns against that one factorization.
+columns against that one factorization, and ``Assembler.factor`` hands
+that factorization out for reuse.
 """
 
 from __future__ import annotations
@@ -246,6 +247,8 @@ class Assembler:
 
         fixed_value = np.full(mesh.node_count, np.nan)
         self.dof_map_template = (parent, index, fixed_value)
+        # each node's master classified: free dof number, FIXED or EXCLUDED
+        self.node_dof = index[parent]
 
         # every kept component must see a fixed value
         conn = _component_min(mesh.node_count, kept_tris)
@@ -332,6 +335,30 @@ class Assembler:
         fv[parent[self.bc_nodes]] = bc_values
         return DofMap(parent, index, fv, self.n_free)
 
+    def factor(self, per_element_sigma):
+        """(LU factorization of K_ff, K_fd) for a conductivity that does
+        not depend on the field. The factorization is a
+        ``scipy.sparse.linalg.splu`` object (None when no dof is free);
+        ``lu.solve(-k_fd @ bc_values)`` gives the free dofs for any set of
+        boundary-value columns, and ``expand`` the nodal potentials."""
+        # imported here so that the commands that never factor do not pay
+        # for loading scipy.sparse.linalg
+        from scipy.sparse.linalg import splu
+
+        k_ff, k_fd = self._blocks(per_element_sigma)
+        return (splu(k_ff.tocsc()) if self.n_free else None), k_fd
+
+    def expand(self, x_free, bc_values):
+        """(node_count, k) nodal potentials from (n_free, k) free dofs and
+        (len(bc_nodes), k) boundary values aligned with the sorted
+        ``bc_nodes``; NaN on nodes that only excluded elements touch."""
+        x_free = np.asarray(x_free, dtype=float)
+        u = np.full((self.mesh.node_count, x_free.shape[1]), np.nan)
+        free = self.node_dof >= 0
+        u[free] = x_free[self.node_dof[free]]
+        u[self.bc_nodes] = bc_values
+        return u
+
     def solve_direct(self, per_element_sigma, bc_values):
         """Nodal potentials for k sets of boundary values at once.
 
@@ -341,23 +368,25 @@ class Assembler:
         sorted ``bc_nodes``) are solved against that factorization.
         Returns a (node_count, k) array, NaN on nodes that only excluded
         elements touch."""
-        # imported here so that the commands that never factor do not pay
-        # for loading scipy.sparse.linalg
-        from scipy.sparse.linalg import splu
-
         bc_values = np.asarray(bc_values, dtype=float)
         if bc_values.ndim != 2 or bc_values.shape[0] != len(self.bc_nodes):
             raise ValueError("bc_values must be (len(bc_nodes), k)")
-        k_ff, k_fd = self._blocks(per_element_sigma)
+        lu, k_fd = self.factor(per_element_sigma)
         rhs = -k_fd @ bc_values
-        x = splu(k_ff.tocsc()).solve(rhs) if self.n_free else rhs
-        parent, index, _ = self.dof_map_template
-        idx = index[parent]
-        free = idx >= 0
-        u = np.full((self.mesh.node_count, bc_values.shape[1]), np.nan)
-        u[free] = x[idx[free]]
-        u[self.bc_nodes] = bc_values
-        return u
+        return self.expand(rhs if lu is None else lu.solve(rhs), bc_values)
+
+    def element_stiffness(self, elements):
+        """Unit-conductivity 3x3 stiffness of each of the given elements,
+        (len(elements), 3, 3); every element must be kept (neither
+        merged nor excluded)."""
+        elements = np.asarray(elements, dtype=np.int64)
+        pos = np.searchsorted(self.kept, elements)
+        ok = pos < len(self.kept)
+        ok[ok] = self.kept[pos[ok]] == elements[ok]
+        if not ok.all():
+            raise ValueError("elements must lie outside merged and excluded "
+                             "regions")
+        return self._s_local[pos]
 
     def raw_matrix(self, per_element_sigma):
         """Unconstrained nodal stiffness over the kept elements; reaction

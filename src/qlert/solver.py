@@ -88,9 +88,10 @@ class NumericalBreakdownError(RuntimeError):
 class NonlinearSolveConfig:
     """Fixed-point controls.
 
-    ``damping`` of None picks 1.0, or 0.7 when any region carries a
-    steep power law (exponent >= 10), which otherwise tends to
-    overshoot. ``initial_guess`` is "linear-sigma" (solve once with
+    ``damping`` of None picks 1.0, or 0.7 when any region carries a law
+    on which the undamped iteration overshoots: an E-J power law with
+    n >= 10, or a weighted power law with p > 2, whose conductivity grows
+    with the field. ``initial_guess`` is "linear-sigma" (solve once with
     sigma frozen at a data-scale field), "zero" (free dofs start at
     zero), or an explicit nodal vector.
     """
@@ -134,6 +135,8 @@ def _auto_damping(material_map, labels):
     for lab in labels:
         model = material_map.for_region(lab)
         if model.kind == "ej-power-law" and model.n >= 10:
+            return 0.7
+        if model.kind == "weighted-power" and model.p > 2.0:
             return 0.7
     return 1.0
 

@@ -10,9 +10,12 @@ against noisy data, shifted by the noise bound, yields an upper-bound
 reconstruction as the union of accepted test domains.
 
 When no active material depends on the field (every pec-limit imaging
-problem), the whole matrix comes from one assembly and one sparse LU
-factorization with all patterns as right-hand-side columns; otherwise
-each pattern runs the fixed-point solver. Eigenvalues come from LAPACK
+problem), a ``ConductanceOperator`` holds one assembly and one sparse LU
+factorization, solves all patterns as right-hand-side columns for the
+background matrix, and gives the matrix of every test domain as an exact
+low-rank (Woodbury) update of that factorization, so a whole dictionary
+costs one factorization; otherwise each pattern of each matrix runs the
+fixed-point solver. Eigenvalues come from LAPACK
 (``numpy.linalg.eigvalsh``) after a symmetry check. PSD decisions are
 taken on the zero-mean subspace (the all-ones pattern is not observable
 with zero-mean excitations); the undeflated spectrum is kept as a
@@ -29,11 +32,11 @@ from scipy import sparse
 from . import fem
 from . import mesh as qmesh
 from . import solver
-# bench/spans.py checks and wraps this binding; nothing here calls it
-from .materials import sigma as material_sigma  # noqa: F401
+from .materials import sigma as material_sigma
 
 __all__ = [
     "ConductanceMatrix",
+    "ConductanceOperator",
     "TestDomain",
     "Reconstruction",
     "conductance_matrix",
@@ -124,6 +127,69 @@ class Reconstruction:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Electrodes:
+    """Electrode nodes, drive patterns and conductor split of one
+    conductance measurement."""
+
+    ids: tuple
+    nodes: np.ndarray     # every electrode node, grouped by electrode
+    owner: np.ndarray     # electrode position of each entry of ``nodes``
+    patterns: np.ndarray  # (len(nodes), m) boundary values per pattern
+    pec_regions: tuple
+    active: list          # regions that keep their material
+
+    @classmethod
+    def of(cls, mesh, amplitude, mode, electrodes, pec_regions):
+        if amplitude <= 0:
+            raise ValueError("amplitude must be positive")
+        if mode not in ("nonlinear", "pec-limit"):
+            raise ValueError("mode must be 'nonlinear' or 'pec-limit'")
+        if electrodes is None:
+            electrodes = qmesh.electrode_nodes(mesh)
+        if not electrodes:
+            raise ValueError("mesh has no tagged electrodes")
+        ids = tuple(sorted(electrodes))
+        groups = [np.asarray(electrodes[i], dtype=np.int64) for i in ids]
+        nodes = np.concatenate(groups)
+        if len(np.unique(nodes)) != len(nodes):
+            raise ValueError("electrode node sets overlap")
+        if mode == "pec-limit":
+            if pec_regions is None:
+                pec_regions = mesh.inclusion_regions()
+            pec_regions = tuple(pec_regions)
+        else:
+            pec_regions = ()
+        m = len(ids)
+        owner = np.repeat(np.arange(m), [len(gr) for gr in groups])
+        patterns = np.full((len(nodes), m), -amplitude / m)
+        patterns[np.arange(len(nodes)), owner] += amplitude
+        active = sorted(set(np.unique(mesh.element_region)) - set(pec_regions))
+        return cls(ids, nodes, owner, patterns, pec_regions, active)
+
+    def incidence(self, node_count):
+        """Electrode-by-node matrix: row i sums the currents of electrode i."""
+        return sparse.csr_matrix(
+            (np.ones(len(self.nodes)), (self.owner, self.nodes)),
+            shape=(len(self.ids), node_count),
+        )
+
+    def check_patterns(self, u, where=""):
+        """Maximum-principle monitor on every pattern column of ``u``."""
+        for j, i in enumerate(self.ids):
+            solver.check_max_principle(u[:, j], self.patterns[:, j],
+                                       f"{where}conductance pattern {i}")
+
+
+def _conductance(g, amplitude, ids, mode, scenario):
+    scale = max(float(np.max(np.abs(g))), 1e-300)
+    asymmetry = float(np.max(np.abs(g - g.T))) / scale
+    return ConductanceMatrix(
+        matrix=0.5 * (g + g.T), amplitude=float(amplitude),
+        electrode_ids=ids, mode=mode, scenario=scenario, asymmetry=asymmetry,
+    )
+
+
 def conductance_matrix(mesh, material_map, amplitude=1e-3, mode="pec-limit",
                        electrodes=None, pec_regions=None, config=None,
                        scenario=""):
@@ -137,71 +203,197 @@ def conductance_matrix(mesh, material_map, amplitude=1e-3, mode="pec-limit",
     replaced by floating perfect conductors; ``mode="nonlinear"`` keeps
     every material.
 
-    When every remaining material is field-independent, all patterns are
-    solved at once by ``fem.Assembler.solve_direct``; otherwise each
-    pattern runs ``solver.solve_nonlinear`` with ``config``. Either way
-    every pattern passes the maximum-principle monitor."""
-    if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
-    if mode not in ("nonlinear", "pec-limit"):
-        raise ValueError("mode must be 'nonlinear' or 'pec-limit'")
+    When every remaining material is field-independent, this is
+    ``ConductanceOperator(...).background()``: one factorization solves
+    all patterns at once. Otherwise each pattern runs
+    ``solver.solve_nonlinear`` with ``config``. Either way every pattern
+    passes the maximum-principle monitor."""
     if electrodes is None:
         electrodes = qmesh.electrode_nodes(mesh)
-    if not electrodes:
-        raise ValueError("mesh has no tagged electrodes")
-    ids = tuple(sorted(electrodes))
-    groups = [np.asarray(electrodes[i], dtype=np.int64) for i in ids]
-    all_nodes = np.concatenate(groups)
-    if len(np.unique(all_nodes)) != len(all_nodes):
-        raise ValueError("electrode node sets overlap")
-    if mode == "pec-limit":
-        if pec_regions is None:
-            pec_regions = mesh.inclusion_regions()
-        pec_regions = tuple(pec_regions)
-    else:
-        pec_regions = ()
+    el = _Electrodes.of(mesh, amplitude, mode, electrodes, pec_regions)
+    if all(material_map.for_region(lab).field_independent for lab in el.active):
+        return ConductanceOperator(
+            mesh, material_map, amplitude, mode, electrodes, el.pec_regions,
+        ).background(scenario)
 
-    active = sorted(set(np.unique(mesh.element_region)) - set(pec_regions))
-    asm = fem.Assembler(mesh, all_nodes, pec_regions=pec_regions)
-    m = len(ids)
-    sizes = [len(gr) for gr in groups]
-    owner = np.repeat(np.arange(m), sizes)  # electrode position per node
-    patterns = np.full((len(all_nodes), m), -amplitude / m)
-    patterns[np.arange(len(all_nodes)), owner] += amplitude
-    # electrode-by-node incidence: row i sums the currents of electrode i
-    incidence = sparse.csr_matrix(
-        (np.ones(len(all_nodes)), (owner, all_nodes)),
-        shape=(m, mesh.node_count),
-    )
-    if all(material_map.for_region(lab).field_independent for lab in active):
-        sig = material_map.sigma_elements(
-            mesh, np.zeros(mesh.element_count), active)
-        order = np.argsort(all_nodes)  # the Assembler's sorted bc_nodes
-        u = asm.solve_direct(sig, patterns[order])
-        for j in range(m):
-            solver.check_max_principle(u[:, j], patterns[:, j],
-                                       f"conductance pattern {ids[j]}")
-        g = incidence @ (asm.raw_matrix(sig) @ np.nan_to_num(u))
-    else:
-        g = np.zeros((m, m))
-        for j in range(m):
-            sol = solver.solve_nonlinear(
-                mesh, material_map, (all_nodes, patterns[:, j]), config,
-                pec_regions=pec_regions,
-                context=f"conductance pattern {ids[j]}",
-            )
-            e_mag = np.hypot(sol.element_gradient[:, 0],
-                             sol.element_gradient[:, 1])
-            sig = material_map.sigma_elements(mesh, e_mag, active)
-            g[:, j] = incidence @ (
-                asm.raw_matrix(sig) @ np.nan_to_num(sol.nodal_potential))
+    asm = fem.Assembler(mesh, el.nodes, pec_regions=el.pec_regions)
+    incidence = el.incidence(mesh.node_count)
+    m = len(el.ids)
+    g = np.zeros((m, m))
+    for j in range(m):
+        sol = solver.solve_nonlinear(
+            mesh, material_map, (el.nodes, el.patterns[:, j]), config,
+            pec_regions=el.pec_regions,
+            context=f"conductance pattern {el.ids[j]}",
+        )
+        e_mag = np.hypot(sol.element_gradient[:, 0],
+                         sol.element_gradient[:, 1])
+        sig = material_map.sigma_elements(mesh, e_mag, el.active)
+        g[:, j] = incidence @ (
+            asm.raw_matrix(sig) @ np.nan_to_num(sol.nodal_potential))
+    return _conductance(g, amplitude, el.ids, mode, scenario)
 
-    scale = max(float(np.max(np.abs(g))), 1e-300)
-    asymmetry = float(np.max(np.abs(g - g.T))) / scale
-    return ConductanceMatrix(
-        matrix=0.5 * (g + g.T), amplitude=float(amplitude),
-        electrode_ids=ids, mode=mode, scenario=scenario, asymmetry=asymmetry,
-    )
+
+class _InverseColumns:
+    """Columns of K^-1 from one LU factorization, solved on first use and
+    kept in a least-recently-used store of at most ``MAX_BYTES``.
+
+    Neighbouring test domains share most of their dofs, so a dictionary
+    walked in order solves each column about once while memory stays
+    bounded on any mesh."""
+
+    MAX_BYTES = 64 * 2**20
+
+    def __init__(self, lu, n):
+        self._lu, self._n = lu, n
+        capacity = max(1, min(n, self.MAX_BYTES // (8 * max(n, 1))))
+        self._store = np.empty((capacity, n))  # row r: column owner[r]
+        self._owner = np.full(capacity, -1)
+        self._slot = np.full(n, -1)
+        self._used = np.zeros(capacity, dtype=np.int64)
+        self._clock = 0
+
+    def _solve(self, dofs):
+        rhs = np.zeros((self._n, len(dofs)))
+        rhs[dofs, np.arange(len(dofs))] = 1.0
+        return self._lu.solve(rhs)
+
+    def __call__(self, dofs):
+        """K^-1[:, dofs] as an (n, len(dofs)) array."""
+        if len(dofs) > len(self._owner):
+            return self._solve(dofs)
+        self._clock += 1
+        held = self._slot[dofs]
+        self._used[held[held >= 0]] = self._clock
+        missing = dofs[held < 0]
+        if len(missing):
+            # the least recently used slots; this call's own are the newest
+            free = np.argsort(self._used, kind="stable")[:len(missing)]
+            gone = self._owner[free]
+            self._slot[gone[gone >= 0]] = -1
+            self._store[free] = self._solve(missing).T
+            self._owner[free] = missing
+            self._slot[missing] = free
+            self._used[free] = self._clock
+        return self._store[self._slot[dofs]].T
+
+
+class ConductanceOperator:
+    """Field-independent conductance matrices of one tagged mesh and of
+    its changes on a few elements, from one factorization.
+
+    Built once per (mesh, electrodes, conductor split, background
+    material map), all of whose active materials must be
+    field-independent: one ``fem.Assembler``, one sparse LU of the
+    background free block K, the background free-dof potentials x of
+    every pattern, and the background currents. ``background()`` is the
+    background matrix. ``matrix(mask, model)`` puts ``model`` on the
+    masked elements, which changes K only on the free dofs N of those
+    elements (petal masters included), by the block S, and the
+    right-hand side by db where they touch an electrode. With
+    Z = K^-1[:, N] from ``lu.solve`` (columns kept in a bounded cache,
+    never the whole inverse), the Woodbury identity (Hager, SIAM Review
+    31, 1989) gives the exact potentials
+
+        x_T = x + Z c,    (I + S Z_NN) c = db_N - S x_N,
+
+    the same as x_T = y - Z (I + S Z_NN)^-1 S y_N with y = x + Z db_N.
+    The currents follow from the energy form G = U^T K U / amplitude:
+    the background currents plus the energy c^T Z_NN c and the masked
+    elements' own stiffness change. Every pattern of every matrix passes
+    the maximum-principle monitor."""
+
+    def __init__(self, mesh, material_map, amplitude=1e-3, mode="pec-limit",
+                 electrodes=None, pec_regions=None):
+        el = _Electrodes.of(mesh, amplitude, mode, electrodes, pec_regions)
+        for lab in el.active:
+            if not material_map.for_region(lab).field_independent:
+                raise ValueError(f"region '{lab}' has a field-dependent "
+                                 "material; no single factorization applies")
+        self.mesh, self.amplitude, self.mode = mesh, float(amplitude), mode
+        self._el = el
+        asm = self._asm = fem.Assembler(mesh, el.nodes,
+                                        pec_regions=el.pec_regions)
+        self._sigma = material_map.sigma_elements(
+            mesh, np.zeros(mesh.element_count), el.active)
+        order = np.argsort(el.nodes)  # the Assembler's sorted bc_nodes
+        self._bc = el.patterns[order]
+        self._lu, k_fd = asm.factor(self._sigma)
+        rhs = -k_fd @ self._bc
+        self._x = rhs if self._lu is None else self._lu.solve(rhs)
+        self._columns = _InverseColumns(self._lu, asm.n_free)
+        self._u = asm.expand(self._x, self._bc)
+        el.check_patterns(self._u)
+        self._g = el.incidence(mesh.node_count) @ (
+            asm.raw_matrix(self._sigma) @ np.nan_to_num(self._u))
+
+    def background(self, scenario=""):
+        """The conductance matrix of the background material map."""
+        return _conductance(self._g, self.amplitude, self._el.ids, self.mode,
+                            scenario)
+
+    def matrix(self, mask, model, scenario=""):
+        """The conductance matrix with the field-independent ``model`` on
+        the elements of ``mask`` instead of their background material.
+        ``scenario`` names the domain in the result, in monitor contexts
+        and in errors."""
+        name = scenario or "test domain"
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (self.mesh.element_count,) or not mask.any():
+            raise ValueError(f"{name}: mask must select elements of the mesh")
+        if not model.field_independent:
+            raise ValueError(f"{name}: test material depends on the field")
+        sig_t = material_sigma(model, 0.0)
+        if not (np.isfinite(sig_t) and sig_t > 0):
+            raise ValueError(f"{name}: test conductivity must be positive "
+                             f"and finite, got {sig_t}")
+        elements = np.flatnonzero(mask)
+        try:
+            unit = self._asm.element_stiffness(elements)
+        except ValueError:
+            raise ValueError(f"{name}: mask reaches into a perfectly "
+                             "conducting region") from None
+        tri = self.mesh.elements[elements]
+        delta = (sig_t - self._sigma[elements])[:, None, None] * unit
+
+        # N: the free dofs of the masked elements; S and db: the changes
+        # of K[N, N] and of the right-hand side on N, which fixed corners
+        # (electrode nodes) push through the changed coupling
+        dof = self._asm.node_dof[tri]
+        dofs = np.unique(dof[dof >= 0])
+        k = len(dofs)
+        x, energy = self._x, 0.0
+        if k:
+            free = dof >= 0
+            pos = np.searchsorted(dofs, dof)
+            pair = free[:, :, None] & free[:, None, :]
+            s = np.zeros((k, k))
+            np.add.at(s, (np.broadcast_to(pos[:, :, None], pair.shape)[pair],
+                          np.broadcast_to(pos[:, None, :], pair.shape)[pair]),
+                      delta[pair])
+            fixed = (dof == fem.FIXED)[:, None, :]
+            push = -(delta * fixed) @ self._u[tri]
+            db = np.zeros((k, push.shape[2]))
+            np.add.at(db, pos[free], push[free])
+            z = self._columns(dofs)
+            z_nn = z[dofs]
+            # Woodbury: x_T = x + Z c with (I + S Z_NN) c = db_N - S x_N
+            c = np.linalg.solve(np.eye(k) + s @ z_nn, db - s @ x[dofs])
+            x = x + z @ c
+            energy = c.T @ z_nn @ c  # the background energy of Z c
+        u = self._asm.expand(x, self._bc)
+        self._el.check_patterns(u, f"{scenario} " if scenario else "")
+        # G = U^T K U / amplitude over the pattern potentials U; the change
+        # is the energy of Z c plus the masked elements' own change. Being
+        # stationary in c, this keeps the currents of a strong conductor
+        # accurate where reading K_T u at the electrodes would multiply
+        # the error of u by the contrast
+        corner = u[tri]
+        m = corner.shape[2]
+        energy = energy + (corner.reshape(-1, m).T
+                           @ (delta @ corner).reshape(-1, m))
+        return _conductance(self._g + energy / self.amplitude, self.amplitude,
+                            self._el.ids, self.mode, scenario)
 
 
 # ---------------------------------------------------------------------------

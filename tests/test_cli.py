@@ -251,7 +251,7 @@ class TestTomoCommand:
         assert run("tomo", path, out_a) == cli.EXIT_OK
         assert run("tomo", path, out_b) == cli.EXIT_OK
         names = ("background_g.csv", "measured_g.csv", "reconstruction.csv",
-                 "reconstruction.svg", "report.json")
+                 "reconstruction.svg", "report.json", "domains.csv")
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         report = json.loads((out_a / "report.json").read_text())
@@ -263,6 +263,17 @@ class TestTomoCommand:
         assert g_lines[1].split(",") == [f"electrode_{i}" for i in range(8)]
         assert len(g_lines) == 10
         assert all(len(line.split(",")) == 8 for line in g_lines[2:])
+        d_lines = (out_a / "domains.csv").read_text().splitlines()
+        assert d_lines[1] == ("domain,cx_m,cy_m,radius_m,min_eig,raw_min_eig,"
+                              "margin,accepted")
+        rows = [line.split(",") for line in d_lines[2:]]
+        assert len(rows) == report["test_domains"]
+        assert sum(int(r[7]) for r in rows) == report["accepted"]
+        for r in rows:
+            # accepted exactly when the margin against psd_tol is >= 0
+            assert (float(r[6]) >= 0) == (r[7] == "1")
+            assert float(r[6]) == pytest.approx(
+                float(r[4]) + report["psd_tol"], rel=1e-12, abs=1e-300)
 
     def test_seed_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, tomo_config())

@@ -523,3 +523,25 @@ class TestSolveDirect:
         with pytest.raises(ValueError, match="bc_nodes"):
             asm.solve_direct(np.ones(mesh.element_count),
                              np.zeros(len(asm.bc_nodes)))
+
+
+class TestElementStiffness:
+    def test_matches_local_stiffness_of_kept_elements(self):
+        mesh = qm.generate_petal_cable(6.0, [(3.0, 0.0)], 1.0, 2)
+        asm = fem.Assembler(mesh, qm.outer_boundary_nodes(mesh),
+                            pec_regions=("inclusion-1",))
+        kept = np.flatnonzero(mesh.element_region == "matrix")[::7]
+        unit = asm.element_stiffness(kept)
+        for e, s in zip(kept, unit):
+            assert np.allclose(s, fem.local_stiffness(
+                mesh.nodes[mesh.elements[e]]), rtol=1e-13, atol=0.0)
+
+    def test_rejects_merged_elements(self):
+        mesh = qm.generate_petal_cable(6.0, [(3.0, 0.0)], 1.0, 2)
+        asm = fem.Assembler(mesh, qm.outer_boundary_nodes(mesh),
+                            pec_regions=("inclusion-1",))
+        merged = np.flatnonzero(mesh.element_region == "inclusion-1")[:1]
+        with pytest.raises(ValueError, match="merged"):
+            asm.element_stiffness(merged)
+        with pytest.raises(ValueError, match="merged"):
+            asm.element_stiffness([mesh.element_count])

@@ -247,6 +247,38 @@ class TestSaturatedPetals:
         assert sol.monitors["max_principle_ok"]
 
 
+class TestWeightedPowerDamping:
+    # sigma = theta * E**(p-2) grows with the field for p > 2, and the
+    # undamped fixed point overshoots it: both cases below stall at the
+    # 200-step cap with damping 1
+
+    def test_default_damping_for_growing_weighted_power(self):
+        mmap = materials.MaterialMap({"matrix": materials.weighted_power(2.0, 3.0)})
+        assert solver._auto_damping(mmap, ["matrix"]) == 0.7
+        flat = materials.MaterialMap({"matrix": materials.weighted_power(2.0, 1.5)})
+        assert solver._auto_damping(flat, ["matrix"]) == 1.0
+
+    def test_saddle_data_converges_with_clean_monitors(self, disk3):
+        mmap = materials.MaterialMap({"matrix": materials.weighted_power(2.0, 3.0)})
+        f = disk_profile(disk3, lambda x, y: x**2 - y**2)
+        sol = solver.solve_nonlinear(disk3, mmap, f)
+        assert sol.iterations < 200
+        assert sol.monitors["energy_descent_ok"]
+        assert sol.monitors["max_principle_ok"]
+
+    def test_conductance_matrix_converges(self):
+        from qlert import tomography
+
+        disk = qm.tag_electrodes(qm.generate_disk(1.0, 3),
+                                 qm.ElectrodeLayout.uniform(8, 0.5))
+        mmap = materials.MaterialMap({"matrix": materials.weighted_power(2.0, 3.0)})
+        g = tomography.conductance_matrix(disk, mmap, amplitude=1.0,
+                                          mode="nonlinear")
+        assert g.size == 8
+        assert np.all(np.isfinite(g.matrix))
+        assert solver.VIOLATIONS == []
+
+
 class TestLimitSolves:
     def test_pec_zero_data_gives_zero_solution(self, holed_disk):
         nodes = qm.outer_boundary_nodes(holed_disk)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from qlert import fem, materials, solver, tomography as tomo
 from qlert import mesh as qm
@@ -396,6 +399,25 @@ def fixed_point_g(mesh, mmap, amplitude, pec_regions=()):
     return 0.5 * (g + g.T)
 
 
+@pytest.fixture
+def counts(monkeypatch):
+    calls = {"assemblers": 0, "fixed_point": 0}
+    assembler, solve_nonlinear = fem.Assembler, solver.solve_nonlinear
+
+    class CountingAssembler(assembler):
+        def __init__(self, *args, **kwargs):
+            calls["assemblers"] += 1
+            super().__init__(*args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        calls["fixed_point"] += 1
+        return solve_nonlinear(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "Assembler", CountingAssembler)
+    monkeypatch.setattr(solver, "solve_nonlinear", counting_solve)
+    return calls
+
+
 class TestDirectConductance:
     def test_cable_pec_limit_matches_fixed_point_path(self, tagged_cable):
         mmap = cable_map(tagged_cable)
@@ -419,24 +441,6 @@ class TestDirectConductance:
                                     mode="nonlinear")
         ref = fixed_point_g(tagged_disk, mmap, 1.0)
         assert np.abs(g.matrix - ref).max() <= 1e-14 * np.abs(ref).max()
-
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        calls = {"assemblers": 0, "fixed_point": 0}
-        assembler, solve_nonlinear = fem.Assembler, solver.solve_nonlinear
-
-        class CountingAssembler(assembler):
-            def __init__(self, *args, **kwargs):
-                calls["assemblers"] += 1
-                super().__init__(*args, **kwargs)
-
-        def counting_solve(*args, **kwargs):
-            calls["fixed_point"] += 1
-            return solve_nonlinear(*args, **kwargs)
-
-        monkeypatch.setattr(fem, "Assembler", CountingAssembler)
-        monkeypatch.setattr(solver, "solve_nonlinear", counting_solve)
-        return calls
 
     @pytest.mark.parametrize("model", [materials.linear(2.0),
                                        materials.weighted_power(2.0, 2.0)])
@@ -467,3 +471,240 @@ class TestDirectConductance:
         assert [v["context"] for v in filed] == [
             f"conductance pattern {i}" for i in ids
         ]
+
+
+def parent_direct_g(mesh, mmap, amplitude, pec_regions=()):
+    """Conductance matrix built the replaced way for a field-independent
+    map: one Assembler.solve_direct over all patterns, currents read
+    through the electrode incidence matrix, then symmetrized."""
+    electrodes = qm.electrode_nodes(mesh)
+    ids = sorted(electrodes)
+    groups = [electrodes[i] for i in ids]
+    all_nodes = np.concatenate(groups)
+    m = len(ids)
+    owner = np.repeat(np.arange(m), [len(gr) for gr in groups])
+    patterns = np.full((len(all_nodes), m), -amplitude / m)
+    patterns[np.arange(len(all_nodes)), owner] += amplitude
+    incidence = sparse.csr_matrix(
+        (np.ones(len(all_nodes)), (owner, all_nodes)),
+        shape=(m, mesh.node_count))
+    active = sorted(set(np.unique(mesh.element_region)) - set(pec_regions))
+    asm = fem.Assembler(mesh, all_nodes, pec_regions=pec_regions)
+    sig = mmap.sigma_elements(mesh, np.zeros(mesh.element_count), active)
+    u = asm.solve_direct(sig, patterns[np.argsort(all_nodes)])
+    g = incidence @ (asm.raw_matrix(sig) @ np.nan_to_num(u))
+    return 0.5 * (g + g.T)
+
+
+def refactored_g(mesh, models, mask, model, amplitude, **kwargs):
+    """The test matrix by relabelling and a fresh conductance matrix."""
+    tm = qm.relabel_elements(mesh, mask, "test-domain")
+    mmap = materials.MaterialMap({**models, "test-domain": model})
+    return tomo.conductance_matrix(tm, mmap, amplitude=amplitude, **kwargs)
+
+
+def relative_gap(g, ref):
+    return np.abs(g.matrix - ref.matrix).max() / np.abs(ref.matrix).max()
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    return calls
+
+
+class TestConductanceOperator:
+    LOW = materials.linear(1e-3 * SIGMA_BG)
+
+    @pytest.fixture(scope="class")
+    def cable_setup(self, tagged_cable):
+        models = dict(cable_map(tagged_cable).models)
+        op = tomo.ConductanceOperator(tagged_cable,
+                                      materials.MaterialMap(models),
+                                      amplitude=1e-3)
+        domains = tomo.disc_test_domains(tagged_cable, 0.08e-3,
+                                         spacing=0.1e-3)
+        return models, op, domains
+
+    def test_cable_dictionary_matches_refactorization(self, tagged_cable,
+                                                      cable_setup):
+        models, op, domains = cable_setup
+        electrode = np.zeros(tagged_cable.node_count, dtype=bool)
+        for nodes in qm.electrode_nodes(tagged_cable).values():
+            electrode[nodes] = True
+        petal = np.isin(tagged_cable.element_region,
+                        tagged_cable.inclusion_regions())
+        in_petal = np.zeros(tagged_cable.node_count, dtype=bool)
+        in_petal[tagged_cable.elements[petal]] = True
+        touches_electrode = touches_petal = 0
+        for dom in domains:
+            nodes = tagged_cable.elements[dom.element_mask]
+            touches_electrode += bool(electrode[nodes].any())
+            touches_petal += bool(in_petal[nodes].any())
+            g = op.matrix(dom.element_mask, self.LOW, dom.id)
+            ref = refactored_g(tagged_cable, models, dom.element_mask,
+                               self.LOW, 1e-3)
+            assert relative_gap(g, ref) <= 1e-10, dom.id
+            assert g.scenario == dom.id and g.electrode_ids == ref.electrode_ids
+            assert g.asymmetry <= 1e-12
+        # the right-hand-side change and merged petal dofs both occur
+        assert touches_electrode > 0 and touches_petal > 0
+
+    def test_disk_dictionary_matches_refactorization(self, tagged_disk):
+        models = {"matrix": materials.linear(1.0)}
+        op = tomo.ConductanceOperator(tagged_disk,
+                                      materials.MaterialMap(models),
+                                      amplitude=1.0)
+        low = materials.linear(1e-3)
+        for dom in tomo.disc_test_domains(tagged_disk, 0.2, spacing=0.2):
+            g = op.matrix(dom.element_mask, low, dom.id)
+            ref = refactored_g(tagged_disk, models, dom.element_mask, low, 1.0)
+            assert relative_gap(g, ref) <= 1e-10, dom.id
+
+    def test_conductivity_increase(self, tagged_disk):
+        models = {"matrix": materials.linear(1.0)}
+        op = tomo.ConductanceOperator(tagged_disk,
+                                      materials.MaterialMap(models),
+                                      amplitude=1.0)
+        high = materials.weighted_power(1e3, 2.0)
+        for dom in tomo.disc_test_domains(tagged_disk, 0.3, spacing=0.4):
+            g = op.matrix(dom.element_mask, high, dom.id)
+            ref = refactored_g(tagged_disk, models, dom.element_mask, high,
+                               1.0)
+            assert relative_gap(g, ref) <= 1e-10, dom.id
+
+    def test_element_without_free_dof(self, tagged_disk):
+        # two extra electrodes on the corners of one interior element
+        # leave that element no free dof: only the currents change
+        electrodes = qm.electrode_nodes(tagged_disk)
+        taken = np.concatenate(list(electrodes.values()))
+        element = next(e for e, tri in enumerate(tagged_disk.elements)
+                       if not np.isin(tri, taken).any())
+        corners = np.sort(tagged_disk.elements[element])
+        electrodes[len(electrodes)] = corners[:2]
+        electrodes[len(electrodes)] = corners[2:]
+        mask = np.arange(tagged_disk.element_count) == element
+        models = {"matrix": materials.linear(1.0)}
+        op = tomo.ConductanceOperator(tagged_disk,
+                                      materials.MaterialMap(models),
+                                      amplitude=1.0, electrodes=electrodes)
+        g = op.matrix(mask, materials.linear(1e-3), "corner-element")
+        ref = refactored_g(tagged_disk, models, mask, materials.linear(1e-3),
+                           1.0, electrodes=electrodes)
+        assert relative_gap(g, ref) <= 1e-10
+        assert not np.array_equal(g.matrix, op.background().matrix)
+
+    @pytest.mark.parametrize("mesh_name", ["tagged_disk", "tagged_cable"])
+    def test_background_is_the_replaced_direct_matrix(self, mesh_name,
+                                                      request):
+        mesh = request.getfixturevalue(mesh_name)
+        mmap = cable_map(mesh)
+        pec = mesh.inclusion_regions()
+        ref = parent_direct_g(mesh, mmap, 1e-3, pec_regions=pec)
+        g = tomo.ConductanceOperator(mesh, mmap, amplitude=1e-3).background()
+        assert np.array_equal(g.matrix, ref)
+        via = tomo.conductance_matrix(mesh, mmap, amplitude=1e-3)
+        assert np.array_equal(via.matrix, ref)
+
+    def test_one_assembler_and_one_factorization_per_dictionary(
+            self, tagged_disk, counts, factorizations):
+        op = tomo.ConductanceOperator(
+            tagged_disk, materials.MaterialMap({"matrix": materials.linear(1.0)}),
+            amplitude=1.0)
+        domains = tomo.disc_test_domains(tagged_disk, 0.2, spacing=0.2)
+        for dom in domains:
+            op.matrix(dom.element_mask, materials.linear(1e-3), dom.id)
+        assert len(domains) > 10
+        assert counts == {"assemblers": 1, "fixed_point": 0}
+        assert len(factorizations) == 1
+
+    @pytest.mark.parametrize("columns", [3, 20])
+    def test_bounded_column_cache_gives_the_same_matrices(self, tagged_disk,
+                                                          monkeypatch,
+                                                          columns):
+        # a domain here has 1 to 17 free dofs: a cache of 3 columns is
+        # smaller than most (solved directly), one of 20 holds any one
+        # domain and keeps evicting as the dictionary is walked twice
+        mmap = materials.MaterialMap({"matrix": materials.linear(1.0)})
+        low = materials.linear(1e-3)
+        domains = tomo.disc_test_domains(tagged_disk, 0.2, spacing=0.2)
+        full = tomo.ConductanceOperator(tagged_disk, mmap, amplitude=1.0)
+        expected = [full.matrix(d.element_mask, low, d.id) for d in domains]
+        n_free = full._asm.n_free
+        monkeypatch.setattr(tomo._InverseColumns, "MAX_BYTES",
+                            8 * n_free * columns)
+        small = tomo.ConductanceOperator(tagged_disk, mmap, amplitude=1.0)
+        for d, ref in zip(domains + domains[::-1], expected + expected[::-1]):
+            assert relative_gap(small.matrix(d.element_mask, low, d.id),
+                                ref) <= 1e-13, d.id
+
+    def test_every_pattern_of_every_matrix_is_monitored(self, tagged_disk,
+                                                        monkeypatch):
+        op = tomo.ConductanceOperator(
+            tagged_disk, materials.MaterialMap({"matrix": materials.linear(1.0)}),
+            amplitude=1.0)
+        solver.clear_violations()
+        monkeypatch.setattr(solver, "MAX_PRINCIPLE_RTOL", -1.0)
+        domains = tomo.disc_test_domains(tagged_disk, 0.4, spacing=0.6)
+        for dom in domains:
+            op.matrix(dom.element_mask, materials.linear(1e-3), dom.id)
+        filed = list(solver.VIOLATIONS)
+        solver.clear_violations()
+        ids = sorted(qm.electrode_nodes(tagged_disk))
+        assert [v["kind"] for v in filed] == ["max-principle"] * (
+            len(ids) * len(domains))
+        assert [v["context"] for v in filed] == [
+            f"{dom.id} conductance pattern {i}" for dom in domains for i in ids
+        ]
+
+    def test_rejects_field_dependent_or_nonpositive_test_material(
+            self, tagged_disk):
+        op = tomo.ConductanceOperator(
+            tagged_disk, materials.MaterialMap({"matrix": materials.linear(1.0)}),
+            amplitude=1.0)
+        dom = tomo.disc_test_domains(tagged_disk, 0.3)[3]
+        with pytest.raises(ValueError, match=f"{dom.id}: .*field"):
+            op.matrix(dom.element_mask, materials.weighted_power(1.0, 3.0),
+                      dom.id)
+        bad = materials.MaterialModel(kind="linear", sigma0=-1.0)
+        with pytest.raises(ValueError, match=f"{dom.id}: .*positive"):
+            op.matrix(dom.element_mask, bad, dom.id)
+        with pytest.raises(ValueError, match=f"{dom.id}: mask"):
+            op.matrix(np.zeros(tagged_disk.element_count, bool),
+                      materials.linear(1.0), dom.id)
+
+    def test_rejects_field_dependent_background_and_petal_masks(
+            self, tagged_cable, cable_setup):
+        with pytest.raises(ValueError, match="field-dependent"):
+            tomo.ConductanceOperator(tagged_cable, cable_map(tagged_cable),
+                                     amplitude=1e-3, mode="nonlinear")
+        _, op, _ = cable_setup
+        petal = tagged_cable.region_mask(tagged_cable.inclusion_regions()[0])
+        with pytest.raises(ValueError, match="petal-disc: .*conducting"):
+            op.matrix(petal, self.LOW, "petal-disc")
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 120),
+           log_factor=st.floats(-3.0, 3.0))
+    def test_random_masks_match_refactorization(self, tagged_disk, seed,
+                                                count, log_factor):
+        rng = np.random.default_rng(seed)
+        mask = np.zeros(tagged_disk.element_count, dtype=bool)
+        mask[rng.choice(tagged_disk.element_count, count, replace=False)] = True
+        models = {"matrix": materials.linear(2.0)}
+        op = tomo.ConductanceOperator(tagged_disk,
+                                      materials.MaterialMap(models),
+                                      amplitude=1.0)
+        model = materials.linear(2.0 * 10.0 ** log_factor)
+        g = op.matrix(mask, model, "random")
+        ref = refactored_g(tagged_disk, models, mask, model, 1.0)
+        assert relative_gap(g, ref) <= 1e-10
