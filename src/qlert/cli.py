@@ -260,8 +260,7 @@ def build_solver_config(tree):
     block, path = _object(tree, "solver", "", default=None)
     if block is None:
         return solver.NonlinearSolveConfig()
-    fields = {"max_picard_iter", "picard_tol", "damping", "linear_tol",
-              "max_linear_iter", "initial_guess"}
+    fields = {"max_picard_iter", "picard_tol", "damping", "initial_guess"}
     _no_extras(block, fields, path)
     kwargs = {}
     if "max_picard_iter" in block:
@@ -272,12 +271,6 @@ def build_solver_config(tree):
                                        positive=True)
     if "damping" in block and block["damping"] is not None:
         kwargs["damping"] = _number(block, "damping", path, positive=True)
-    if "linear_tol" in block:
-        kwargs["linear_tol"] = _number(block, "linear_tol", path,
-                                       positive=True)
-    if "max_linear_iter" in block and block["max_linear_iter"] is not None:
-        kwargs["max_linear_iter"] = _integer(block, "max_linear_iter", path,
-                                             minimum=1)
     if "initial_guess" in block:
         kwargs["initial_guess"] = _string(block, "initial_guess", path,
                                           choices={"zero", "linear-sigma"})

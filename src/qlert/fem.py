@@ -14,10 +14,9 @@ The fixed-point driver solves each linearized system by Jacobi-
 preconditioned conjugate gradients (``solve_spd``), started from zero so
 that the answer depends on the system alone and not on where the
 iteration began (see ``solver.solve_nonlinear``). A conductivity that
-does not depend on the field needs no iteration: ``Assembler.solve_direct``
-factors the free block once and solves any number of boundary-value
-columns against that one factorization, and ``Assembler.factor`` hands
-that factorization out for reuse.
+does not depend on the field needs no iteration: ``Assembler.factor``
+factors the free block once, and any number of boundary-value columns
+are solved against that one factorization.
 """
 
 from __future__ import annotations
@@ -31,14 +30,11 @@ from .materials import energy_density
 
 __all__ = [
     "Assembler",
-    "StiffnessSystem",
-    "DofMap",
     "FieldSolution",
     "SolveResult",
     "ConflictError",
     "SingularSystemError",
     "NonConvergenceError",
-    "assemble",
     "solve_spd",
     "local_stiffness",
     "element_geometry",
@@ -102,57 +98,10 @@ def element_gradients(mesh, u):
 
 
 @dataclass(frozen=True)
-class DofMap:
-    """Node classification after merging, exclusion, and elimination.
-
-    ``parent[i]`` is node i's master (itself unless merged into a
-    constant-potential group). ``index[m]`` classifies master m: a free
-    dof number, FIXED (-1), or EXCLUDED (-2). ``fixed_value`` holds the
-    prescribed potential at fixed masters, NaN elsewhere.
-    """
-
-    parent: np.ndarray
-    index: np.ndarray
-    fixed_value: np.ndarray
-    n_free: int
-
-    def expand(self, x_free, fill=np.nan):
-        """Free-dof vector -> full nodal vector."""
-        idx = self.index[self.parent]
-        out = np.full(len(self.parent), fill, dtype=float)
-        free = idx >= 0
-        out[free] = np.asarray(x_free)[idx[free]]
-        fixed = idx == FIXED
-        out[fixed] = self.fixed_value[self.parent[fixed]]
-        return out
-
-    def merged_groups(self):
-        """Masters of multi-node groups -> node index arrays."""
-        masters, counts = np.unique(self.parent, return_counts=True)
-        out = {}
-        for m in masters[counts > 1]:
-            out[int(m)] = np.flatnonzero(self.parent == m)
-        return out
-
-
-@dataclass(frozen=True)
-class StiffnessSystem:
-    """Eliminated SPD system K_ff x = -K_fd u_d."""
-
-    matrix: sparse.csr_matrix
-    k_fd: sparse.csr_matrix
-    dof_map: DofMap
-    bc_nodes: np.ndarray
-    bc_values: np.ndarray
-    rhs: np.ndarray
-
-
-@dataclass(frozen=True)
 class FieldSolution:
     """Converged field with its derived quantities.
 
-    ``residuals`` is the linear-solve history of the last (or only)
-    system; ``picard_energy`` and ``picard_change`` trace the fixed-point
+    ``picard_energy`` and ``picard_change`` trace the fixed-point
     iteration when one ran. ``monitors`` records post-solve sanity checks
     (energy descent, potential bounds)."""
 
@@ -160,7 +109,6 @@ class FieldSolution:
     element_gradient: np.ndarray
     energy: float
     iterations: int
-    residuals: np.ndarray
     picard_energy: np.ndarray = field(default_factory=lambda: np.empty(0))
     picard_change: np.ndarray = field(default_factory=lambda: np.empty(0))
     monitors: dict = field(default_factory=dict)
@@ -199,8 +147,13 @@ class Assembler:
 
     The sparsity pattern, dof classification, and per-element stiffness
     tensors depend only on the constructor arguments; ``assemble`` then
-    maps any per-element conductivity to a StiffnessSystem, which makes
-    fixed-point iterations and per-pattern electrode sweeps cheap.
+    maps any per-element conductivity to the eliminated system, which
+    makes fixed-point iterations and per-pattern electrode sweeps cheap.
+
+    ``parent[i]`` is node i's master (itself unless merged into a
+    constant-potential group); ``node_dof[i]`` classifies that master: a
+    free dof number, FIXED (-1) or EXCLUDED (-2). Boundary values are
+    always aligned with the sorted ``bc_nodes``.
     """
 
     def __init__(self, mesh, bc_nodes, pec_regions=(), excluded_regions=()):
@@ -245,9 +198,7 @@ class Assembler:
         index[free_masters] = np.arange(len(free_masters))
         self.n_free = len(free_masters)
 
-        fixed_value = np.full(mesh.node_count, np.nan)
-        self.dof_map_template = (parent, index, fixed_value)
-        # each node's master classified: free dof number, FIXED or EXCLUDED
+        self.parent = parent
         self.node_dof = index[parent]
 
         # every kept component must see a fixed value
@@ -310,30 +261,18 @@ class Assembler:
         ).tocsr()
         return k_ff, k_fd
 
-    def assemble(self, per_element_sigma, bc_values):
-        """StiffnessSystem for the given conductivities and boundary values."""
-        k_ff, k_fd = self._blocks(per_element_sigma)
-        dof_map = self.dof_map(bc_values)
+    def _aligned(self, bc_values):
         bc_values = np.asarray(bc_values, dtype=float)
-        return StiffnessSystem(
-            matrix=k_ff,
-            k_fd=k_fd,
-            dof_map=dof_map,
-            bc_nodes=self.bc_nodes,
-            bc_values=bc_values,
-            rhs=-k_fd @ bc_values,
-        )
-
-    def dof_map(self, bc_values):
-        """DofMap holding ``bc_values`` (aligned with the sorted
-        ``bc_nodes``) at the fixed masters."""
-        bc_values = np.asarray(bc_values, dtype=float)
-        if bc_values.shape != self.bc_nodes.shape:
+        if bc_values.ndim > 2 or bc_values.shape[:1] != self.bc_nodes.shape:
             raise ValueError("bc_values must align with the assembler's bc_nodes")
-        parent, index, fixed_value = self.dof_map_template
-        fv = np.array(fixed_value)
-        fv[parent[self.bc_nodes]] = bc_values
-        return DofMap(parent, index, fv, self.n_free)
+        return bc_values
+
+    def assemble(self, per_element_sigma, bc_values):
+        """The eliminated system (K_ff, -K_fd @ bc_values) for the given
+        conductivities and (len(bc_nodes),) or (len(bc_nodes), k)
+        boundary values."""
+        k_ff, k_fd = self._blocks(per_element_sigma)
+        return k_ff, -k_fd @ self._aligned(bc_values)
 
     def factor(self, per_element_sigma):
         """(LU factorization of K_ff, K_fd) for a conductivity that does
@@ -349,31 +288,16 @@ class Assembler:
         return (splu(k_ff.tocsc()) if self.n_free else None), k_fd
 
     def expand(self, x_free, bc_values):
-        """(node_count, k) nodal potentials from (n_free, k) free dofs and
-        (len(bc_nodes), k) boundary values aligned with the sorted
-        ``bc_nodes``; NaN on nodes that only excluded elements touch."""
+        """Nodal potentials, (node_count,) or (node_count, k), from free
+        dofs of shape (n_free,) or (n_free, k) and the matching boundary
+        values; NaN on nodes that only excluded elements touch."""
+        bc_values = self._aligned(bc_values)
         x_free = np.asarray(x_free, dtype=float)
-        u = np.full((self.mesh.node_count, x_free.shape[1]), np.nan)
+        u = np.full((self.mesh.node_count, *x_free.shape[1:]), np.nan)
         free = self.node_dof >= 0
         u[free] = x_free[self.node_dof[free]]
         u[self.bc_nodes] = bc_values
         return u
-
-    def solve_direct(self, per_element_sigma, bc_values):
-        """Nodal potentials for k sets of boundary values at once.
-
-        Meant for a conductivity that does not depend on the field: the
-        free block is assembled and LU-factored once, and all k columns of
-        ``bc_values`` (shape (len(bc_nodes), k), rows aligned with the
-        sorted ``bc_nodes``) are solved against that factorization.
-        Returns a (node_count, k) array, NaN on nodes that only excluded
-        elements touch."""
-        bc_values = np.asarray(bc_values, dtype=float)
-        if bc_values.ndim != 2 or bc_values.shape[0] != len(self.bc_nodes):
-            raise ValueError("bc_values must be (len(bc_nodes), k)")
-        lu, k_fd = self.factor(per_element_sigma)
-        rhs = -k_fd @ bc_values
-        return self.expand(rhs if lu is None else lu.solve(rhs), bc_values)
 
     def element_stiffness(self, elements):
         """Unit-conductivity 3x3 stiffness of each of the given elements,
@@ -399,19 +323,6 @@ class Assembler:
         ).tocsr()
 
 
-def assemble(mesh, per_element_sigma, bc, pec_regions=(), excluded_regions=()):
-    """One-shot assembly. ``bc`` maps node index -> prescribed potential."""
-    if isinstance(bc, dict):
-        nodes = np.array(sorted(bc), dtype=np.int64)
-        values = np.array([bc[int(n)] for n in nodes], dtype=float)
-    else:
-        nodes, values = bc
-        order = np.argsort(nodes)
-        nodes, values = np.asarray(nodes)[order], np.asarray(values)[order]
-    asm = Assembler(mesh, nodes, pec_regions, excluded_regions)
-    return asm.assemble(per_element_sigma, values)
-
-
 @dataclass(frozen=True)
 class SolveResult:
     x: np.ndarray
@@ -421,7 +332,8 @@ class SolveResult:
 
 
 def solve_spd(system, tol=1e-10, max_iter=None, x0=None):
-    """Jacobi-preconditioned conjugate gradients on the eliminated system.
+    """Jacobi-preconditioned conjugate gradients on the eliminated system
+    ``(matrix, rhs)``, for instance the pair of ``Assembler.assemble``.
 
     Stops when the plain residual norm drops to ``tol`` times the
     right-hand side norm; raises NonConvergenceError (with the recorded
@@ -429,10 +341,7 @@ def solve_spd(system, tol=1e-10, max_iter=None, x0=None):
     ``x0`` is the starting vector, zero by default. The result depends on
     it within that tolerance, which is why ``solver.solve_nonlinear``
     leaves it at zero."""
-    if isinstance(system, StiffnessSystem):
-        a, b = system.matrix, system.rhs
-    else:
-        a, b = system  # bare (matrix, rhs) pair
+    a, b = system
     return _pcg(a, np.asarray(b, dtype=float), tol=tol, max_iter=max_iter, x0=x0)
 
 

@@ -176,9 +176,8 @@ class _Electrodes:
 
     def check_patterns(self, u, where=""):
         """Maximum-principle monitor on every pattern column of ``u``."""
-        for j, i in enumerate(self.ids):
-            solver.check_max_principle(u[:, j], self.patterns[:, j],
-                                       f"{where}conductance pattern {i}")
+        solver.check_max_principle(u, self.patterns, [
+            f"{where}conductance pattern {i}" for i in self.ids])
 
 
 def _conductance(g, amplitude, ids, mode, scenario):

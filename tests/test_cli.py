@@ -119,6 +119,14 @@ class TestConfigValidation:
         code = run("solve", write_config(tmp_path, tree), tmp_path / "out")
         assert code == cli.EXIT_CONFIG
         assert "geometry.bogus" in capsys.readouterr().err
+        # the conjugate-gradient controls are not configurable
+        for key, value in (("linear_tol", 1e-10), ("max_linear_iter", 50)):
+            tree = solve_config()
+            tree["solver"] = {key: value}
+            code = run("solve", write_config(tmp_path, tree),
+                       tmp_path / "out")
+            assert code == cli.EXIT_CONFIG
+            assert f"solver.{key}: unknown key" in capsys.readouterr().err
 
     def test_units_must_be_si(self, tmp_path, capsys):
         tree = solve_config()

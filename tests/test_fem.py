@@ -21,9 +21,16 @@ def all_boundary_nodes(mesh):
 def solve_linear(mesh, bc_nodes, bc_values, sigma=None, **kw):
     if sigma is None:
         sigma = np.ones(mesh.element_count)
-    system = fem.assemble(mesh, sigma, (bc_nodes, bc_values), **kw)
-    result = fem.solve_spd(system, tol=1e-12)
-    return system.dof_map.expand(result.x), system, result
+    asm = fem.Assembler(mesh, bc_nodes, **kw)
+    values = np.asarray(bc_values)[np.argsort(bc_nodes)]
+    result = fem.solve_spd(asm.assemble(sigma, values), tol=1e-12)
+    return asm.expand(result.x, values), asm, result
+
+
+def merged_groups(parent):
+    """Masters of multi-node constant-potential groups -> node arrays."""
+    masters, counts = np.unique(parent, return_counts=True)
+    return {int(m): np.flatnonzero(parent == m) for m in masters[counts > 1]}
 
 
 class TestLocalStiffness:
@@ -104,11 +111,11 @@ class TestPecMerging:
         fields = oracle.annulus_fields(10.0)
         mesh = qm.generate_petal_cable(10.0, [(0.0, 0.0)], 1.0, ref)
         bn = qm.outer_boundary_nodes(mesh)
-        u, system, result = solve_linear(
+        u, asm, result = solve_linear(
             mesh, bn, fields.gamma * mesh.nodes[bn, 0],
             pec_regions=("inclusion-1",),
         )
-        return fields, mesh, u, system, result
+        return fields, mesh, u, asm, result
 
     def relative_l2(self, fields, mesh, u):
         cen = qm.element_centroids(mesh)
@@ -120,8 +127,8 @@ class TestPecMerging:
         return np.sqrt(np.sum(area * (ue - ve) ** 2) / np.sum(area * ve**2))
 
     def test_merged_value_is_zero_by_symmetry(self):
-        _, mesh, u, system, _ = self.pec_solution(2)
-        groups = system.dof_map.merged_groups()
+        _, mesh, u, asm, _ = self.pec_solution(2)
+        groups = merged_groups(asm.parent)
         assert len(groups) == 1
         (nodes,) = groups.values()
         vals = u[nodes]
@@ -142,12 +149,13 @@ class TestPecMerging:
         bn = qm.outer_boundary_nodes(mesh)
         asm = fem.Assembler(mesh, bn, pec_regions=("inclusion-1", "inclusion-2"))
         sigma = np.ones(mesh.element_count)
-        system = asm.assemble(sigma, mesh.nodes[bn, 0])
-        result = fem.solve_spd(system, tol=1e-12)
-        u = system.dof_map.expand(result.x, fill=0.0)
+        values = mesh.nodes[asm.bc_nodes, 0]
+        k_ff, rhs = asm.assemble(sigma, values)
+        result = fem.solve_spd((k_ff, rhs), tol=1e-12)
+        u = asm.expand(result.x, values)
         reactions = asm.raw_matrix(sigma) @ u
-        budget = 1e-12 * np.linalg.norm(system.rhs) * 10
-        groups = system.dof_map.merged_groups()
+        budget = 1e-12 * np.linalg.norm(rhs) * 10
+        groups = merged_groups(asm.parent)
         assert len(groups) == 2
         for nodes in groups.values():
             assert abs(reactions[nodes].sum()) < budget
@@ -155,11 +163,11 @@ class TestPecMerging:
     def test_mirror_petals_take_opposite_values(self):
         mesh = qm.generate_petal_cable(6.0, [(3.0, 0.0), (-3.0, 0.0)], 1.0, 3)
         bn = qm.outer_boundary_nodes(mesh)
-        u, system, _ = solve_linear(
+        u, asm, _ = solve_linear(
             mesh, bn, mesh.nodes[bn, 0],
             pec_regions=("inclusion-1", "inclusion-2"),
         )
-        vals = sorted(u[nodes[0]] for nodes in system.dof_map.merged_groups().values())
+        vals = sorted(u[nodes[0]] for nodes in merged_groups(asm.parent).values())
         assert vals[0] == pytest.approx(-vals[1], abs=1e-8)
 
     def test_pec_touching_dirichlet_is_a_conflict(self):
@@ -285,7 +293,7 @@ class TestGroupsMatchUnionFind:
                 outcomes.add(str(err))
                 continue
             asm = fem.Assembler(mesh, bc, **kw)
-            parent = asm.dof_map_template[0]
+            parent = asm.parent
             assert parent.dtype == expect.dtype
             assert np.array_equal(parent, expect)
             outcomes.add("ok")
@@ -316,30 +324,23 @@ class TestGroupsMatchUnionFind:
 def excluded_solution():
     mesh = qm.generate_petal_cable(6.0, [(3.0, 0.0), (-3.0, 0.0)], 1.0, 3)
     bn = qm.outer_boundary_nodes(mesh)
-    u, system, _ = solve_linear(
+    u, _, _ = solve_linear(
         mesh, bn, mesh.nodes[bn, 0],
         excluded_regions=("inclusion-1", "inclusion-2"),
     )
-    return mesh, u, system
+    return mesh, u
 
 
 class TestExclusion:
 
     def test_interior_nodes_undefined(self, excluded_solution):
-        mesh, u, _ = excluded_solution
+        mesh, u = excluded_solution
         inc = np.unique(mesh.elements[mesh.region_mask("inclusion-1")])
         mat = np.unique(mesh.elements[mesh.region_mask("matrix")])
         interior = np.setdiff1d(inc, mat)
         assert len(interior) > 0
         assert np.all(np.isnan(u[interior]))
         assert np.all(np.isfinite(u[np.intersect1d(inc, mat)]))
-
-    def test_expand_fill_override(self, excluded_solution):
-        mesh, u, system = excluded_solution
-        full = system.dof_map.expand(
-            np.zeros(system.dof_map.n_free), fill=-7.0
-        )
-        assert np.all(full[np.isnan(u)] == -7.0)
 
     def test_separating_band_makes_system_singular(self):
         mesh = qm.generate_annulus(1.0, 4.0, 2)
@@ -357,7 +358,8 @@ def disk_system():
     mesh = qm.generate_disk(1.0, 3)
     bn = qm.outer_boundary_nodes(mesh)
     bv = mesh.nodes[bn, 0] ** 2 - mesh.nodes[bn, 1]
-    return fem.assemble(mesh, np.ones(mesh.element_count), (bn, bv))
+    asm = fem.Assembler(mesh, bn)
+    return asm.assemble(np.ones(mesh.element_count), bv[np.argsort(bn)])
 
 
 class TestSolveSpd:
@@ -480,49 +482,82 @@ class TestValidation:
         with pytest.raises(ValueError, match="align"):
             asm.assemble(np.ones(mesh.element_count), np.zeros(2))
 
-    def test_dof_map_matches_assemble_and_checks_alignment(self):
-        mesh = qm.generate_petal_cable(6.0, [(3.0, 0.0)], 1.0, 2)
-        asm = fem.Assembler(mesh, qm.outer_boundary_nodes(mesh),
-                            pec_regions=("inclusion-1",))
-        values = mesh.nodes[asm.bc_nodes, 0]
-        dof_map = asm.dof_map(values)
-        ref = asm.assemble(np.ones(mesh.element_count), values).dof_map
-        for name in ("parent", "index", "fixed_value"):
-            assert np.array_equal(getattr(dof_map, name), getattr(ref, name),
-                                  equal_nan=True)
-        assert dof_map.n_free == ref.n_free == asm.n_free
-        assert np.array_equal(dof_map.fixed_value[asm.bc_nodes], values)
-        with pytest.raises(ValueError, match="align"):
-            asm.dof_map(np.zeros(len(asm.bc_nodes) + 1))
+
+def dof_map_expand(parent, index, fixed_value, x_free, fill=np.nan):
+    """Reference: ``DofMap.expand``, the free-dof -> nodal map that
+    ``Assembler.expand`` replaced, copied unchanged."""
+    idx = index[parent]
+    out = np.full(len(parent), fill, dtype=float)
+    free = idx >= 0
+    out[free] = np.asarray(x_free)[idx[free]]
+    fixed = idx == fem.FIXED
+    out[fixed] = fixed_value[parent[fixed]]
+    return out
 
 
-class TestSolveDirect:
+TWO_PETALS = qm.generate_petal_cable(6.0, [(3.0, 0.0), (-3.0, 0.0)], 1.0, 3)
+
+
+class TestFactorAndExpand:
+    @pytest.mark.parametrize("regions", [
+        {},
+        {"pec_regions": ("inclusion-1", "inclusion-2")},
+        {"excluded_regions": ("inclusion-1", "inclusion-2")},
+    ], ids=["plain", "merged", "excluded"])
+    def test_expand_matches_dof_map_expand(self, regions):
+        asm = fem.Assembler(TWO_PETALS, qm.outer_boundary_nodes(TWO_PETALS),
+                            **regions)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(asm.n_free, 3))
+        bc = rng.normal(size=(len(asm.bc_nodes), 3))
+        u = asm.expand(x, bc)
+        assert u.shape == (TWO_PETALS.node_count, 3)
+        # the DofMap fields: index classifies masters, and node_dof is
+        # index[parent], so node_dof holds index on every master
+        for k in range(3):
+            fixed_value = np.full(TWO_PETALS.node_count, np.nan)
+            fixed_value[asm.parent[asm.bc_nodes]] = bc[:, k]
+            ref = dof_map_expand(asm.parent, asm.node_dof, fixed_value,
+                                 x[:, k])
+            one = asm.expand(x[:, k], bc[:, k])
+            assert one.shape == ref.shape
+            assert np.array_equal(one, ref, equal_nan=True)
+            assert np.array_equal(u[:, k], ref, equal_nan=True)
+        assert np.isnan(u).any() == ("excluded_regions" in regions)
+
     @pytest.mark.parametrize("regions", [
         {"pec_regions": ("inclusion-1",)},
         {"excluded_regions": ("inclusion-1", "inclusion-2")},
     ])
     def test_columns_match_one_cg_solve_each(self, regions):
-        mesh = qm.generate_petal_cable(6.0, [(3.0, 0.0), (-3.0, 0.0)], 1.0, 3)
+        mesh = TWO_PETALS
         asm = fem.Assembler(mesh, qm.outer_boundary_nodes(mesh), **regions)
         sigma = 1.0 + qm.element_centroids(mesh)[:, 0] ** 2
         x, y = mesh.nodes[asm.bc_nodes].T
         columns = np.column_stack([x, x * y - 2.0, np.full_like(x, 3.0)])
-        u = asm.solve_direct(sigma, columns)
+        lu, k_fd = asm.factor(sigma)
+        u = asm.expand(lu.solve(-k_fd @ columns), columns)
         assert u.shape == (mesh.node_count, 3)
         for k in range(3):
-            system = asm.assemble(sigma, columns[:, k])
-            ref = system.dof_map.expand(fem.solve_spd(system, tol=1e-13).x)
+            ref = asm.expand(fem.solve_spd(asm.assemble(sigma, columns[:, k]),
+                                           tol=1e-13).x, columns[:, k])
             assert np.array_equal(np.isnan(u[:, k]), np.isnan(ref))
             ok = ~np.isnan(ref)
             assert np.abs(u[ok, k] - ref[ok]).max() <= 1e-10 * np.abs(ref[ok]).max()
         assert np.all(u[asm.bc_nodes] == columns)
 
-    def test_rejects_misaligned_columns(self):
-        mesh = qm.generate_disk(1.0, 1)
-        asm = fem.Assembler(mesh, qm.outer_boundary_nodes(mesh))
-        with pytest.raises(ValueError, match="bc_nodes"):
-            asm.solve_direct(np.ones(mesh.element_count),
-                             np.zeros(len(asm.bc_nodes)))
+    def test_rejects_misaligned_boundary_values(self):
+        asm = fem.Assembler(TWO_PETALS, qm.outer_boundary_nodes(TWO_PETALS),
+                            pec_regions=("inclusion-1",))
+        sigma = np.ones(TWO_PETALS.element_count)
+        nb = len(asm.bc_nodes)
+        for bad in (np.zeros(nb + 1), np.zeros(nb - 1), np.zeros((nb + 1, 2)),
+                    np.zeros((nb, 2, 1)), np.float64(0.0)):
+            with pytest.raises(ValueError, match="bc_values must align"):
+                asm.assemble(sigma, bad)
+            x = np.zeros((asm.n_free, *np.shape(bad)[1:2]))
+            with pytest.raises(ValueError, match="bc_values must align"):
+                asm.expand(x, bad)
 
 
 class TestElementStiffness:

@@ -56,7 +56,7 @@ class TestConfig:
         "kwargs",
         [
             {"picard_tol": 0.0},
-            {"linear_tol": -1e-10},
+            {"picard_tol": -1e-10},
             {"max_picard_iter": 0},
             {"damping": 0.0},
             {"damping": 1.5},
@@ -277,6 +277,50 @@ class TestWeightedPowerDamping:
         assert g.size == 8
         assert np.all(np.isfinite(g.matrix))
         assert solver.VIOLATIONS == []
+
+
+def scalar_max_principle(u, bc_values, context):
+    """Reference: the one-column rule the column-wise monitor replaced,
+    copied unchanged except that it returns its record instead of filing
+    it."""
+    finite = u[np.isfinite(u)]
+    lo, hi = float(bc_values.min()), float(bc_values.max())
+    span = max(hi - lo, abs(hi), abs(lo), 1e-300)
+    under = lo - float(finite.min())
+    over = float(finite.max()) - hi
+    worst = max(under, over)
+    ok = worst <= solver.MAX_PRINCIPLE_RTOL * span
+    record = None
+    if not ok:
+        record = {"kind": "max-principle", "context": context,
+                  "magnitude": float(worst), "detail": f"span={span}"}
+    return ok, max(worst, 0.0), record
+
+
+class TestMaxPrinciple:
+    def test_columns_follow_the_scalar_rule(self):
+        rng = np.random.default_rng(11)
+        bc = rng.uniform(-2.0, 3.0, size=(9, 8))
+        bc[:, 3] = 0.0  # a zero span
+        lo, hi = bc.min(axis=0), bc.max(axis=0)
+        u = np.vstack([bc, lo + (hi - lo) * rng.uniform(size=(40, 8))])
+        u[12, 1] = hi[1] + 0.5          # far above
+        u[20, 2] = lo[2] - 1e-3         # below
+        u[30, 4] = hi[4] + 1e-9 * (hi[4] - lo[4])  # within the tolerance
+        u[5, 3] = 1e-200                # above a zero span
+        u[::7, 5] = np.nan              # undefined nodes
+        u[18, 5] = hi[5] + 2.0
+        contexts = [f"column {j}" for j in range(8)]
+        ok, excess = solver.check_max_principle(u, bc, contexts)
+        filed = list(solver.VIOLATIONS)
+        solver.clear_violations()
+        expect = [scalar_max_principle(u[:, j], bc[:, j], contexts[j])
+                  for j in range(8)]
+        assert ok.tolist() == [e[0] for e in expect]
+        assert excess.tolist() == [e[1] for e in expect]
+        assert filed == [e[2] for e in expect if e[2] is not None]
+        assert [v["context"] for v in filed] == [
+            "column 1", "column 2", "column 3", "column 5"]
 
 
 class TestLimitSolves:

@@ -115,10 +115,10 @@ class TestConductanceMatrix:
         sigma = np.ones(tagged_disk.element_count)
 
         def currents(values):
-            system = fem.assemble(tagged_disk, sigma, (all_nodes, values))
-            res = fem.solve_spd(system, tol=1e-12)
-            u = system.dof_map.expand(res.x)
             asm = fem.Assembler(tagged_disk, all_nodes)
+            values = values[np.argsort(all_nodes)]
+            res = fem.solve_spd(asm.assemble(sigma, values), tol=1e-12)
+            u = asm.expand(res.x, values)
             return (asm.raw_matrix(sigma) @ u)[all_nodes]
 
         drift = currents(pattern + 5.0) - currents(pattern)
@@ -475,7 +475,7 @@ class TestDirectConductance:
 
 def parent_direct_g(mesh, mmap, amplitude, pec_regions=()):
     """Conductance matrix built the replaced way for a field-independent
-    map: one Assembler.solve_direct over all patterns, currents read
+    map: one Assembler.factor solving all patterns, currents read
     through the electrode incidence matrix, then symmetrized."""
     electrodes = qm.electrode_nodes(mesh)
     ids = sorted(electrodes)
@@ -491,7 +491,9 @@ def parent_direct_g(mesh, mmap, amplitude, pec_regions=()):
     active = sorted(set(np.unique(mesh.element_region)) - set(pec_regions))
     asm = fem.Assembler(mesh, all_nodes, pec_regions=pec_regions)
     sig = mmap.sigma_elements(mesh, np.zeros(mesh.element_count), active)
-    u = asm.solve_direct(sig, patterns[np.argsort(all_nodes)])
+    bc = patterns[np.argsort(all_nodes)]
+    lu, k_fd = asm.factor(sig)
+    u = asm.expand(lu.solve(-k_fd @ bc), bc)
     g = incidence @ (asm.raw_matrix(sig) @ np.nan_to_num(u))
     return 0.5 * (g + g.T)
 
