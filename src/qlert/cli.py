@@ -305,19 +305,35 @@ def _validate_top(tree, needs_geometry):
 # ---------------------------------------------------------------------------
 
 
-def _fnum(x):
-    x = float(x)
-    return repr(x)
+#: CSV rows formatted per block; bounds the transient cell lists.
+_CSV_BLOCK = 1024
 
 
-def _write_csv(path, digest, header, rows):
-    lines = [f"# config sha256:{digest}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            str(v) if isinstance(v, (int, np.integer, str)) else _fnum(v)
-            for v in row
-        ))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _csv_cells(column):
+    """Text of one column's cells: integers through ``str``, floats as
+    ``repr(float(v))``, strings as they are."""
+    kind = column.dtype.kind
+    if kind in "iu":
+        return list(map(str, column.tolist()))
+    if kind == "f":
+        return list(map(repr, column.astype(float, copy=False).tolist()))
+    if kind == "U":
+        return column.tolist()
+    raise TypeError(f"no CSV format for dtype {column.dtype}")
+
+
+def _write_csv(path, digest, header, columns):
+    """CSV of equal-length columns (1-D arrays or lists of str) under a
+    provenance comment and the header row."""
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(c.shape != (n,) for c in columns):
+        raise ValueError("need one 1-d column of equal length per header")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(f"# config sha256:{digest}\n{','.join(header)}\n")
+        for start in range(0, n, _CSV_BLOCK):
+            cells = [_csv_cells(c[start:start + _CSV_BLOCK]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _jsonable(value):
@@ -338,9 +354,10 @@ def _write_report(path, payload):
 
 
 def _region_outlines(mesh):
+    pairs = qmesh._paired_edges(mesh)
     segs = []
     for label in sorted(mesh.inclusion_regions()) + sorted(mesh.defect_regions()):
-        edges, _, _ = qmesh.region_interface_edges(mesh, label)
+        edges, _, _ = qmesh.region_interface_edges(mesh, label, pairs)
         segs.append(render.edge_segments(mesh, edges))
     return segs
 
@@ -381,14 +398,13 @@ def cmd_solve(tree, digest, out, seed):
     centroids = qmesh.element_centroids(mesh)
     _write_csv(
         out / "potential.csv", digest, ("node", "x_m", "y_m", "u_v"),
-        ((k, mesh.nodes[k, 0], mesh.nodes[k, 1], u[k])
-         for k in range(mesh.node_count)),
+        (np.arange(mesh.node_count), mesh.nodes[:, 0], mesh.nodes[:, 1], u),
     )
     _write_csv(
         out / "field.csv", digest,
         ("element", "cx_m", "cy_m", "ex_v_per_m", "ey_v_per_m", "e_v_per_m"),
-        ((k, centroids[k, 0], centroids[k, 1], -grad[k, 0], -grad[k, 1],
-          mag[k]) for k in range(mesh.element_count)),
+        (np.arange(mesh.element_count), centroids[:, 0], centroids[:, 1],
+         -grad[:, 0], -grad[:, 1], mag),
     )
     outlines = _region_outlines(mesh)
     comment = f"config sha256:{digest}"
@@ -439,7 +455,7 @@ def cmd_sweep(tree, digest, out, seed):
                                 config=cfg)
 
     _write_csv(out / "sweep.csv", digest, solver.LambdaSweep.CSV_HEADER,
-               sweep.rows())
+               sweep.columns())
     (out / "sweep.svg").write_text(
         render.line_plot(
             [("e2", sweep.lambdas, sweep.e2),
@@ -514,7 +530,8 @@ def cmd_oracle(tree, digest, out, seed):
 
     rows = annulus_validation(refinements, r=r, config=cfg)
     _write_csv(out / "oracle.csv", digest,
-               ("refinement", "h", "rel_l2_error", "observed_order"), rows)
+               ("refinement", "h", "rel_l2_error", "observed_order"),
+               zip(*rows))
 
     try:
         model = oracle.build_counterexample(big_l, 1.0,
@@ -696,24 +713,25 @@ def cmd_tomo(tree, digest, out, seed):
     upper_bound = bool(np.all(rec.union_mask[vmask]))
 
     ids = [f"electrode_{i}" for i in g_bg.electrode_ids]
-    _write_csv(out / "background_g.csv", digest, ids, g_bg.matrix)
-    _write_csv(out / "measured_g.csv", digest, ids, measured.matrix)
+    _write_csv(out / "background_g.csv", digest, ids, g_bg.matrix.T)
+    _write_csv(out / "measured_g.csv", digest, ids, measured.matrix.T)
     accepted = np.zeros(len(domains), dtype=int)
     accepted[list(rec.accepted)] = 1
     _write_csv(
         out / "domains.csv", digest,
         ("domain", "cx_m", "cy_m", "radius_m", "min_eig", "raw_min_eig",
          "margin", "accepted"),
-        ((d.id, d.center[0], d.center[1], d.radius, rec.min_eigenvalues[k],
-          rec.raw_min_eigenvalues[k], rec.min_eigenvalues[k] + psd_tol,
-          accepted[k]) for k, d in enumerate(domains)),
+        ([d.id for d in domains], [d.center[0] for d in domains],
+         [d.center[1] for d in domains], [d.radius for d in domains],
+         rec.min_eigenvalues, rec.raw_min_eigenvalues,
+         rec.min_eigenvalues + psd_tol, accepted),
     )
     centroids = qmesh.element_centroids(mesh)
     _write_csv(
         out / "reconstruction.csv", digest,
         ("element", "cx_m", "cy_m", "true_defect", "accepted"),
-        ((k, centroids[k, 0], centroids[k, 1], int(vmask[k]),
-          int(rec.union_mask[k])) for k in range(mesh.element_count)),
+        (np.arange(mesh.element_count), centroids[:, 0], centroids[:, 1],
+         vmask.astype(int), rec.union_mask.astype(int)),
     )
     edges, _, _ = qmesh.region_interface_edges(dmesh, "defect-1")
     (out / "reconstruction.svg").write_text(

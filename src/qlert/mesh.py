@@ -520,15 +520,12 @@ def outer_boundary_nodes(mesh):
     raise MeshError("mesh has no outer boundary loop")
 
 
-def region_interface_edges(mesh, label):
-    """Edges separating ``label`` elements from the rest of the mesh.
+def _paired_edges(mesh):
+    """Element pairs across shared edges: (keys, first, second) with the
+    sorted node pair of each shared edge and its two adjacent elements.
 
-    Returns (edges, inside, outside): node-pair rows (K, 2) plus the
-    adjacent element index on the region side and on the far side. Rows
-    are sorted by (edge, inside, outside)."""
-    in_region = mesh.region_mask(label)
-    if not in_region.any():
-        raise MeshError(f"region '{label}' has no elements")
+    Depends on the connectivity alone, so one pairing serves every
+    region label of a mesh."""
     keys = np.sort(mesh.elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     owner = np.repeat(np.arange(mesh.element_count, dtype=np.int64), 3)
     # occurrences of one edge, in element order (lexsort is stable); they
@@ -539,14 +536,27 @@ def region_interface_edges(mesh, label):
     new_run[1:] = np.any(keys[1:] != keys[:-1], axis=1)
     run_start = np.maximum.accumulate(np.where(new_run, np.arange(len(keys)), 0))
     second = np.flatnonzero((np.arange(len(keys)) - run_start) % 2 == 1)
-    first_el, second_el = owner[second - 1], owner[second]
+    return keys[second], owner[second - 1], owner[second]
+
+
+def region_interface_edges(mesh, label, pairs=None):
+    """Edges separating ``label`` elements from the rest of the mesh.
+
+    Returns (edges, inside, outside): node-pair rows (K, 2) plus the
+    adjacent element index on the region side and on the far side. Rows
+    are sorted by (edge, inside, outside). ``pairs`` is the mesh's
+    ``_paired_edges``, for callers that outline several regions."""
+    in_region = mesh.region_mask(label)
+    if not in_region.any():
+        raise MeshError(f"region '{label}' has no elements")
+    keys, first_el, second_el = _paired_edges(mesh) if pairs is None else pairs
     cross = in_region[first_el] != in_region[second_el]
-    second, first_el, second_el = second[cross], first_el[cross], second_el[cross]
-    if not len(second):
+    keys, first_el, second_el = keys[cross], first_el[cross], second_el[cross]
+    if not len(keys):
         raise MeshError(f"region '{label}' has no interface edges")
     second_in = in_region[second_el]
     arr = np.column_stack([
-        keys[second],
+        keys,
         np.where(second_in, second_el, first_el),
         np.where(second_in, first_el, second_el),
     ])

@@ -5,6 +5,13 @@ primitives (flat-shaded triangles, polylines, text) with all coordinates
 written as %.6g, so a given input always produces identical bytes and
 golden-file comparisons are meaningful.
 
+Mesh-sized primitives are formatted from whole arrays: pixel coordinates
+come from one numpy expression per axis (``_Frame`` keeps the operation
+order, so every coordinate equals the per-point arithmetic bit for bit),
+colors from one table lookup, and each SVG element from one ``%``
+template applied to ``tolist()`` rows, in blocks of ``_BLOCK`` elements
+so the transient Python lists stay small.
+
 The colormap is fixed: 8 anchor colors interpolated linearly in RGB to a
 256-entry table. Values are mapped affinely from [vmin, vmax] to table
 indices; NaN (excluded regions) renders as neutral gray.
@@ -43,14 +50,24 @@ def _build_table():
 
 
 COLOR_TABLE = _build_table()
+#: COLOR_TABLE plus the NaN gray, the palette that ``_color_index`` indexes.
+_PALETTE = COLOR_TABLE + (_NAN_COLOR,)
+#: Elements formatted per block; bounds the transient row lists.
+_BLOCK = 1024
+
+
+def _color_index(t):
+    """Palette index per entry of t in [0, 1]: clamped, rounded half up
+    and truncated; NaN maps to the gray slot past the table."""
+    t = np.asarray(t, dtype=float)
+    nan = np.isnan(t)
+    idx = np.clip(np.where(nan, 0.0, t), 0.0, 1.0) * 255.0 + 0.5
+    return np.where(nan, len(COLOR_TABLE), idx.astype(np.intp))
 
 
 def color_at(t):
     """Table color for t in [0, 1]; clamps, NaN maps to gray."""
-    if np.isnan(t):
-        return _NAN_COLOR
-    idx = int(min(max(t, 0.0), 1.0) * 255.0 + 0.5)
-    return COLOR_TABLE[idx]
+    return _PALETTE[_color_index(t).item()]
 
 
 def _fmt(x):
@@ -107,26 +124,35 @@ def _mesh_frame(mesh, width, top, margin=10.0):
     return frame, top + ph + margin
 
 
-def _triangle(frame, coords, color):
-    pts = " ".join(
-        f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}" for x, y in coords
-    )
+def _pixel_rows(frame, x, y):
+    """Rows of interleaved pixel coordinates (x0, y0, x1, y1, ...) for
+    equally shaped (rows, points) arrays of data coordinates."""
+    px = np.stack([frame.x(x), frame.y(y)], axis=-1)
+    return px.reshape(x.shape[0], 2 * x.shape[1]).tolist()
+
+
+def _triangles(frame, mesh, palette, index):
+    """One flat-shaded ``<polygon>`` per element, filled with
+    ``palette[index[k]]``."""
     # stroke in the fill color hides hairline antialiasing seams
-    return (
-        f'<polygon points="{pts}" fill="{color}" stroke="{color}" '
-        f'stroke-width="0.4"/>'
-    )
+    tails = ['" fill="%s" stroke="%s" stroke-width="0.4"/>' % (c, c)
+             for c in palette]
+    template = '<polygon points="%.6g,%.6g %.6g,%.6g %.6g,%.6g%s'
+    out = []
+    for start in range(0, mesh.element_count, _BLOCK):
+        corners = mesh.nodes[mesh.elements[start:start + _BLOCK]]
+        rows = _pixel_rows(frame, corners[..., 0], corners[..., 1])
+        fills = [tails[i] for i in index[start:start + _BLOCK].tolist()]
+        out.extend(template % (*row, tail) for row, tail in zip(rows, fills))
+    return out
 
 
 def _segments(frame, segs, color, width=1.2):
-    out = []
-    for x1, y1, x2, y2 in segs:
-        out.append(
-            f'<line x1="{_fmt(frame.x(x1))}" y1="{_fmt(frame.y(y1))}" '
-            f'x2="{_fmt(frame.x(x2))}" y2="{_fmt(frame.y(y2))}" '
-            f'stroke="{color}" stroke-width="{width}"/>'
-        )
-    return out
+    segs = np.asarray(segs, dtype=float).reshape(-1, 4)
+    template = ('<line x1="%%.6g" y1="%%.6g" x2="%%.6g" y2="%%.6g" '
+                'stroke="%s" stroke-width="%s"/>' % (color, width))
+    rows = _pixel_rows(frame, segs[:, 0::2], segs[:, 1::2])
+    return [template % tuple(row) for row in rows]
 
 
 def edge_segments(mesh, edges):
@@ -146,9 +172,16 @@ def heatmap(mesh, element_values, title="", comment="", outlines=(),
     values = np.asarray(element_values, dtype=float)
     if values.shape != (mesh.element_count,):
         raise ValueError("need one value per element")
-    finite = values[np.isfinite(values)]
-    lo = float(finite.min()) if vmin is None and finite.size else (vmin or 0.0)
-    hi = float(finite.max()) if vmax is None and finite.size else (vmax or 1.0)
+    finite_mask = np.isfinite(values)
+    finite = values[finite_mask]
+    if vmin is not None:
+        lo = vmin
+    else:
+        lo = float(finite.min()) if finite.size else 0.0
+    if vmax is not None:
+        hi = vmax
+    else:
+        hi = float(finite.max()) if finite.size else 1.0
     if hi <= lo:
         hi = lo + 1.0
 
@@ -156,9 +189,9 @@ def heatmap(mesh, element_values, title="", comment="", outlines=(),
     body = _header(width, int(bottom + 46), comment)
     if title:
         body.append(_text(width / 2.0, 18, title, size=13, anchor="middle"))
-    for el, val in zip(mesh.elements, values):
-        t = np.nan if not np.isfinite(val) else (val - lo) / (hi - lo)
-        body.append(_triangle(frame, mesh.nodes[el], color_at(t)))
+    with np.errstate(all="ignore"):
+        t = np.where(finite_mask, (values - lo) / (hi - lo), np.nan)
+    body.extend(_triangles(frame, mesh, _PALETTE, _color_index(t)))
     for segs in outlines:
         body.extend(_segments(frame, segs, "#202020", width=1.0))
 
@@ -187,9 +220,8 @@ def mask_overlay(mesh, mask, true_boundary=(), outlines=(), title="",
     body = _header(width, int(bottom + 8), comment)
     if title:
         body.append(_text(width / 2.0, 18, title, size=13, anchor="middle"))
-    for el, flag in zip(mesh.elements, mask):
-        body.append(_triangle(frame, mesh.nodes[el],
-                              "#e8a33d" if flag else "#eef0f2"))
+    body.extend(_triangles(frame, mesh, ("#eef0f2", "#e8a33d"),
+                           mask.astype(np.intp)))
     for segs in outlines:
         body.extend(_segments(frame, segs, "#9aa0a6", width=0.8))
     for segs in ((true_boundary,) if len(true_boundary) else ()):
@@ -269,10 +301,8 @@ def line_plot(series, title="", xlabel="", ylabel="", log_x=False,
 
     for k, (label, xs, ys) in enumerate(cleaned):
         color = _SERIES_COLORS[k % len(_SERIES_COLORS)]
-        pts = " ".join(
-            f"{_fmt(frame.x(tx(x)))},{_fmt(frame.y(ty(y)))}"
-            for x, y in zip(xs, ys)
-        )
+        (row,) = _pixel_rows(frame, tx(xs)[None, :], ty(ys)[None, :])
+        pts = " ".join(["%.6g,%.6g"] * len(xs)) % tuple(row)
         body.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.6"/>'

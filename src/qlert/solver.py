@@ -386,11 +386,9 @@ class LambdaSweep:
 
     CSV_HEADER = ("lambda", "e2", "einf", "G0_lambda", "picard_iters")
 
-    def rows(self):
-        for k in range(len(self.lambdas)):
-            yield (float(self.lambdas[k]), float(self.e2[k]),
-                   float(self.einf[k]), float(self.g0[k]),
-                   int(self.picard_iters[k]))
+    def columns(self):
+        """The per-scale arrays in ``CSV_HEADER`` order."""
+        return (self.lambdas, self.e2, self.einf, self.g0, self.picard_iters)
 
     @property
     def all_ok(self):

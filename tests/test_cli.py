@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import qlert
-from qlert import cli
+import reference_writers as ref
+from qlert import cli, render
 
 
 def write_config(tmp_path, tree, name="config.json"):
@@ -306,6 +307,87 @@ class TestTomoCommand:
                          dtype=int)
         assert set(np.unique(flags)) <= {0, 1}
         assert flags[:, 0].sum() > 0
+
+
+class TestWriteCsv:
+    """Column-wise CSV cells equal the per-value row writer's."""
+
+    def both(self, tmp_path, header, columns):
+        cli._write_csv(tmp_path / "new.csv", "d", header, columns)
+        ref.write_csv(tmp_path / "old.csv", "d", header, columns)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        return new.decode()
+
+    def test_integer_and_string_columns(self, tmp_path):
+        text = self.both(tmp_path, ("py", "np", "u8", "name"), (
+            [0, -3, 2**40], np.array([7, 0, -9], dtype=np.int64),
+            np.array([1, 2, 255], dtype=np.uint8), ["a", "bb", "c_1"],
+        ))
+        assert text.splitlines()[2:] == ["0,7,1,a", "-3,0,2,bb",
+                                         "1099511627776,-9,255,c_1"]
+
+    def test_special_floats(self, tmp_path):
+        values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 0.1,
+                  1 / 3, -2.5e-300]
+        text = self.both(tmp_path, ("f64", "f32", "py", "long"), (
+            np.array(values), np.array(values, dtype=np.float32), values,
+            np.array(values, dtype=np.longdouble),
+        ))
+        assert text.splitlines()[2].split(",") == ["nan"] * 4
+        assert text.splitlines()[8] == \
+            "1e+16,1.0000000272564224e+16,1e+16,1e+16"
+
+    def test_matrix_columns_and_blocks(self, tmp_path):
+        g = np.random.default_rng(0).standard_normal((16, 16))
+        self.both(tmp_path, [f"electrode_{i}" for i in range(16)], g.T)
+        n = 2 * cli._CSV_BLOCK + 5
+        text = self.both(tmp_path, ("k", "x"),
+                         (np.arange(n), np.linspace(-1.0, 1.0, n)))
+        assert len(text.splitlines()) == n + 2
+
+    def test_empty_and_malformed_columns(self, tmp_path):
+        text = self.both(tmp_path, ("id", "x"), ([], np.zeros(0)))
+        assert text == "# config sha256:d\nid,x\n"
+        with pytest.raises(ValueError, match="equal length"):
+            cli._write_csv(tmp_path / "x.csv", "d", ("a", "b"),
+                           (np.zeros(2), np.zeros(3)))
+        with pytest.raises(ValueError, match="equal length"):
+            cli._write_csv(tmp_path / "x.csv", "d", ("a",),
+                           (np.zeros(2), np.zeros(2)))
+        with pytest.raises(TypeError, match="dtype"):
+            cli._write_csv(tmp_path / "x.csv", "d", ("a",),
+                           (np.zeros(2, dtype=bool),))
+
+
+class TestArtifactsMatchPerValueWriters:
+    """Every artifact is byte-identical to the per-value writers' output."""
+
+    def configs(self):
+        solve = solve_config()
+        solve["task"]["mode"] = "nonlinear"
+        solve["solver"] = {"picard_tol": 1e-6}
+        return {"solve": solve, "sweep": sweep_config(),
+                "oracle": oracle_config(), "tomo": tomo_config()}
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "oracle", "tomo"])
+    def test_command(self, command, tmp_path, monkeypatch):
+        path = write_config(tmp_path, self.configs()[command])
+        assert run(command, path, tmp_path / "new") == cli.EXIT_OK
+        for owner, name, writer in (
+                (render, "heatmap", ref.heatmap),
+                (render, "mask_overlay", ref.mask_overlay),
+                (render, "line_plot", ref.line_plot),
+                (cli, "_write_csv", ref.write_csv),
+                (cli, "_region_outlines", ref.region_outlines)):
+            monkeypatch.setattr(owner, name, writer)
+        assert run(command, path, tmp_path / "old") == cli.EXIT_OK
+        names = sorted(p.name for p in (tmp_path / "new").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "old").iterdir())
+        assert len(names) >= 2
+        for name in names:
+            assert ((tmp_path / "new" / name).read_bytes()
+                    == (tmp_path / "old" / name).read_bytes()), name
 
 
 class TestExitCodes:

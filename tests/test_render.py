@@ -4,7 +4,10 @@ import xml.dom.minidom as minidom
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_writers as ref
 from qlert import render
 from qlert import mesh as qm
 
@@ -12,6 +15,13 @@ from qlert import mesh as qm
 @pytest.fixture(scope="module")
 def small_mesh():
     return qm.generate_disk(1.0, 2)
+
+
+def readme_cable(refinement):
+    """The README cable's geometry: six petals on a 0.35 mm ring."""
+    centers = [(0.35e-3 * np.cos(np.radians(30 + 60 * k)),
+                0.35e-3 * np.sin(np.radians(30 + 60 * k))) for k in range(6)]
+    return qm.generate_petal_cable(0.6e-3, centers, 0.12e-3, refinement)
 
 
 class TestColormap:
@@ -26,6 +36,18 @@ class TestColormap:
         assert render.color_at(-5.0) == render.COLOR_TABLE[0]
         assert render.color_at(7.0) == render.COLOR_TABLE[-1]
         assert render.color_at(float("nan")) == "#b0b0b0"
+
+    def test_matches_the_scalar_rule_everywhere(self):
+        # every table boundary k/255 +- 1/510 and its neighbours in ulps
+        edges = (np.arange(256) + 0.5) / 255.0
+        t = np.concatenate([
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+            np.linspace(-0.5, 1.5, 2001),
+            [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 5e-324],
+        ])
+        got = [render._PALETTE[i] for i in render._color_index(t).tolist()]
+        assert got == [ref.color_at(v) for v in t]
+        assert [render.color_at(v) for v in t[:50]] == got[:50]
 
 
 class TestHeatmap:
@@ -53,6 +75,136 @@ class TestHeatmap:
                              comment="a < b & c")
         minidom.parseString(svg)
         assert "a &lt; b &amp; c" in svg
+
+    def test_explicit_zero_bounds_are_kept(self, small_mesh):
+        values = -np.linspace(0.0, 1.0, small_mesh.element_count)
+        svg = render.heatmap(small_mesh, values, vmin=-1.0, vmax=0.0)
+        assert svg.endswith('text-anchor="middle" fill="#202020">0</text>\n'
+                            "</svg>\n")
+        assert svg.count(f'fill="{render.COLOR_TABLE[-1]}"') >= 2
+        svg = render.heatmap(small_mesh, -values, vmin=0.0, vmax=2.0)
+        assert '>0</text>' in svg and '>2</text>' in svg
+
+
+class TestMatchesPerValueWriters:
+    """The array writers produce the per-value reference writers' bytes."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # several element blocks and a remainder on the cable
+        monkeypatch.setattr(render, "_BLOCK", 97)
+
+    @pytest.fixture(scope="class")
+    def cable(self):
+        return readme_cable(3)
+
+    def single_element(self):
+        return qm.Mesh(
+            nodes=[[0.0, 0.0], [1.0, 0.0], [0.2, 0.7]], elements=[[0, 1, 2]],
+            element_region=["matrix"],
+            boundary_edges=[[0, 1, -1], [1, 2, -1], [2, 0, -1]],
+            region_table={"matrix": "matrix"},
+        )
+
+    def value_cases(self, mesh):
+        m = mesh.element_count
+        r = np.hypot(*qm.element_centroids(mesh).T)
+        special = r.copy()
+        special[::7] = np.nan
+        special[1::11] = np.inf
+        special[2::13] = -np.inf
+        yield {"values": r}
+        yield {"values": special}
+        yield {"values": np.full(m, np.nan)}
+        yield {"values": np.full(m, 3.25)}
+        yield {"values": np.full(m, -0.0)}
+        yield {"values": r, "vmin": 0.1, "vmax": 0.3}
+        yield {"values": r * 1e-9, "vmin": -2.0, "vmax": 5e-10}
+        yield {"values": special, "vmin": 0.5}
+        yield {"values": special, "vmax": 0.5}
+        yield {"values": r, "vmin": 1.0, "vmax": 1.0}
+        yield {"values": np.linspace(-1e300, 1e300, m)}
+
+    @pytest.mark.parametrize("kind", ["disk", "cable", "single"])
+    def test_heatmap(self, kind, small_mesh, cable):
+        mesh = {"disk": small_mesh, "cable": cable,
+                "single": self.single_element()}[kind]
+        lines = ref.region_outlines(mesh) if kind == "cable" else ()
+        for case in self.value_cases(mesh):
+            values = case.pop("values")
+            kwargs = dict(title="t", comment="c", outlines=lines, **case)
+            with np.errstate(all="ignore"):
+                expect = ref.heatmap(mesh, values, **kwargs)
+            assert render.heatmap(mesh, values, **kwargs) == expect
+
+    @pytest.mark.parametrize("kind", ["disk", "cable", "single"])
+    def test_mask_overlay(self, kind, small_mesh, cable):
+        mesh = {"disk": small_mesh, "cable": cable,
+                "single": self.single_element()}[kind]
+        m = mesh.element_count
+        rng = np.random.default_rng(3)
+        segs = render.edge_segments(mesh, mesh.elements[:3, :2])
+        lines = ref.region_outlines(mesh) if kind == "cable" else [segs]
+        for mask in (rng.random(m) < 0.3, np.zeros(m, bool), np.ones(m, bool)):
+            for boundary in ((), segs, np.zeros((0, 4))):
+                kwargs = dict(true_boundary=boundary, title="m", comment="c",
+                              outlines=lines)
+                assert (render.mask_overlay(mesh, mask, **kwargs)
+                        == ref.mask_overlay(mesh, mask, **kwargs))
+
+    def test_pixel_coordinates_equal_the_scalar_frame(self, cable):
+        # bit for bit, not just at the %.6g the SVG shows
+        frame, _ = render._mesh_frame(cable, 480, top=28.0)
+        old_frame, _ = ref._mesh_frame(cable, 480, top=28.0)
+        corners = cable.nodes[cable.elements]
+        rows = render._pixel_rows(frame, corners[..., 0], corners[..., 1])
+        expect = [[c for x, y in tri for c in (old_frame.x(x), old_frame.y(y))]
+                  for tri in corners]
+        assert rows == expect
+
+    def test_segments(self, cable):
+        frame, _ = render._mesh_frame(cable, 480, top=28.0)
+        old_frame, _ = ref._mesh_frame(cable, 480, top=28.0)
+        extra = [np.zeros((0, 4)), [(0.0, 0.0, 1e-4, -2e-4)]]
+        for segs in ref.region_outlines(cable) + extra:
+            for width in (1.0, 0.8, 2):
+                assert (render._segments(frame, segs, "#202020", width)
+                        == ref._segments(old_frame, segs, "#202020", width))
+
+    @pytest.mark.parametrize("log_x, log_y", [(False, False), (True, False),
+                                              (False, True), (True, True)])
+    def test_line_plot(self, log_x, log_y):
+        xs = np.geomspace(1e-8, 1e-1, 8)[::-1]
+        cases = [
+            [("e2", xs, 3.0 * xs**1.7), ("einf", xs, np.sqrt(xs))],
+            [("a", xs, np.where(xs > 1e-5, xs, np.nan)),
+             ("b", xs, -xs), ("c", xs, xs * 0.0 + 2.0)],
+            [("one", [0.5], [0.25])],
+            [("s", [1.0, 2.0, 3.0], [1.0, np.inf, 3.0]),
+             *[(f"k{k}", xs, xs + k) for k in range(5)]],
+        ]
+        for series in cases:
+            kwargs = dict(title="t", xlabel="x", ylabel="y", log_x=log_x,
+                          log_y=log_y, comment="c")
+            try:
+                expect = ref.line_plot(series, **kwargs)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    render.line_plot(series, **kwargs)
+                continue
+            assert render.line_plot(series, **kwargs) == expect
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(
+        st.floats(allow_nan=True, allow_infinity=True, width=64),
+        min_size=24, max_size=24,
+    ), st.sampled_from([None, -1.0, 0.0, 2.5]))
+    def test_heatmap_random_values(self, values, vmin):
+        mesh = qm.generate_disk(1.0, 1)
+        values = np.asarray(values)
+        with np.errstate(all="ignore"):
+            expect = ref.heatmap(mesh, values, vmin=vmin)
+            assert render.heatmap(mesh, values, vmin=vmin) == expect
 
 
 class TestMaskOverlay:

@@ -505,11 +505,11 @@ class TestLambdaSweep:
         sweep = solver.lambda_sweep(
             disk3, mmap, (nodes, values), grid, "pec", inclusion_regions=()
         )
-        rows = list(sweep.rows())
-        assert len(rows) == 2
-        assert len(rows[0]) == len(solver.LambdaSweep.CSV_HEADER)
-        assert rows[0][0] == 1.0
-        assert rows[1][4] == sweep.picard_iters[1]
+        columns = sweep.columns()
+        assert len(columns) == len(solver.LambdaSweep.CSV_HEADER)
+        assert all(len(c) == 2 for c in columns)
+        assert columns[0][0] == 1.0
+        assert columns[4][1] == sweep.picard_iters[1]
 
 
 class TestProfilesAndGrids:
