@@ -2,7 +2,10 @@
 
 The quasilinear problem is solved by fixed-point (Kachanov) iteration:
 freeze sigma at the previous iterate's element gradients, solve the
-resulting weighted linear problem, damp, repeat. Each linearized solve
+resulting weighted linear problem, repeat. Only a growing conductivity
+needs damping; elsewhere each full step minimises a quadratic majorant of
+the convex energy (Heid & Wihler, Math. Comp. 89, 2020; Diening,
+Fornasier, Tomasi & Wank, Numer. Math. 145, 2020). Each linearized solve
 starts cold, from zero, so that a step is a fixed function of sigma and
 the loop stops once sigma stops changing; a warm start leaves
 linear-solver noise above ``picard_tol`` when saturated petals sit next
@@ -86,13 +89,12 @@ class NumericalBreakdownError(RuntimeError):
 class NonlinearSolveConfig:
     """Fixed-point controls.
 
-    ``damping`` of None picks 1.0, or 0.7 when any region carries a law
-    on which the undamped iteration overshoots: an E-J power law with
-    n >= 10, or a weighted power law with p > 2, whose conductivity grows
-    with the field. ``initial_guess`` is "linear-sigma" (solve once with
-    sigma frozen at a data-scale field), "zero" (free dofs start at
-    zero), or an explicit nodal vector. Every linearized system is solved
-    by ``fem.solve_spd`` with its default controls.
+    ``damping`` of None picks 0.7 for a weighted power law with p > 2,
+    whose conductivity grows with the field, else 1.0 (E-J, linear): a
+    full step then minimises a majorant of the energy (module docstring).
+    ``initial_guess`` is "linear-sigma" (solve once with sigma frozen at
+    a data-scale field), "zero" (free dofs start at zero), or an explicit
+    nodal vector; linearized systems go to ``fem.solve_spd`` at defaults.
     """
 
     max_picard_iter: int = 200
@@ -131,8 +133,6 @@ def _boundary_pair(f):
 def _auto_damping(material_map, labels):
     for lab in labels:
         model = material_map.for_region(lab)
-        if model.kind == "ej-power-law" and model.n >= 10:
-            return 0.7
         if model.kind == "weighted-power" and model.p > 2.0:
             return 0.7
     return 1.0
@@ -149,7 +149,7 @@ def _check_finite_field(e_mag, kept, context):
 
 def _monitor(u, bc_values, energies, context, damping):
     """Energy descent + maximum principle; files violations, returns dict."""
-    monitors = {"context": context}
+    monitors = {"context": context, "damping": float(damping)}
     energies = np.asarray(energies)
     if len(energies) >= 2:
         scale = np.abs(energies[:-1]) * ENERGY_DESCENT_RTOL + 1e-300
@@ -193,7 +193,7 @@ def check_max_principle(u, bc_values, contexts):
 
 def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
                     excluded_regions=(), context="nonlinear"):
-    """Quasilinear Dirichlet solve by damped fixed-point iteration.
+    """Quasilinear Dirichlet solve by fixed-point (Kachanov) iteration.
 
     ``f`` is a dict {node: value} or a (nodes, values) pair. Regions in
     ``pec_regions`` are merged to floating constants, regions in

@@ -215,6 +215,20 @@ class TestSolveCommand:
         assert report["iterations"] >= 1
         assert report["monitors"]["max_principle_ok"]
 
+    @pytest.mark.parametrize("inclusions, damping", [
+        ({"model": "preset", "name": "YBCO-AMSC"}, 1.0),
+        ({"model": "weighted-power", "theta": 2.0, "p": 3.0}, 0.7),
+    ])
+    def test_report_records_resolved_damping(self, tmp_path, inclusions,
+                                             damping):
+        tree = solve_config()
+        tree["materials"]["inclusions"] = inclusions
+        tree["task"]["mode"] = "nonlinear"
+        out = tmp_path / "out"
+        assert run("solve", write_config(tmp_path, tree), out) == cli.EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["monitors"]["damping"] == damping
+
 
 class TestSweepCommand:
     def test_csv_and_plot(self, tmp_path):

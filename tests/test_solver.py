@@ -279,6 +279,41 @@ class TestWeightedPowerDamping:
         assert solver.VIOLATIONS == []
 
 
+class TestEjUndamped:
+    # E-J conductivity does not grow with the field, so each undamped
+    # Kachanov step minimises a quadratic majorant of the convex energy
+    # and needs no damping
+
+    @pytest.mark.parametrize("model, damping", [
+        pytest.param(materials.ej_power_law(8000e6, 27, 1e-4), 1.0,
+                     id="readme-ej"),
+        *[pytest.param(materials.preset(name), 1.0, id=name)
+          for name in materials.PRESET_TABLE],
+        pytest.param(materials.weighted_power(2.0, 3.0), 0.7,
+                     id="weighted-power-p3"),
+    ])
+    def test_auto_damping(self, model, damping):
+        mmap = materials.MaterialMap({"matrix": materials.linear(5.55e7),
+                                      "petal": model})
+        assert solver._auto_damping(mmap, ["matrix", "petal"]) == damping
+
+    @pytest.mark.parametrize("amplitude", [1e-3, 10e-3, 1.0])
+    def test_agrees_with_damped_iteration(self, amplitude):
+        mesh = cable_mesh(3)
+        mmap = cable_materials(mesh)
+        nodes = qm.outer_boundary_nodes(mesh)
+        f = (nodes, amplitude * mesh.nodes[nodes, 0] / CABLE_RADIUS)
+        full = solver.solve_nonlinear(mesh, mmap, f)
+        damped = solver.solve_nonlinear(
+            mesh, mmap, f, solver.NonlinearSolveConfig(damping=0.7))
+        assert full.monitors["damping"] == 1.0
+        assert full.energy <= damped.energy * (1.0 + 1e-12)
+        assert abs(full.energy - damped.energy) <= 1e-8 * damped.energy
+        u, v = full.nodal_potential, damped.nodal_potential
+        assert np.max(np.abs(u - v)) <= 1e-7 * np.max(np.abs(v))
+        assert full.iterations < damped.iterations
+
+
 def scalar_max_principle(u, bc_values, context):
     """Reference: the one-column rule the column-wise monitor replaced,
     copied unchanged except that it returns its record instead of filing
