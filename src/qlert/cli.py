@@ -2,7 +2,9 @@
 
 Four subcommands over one JSON config format: ``solve`` (forward field),
 ``sweep`` (limit-approximation error versus excitation scale), ``oracle``
-(closed-form validation battery), ``tomo`` (defect imaging pipeline).
+(closed-form validation battery), ``tomo`` (defect imaging pipeline; in
+pec-limit mode one conductance operator, factored once, serves the
+background, the defect and every test domain).
 
 The config is a strict tree: unknown keys are rejected and every error
 names the offending dotted key path. Physical quantities carry their
@@ -138,11 +140,12 @@ def build_mesh(tree):
             geo, {"shape", "refinement", "inner_radius_m", "outer_radius_m"},
             path,
         )
-        return qmesh.generate_annulus(
-            _number(geo, "inner_radius_m", path, positive=True),
-            _number(geo, "outer_radius_m", path, positive=True),
-            refinement,
-        )
+        inner = _number(geo, "inner_radius_m", path, positive=True)
+        outer = _number(geo, "outer_radius_m", path, positive=True)
+        try:
+            return qmesh.generate_annulus(inner, outer, refinement)
+        except qmesh.MeshError as exc:
+            _fail(f"{path}.inner_radius_m", str(exc))
     _no_extras(
         geo,
         {"shape", "refinement", "outer_radius_m", "petal_radius_m", "petals"},
@@ -173,7 +176,10 @@ def build_mesh(tree):
              ring * math.sin(phase + 2 * math.pi * k / count))
             for k in range(count)
         ]
-    return qmesh.generate_petal_cable(outer, centers, petal_r, refinement)
+    try:
+        return qmesh.generate_petal_cable(outer, centers, petal_r, refinement)
+    except qmesh.MeshError as exc:
+        _fail(ppath, str(exc))
 
 
 def _build_model(entry, path):
@@ -257,11 +263,8 @@ def build_boundary(tree, mesh, require_electrodes=False):
 
 
 def build_solver_config(tree):
-    block, path = _object(tree, "solver", "", default=None)
-    if block is None:
-        return solver.NonlinearSolveConfig()
-    fields = {"max_picard_iter", "picard_tol", "damping", "initial_guess"}
-    _no_extras(block, fields, path)
+    block, path = _object(tree, "solver", "", default={})
+    _no_extras(block, {"max_picard_iter", "picard_tol"}, path)
     kwargs = {}
     if "max_picard_iter" in block:
         kwargs["max_picard_iter"] = _integer(block, "max_picard_iter", path,
@@ -269,15 +272,7 @@ def build_solver_config(tree):
     if "picard_tol" in block:
         kwargs["picard_tol"] = _number(block, "picard_tol", path,
                                        positive=True)
-    if "damping" in block and block["damping"] is not None:
-        kwargs["damping"] = _number(block, "damping", path, positive=True)
-    if "initial_guess" in block:
-        kwargs["initial_guess"] = _string(block, "initial_guess", path,
-                                          choices={"zero", "linear-sigma"})
-    try:
-        return solver.NonlinearSolveConfig(**kwargs)
-    except ValueError as exc:
-        _fail(path, str(exc))
+    return solver.NonlinearSolveConfig(**kwargs)
 
 
 def _task_block(tree, expected):
@@ -384,6 +379,7 @@ def cmd_solve(tree, digest, out, seed):
         mesh = qmesh.tag_electrodes(mesh, layout)
     cfg = build_solver_config(tree)
 
+    seen = len(solver.VIOLATIONS)  # the registry spans the process
     regions = mesh.inclusion_regions()
     if mode == "pec-limit":
         sol = solver.solve_pec_limit(mesh, mmap, regions, f, cfg)
@@ -427,7 +423,7 @@ def cmd_solve(tree, digest, out, seed):
         "final_picard_change": (float(sol.picard_change[-1])
                                 if len(sol.picard_change) else 0.0),
         "monitors": sol.monitors,
-        "violations": list(solver.VIOLATIONS),
+        "violations": solver.VIOLATIONS[seen:],
     })
     print(f"solve: {sol.iterations} iterations, energy {sol.energy:.6g} "
           f"-> {out}")
@@ -593,6 +589,18 @@ def _disc_mask(mesh, center, radius):
     return (d <= radius) & (mesh.element_region == "matrix")
 
 
+def _tag_distinct_electrodes(mesh, layout):
+    """``tag_electrodes``; arcs that tag no boundary edge, or share a
+    boundary node, cannot measure a conductance matrix."""
+    mesh = qmesh.tag_electrodes(mesh, layout)
+    groups = list(qmesh.electrode_nodes(mesh).values())
+    if not groups:
+        _fail("boundary.electrodes", "the arcs cover no boundary edge")
+    if len(np.unique(np.concatenate(groups))) != sum(map(len, groups)):
+        _fail("boundary.electrodes", "neighbouring arcs share a boundary node")
+    return mesh
+
+
 def cmd_tomo(tree, digest, out, seed):
     task, tpath = _task_block(tree, "tomo")
     _no_extras(task, {"kind", "defects", "eta", "seed", "delta",
@@ -627,7 +635,7 @@ def cmd_tomo(tree, digest, out, seed):
     mesh = build_mesh(tree)
     models = build_material_models(tree, mesh)
     _, amplitude, layout = build_boundary(tree, mesh, require_electrodes=True)
-    mesh = qmesh.tag_electrodes(mesh, layout)
+    mesh = _tag_distinct_electrodes(mesh, layout)
     cfg = build_solver_config(tree)
     matrix_model = models["matrix"]
     if matrix_model.kind != "linear":
@@ -650,34 +658,30 @@ def cmd_tomo(tree, digest, out, seed):
     if not vmask.any():
         _fail(dpath, "defect discs select no matrix elements")
 
+    # matrix_of(mask, name): the matrix with the defect material on the
+    # masked elements, for the defect and every test domain
     if mode == "pec-limit":
-        # one factorization; each test matrix is a low-rank update of it
+        # one factorization; each matrix is a low-rank update of it
         operator = tomography.ConductanceOperator(
             mesh, materials.MaterialMap(models), amplitude=amplitude)
         g_bg = operator.background("background")
 
-        def test_matrix(domain):
-            return operator.matrix(domain.element_mask, defect_model,
-                                   domain.id)
+        def matrix_of(mask, name):
+            return operator.matrix(mask, defect_model, name)
     else:
         g_bg = tomography.conductance_matrix(
             mesh, materials.MaterialMap(models), amplitude=amplitude,
             mode=mode, config=cfg, scenario="background",
         )
 
-        def test_matrix(domain):
-            tm = qmesh.relabel_elements(mesh, domain.element_mask,
-                                        "test-domain")
+        def matrix_of(mask, name):
+            tm = qmesh.relabel_elements(mesh, mask, "test-domain")
             return tomography.conductance_matrix(
                 tm, materials.MaterialMap({**models,
                                            "test-domain": defect_model}),
-                amplitude=amplitude, mode=mode, config=cfg, scenario=domain.id,
+                amplitude=amplitude, mode=mode, config=cfg, scenario=name,
             )
-    dmesh = qmesh.relabel_elements(mesh, vmask, "defect-1")
-    g_v = tomography.conductance_matrix(
-        dmesh, materials.MaterialMap({**models, "defect-1": defect_model}),
-        amplitude=amplitude, mode=mode, config=cfg, scenario="defect",
-    )
+    g_v = matrix_of(vmask, "defect")
     dg_max = float(np.abs(g_v.matrix - g_bg.matrix).max())
     noise = tomography.goe_noise(g_v.size, eta, dg_max, seed=seed)
     delta_key = task.get("delta", "noise-norm")
@@ -701,9 +705,13 @@ def cmd_tomo(tree, digest, out, seed):
         if psd_tol < 0:
             _fail(f"{tpath}.psd_tol", "must be nonnegative")
 
-    domains = tomography.disc_test_domains(mesh, radii, spacing=spacing)
+    try:
+        domains = tomography.disc_test_domains(mesh, radii, spacing=spacing)
+    except ValueError as exc:
+        _fail(rpath, str(exc))
 
-    tests = [(domain, test_matrix(domain)) for domain in domains]
+    tests = [(domain, matrix_of(domain.element_mask, domain.id))
+             for domain in domains]
     rec = tomography.mpm_reconstruct(measured, tests, delta, tol=psd_tol)
 
     areas = qmesh.element_areas(mesh)
@@ -733,6 +741,7 @@ def cmd_tomo(tree, digest, out, seed):
         (np.arange(mesh.element_count), centroids[:, 0], centroids[:, 1],
          vmask.astype(int), rec.union_mask.astype(int)),
     )
+    dmesh = qmesh.relabel_elements(mesh, vmask, "defect-1")  # its outline
     edges, _, _ = qmesh.region_interface_edges(dmesh, "defect-1")
     (out / "reconstruction.svg").write_text(
         render.mask_overlay(

@@ -11,12 +11,12 @@ are realized by excluding their elements, which imposes the natural
 no-flux condition on the interface.
 
 The fixed-point driver solves each linearized system by Jacobi-
-preconditioned conjugate gradients (``solve_spd``), started from zero so
-that the answer depends on the system alone and not on where the
-iteration began (see ``solver.solve_nonlinear``). A conductivity that
-does not depend on the field needs no iteration: ``Assembler.factor``
-factors the free block once, and any number of boundary-value columns
-are solved against that one factorization.
+preconditioned conjugate gradients (``solve_spd``), which always start
+from zero so that the answer depends on the system alone and not on
+where the iteration began (see ``solver.solve_nonlinear``). A
+conductivity that does not depend on the field needs no iteration:
+``Assembler.factor`` factors the free block once, and any number of
+boundary-value columns are solved against that one factorization.
 """
 
 from __future__ import annotations
@@ -331,21 +331,18 @@ class SolveResult:
     final_relative_residual: float
 
 
-def solve_spd(system, tol=1e-10, max_iter=None, x0=None):
+def solve_spd(system, tol=1e-10, max_iter=None):
     """Jacobi-preconditioned conjugate gradients on the eliminated system
     ``(matrix, rhs)``, for instance the pair of ``Assembler.assemble``.
 
     Stops when the plain residual norm drops to ``tol`` times the
     right-hand side norm; raises NonConvergenceError (with the recorded
     preconditioned-norm history) when the iteration cap is hit first.
-    ``x0`` is the starting vector, zero by default. The result depends on
-    it within that tolerance, which is why ``solver.solve_nonlinear``
-    leaves it at zero."""
+    The iteration starts from zero: where it stops inside that tolerance
+    depends on the start, so a fixed start makes the result a function
+    of the system alone (see ``solver.solve_nonlinear``)."""
     a, b = system
-    return _pcg(a, np.asarray(b, dtype=float), tol=tol, max_iter=max_iter, x0=x0)
-
-
-def _pcg(a, b, tol=1e-10, max_iter=None, x0=None):
+    b = np.asarray(b, dtype=float)
     n = a.shape[0]
     if n == 0:
         return SolveResult(np.empty(0), 0, np.empty(0), 0.0)
@@ -356,7 +353,7 @@ def _pcg(a, b, tol=1e-10, max_iter=None, x0=None):
         raise ValueError("matrix diagonal must be positive")
     inv_d = 1.0 / d
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return SolveResult(np.zeros(n), 0, np.empty(0), 0.0)

@@ -203,19 +203,28 @@ def _spiderweb_triangles(rings):
     return tris
 
 
+def _edge_runs(elements):
+    """Half-edges in one stable sort by node pair: (half, owner, start),
+    each as its element orients it, that element, and the run starts of
+    equal edges closed by the half-edge count. A run of one is a boundary
+    edge; longer runs pair first with second, third with fourth, ..."""
+    e = np.asarray(elements, dtype=np.int64)
+    half = e[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    key = np.sort(half, axis=1)
+    order = np.lexsort((key[:, 1], key[:, 0]))
+    key = key[order]
+    new_run = np.ones(len(key), dtype=bool)
+    new_run[1:] = np.any(key[1:] != key[:-1], axis=1)
+    start = np.append(np.flatnonzero(new_run), len(key))
+    return half[order], order // 3, start
+
+
 def _boundary_edges_from_elements(elements):
     """Edges owned by exactly one triangle, oriented as in that triangle
-    (domain on the left). Untagged: electrode id -1."""
-    e = np.asarray(elements)
-    edges = np.concatenate([e[:, [0, 1]], e[:, [1, 2]], e[:, [2, 0]]])
-    key = np.sort(edges, axis=1)
-    _, inverse, counts = np.unique(
-        key, axis=0, return_inverse=True, return_counts=True
-    )
-    single = counts[inverse] == 1
-    out = edges[single]
-    order = np.lexsort((out[:, 1], out[:, 0]))
-    out = out[order]
+    (domain on the left) and sorted by (i, j). Untagged: electrode id -1."""
+    half, _, start = _edge_runs(elements)
+    out = half[start[:-1][np.diff(start) == 1]]
+    out = out[np.lexsort((out[:, 1], out[:, 0]))]
     return np.column_stack([out, np.full(len(out), -1, dtype=np.int64)])
 
 
@@ -227,17 +236,11 @@ def _signed_areas(nodes, elements):
     )
 
 
-def _orient_ccw(nodes, elements):
-    elements = np.array(elements, dtype=np.int64)
-    neg = _signed_areas(nodes, elements) < 0
-    elements[neg] = elements[neg][:, ::-1]
-    return elements
-
-
 def _make_mesh(nodes, elements, labels, region_table):
-    elements = _orient_ccw(np.asarray(nodes), elements)
-    areas = _signed_areas(np.asarray(nodes), elements)
-    if np.any(areas <= 0):
+    nodes, elements = np.asarray(nodes), np.array(elements, dtype=np.int64)
+    neg = _signed_areas(nodes, elements) < 0
+    elements[neg] = elements[neg][:, ::-1]  # counterclockwise
+    if np.any(_signed_areas(nodes, elements) <= 0):
         raise MeshError("degenerate element produced by generator")
     return Mesh(
         nodes=nodes,
@@ -368,16 +371,15 @@ def generate_petal_cable(outer_radius, petal_centers, petal_radius, refinement):
         keep &= (d > petal_radius + ru + 0.6 * h) | on_boundary
     pts = np.concatenate([gpts[keep]] + clouds)
 
-    tri = Delaunay(pts)
-    elements = _orient_ccw(pts, tri.simplices)
-    cent = pts[elements].mean(axis=1)
-    labels = np.full(len(elements), "matrix", dtype=object)
+    simplices = Delaunay(pts).simplices
+    cent = pts[simplices].mean(axis=1)
+    labels = np.full(len(simplices), "matrix", dtype=object)
     table = {"matrix": "matrix"}
     for k, c in enumerate(centers):
         inside = np.hypot(cent[:, 0] - c[0], cent[:, 1] - c[1]) < petal_radius
         labels[inside] = f"inclusion-{k + 1}"
         table[f"inclusion-{k + 1}"] = f"inclusion-{k + 1}"
-    return _make_mesh(pts, elements, np.asarray(labels, dtype=np.str_), table)
+    return _make_mesh(pts, simplices, np.asarray(labels, dtype=np.str_), table)
 
 
 # ---------------------------------------------------------------------------
@@ -526,17 +528,10 @@ def _paired_edges(mesh):
 
     Depends on the connectivity alone, so one pairing serves every
     region label of a mesh."""
-    keys = np.sort(mesh.elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    owner = np.repeat(np.arange(mesh.element_count, dtype=np.int64), 3)
-    # occurrences of one edge, in element order (lexsort is stable); they
-    # pair up first with second, third with fourth, ...
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    keys, owner = keys[order], owner[order]
-    new_run = np.ones(len(keys), dtype=bool)
-    new_run[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    run_start = np.maximum.accumulate(np.where(new_run, np.arange(len(keys)), 0))
-    second = np.flatnonzero((np.arange(len(keys)) - run_start) % 2 == 1)
-    return keys[second], owner[second - 1], owner[second]
+    half, owner, start = _edge_runs(mesh.elements)
+    offset = np.arange(len(half)) - np.repeat(start[:-1], np.diff(start))
+    second = np.flatnonzero(offset % 2 == 1)
+    return np.sort(half[second], axis=1), owner[second - 1], owner[second]
 
 
 def region_interface_edges(mesh, label, pairs=None):

@@ -92,15 +92,15 @@ class NonlinearSolveConfig:
     ``damping`` of None picks 0.7 for a weighted power law with p > 2,
     whose conductivity grows with the field, else 1.0 (E-J, linear): a
     full step then minimises a majorant of the energy (module docstring).
-    ``initial_guess`` is "linear-sigma" (solve once with sigma frozen at
-    a data-scale field), "zero" (free dofs start at zero), or an explicit
-    nodal vector; linearized systems go to ``fem.solve_spd`` at defaults.
+    ``initial_guess`` is None (solve once with sigma frozen at a
+    data-scale field) or a nodal array whose free-dof values start the
+    iteration; linearized systems go to ``fem.solve_spd`` at defaults.
     """
 
     max_picard_iter: int = 200
     picard_tol: float = 1e-8
     damping: float | None = None
-    initial_guess: object = "linear-sigma"
+    initial_guess: np.ndarray | None = None
 
     def __post_init__(self):
         if self.picard_tol <= 0:
@@ -109,10 +109,8 @@ class NonlinearSolveConfig:
             raise ValueError("max_picard_iter must be at least 1")
         if self.damping is not None and not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if isinstance(self.initial_guess, str):
-            if self.initial_guess not in ("zero", "linear-sigma"):
-                raise ValueError("initial_guess must be 'zero', 'linear-sigma'"
-                                 " or a nodal array")
+        if self.initial_guess is not None and np.ndim(self.initial_guess) != 1:
+            raise ValueError("initial_guess must be None or a nodal array")
 
 
 def _boundary_pair(f):
@@ -232,7 +230,7 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
         )
 
     # initial iterate
-    if not isinstance(config.initial_guess, str):
+    if config.initial_guess is not None:
         u = np.asarray(config.initial_guess, dtype=float)
         if u.shape != (mesh.node_count,):
             raise ValueError("provided initial guess must be a nodal vector")
@@ -240,8 +238,6 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
         free = asm.node_dof >= 0
         x = np.zeros(asm.n_free)
         x[asm.node_dof[free]] = u[free]
-    elif config.initial_guess == "zero":
-        x = np.zeros(asm.n_free)
     else:
         diam = float(np.max(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)))
         e_char = span / max(diam, 1e-300)

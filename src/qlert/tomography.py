@@ -12,14 +12,14 @@ reconstruction as the union of accepted test domains.
 When no active material depends on the field (every pec-limit imaging
 problem), a ``ConductanceOperator`` holds one assembly and one sparse LU
 factorization, solves all patterns as right-hand-side columns for the
-background matrix, and gives the matrix of every test domain as an exact
-low-rank (Woodbury) update of that factorization, so a whole dictionary
-costs one factorization; otherwise each pattern of each matrix runs the
-fixed-point solver. Eigenvalues come from LAPACK
-(``numpy.linalg.eigvalsh``) after a symmetry check. PSD decisions are
-taken on the zero-mean subspace (the all-ones pattern is not observable
-with zero-mean excitations); the undeflated spectrum is kept as a
-diagnostic.
+background matrix, and gives the matrix of the defect and of every test
+domain as an exact low-rank (Woodbury) update of that factorization, so
+one operator serves the background, the defect and the dictionary;
+otherwise each pattern of each matrix runs the fixed-point solver.
+Eigenvalues come from LAPACK (``numpy.linalg.eigvalsh``) after a
+symmetry check. PSD decisions are taken on the zero-mean subspace (the
+all-ones pattern is not observable with zero-mean excitations); the
+undeflated spectrum is kept as a diagnostic.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import pytest
 
 import qlert
 import reference_writers as ref
-from qlert import cli, render
+from qlert import cli, render, solver
 
 
 def write_config(tmp_path, tree, name="config.json"):
@@ -89,6 +89,41 @@ def tomo_config():
     }
 
 
+def cable_tomo_config():
+    """The README imaging config: six-petal cable, refinement 3."""
+    return {
+        "units": "SI",
+        "geometry": {
+            "shape": "cable",
+            "outer_radius_m": 0.6e-3,
+            "petal_radius_m": 0.12e-3,
+            "petals": {"count": 6, "ring_radius_m": 0.35e-3,
+                       "phase_deg": 30.0},
+            "refinement": 3,
+        },
+        "materials": {
+            "matrix": {"model": "linear", "sigma_s_per_m": 5.55e7},
+            "inclusions": {"model": "ej-power-law", "jc_a_per_mm2": 8000.0,
+                           "n": 27.0, "e0_v_per_m": 1e-4},
+        },
+        "boundary": {
+            "profile": "x-linear",
+            "amplitude_v": 1e-3,
+            "electrodes": {"count": 16, "coverage": 0.5},
+        },
+        "task": {
+            "kind": "tomo",
+            "defects": [{"center_m": [0.0, 0.0], "radius_m": 0.16e-3}],
+            "eta": 0.01,
+            "seed": 1,
+            "delta": "noise-norm",
+            "test_radii_m": [0.05e-3, 0.08e-3],
+            "test_spacing_m": 0.05e-3,
+            "mode": "pec-limit",
+        },
+    }
+
+
 def run(command, config_path, out_dir, *extra):
     return cli.main([command, "--config", str(config_path),
                      "--out", str(out_dir), *extra])
@@ -120,14 +155,41 @@ class TestConfigValidation:
         code = run("solve", write_config(tmp_path, tree), tmp_path / "out")
         assert code == cli.EXIT_CONFIG
         assert "geometry.bogus" in capsys.readouterr().err
-        # the conjugate-gradient controls are not configurable
-        for key, value in (("linear_tol", 1e-10), ("max_linear_iter", 50)):
+        # the conjugate-gradient controls, the damping and the start are
+        # not configurable
+        for key, value in (("linear_tol", 1e-10), ("max_linear_iter", 50),
+                           ("damping", 0.7), ("initial_guess", "zero")):
             tree = solve_config()
             tree["solver"] = {key: value}
             code = run("solve", write_config(tmp_path, tree),
                        tmp_path / "out")
             assert code == cli.EXIT_CONFIG
             assert f"solver.{key}: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, path", [
+        ("geometry.petals.ring_radius_m", 0.5e-3, "geometry.petals"),
+        ("geometry.petals.ring_radius_m", 0.1e-3, "geometry.petals"),
+        ("boundary.electrodes", {"count": 400, "coverage": 0.99},
+         "boundary.electrodes"),
+        ("boundary.electrodes", {"count": 16, "coverage": 0.1},
+         "boundary.electrodes"),
+        ("task.test_radii_m", [1e-9], "task.test_radii_m"),
+        ("geometry", {"shape": "annulus", "refinement": 2,
+                      "inner_radius_m": 0.6e-3, "outer_radius_m": 0.3e-3},
+         "geometry.inner_radius_m"),
+    ], ids=["petal-outside", "petals-overlap", "arcs-share-a-node",
+            "arcs-cover-no-edge", "no-test-domain", "annulus-radii"])
+    def test_unbuildable_setup_names_the_path(self, tmp_path, capsys, key,
+                                               value, path):
+        tree = cable_tomo_config()
+        *parents, last = key.split(".")
+        node = tree
+        for part in parents:
+            node = node[part]
+        node[last] = value
+        code = run("tomo", write_config(tmp_path, tree), tmp_path / "out")
+        assert code == cli.EXIT_CONFIG
+        assert f"config error: {path}: " in capsys.readouterr().err
 
     def test_units_must_be_si(self, tmp_path, capsys):
         tree = solve_config()
@@ -214,6 +276,26 @@ class TestSolveCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["iterations"] >= 1
         assert report["monitors"]["max_principle_ok"]
+
+    def test_report_lists_only_its_own_violations(self, tmp_path,
+                                                  monkeypatch):
+        # the registry spans the process: a report must not depend on
+        # what ran before it
+        path = write_config(tmp_path, solve_config())
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "MAX_PRINCIPLE_RTOL", -1.0)
+            assert run("solve", path, tmp_path / "breach") == cli.EXIT_OK
+        assert run("solve", path, tmp_path / "clean") == cli.EXIT_OK
+        filed = list(solver.VIOLATIONS)
+        solver.clear_violations()
+        assert run("solve", path, tmp_path / "fresh") == cli.EXIT_OK
+        assert solver.VIOLATIONS == []
+        assert [v["kind"] for v in filed] == ["max-principle"]
+        breach = json.loads((tmp_path / "breach" / "report.json").read_text())
+        assert breach["violations"] == filed
+        clean = (tmp_path / "clean" / "report.json").read_bytes()
+        assert clean == (tmp_path / "fresh" / "report.json").read_bytes()
+        assert json.loads(clean)["violations"] == []
 
     @pytest.mark.parametrize("inclusions, damping", [
         ({"model": "preset", "name": "YBCO-AMSC"}, 1.0),

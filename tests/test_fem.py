@@ -387,11 +387,6 @@ class TestSolveSpd:
         result = fem.solve_spd(disk_system, tol=1e-8)
         assert result.final_relative_residual <= 1e-8
 
-    def test_warm_start_skips_work(self, disk_system):
-        cold = fem.solve_spd(disk_system, tol=1e-10)
-        warm = fem.solve_spd(disk_system, tol=1e-10, x0=cold.x)
-        assert warm.iterations == 0
-
     def test_max_iter_raises_with_history(self, disk_system):
         with pytest.raises(fem.NonConvergenceError) as err:
             fem.solve_spd(disk_system, tol=1e-14, max_iter=3)

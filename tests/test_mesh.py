@@ -384,3 +384,76 @@ class TestInterfaceEdgesMatchLoop:
         with pytest.raises(qm.MeshError) as got:
             qm.region_interface_edges(mesh, label)
         assert str(got.value) == str(expect.value)
+
+
+# The edge passes as they were before one sort served both, kept as the
+# reference: single-owner edges from ``np.unique(axis=0)``, and element
+# pairs from a second ``lexsort`` of the same half-edges.
+
+
+def boundary_edges_by_unique(elements):
+    e = np.asarray(elements)
+    edges = np.concatenate([e[:, [0, 1]], e[:, [1, 2]], e[:, [2, 0]]])
+    key = np.sort(edges, axis=1)
+    _, inverse, counts = np.unique(
+        key, axis=0, return_inverse=True, return_counts=True
+    )
+    single = counts[inverse] == 1
+    out = edges[single]
+    order = np.lexsort((out[:, 1], out[:, 0]))
+    out = out[order]
+    return np.column_stack([out, np.full(len(out), -1, dtype=np.int64)])
+
+
+def paired_edges_by_lexsort(mesh):
+    keys = np.sort(mesh.elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    owner = np.repeat(np.arange(mesh.element_count, dtype=np.int64), 3)
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    keys, owner = keys[order], owner[order]
+    new_run = np.ones(len(keys), dtype=bool)
+    new_run[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    run_start = np.maximum.accumulate(np.where(new_run, np.arange(len(keys)), 0))
+    second = np.flatnonzero((np.arange(len(keys)) - run_start) % 2 == 1)
+    return keys[second], owner[second - 1], owner[second]
+
+
+README_PETALS = [(0.35e-3 * np.cos(a), 0.35e-3 * np.sin(a))
+                 for a in (np.arange(6) + 0.5) * np.pi / 3]
+
+
+class TestEdgeRunsMatchReference:
+    GENERATORS = {
+        "disk": lambda r: qm.generate_disk(1.0, r),
+        "annulus": lambda r: qm.generate_annulus(1.0, 4.0, r),
+        "centred-petal": lambda r: qm.generate_petal_cable(
+            1.0, [(0.0, 0.0)], 0.3, r),
+        "six-petal": lambda r: qm.generate_petal_cable(
+            0.6e-3, README_PETALS, 0.12e-3, r),
+    }
+
+    @staticmethod
+    def assert_match(mesh):
+        want = boundary_edges_by_unique(mesh.elements)
+        got = qm._boundary_edges_from_elements(mesh.elements)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(mesh.boundary_edges[:, :2], want[:, :2])
+        for got, want in zip(qm._paired_edges(mesh),
+                             paired_edges_by_lexsort(mesh)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("refinement", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_generated_meshes(self, name, refinement):
+        self.assert_match(self.GENERATORS[name](refinement))
+
+    def test_edge_fan(self):
+        # the edge (0, 1) has four owners: two pairs and no boundary edge
+        self.assert_match(_edge_fan())
+
+    def test_read_mesh_round_trip(self, tmp_path):
+        m = qm.tag_electrodes(self.GENERATORS["six-petal"](3),
+                              qm.ElectrodeLayout.uniform(16, 0.5))
+        qm.write_mesh(m, tmp_path / "cable.qlmesh")
+        back = qm.read_mesh(tmp_path / "cable.qlmesh")
+        assert np.array_equal(back.boundary_edges, m.boundary_edges)
+        self.assert_match(back)

@@ -61,6 +61,7 @@ class TestConfig:
             {"damping": 0.0},
             {"damping": 1.5},
             {"initial_guess": "interpolate"},
+            {"initial_guess": "zero"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -1,13 +1,16 @@
 """Conductance matrices, eigen tools, noise model, and imaging tests."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from qlert import fem, materials, solver, tomography as tomo
+from qlert import cli, fem, materials, solver, tomography as tomo
 from qlert import mesh as qm
+from test_cli import cable_tomo_config
 
 SIGMA_BG = 5.55e7
 
@@ -710,3 +713,36 @@ class TestConductanceOperator:
         g = op.matrix(mask, model, "random")
         ref = refactored_g(tagged_disk, models, mask, model, 1.0)
         assert relative_gap(g, ref) <= 1e-10
+
+
+class TestPecLimitTomoCommand:
+    """``qlert tomo`` in pec-limit mode: one operator, factored once,
+    gives the background, the defect and every test-domain matrix."""
+
+    def test_one_assembler_and_one_factorization(self, tmp_path, counts,
+                                                 factorizations):
+        path = tmp_path / "tomo.json"
+        path.write_text(json.dumps(cable_tomo_config()), encoding="utf-8")
+        assert cli.main(["tomo", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        assert counts == {"assemblers": 1, "fixed_point": 0}
+        assert len(factorizations) == 1
+
+    def test_defect_matrix_matches_refactorization(self, tmp_path):
+        tree = cable_tomo_config()
+        tree["task"]["eta"] = 0.0  # the measured matrix is the defect's
+        path = tmp_path / "tomo.json"
+        path.write_text(json.dumps(tree), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["tomo", "--config", str(path),
+                         "--out", str(out)]) == cli.EXIT_OK
+        g = np.loadtxt(out / "measured_g.csv", delimiter=",", skiprows=2)
+
+        mesh = qm.tag_electrodes(cli.build_mesh(tree),
+                                 qm.ElectrodeLayout.uniform(16, 0.5))
+        models = cli.build_material_models(tree, mesh)
+        disc = tree["task"]["defects"][0]
+        vmask = cli._disc_mask(mesh, disc["center_m"], disc["radius_m"])
+        ref = refactored_g(mesh, models, vmask,
+                           materials.linear(1e-3 * SIGMA_BG), 1e-3)
+        assert np.abs(g - ref.matrix).max() <= 1e-12 * np.abs(ref.matrix).max()
