@@ -590,12 +590,15 @@ def _disc_mask(mesh, center, radius):
 
 
 def _tag_distinct_electrodes(mesh, layout):
-    """``tag_electrodes``; arcs that tag no boundary edge, or share a
-    boundary node, cannot measure a conductance matrix."""
+    """``tag_electrodes``; a layout in which some arc tags no boundary
+    edge, or neighbouring arcs share a boundary node, cannot measure a
+    conductance matrix with the configured electrodes."""
     mesh = qmesh.tag_electrodes(mesh, layout)
     groups = list(qmesh.electrode_nodes(mesh).values())
-    if not groups:
-        _fail("boundary.electrodes", "the arcs cover no boundary edge")
+    if len(groups) != layout.count:
+        _fail("boundary.electrodes",
+              f"{layout.count} arcs configured but {len(groups)} of them "
+              f"cover a boundary edge")
     if len(np.unique(np.concatenate(groups))) != sum(map(len, groups)):
         _fail("boundary.electrodes", "neighbouring arcs share a boundary node")
     return mesh

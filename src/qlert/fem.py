@@ -8,13 +8,22 @@ merging their node sets into one master dof per connected component,
 which enforces the constant-potential constraint exactly and leaves the
 net current into a floating group at zero. Perfectly insulating regions
 are realized by excluding their elements, which imposes the natural
-no-flux condition on the interface.
+no-flux condition on the interface. Element geometry is computed once per
+mesh and shared by every assembler, gradient and energy on it.
 
-The fixed-point driver solves each linearized system by Jacobi-
-preconditioned conjugate gradients (``solve_spd``), which always start
-from zero so that the answer depends on the system alone and not on
-where the iteration began (see ``solver.solve_nonlinear``). A
-conductivity that does not depend on the field needs no iteration:
+The fixed-point driver solves each linearized system by deflated
+Jacobi-preconditioned conjugate gradients (``solve_spd``). A kept region
+that touches no Dirichlet node floats: when its conductivity dwarfs its
+neighbours' (E-J petals saturated at ``sigma_cap`` next to copper), its
+constant vector is a near-null mode of the scaled stiffness, and plain
+Jacobi-PCG converges slowly on it and stops with an error in that mode.
+``Assembler.deflation_basis`` gives one coarse vector per floating region,
+and ``solve_spd`` projects them out of every step and solves for them
+exactly (Vuik, Segal & Meijerink, J. Comput. Phys. 152, 1999; the DEF1
+form of Tang, Nabben, Vuik & Erlangga, J. Sci. Comput. 39, 2009). The
+iteration always starts from zero, so that the answer depends on the
+system alone and not on where it began (see ``solver.solve_nonlinear``).
+A conductivity that does not depend on the field needs no iteration:
 ``Assembler.factor`` factors the free block once, and any number of
 boundary-value columns are solved against that one factorization.
 """
@@ -22,6 +31,7 @@ boundary-value columns are solved against that one factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -63,7 +73,21 @@ FREE, FIXED, EXCLUDED = 0, -1, -2
 
 
 def element_geometry(mesh):
-    """Shape-function coefficients and areas: grad(lambda_a) = (b_a, c_a)/(2A)."""
+    """Shape-function coefficients and areas: grad(lambda_a) = (b_a, c_a)/(2A).
+
+    Computed once per mesh and kept on it; the arrays are read-only. A
+    mesh derived from another (``relabel_elements``, ``tag_electrodes``)
+    is a new object and computes its own."""
+    geometry = vars(mesh).get("_fem_geometry")
+    if geometry is None:
+        geometry = _element_geometry(mesh)
+        for a in geometry:
+            a.setflags(write=False)
+        object.__setattr__(mesh, "_fem_geometry", geometry)
+    return geometry
+
+
+def _element_geometry(mesh):
     p = mesh.nodes[mesh.elements]
     x, y = p[..., 0], p[..., 1]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
@@ -312,6 +336,31 @@ class Assembler:
                              "regions")
         return self._s_local[pos]
 
+    @cached_property
+    def deflation_basis(self):
+        """Coarse vectors for ``solve_spd``: one array of free dofs per
+        floating region, a kept region none of whose nodes is a Dirichlet
+        node. Regions go in sorted label order and a dof on the interface
+        of two floating regions belongs to the first; regions left with
+        no dof are dropped, so the arrays are disjoint and non-empty."""
+        mesh = self.mesh
+        dirichlet = np.zeros(mesh.node_count, dtype=bool)
+        dirichlet[self.bc_nodes] = True
+        taken = np.zeros(self.n_free, dtype=bool)
+        basis = []
+        region = mesh.element_region[self.kept]
+        for label in np.unique(region):
+            nodes = mesh.elements[self.kept[region == label]].ravel()
+            if dirichlet[nodes].any():
+                continue
+            dofs = np.unique(self.node_dof[nodes])
+            dofs = dofs[dofs >= 0]
+            dofs = dofs[~taken[dofs]]
+            taken[dofs] = True
+            if len(dofs):
+                basis.append(dofs)
+        return tuple(basis)
+
     def raw_matrix(self, per_element_sigma):
         """Unconstrained nodal stiffness over the kept elements; reaction
         currents are its product with the full potential vector."""
@@ -331,16 +380,64 @@ class SolveResult:
     final_relative_residual: float
 
 
-def solve_spd(system, tol=1e-10, max_iter=None):
-    """Jacobi-preconditioned conjugate gradients on the eliminated system
-    ``(matrix, rhs)``, for instance the pair of ``Assembler.assemble``.
+class _Deflation:
+    """DEF1 projection P = I - AZ E^-1 Z^T, with E = Z^T A Z, for a basis
+    Z of disjoint 0/1 columns, each given by its dof indices. Z^T v is a
+    segmented sum over the basis dofs and AZ is kept on its nonzero rows
+    only. An empty basis makes P the identity and the correction zero."""
 
-    Stops when the plain residual norm drops to ``tol`` times the
-    right-hand side norm; raises NonConvergenceError (with the recorded
-    preconditioned-norm history) when the iteration cap is hit first.
-    The iteration starts from zero: where it stops inside that tolerance
-    depends on the start, so a fixed start makes the result a function
-    of the system alone (see ``solver.solve_nonlinear``)."""
+    def __init__(self, a, coarse):
+        n = a.shape[0]
+        cols = [np.asarray(c, dtype=np.int64) for c in coarse]
+        self.k = len(cols)
+        self.dofs = np.concatenate(cols) if cols else np.empty(0, np.int64)
+        self.col = np.repeat(np.arange(self.k), [len(c) for c in cols])
+        if len(np.unique(self.dofs)) != len(self.dofs):
+            raise ValueError("coarse vectors must be disjoint")
+        z = sparse.csc_matrix(
+            (np.ones(len(self.dofs)), (self.dofs, self.col)), shape=(n, self.k)
+        )
+        az = sparse.csr_matrix(a @ z)
+        e = (z.T @ az).toarray()
+        # E is SPD whenever A is, and k x k with k the number of floating
+        # regions: inverted once per solve
+        self.e_inv = np.linalg.inv(0.5 * (e + e.T))
+        self.rows = np.flatnonzero(np.diff(az.indptr))
+        self.az = az[self.rows]
+
+    def zt(self, v):
+        return np.bincount(self.col, weights=v[self.dofs], minlength=self.k)
+
+    def project(self, w):
+        """w <- P w, in place."""
+        w[self.rows] -= self.az @ (self.e_inv @ self.zt(w))
+
+    def correct(self, x, b):
+        """x <- x + Z E^-1 (Z^T b - (AZ)^T x), in place: the coarse part
+        of the solution that the projected iteration leaves out."""
+        coef = self.e_inv @ (self.zt(b) - self.az.T @ x[self.rows])
+        x[self.dofs] += coef[self.col]
+
+
+def solve_spd(system, tol=1e-10, max_iter=None, coarse=()):
+    """Deflated Jacobi-preconditioned conjugate gradients on the
+    eliminated system ``(matrix, rhs)``, for instance the pair of
+    ``Assembler.assemble``.
+
+    ``coarse`` is a sequence of disjoint dof index arrays, one coarse
+    vector each (``Assembler.deflation_basis``). Every step projects
+    them out of A p with P = I - AZ E^-1 Z^T, E = Z^T A Z (the DEF1 form:
+    projecting only the start loses the projection at sigma_cap
+    contrasts), and the answer adds back their exact share,
+    x = x~ + Z E^-1 (Z^T b - (AZ)^T x~). With no coarse vector this is
+    plain Jacobi-PCG.
+
+    Stops when the norm of the projected residual drops to ``tol``
+    times the right-hand side norm; raises NonConvergenceError (with the
+    recorded preconditioned-norm history) when the iteration cap is hit
+    first. The iteration starts from zero: where it stops inside that
+    tolerance depends on the start, so a fixed start makes the result a
+    function of the system alone (see ``solver.solve_nonlinear``)."""
     a, b = system
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
@@ -358,7 +455,9 @@ def solve_spd(system, tol=1e-10, max_iter=None):
     if b_norm == 0.0:
         return SolveResult(np.zeros(n), 0, np.empty(0), 0.0)
 
+    deflation = _Deflation(a, coarse)
     r = b - a @ x
+    deflation.project(r)
     z = inv_d * r
     p = z.copy()
     rz = float(r @ z)
@@ -373,6 +472,7 @@ def solve_spd(system, tol=1e-10, max_iter=None):
                 residuals=np.array(history),
             )
         ap = a @ p
+        deflation.project(ap)
         alpha = rz / float(p @ ap)
         x += alpha * p
         r -= alpha * ap
@@ -383,6 +483,7 @@ def solve_spd(system, tol=1e-10, max_iter=None):
         history.append(np.sqrt(max(rz, 0.0)))
         res = float(np.linalg.norm(r))
         it += 1
+    deflation.correct(x, b)
     return SolveResult(x, it, np.array(history), res / b_norm)
 
 

@@ -6,14 +6,17 @@ resulting weighted linear problem, repeat. Only a growing conductivity
 needs damping; elsewhere each full step minimises a quadratic majorant of
 the convex energy (Heid & Wihler, Math. Comp. 89, 2020; Diening,
 Fornasier, Tomasi & Wank, Numer. Math. 145, 2020). Each linearized solve
-starts cold, from zero, so that a step is a fixed function of sigma and
-the loop stops once sigma stops changing; a warm start leaves
-linear-solver noise above ``picard_tol`` when saturated petals sit next
-to a copper matrix. Every converged solve
-runs two cheap monitors — energy descent along the iterates and the
-discrete maximum principle — and files anything suspicious in the
-module-level ``VIOLATIONS`` registry so a test session can assert that
-nothing was ever silently wrong.
+goes to deflated conjugate gradients with one coarse vector per floating
+region (``fem.Assembler.deflation_basis``): saturated petals next to a
+copper matrix are near-constant, and plain Jacobi-PCG left an error of
+1e-8..1e-7 of max|u| in each petal's constant, above ``picard_tol``, which
+cost a Picard step per sweep point. Deflation solves those constants
+exactly. Each linearized solve still starts cold, from zero, so that a
+step is a fixed function of sigma and the loop stops once sigma stops
+changing. Every converged solve runs two cheap monitors — energy descent
+along the iterates and the discrete maximum principle — and files
+anything suspicious in the module-level ``VIOLATIONS`` registry so a test
+session can assert that nothing was ever silently wrong.
 
 ``iterations`` on a returned FieldSolution counts fixed-point steps.
 """
@@ -243,7 +246,8 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
         e_char = span / max(diam, 1e-300)
         sig0 = material_map.sigma_elements(
             mesh, np.full(mesh.element_count, e_char), active)
-        x = fem.solve_spd(asm.assemble(sig0, values)).x
+        x = fem.solve_spd(asm.assemble(sig0, values),
+                          coarse=asm.deflation_basis).x
     u = asm.expand(x, values)
 
     energies = [energy_of(u)]
@@ -256,11 +260,13 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
         sig = material_map.sigma_elements(mesh, e_mag, active)
         # Start from zero, not from x: CG stops at a relative residual of
         # 1e-10, and where it lands inside that ball depends on its
-        # start. At petal/matrix contrasts near sigma_cap that spread is
-        # 1e-8..1e-7 nodally, above picard_tol, so a warm start keeps the
-        # change criterion measuring solver noise long after the energy
-        # has converged. Cold, each step is a fixed function of sigma.
-        x_lin = fem.solve_spd(asm.assemble(sig, values)).x
+        # start, so a warm start would make the change criterion measure
+        # solver noise. Without deflation that noise sits in the constant
+        # mode of each floating petal at 1e-8..1e-7 nodally, above
+        # picard_tol; the coarse vectors solve that mode exactly. Cold,
+        # each step stays a fixed function of sigma.
+        x_lin = fem.solve_spd(asm.assemble(sig, values),
+                              coarse=asm.deflation_basis).x
         if not np.all(np.isfinite(x_lin)):
             el = kept[0] if len(kept) else 0
             raise NumericalBreakdownError(

@@ -166,6 +166,17 @@ class TestConfigValidation:
             assert code == cli.EXIT_CONFIG
             assert f"solver.{key}: unknown key" in capsys.readouterr().err
 
+    def test_partly_tagged_layout_names_both_counts(self, tmp_path, capsys):
+        # at refinement 3 only 16 of these 32 narrow arcs hold an edge
+        # midpoint; measuring with the 16 would pass for a 32-electrode run
+        tree = cable_tomo_config()
+        tree["boundary"]["electrodes"] = {"count": 32, "coverage": 0.3}
+        code = run("tomo", write_config(tmp_path, tree), tmp_path / "out")
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert ("config error: boundary.electrodes: 32 arcs configured but "
+                "16 of them cover a boundary edge") in err
+
     @pytest.mark.parametrize("key, value, path", [
         ("geometry.petals.ring_radius_m", 0.5e-3, "geometry.petals"),
         ("geometry.petals.ring_radius_m", 0.1e-3, "geometry.petals"),
