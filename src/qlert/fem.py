@@ -11,6 +11,13 @@ are realized by excluding their elements, which imposes the natural
 no-flux condition on the interface. Element geometry is computed once per
 mesh and shared by every assembler, gradient and energy on it.
 
+An ``Assembler`` is built once per (mesh, boundary nodes, conductor split)
+and serves any number of conductivities: it keeps a CSR plan of the free
+block and of its coupling to the fixed dofs, so that assembling is one
+gather and one ``np.bincount``. The plan sums every matrix entry in the
+order scipy's COO -> CSR conversion does, so the matrices are the ones
+that conversion gives, bit for bit (``_CsrPlan``).
+
 The fixed-point driver solves each linearized system by deflated
 Jacobi-preconditioned conjugate gradients (``solve_spd``). A kept region
 that touches no Dirichlet node floats: when its conductivity dwarfs its
@@ -166,6 +173,71 @@ def _component_min(n, tris):
             label = jumped
 
 
+def _corner_pairs(tris):
+    """(row, column) labels of the flattened (K, 3, 3) element matrices
+    of K triangles whose corners carry the labels ``tris`` (K, 3)."""
+    return np.repeat(tris, 3, axis=1).ravel(), np.tile(tris, 3).ravel()
+
+
+def _stable_order(rows):
+    """``np.argsort(rows, kind="stable")`` as int32, by one sort of keys
+    that carry the row in their high 32 bits and the position in the low:
+    they are unique, so any sort is stable, and a plain one is fast."""
+    key = rows.astype(np.int64) << 32
+    key |= np.arange(len(key))
+    key.sort()
+    return (key & 0xFFFFFFFF).astype(np.int32)
+
+
+class _CsrPlan:
+    """Assembly of one fixed COO pattern into CSR, summing duplicates in
+    the order scipy's COO -> CSR conversion does, so that ``matrix(vals)``
+    equals ``coo_matrix((vals[at], (rows, cols))).tocsr()`` bit for bit.
+
+    That conversion buckets the entries by row in their given order,
+    sorts each row's column indices (``csr_matrix.sort_indices``, an
+    unstable sort whose permutation depends only on the indices) and adds
+    each run of equal indices from left to right. The plan replays the
+    first two steps once on the entry positions, keeping for every entry
+    in summation order where its value sits in ``vals`` (``gather``) and
+    which stored slot it lands in (``slot``); ``np.bincount`` then adds
+    the values slot by slot in that same order, from +0.0 (so a slot
+    whose every entry is -0.0 gives +0.0, where scipy keeps -0.0). Every
+    index array is int32, as in the matrices scipy builds, and read-only:
+    each matrix shares ``indices`` and ``indptr``."""
+
+    def __init__(self, at, rows, cols, shape):
+        n_rows = shape[0]
+        indptr = np.zeros(n_rows + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        order = _stable_order(rows)
+        probe = sparse.csr_matrix((order.astype(float), cols[order], indptr),
+                                  shape=shape)
+        probe.sort_indices()
+        entry = probe.data.astype(np.int32)  # entries in summation order
+        n = len(entry)
+        opens = np.ones(n, dtype=bool)  # the entry starts a new slot
+        opens[1:] = probe.indices[1:] != probe.indices[:-1]
+        opens[indptr[:-1][indptr[:-1] < n]] = True  # and so does each row
+        before = np.zeros(n + 1, dtype=np.int32)  # slots before entry k
+        np.cumsum(opens, out=before[1:])
+        self.shape = shape
+        self.gather = at[entry]
+        self.slot = before[1:] - 1
+        self.indices = probe.indices[opens]
+        self.indptr = before[indptr]
+        for a in (self.gather, self.slot, self.indices, self.indptr):
+            a.setflags(write=False)
+
+    def matrix(self, vals):
+        """The CSR matrix of the pattern with entry values ``vals[at]``."""
+        data = np.bincount(self.slot, weights=vals[self.gather],
+                           minlength=len(self.indices))
+        data = data.astype(float, copy=False)  # int64 when the plan is empty
+        return sparse.csr_matrix((data, self.indices, self.indptr),
+                                 shape=self.shape)
+
+
 class Assembler:
     """Reusable assembly structure for one (mesh, bc set, region split).
 
@@ -239,25 +311,24 @@ class Assembler:
             bk[:, :, None] * bk[:, None, :] + ck[:, :, None] * ck[:, None, :]
         ) / (4.0 * ak[:, None, None])
 
-        gi = index[kept_tris]  # (K,3) dof classes per corner
-        rows = np.repeat(gi[:, :, None], 3, axis=2)
-        cols = np.repeat(gi[:, None, :], 3, axis=1)
-        self._ff = (rows >= 0) & (cols >= 0)
-        self._fd = (rows >= 0) & (cols == FIXED)
-        self._ff_rows = rows[self._ff]
-        self._ff_cols = cols[self._ff]
+        # entry (k, i, j) of the flattened (K, 3, 3) local matrices couples
+        # corner i (row) with corner j (column) of kept element k; int32
+        # index arrays keep the set-up transient small, and it sets the
+        # peak memory of a large solve
+        gi = index[kept_tris].astype(np.int32)  # (K,3) dof classes per corner
+        rows, cols = _corner_pairs(gi)
+        ff = np.flatnonzero((rows >= 0) & (cols >= 0)).astype(np.int32)
+        self._ff_plan = _CsrPlan(ff, rows[ff], cols[ff],
+                                 (self.n_free, self.n_free))
 
         fixed_masters = np.flatnonzero(index == FIXED)
-        fcol = np.full(mesh.node_count, -1, dtype=np.int64)
+        fcol = np.full(mesh.node_count, -1, dtype=np.int32)
         fcol[fixed_masters] = np.arange(len(fixed_masters))
-        master_cols = np.repeat(kept_tris[:, None, :], 3, axis=1)
-        self._fd_rows = rows[self._fd]
-        self._fd_cols = fcol[master_cols[self._fd]]
         self.n_fixed = len(fixed_masters)
-
-        raw = mesh.elements[self.kept]
-        self._raw_rows = np.repeat(raw[:, :, None], 3, axis=2).ravel()
-        self._raw_cols = np.repeat(raw[:, None, :], 3, axis=1).ravel()
+        fd = np.flatnonzero((rows >= 0) & (cols == FIXED)).astype(np.int32)
+        _, fixed_cols = _corner_pairs(fcol[kept_tris])
+        self._fd_plan = _CsrPlan(fd, rows[fd], fixed_cols[fd],
+                                 (self.n_free, self.n_fixed))
 
     def _sigma_kept(self, per_element_sigma):
         s = np.asarray(per_element_sigma, dtype=float)
@@ -274,16 +345,8 @@ class Assembler:
         ascending order, which are the sorted ``bc_nodes`` themselves: a
         Dirichlet node never shares a merged group."""
         sk = self._sigma_kept(per_element_sigma)
-        vals = sk[:, None, None] * self._s_local
-        n = self.n_free
-        k_ff = sparse.coo_matrix(
-            (vals[self._ff], (self._ff_rows, self._ff_cols)), shape=(n, n)
-        ).tocsr()
-        k_fd = sparse.coo_matrix(
-            (vals[self._fd], (self._fd_rows, self._fd_cols)),
-            shape=(n, self.n_fixed),
-        ).tocsr()
-        return k_ff, k_fd
+        vals = (sk[:, None, None] * self._s_local).ravel()
+        return self._ff_plan.matrix(vals), self._fd_plan.matrix(vals)
 
     def _aligned(self, bc_values):
         bc_values = np.asarray(bc_values, dtype=float)
@@ -294,7 +357,8 @@ class Assembler:
     def assemble(self, per_element_sigma, bc_values):
         """The eliminated system (K_ff, -K_fd @ bc_values) for the given
         conductivities and (len(bc_nodes),) or (len(bc_nodes), k)
-        boundary values."""
+        boundary values. K_ff's ``indices`` and ``indptr`` are read-only
+        and shared by every matrix this Assembler makes."""
         k_ff, k_fd = self._blocks(per_element_sigma)
         return k_ff, -k_fd @ self._aligned(bc_values)
 
@@ -348,10 +412,10 @@ class Assembler:
         dirichlet[self.bc_nodes] = True
         taken = np.zeros(self.n_free, dtype=bool)
         basis = []
-        region = mesh.element_region[self.kept]
-        for label in np.unique(region):
-            nodes = mesh.elements[self.kept[region == label]].ravel()
-            if dirichlet[nodes].any():
+        dropped = set(self.pec_regions + self.excluded_regions)
+        for label, elements in mesh.region_elements().items():
+            nodes = mesh.elements[elements].ravel()
+            if label in dropped or dirichlet[nodes].any():
                 continue
             dofs = np.unique(self.node_dof[nodes])
             dofs = dofs[dofs >= 0]
@@ -368,12 +432,19 @@ class Assembler:
         vals = (sk[:, None, None] * self._s_local).ravel()
         n = self.mesh.node_count
         return sparse.coo_matrix(
-            (vals, (self._raw_rows, self._raw_cols)), shape=(n, n)
+            (vals, _corner_pairs(self.mesh.elements[self.kept])), shape=(n, n)
         ).tocsr()
 
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Outcome of ``solve_spd``.
+
+    ``final_relative_residual`` is the stopping quantity: the norm of the
+    recursively updated (projected) residual over ‖b‖, not ‖b - A x‖/‖b‖
+    recomputed from ``x``. The two drift apart on badly scaled systems;
+    see ``solve_spd`` for the measured gap."""
+
     x: np.ndarray
     iterations: int
     residuals: np.ndarray  # preconditioned norms, one per iteration
@@ -437,7 +508,16 @@ def solve_spd(system, tol=1e-10, max_iter=None, coarse=()):
     recorded preconditioned-norm history) when the iteration cap is hit
     first. The iteration starts from zero: where it stops inside that
     tolerance depends on the start, so a fixed start makes the result a
-    function of the system alone (see ``solver.solve_nonlinear``)."""
+    function of the system alone (see ``solver.solve_nonlinear``).
+
+    That residual is updated recursively, r <- r - alpha A p, and rounding
+    makes it drift from the true b - A x when the conductivity contrast is
+    extreme. On the last Kachanov system of the README cable, petals at
+    sigma_cap = 1e16 beside copper, the reported residual is at most 1e-10
+    while ‖b - A x‖/‖b‖ is 4.6e-8 deflated and 3.1e-7 plain at refinement
+    5 (0.5 mV), and 7.6e-8 deflated and 7.2e-7 plain at refinement 6
+    (1 mV); a smaller ``tol`` lowers neither. ``final_relative_residual``
+    is the recursive one."""
     a, b = system
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
@@ -460,6 +540,7 @@ def solve_spd(system, tol=1e-10, max_iter=None, coarse=()):
     deflation.project(r)
     z = inv_d * r
     p = z.copy()
+    step = np.empty(n)
     rz = float(r @ z)
     history = [np.sqrt(rz)]
     res = float(np.linalg.norm(r))
@@ -474,11 +555,14 @@ def solve_spd(system, tol=1e-10, max_iter=None, coarse=()):
         ap = a @ p
         deflation.project(ap)
         alpha = rz / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        z = inv_d * r
+        # the plain loop's x += alpha * p, r -= alpha * ap, z = inv_d * r
+        # and p = z + beta * p, computed in place with the same roundings
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=ap)
+        np.multiply(inv_d, r, out=z)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
         history.append(np.sqrt(max(rz, 0.0)))
         res = float(np.linalg.norm(r))
@@ -487,25 +571,30 @@ def solve_spd(system, tol=1e-10, max_iter=None, coarse=()):
     return SolveResult(x, it, np.array(history), res / b_norm)
 
 
-def dirichlet_energy(mesh, material_map, solution, skip_regions=()):
+def dirichlet_energy(mesh, material_map, solution, skip_regions=(),
+                     e_mag=None):
     """Total stored energy: sum over elements of area * Q(|grad u|), with
     each element's own material law. Elements in ``skip_regions`` and
     elements whose potential is undefined (inside excluded regions)
-    contribute nothing; skipped regions need no material."""
-    u = (
-        solution.nodal_potential
-        if isinstance(solution, FieldSolution)
-        else np.asarray(solution, dtype=float)
-    )
-    grads = element_gradients(mesh, u)
-    e_mag = np.hypot(grads[:, 0], grads[:, 1])
+    contribute nothing; skipped regions need no material. ``e_mag``, the
+    per-element |grad u| of ``solution``, saves computing it again when
+    the caller already has it."""
+    if e_mag is None:
+        u = (
+            solution.nodal_potential
+            if isinstance(solution, FieldSolution)
+            else np.asarray(solution, dtype=float)
+        )
+        grads = element_gradients(mesh, u)
+        e_mag = np.hypot(grads[:, 0], grads[:, 1])
     _, _, area = element_geometry(mesh)
     ok = np.isfinite(e_mag)
-    if skip_regions:
-        ok &= ~np.isin(mesh.element_region, tuple(skip_regions))
+    skip = set(skip_regions)
     total = 0.0
-    for label in np.unique(mesh.element_region[ok]):
-        m = mesh.region_mask(label) & ok
+    for label, elements in mesh.region_elements().items():
+        m = elements[ok[elements]]
+        if label in skip or len(m) == 0:
+            continue
         dens = energy_density(material_map.for_region(label), e_mag[m])
         total += float(np.sum(dens * area[m]))
     return total

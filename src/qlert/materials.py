@@ -52,6 +52,8 @@ __all__ = [
 DEFAULT_E_FLOOR = 1e-12  # V/m
 DEFAULT_SIGMA_CAP = 1e16  # S/m
 
+_NO_ELEMENTS = np.empty(0, dtype=np.int64)
+
 # critical current density in A/mm^2 and power-law index n
 PRESET_TABLE = {
     "BSCCO-EAS": (85.0, 17.0),
@@ -368,11 +370,12 @@ class MaterialMap:
         Evaluates the regions in ``labels`` (every mesh region by default)
         and looks up no other; their elements get the placeholder 1, and
         their fields are never read, so they may be NaN."""
+        index = mesh.region_elements()
         if labels is None:
-            labels = np.unique(mesh.element_region)
+            labels = index
         out = np.ones(mesh.element_count)
         for label in labels:
-            m = mesh.region_mask(label)
+            m = index.get(label, _NO_ELEMENTS)
             out[m] = sigma(self.for_region(label), E_elements[m])
         return out
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -122,6 +123,25 @@ class Mesh:
     def region_mask(self, label):
         """Boolean element mask for one region label."""
         return self.element_region == label
+
+    def region_elements(self):
+        """{label: ascending element indices}, labels in sorted order.
+
+        Computed once per mesh and kept on it, like ``fem.element_geometry``;
+        the mapping is a read-only view and its arrays are read-only. A
+        mesh derived from this one is a new object and computes its own."""
+        index = vars(self).get("_region_elements")
+        if index is None:
+            labels, inverse = np.unique(self.element_region,
+                                        return_inverse=True)
+            order = np.argsort(inverse, kind="stable")
+            bounds = np.cumsum(np.bincount(inverse, minlength=len(labels)))
+            groups = np.split(order, bounds[:-1])
+            for g in groups:
+                g.setflags(write=False)
+            index = {str(lab): g for lab, g in zip(labels, groups)}
+            object.__setattr__(self, "_region_elements", index)
+        return MappingProxyType(index)
 
     def regions_of_kind(self, kind):
         """All region labels whose table entry matches ``kind``."""

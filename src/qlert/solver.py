@@ -13,7 +13,13 @@ copper matrix are near-constant, and plain Jacobi-PCG left an error of
 cost a Picard step per sweep point. Deflation solves those constants
 exactly. Each linearized solve still starts cold, from zero, so that a
 step is a fixed function of sigma and the loop stops once sigma stops
-changing. Every converged solve runs two cheap monitors — energy descent
+changing; it also lets a step whose sigma equals the last solved one bit
+for bit reuse that solution, so a field-independent map takes one linear
+solve. Each iterate's field is computed once and read by both its energy
+and the next step's sigma. A solve takes an optional ``fem.Assembler``
+built for its mesh, boundary nodes and conductor split: ``lambda_sweep``
+shares one across its points, ``tomography.conductance_matrix`` across
+its patterns. Every converged solve runs two cheap monitors — energy descent
 along the iterates and the discrete maximum principle — and files
 anything suspicious in the module-level ``VIOLATIONS`` registry so a test
 session can assert that nothing was ever silently wrong.
@@ -192,32 +198,61 @@ def check_max_principle(u, bc_values, contexts):
     return ok, np.maximum(worst, 0.0)
 
 
+def _check_assembler(asm, mesh, nodes, pec_regions, excluded_regions):
+    """Raise ValueError unless ``asm`` was built for this mesh object,
+    boundary node set and conductor split."""
+    if asm.mesh is not mesh:
+        raise ValueError("assembler was built for another mesh")
+    if not np.array_equal(asm.bc_nodes, nodes):
+        raise ValueError("assembler was built for another boundary node set")
+    if (set(asm.pec_regions) != set(pec_regions)
+            or set(asm.excluded_regions) != set(excluded_regions)):
+        raise ValueError(
+            f"assembler was built for another conductor split: pec "
+            f"{sorted(asm.pec_regions)} and excluded "
+            f"{sorted(asm.excluded_regions)}, not {sorted(pec_regions)} and "
+            f"{sorted(excluded_regions)}"
+        )
+
+
+def _field(mesh, u):
+    """(element gradients, their magnitudes) of nodal potentials u."""
+    grads = fem.element_gradients(mesh, u)
+    return grads, np.hypot(grads[:, 0], grads[:, 1])
+
+
 def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
-                    excluded_regions=(), context="nonlinear"):
+                    excluded_regions=(), context="nonlinear", assembler=None):
     """Quasilinear Dirichlet solve by fixed-point (Kachanov) iteration.
 
     ``f`` is a dict {node: value} or a (nodes, values) pair. Regions in
     ``pec_regions`` are merged to floating constants, regions in
     ``excluded_regions`` are dropped from assembly; neither needs an
-    entry in ``material_map``.
+    entry in ``material_map``. ``assembler`` is an optional
+    ``fem.Assembler`` to reuse, with its cached deflation basis, across
+    solves; it must have been built for this mesh object, the nodes of
+    ``f`` and this conductor split, or ValueError names what differs.
     """
     config = config or NonlinearSolveConfig()
     nodes, values = _boundary_pair(f)
-    asm = fem.Assembler(mesh, nodes, pec_regions, excluded_regions)
-    active = sorted(
-        set(np.unique(mesh.element_region))
-        - set(pec_regions) - set(excluded_regions)
-    )
+    if assembler is None:
+        asm = fem.Assembler(mesh, nodes, pec_regions, excluded_regions)
+    else:
+        _check_assembler(assembler, mesh, nodes, pec_regions,
+                         excluded_regions)
+        asm = assembler
+    skip = tuple(pec_regions) + tuple(excluded_regions)
+    active = [lab for lab in mesh.region_elements() if lab not in skip]
     for lab in active:
         material_map.for_region(lab)  # fail early on a missing material
-    skip = tuple(pec_regions) + tuple(excluded_regions)
     damping = config.damping
     if damping is None:
         damping = _auto_damping(material_map, active)
     kept = asm.kept
 
-    def energy_of(u):
-        return fem.dirichlet_energy(mesh, material_map, u, skip_regions=skip)
+    def energy_of(u, e_mag):
+        return fem.dirichlet_energy(mesh, material_map, u, skip_regions=skip,
+                                    e_mag=e_mag)
 
     span = float(values.max() - values.min())
     if span == 0.0:
@@ -232,6 +267,22 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
             monitors=monitors,
         )
 
+    # The system last solved: (sigma, x). Each linearized solve starts
+    # cold, so it is a fixed function of sigma (the boundary values never
+    # change within a solve), and a step whose sigma equals the last one
+    # bit for bit reuses its answer instead of solving again. A
+    # field-independent map then takes one linear solve, not two.
+    solved = None
+
+    def linear_solve(sig):
+        nonlocal solved
+        if solved is not None and np.array_equal(sig, solved[0]):
+            return solved[1]
+        x_lin = fem.solve_spd(asm.assemble(sig, values),
+                              coarse=asm.deflation_basis).x
+        solved = (sig, x_lin)
+        return x_lin
+
     # initial iterate
     if config.initial_guess is not None:
         u = np.asarray(config.initial_guess, dtype=float)
@@ -244,18 +295,16 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
     else:
         diam = float(np.max(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)))
         e_char = span / max(diam, 1e-300)
-        sig0 = material_map.sigma_elements(
-            mesh, np.full(mesh.element_count, e_char), active)
-        x = fem.solve_spd(asm.assemble(sig0, values),
-                          coarse=asm.deflation_basis).x
+        x = linear_solve(material_map.sigma_elements(
+            mesh, np.full(mesh.element_count, e_char), active))
     u = asm.expand(x, values)
+    # each iterate's field feeds both its energy and the next step's sigma
+    grads, e_mag = _field(mesh, u)
 
-    energies = [energy_of(u)]
+    energies = [energy_of(u, e_mag)]
     changes = []
     converged = False
     for _ in range(config.max_picard_iter):
-        grads = fem.element_gradients(mesh, u)
-        e_mag = np.hypot(grads[:, 0], grads[:, 1])
         _check_finite_field(e_mag, kept, context)
         sig = material_map.sigma_elements(mesh, e_mag, active)
         # Start from zero, not from x: CG stops at a relative residual of
@@ -265,8 +314,7 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
         # mode of each floating petal at 1e-8..1e-7 nodally, above
         # picard_tol; the coarse vectors solve that mode exactly. Cold,
         # each step stays a fixed function of sigma.
-        x_lin = fem.solve_spd(asm.assemble(sig, values),
-                              coarse=asm.deflation_basis).x
+        x_lin = linear_solve(sig)
         if not np.all(np.isfinite(x_lin)):
             el = kept[0] if len(kept) else 0
             raise NumericalBreakdownError(
@@ -277,7 +325,8 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
         change = float(np.max(np.abs(x_new - x))) / scale
         x = x_new
         u = asm.expand(x, values)
-        energies.append(energy_of(u))
+        grads, e_mag = _field(mesh, u)
+        energies.append(energy_of(u, e_mag))
         changes.append(change)
         if change <= config.picard_tol:
             converged = True
@@ -291,7 +340,7 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
     monitors = _monitor(u, values, energies, context, damping)
     return fem.FieldSolution(
         nodal_potential=u,
-        element_gradient=fem.element_gradients(mesh, u),
+        element_gradient=grads,
         energy=energies[-1],
         iterations=len(changes),
         picard_energy=np.asarray(energies),
@@ -483,6 +532,9 @@ def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, p0=2.0,
     lim_l2 = float(np.sqrt(np.sum(area * lim_el**2)))
     lim_max = float(np.max(np.abs(v_lim[mat_nodes])))
 
+    # one assembler, and one deflation basis, for every point: they share
+    # the mesh, the boundary nodes and the (empty) conductor split
+    asm = fem.Assembler(mesh, nodes)
     base = config or NonlinearSolveConfig()
     n = len(lambda_grid)
     e2 = np.full(n, np.nan)
@@ -501,7 +553,7 @@ def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, p0=2.0,
         try:
             sol = solve_nonlinear(
                 mesh, material_map, (nodes, lam * values), cfg,
-                context=f"sweep lambda={lam:.3e}",
+                context=f"sweep lambda={lam:.3e}", assembler=asm,
             )
         except (PicardNonConvergenceError, NumericalBreakdownError,
                 fem.NonConvergenceError) as err:

@@ -223,7 +223,7 @@ def conductance_matrix(mesh, material_map, amplitude=1e-3, mode="pec-limit",
         sol = solver.solve_nonlinear(
             mesh, material_map, (el.nodes, el.patterns[:, j]), config,
             pec_regions=el.pec_regions,
-            context=f"conductance pattern {el.ids[j]}",
+            context=f"conductance pattern {el.ids[j]}", assembler=asm,
         )
         e_mag = np.hypot(sol.element_gradient[:, 0],
                          sol.element_gradient[:, 1])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from qlert import cli, fem, materials, oracle, solver, tomography
 from qlert import mesh as qm
@@ -430,6 +431,18 @@ class TestDirichletEnergy:
         inc = mesh.region_mask("inclusion-1")
         assert whole - part == pytest.approx(area[inc].sum() / 2.0, rel=1e-12)
 
+    def test_given_field_gives_the_same_energy(self):
+        mesh = qm.generate_petal_cable(6.0, [(3.0, 0.0)], 1.0, 2)
+        mmap = materials.MaterialMap(
+            {"matrix": materials.linear(2.0),
+             "inclusion-1": materials.weighted_power(1.0, 1.5)})
+        u = mesh.nodes[:, 0] ** 2 + mesh.nodes[:, 1]
+        grads = fem.element_gradients(mesh, u)
+        e_mag = np.hypot(grads[:, 0], grads[:, 1])
+        for skip in ((), ("inclusion-1",)):
+            assert (fem.dirichlet_energy(mesh, mmap, u, skip, e_mag=e_mag)
+                    == fem.dirichlet_energy(mesh, mmap, u, skip))
+
     def test_skipped_region_needs_no_material(self):
         mesh = qm.generate_petal_cable(6.0, [(3.0, 0.0)], 1.0, 2)
         u = mesh.nodes[:, 0]
@@ -575,6 +588,84 @@ class TestElementStiffness:
             asm.element_stiffness(merged)
         with pytest.raises(ValueError, match="merged"):
             asm.element_stiffness([mesh.element_count])
+
+
+def coo_blocks(asm, sigma):
+    """Reference: (K_ff, K_fd) as ``Assembler`` built them before its CSR
+    plan, element triplets summed by scipy's COO -> CSR conversion."""
+    mesh = asm.mesh
+    tris = mesh.elements[asm.kept]
+    gi = asm.node_dof[tris]
+    rows = np.repeat(gi[:, :, None], 3, axis=2)
+    cols = np.repeat(gi[:, None, :], 3, axis=1)
+    ff = (rows >= 0) & (cols >= 0)
+    fd = (rows >= 0) & (cols == fem.FIXED)
+    masters = np.repeat(asm.parent[tris][:, None, :], 3, axis=1)
+    vals = sigma[asm.kept][:, None, None] * asm.element_stiffness(asm.kept)
+    n = asm.n_free
+    k_ff = sparse.coo_matrix((vals[ff], (rows[ff], cols[ff])),
+                             shape=(n, n)).tocsr()
+    k_fd = sparse.coo_matrix(
+        (vals[fd], (rows[fd], np.searchsorted(asm.bc_nodes, masters[fd]))),
+        shape=(n, len(asm.bc_nodes))).tocsr()
+    return k_ff, k_fd
+
+
+def assert_same_csr(got, ref):
+    assert got.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+class TestCsrPlan:
+    """Assembly from the cached CSR plan against the COO -> CSR
+    conversion it replays: equal index arrays and bit-equal sums."""
+
+    @pytest.mark.parametrize("refinement", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("role", [None, "pec_regions", "excluded_regions"])
+    def test_readme_cables_with_random_sigma(self, refinement, role):
+        mesh = cli.build_mesh(readme_cable(refinement, 1e-3))
+        split = {role: tuple(mesh.inclusion_regions())} if role else {}
+        asm = fem.Assembler(mesh, qm.outer_boundary_nodes(mesh), **split)
+        rng = np.random.default_rng(refinement)
+        for _ in range(2):
+            sigma = 10.0 ** rng.uniform(-9.0, 16.0, mesh.element_count)
+            bv = rng.standard_normal(len(asm.bc_nodes))
+            k_ff, k_fd = asm._blocks(sigma)
+            ref_ff, ref_fd = coo_blocks(asm, sigma)
+            assert_same_csr(k_ff, ref_ff)
+            assert_same_csr(k_fd, ref_fd)
+            _, rhs = asm.assemble(sigma, bv)
+            assert np.array_equal(rhs, -ref_fd @ bv)
+
+    def test_tagged_disk_with_electrode_gaps(self):
+        mesh = qm.tag_electrodes(qm.generate_disk(1.0, 3),
+                                 qm.ElectrodeLayout.uniform(8, 0.5))
+        nodes = np.concatenate(list(qm.electrode_nodes(mesh).values()))
+        asm = fem.Assembler(mesh, nodes)
+        sigma = 10.0 ** np.random.default_rng(7).uniform(
+            -9.0, 16.0, mesh.element_count)
+        for got, ref in zip(asm._blocks(sigma), coo_blocks(asm, sigma)):
+            assert_same_csr(got, ref)
+
+    def test_no_free_dof(self):
+        mesh = qm.generate_disk(1.0, 1)
+        asm = fem.Assembler(mesh, np.arange(mesh.node_count))
+        sigma = np.ones(mesh.element_count)
+        assert asm.n_free == 0
+        for got, ref in zip(asm._blocks(sigma), coo_blocks(asm, sigma)):
+            assert_same_csr(got, ref)
+
+    def test_plan_arrays_are_shared_and_read_only(self):
+        asm = fem.Assembler(TWO_PETALS, qm.outer_boundary_nodes(TWO_PETALS))
+        sigma = np.ones(TWO_PETALS.element_count)
+        first, _ = asm.assemble(sigma, np.zeros(len(asm.bc_nodes)))
+        second, _ = asm.assemble(2.0 * sigma, np.zeros(len(asm.bc_nodes)))
+        assert np.shares_memory(first.indices, second.indices)
+        with pytest.raises(ValueError):
+            first.indices[0] = 0
 
 
 def plain_pcg(system, tol=1e-10, max_iter=None):

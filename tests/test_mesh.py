@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -263,6 +264,26 @@ class TestRelabel:
         m = qm.generate_disk(1.0, 2)
         with pytest.raises(qm.MeshError):
             qm.relabel_elements(m, np.zeros(m.element_count, bool), "defect-1")
+
+    def test_region_elements_match_masks_and_are_kept(self):
+        m = qm.generate_petal_cable(6.0, [(3.0, 0.0), (-3.0, 0.0)], 1.0, 2)
+        index = m.region_elements()
+        assert list(index) == sorted(np.unique(m.element_region))
+        for label, elements in index.items():
+            assert np.array_equal(elements,
+                                  np.flatnonzero(m.region_mask(label)))
+            with pytest.raises(ValueError):
+                elements[0] = 0
+        again = m.region_elements()
+        assert all(again[lab] is index[lab] for lab in index)
+        with pytest.raises(TypeError):
+            index["matrix"] = np.arange(3)
+        d = qm.relabel_elements(m, np.arange(m.element_count) < 4, "defect-1")
+        assert "defect-1" in d.region_elements()
+        assert "defect-1" not in m.region_elements()
+        # the cache does not stop a mesh from pickling
+        copy = pickle.loads(pickle.dumps(m))
+        assert list(copy.region_elements()) == list(index)
 
     def test_mesh_arrays_immutable(self):
         m = qm.generate_disk(1.0, 2)

@@ -78,6 +78,50 @@ class TestSolveNonlinear:
         assert sol.monitors["max_principle_ok"]
         assert sol.monitors["energy_descent_ok"]
 
+    @pytest.mark.parametrize("case", ["linear", "pec-limit"])
+    def test_field_independent_map_takes_one_linear_solve(
+            self, disk3, holed_disk, monkeypatch, case):
+        if case == "linear":
+            mesh, split = disk3, {}
+            mmap = materials.MaterialMap({"matrix": materials.linear(4.0)})
+        else:
+            mesh, split = holed_disk, {"pec_regions": ("inclusion-1",)}
+            mmap = materials.MaterialMap(
+                {"matrix": materials.weighted_power(3.0, 2.0)})
+        nodes, values = disk_profile(mesh, lambda x, y: x**2 - y**2)
+        solve = fem.solve_spd
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "solve_spd", counting)
+        sol = solver.solve_nonlinear(mesh, mmap, (nodes, values), **split)
+        assert len(calls) == 1
+        # the two-solve path: the initial iterate, then one step that
+        # solves the same system again from zero and lands on it exactly
+        asm = fem.Assembler(mesh, nodes, **split)
+        bv = values[np.argsort(nodes)]
+        sig = mmap.sigma_elements(mesh, np.ones(mesh.element_count),
+                                  [lab for lab in mesh.region_elements()
+                                   if lab not in asm.pec_regions])
+        first, second = (
+            solve(asm.assemble(sig, bv), coarse=asm.deflation_basis).x
+            for _ in range(2)
+        )
+        assert np.array_equal(first, second)
+        u = asm.expand(second, bv)
+        energy = fem.dirichlet_energy(mesh, mmap, u,
+                                      skip_regions=asm.pec_regions)
+        assert np.array_equal(sol.nodal_potential, u)
+        assert np.array_equal(sol.element_gradient,
+                              fem.element_gradients(mesh, u))
+        assert sol.energy == energy
+        assert np.array_equal(sol.picard_energy, [energy, energy])
+        assert np.array_equal(sol.picard_change, [0.0])
+        assert sol.iterations == 1
+
     def test_dict_and_pair_boundary_data_agree(self, disk3):
         nodes, values = disk_profile(disk3, lambda x, y: x)
         mmap = materials.MaterialMap({"matrix": materials.linear(1.0)})
@@ -546,6 +590,61 @@ class TestLambdaSweep:
         assert all(len(c) == 2 for c in columns)
         assert columns[0][0] == 1.0
         assert columns[4][1] == sweep.picard_iters[1]
+
+
+class TestSharedAssembler:
+    MAP = materials.MaterialMap({"matrix": materials.linear(1.0),
+                                 "inclusion-1": materials.linear(5.0)})
+
+    def test_same_solution_as_a_fresh_assembler(self, holed_disk):
+        nodes, values = disk_profile(holed_disk, lambda x, y: x)
+        asm = fem.Assembler(holed_disk, nodes)
+        fresh = solver.solve_nonlinear(holed_disk, self.MAP, (nodes, values))
+        for _ in range(2):
+            shared = solver.solve_nonlinear(holed_disk, self.MAP,
+                                            (nodes, values), assembler=asm)
+            assert np.array_equal(shared.nodal_potential,
+                                  fresh.nodal_potential)
+            assert shared.energy == fresh.energy
+
+    def test_rejects_an_assembler_of_another_problem(self, holed_disk):
+        nodes, values = disk_profile(holed_disk, lambda x, y: x)
+        twin = qm.generate_petal_cable(1.0, [(0.0, 0.0)], 0.3, 3)
+        petal = ("inclusion-1",)
+        cases = [
+            (fem.Assembler(twin, nodes), {}, "another mesh"),
+            (fem.Assembler(holed_disk, nodes[1:]), {},
+             "another boundary node set"),
+            (fem.Assembler(holed_disk, nodes, pec_regions=petal), {},
+             "another conductor split"),
+            (fem.Assembler(holed_disk, nodes), {"excluded_regions": petal},
+             "another conductor split"),
+        ]
+        for asm, split, what in cases:
+            with pytest.raises(ValueError, match=what):
+                solver.solve_nonlinear(holed_disk, self.MAP, (nodes, values),
+                                       assembler=asm, **split)
+
+    def test_eight_point_pec_sweep_builds_two_assemblers(self, holed_disk,
+                                                         monkeypatch):
+        built = []
+
+        class Counting(fem.Assembler):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(fem, "Assembler", Counting)
+        mmap = materials.MaterialMap(
+            {"matrix": materials.weighted_power(2.0, 2.0),
+             "inclusion-1": materials.weighted_power(1.0, 1.5)})
+        nodes, values = disk_profile(holed_disk, lambda x, y: x)
+        grid = solver.log_grid(1.0, 1e-7, per_decade=1)
+        sweep = solver.lambda_sweep(holed_disk, mmap, (nodes, values), grid,
+                                    "pec")
+        assert len(grid) == 8 and sweep.all_ok
+        # the limit solve's, with the petal merged, and one for all points
+        assert [a.pec_regions for a in built] == [("inclusion-1",), ()]
 
 
 class TestProfilesAndGrids:

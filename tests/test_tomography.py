@@ -460,7 +460,7 @@ class TestDirectConductance:
         g = tomo.conductance_matrix(tagged_cable, cable_map(tagged_cable),
                                     amplitude=1e-3, mode="nonlinear")
         assert counts["fixed_point"] == g.size == 16
-        assert counts["assemblers"] == 1 + g.size
+        assert counts["assemblers"] == 1
 
     def test_direct_path_files_max_principle_breaches(self, tagged_disk,
                                                       monkeypatch):
