@@ -11,7 +11,11 @@ names the offending dotted key path. Physical quantities carry their
 unit in the key name (``radius_m``, ``amplitude_v``, ``sigma_s_per_m``)
 under a mandatory top-level ``units: "SI"`` marker. Every artifact
 embeds the sha256 of the config file for provenance, and identical
-(config, seed) runs produce byte-identical outputs.
+(config, seed) runs produce byte-identical outputs at the same BLAS
+thread count. The conjugate gradients' dot products go to BLAS, whose
+threaded reduction order depends on the thread count: the refinement-6
+README cable at 1 mV writes potentials that differ by up to 4.3e-18 V
+between 1 and 2 OpenBLAS threads.
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence,
 4 filesystem error.

@@ -354,7 +354,8 @@ class MaterialMap:
             raise KeyError(f"no material for region '{label}'") from None
 
     def validate_for(self, mesh):
-        missing = sorted(set(np.unique(mesh.element_region)) - set(self.models))
+        missing = [lab for lab in mesh.region_elements()
+                   if lab not in self.models]
         if missing:
             raise ValueError(f"regions without a material: {missing}")
         return self

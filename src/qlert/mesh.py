@@ -143,10 +143,6 @@ class Mesh:
             object.__setattr__(self, "_region_elements", index)
         return MappingProxyType(index)
 
-    def regions_of_kind(self, kind):
-        """All region labels whose table entry matches ``kind``."""
-        return sorted(k for k, v in self.region_table.items() if v == kind)
-
     def inclusion_regions(self):
         """Inclusion labels in component order (inclusion-1, inclusion-2, ...)."""
         labs = [
@@ -155,7 +151,8 @@ class Mesh:
         return sorted(labs, key=lambda s: (len(s), s))
 
     def defect_regions(self):
-        return self.regions_of_kind("defect")
+        """Defect labels, sorted."""
+        return sorted(k for k, v in self.region_table.items() if v == "defect")
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +576,10 @@ def region_interface_edges(mesh, label, pairs=None):
     return arr[:, :2], arr[:, 2], arr[:, 3]
 
 
-def relabel_elements(mesh, mask, label, kind="defect"):
-    """New mesh with ``label`` stamped on the masked elements and the
-    region table extended accordingly. Used to carve defects."""
+def relabel_elements(mesh, mask, label):
+    """New mesh with ``label`` stamped on the masked elements, entered in
+    the region table as a defect. Used to carve defects and test
+    domains."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (mesh.element_count,):
         raise MeshError("mask must have one entry per element")
@@ -590,7 +588,7 @@ def relabel_elements(mesh, mask, label, kind="defect"):
     labels = mesh.element_region.astype(object)
     labels[mask] = label
     table = dict(mesh.region_table)
-    table[label] = kind
+    table[label] = "defect"
     table = {k: v for k, v in table.items() if k in set(labels.tolist())}
     return replace(
         mesh, element_region=np.asarray(labels, dtype=np.str_), region_table=table
@@ -628,15 +626,14 @@ def _content_lines(path):
                 yield n, text
 
 
-def read_mesh(path, region_kinds=None):
+def read_mesh(path):
     """Parse the ``qlmesh 1`` text format.
 
     Layout: a ``qlmesh 1`` header, ``nodes N`` followed by N ``x y`` rows,
     ``elements M`` followed by M ``i j k label`` rows, ``boundary K``
     followed by K ``i j electrode_id`` rows. ``#`` starts a comment.
-    Region kinds are reconstructed from label names (``inclusion-*`` keeps
-    its own name as kind, ``defect*`` -> defect, else matrix) unless
-    ``region_kinds`` overrides them."""
+    Region kinds are reconstructed from label names: ``inclusion-*``
+    keeps its own name as kind, ``defect*`` -> defect, else matrix."""
     it = _content_lines(path)
 
     def next_line(what):
@@ -727,9 +724,7 @@ def read_mesh(path, region_kinds=None):
 
     table = {}
     for lab in set(labels.tolist()):
-        if region_kinds and lab in region_kinds:
-            table[lab] = region_kinds[lab]
-        elif lab.startswith("inclusion"):
+        if lab.startswith("inclusion"):
             table[lab] = lab
         elif lab.startswith("defect"):
             table[lab] = "defect"

@@ -54,6 +54,9 @@ COLOR_TABLE = _build_table()
 _PALETTE = COLOR_TABLE + (_NAN_COLOR,)
 #: Elements formatted per block; bounds the transient row lists.
 _BLOCK = 1024
+#: Figure sizes in pixels: mesh views, and line plots (width, height).
+_MESH_WIDTH = 480
+_PLOT_SIZE = (520, 380)
 
 
 def _color_index(t):
@@ -164,7 +167,7 @@ def edge_segments(mesh, edges):
 
 
 def heatmap(mesh, element_values, title="", comment="", outlines=(),
-            vmin=None, vmax=None, width=480):
+            vmin=None, vmax=None):
     """Flat-shaded per-element field plot with a horizontal colorbar.
 
     ``outlines`` is a sequence of (x1, y1, x2, y2) segment arrays drawn
@@ -185,6 +188,7 @@ def heatmap(mesh, element_values, title="", comment="", outlines=(),
     if hi <= lo:
         hi = lo + 1.0
 
+    width = _MESH_WIDTH
     frame, bottom = _mesh_frame(mesh, width, top=28.0)
     body = _header(width, int(bottom + 46), comment)
     if title:
@@ -210,12 +214,13 @@ def heatmap(mesh, element_values, title="", comment="", outlines=(),
 
 
 def mask_overlay(mesh, mask, true_boundary=(), outlines=(), title="",
-                 comment="", width=480):
+                 comment=""):
     """Reconstruction view: flagged elements filled, the true defect
     boundary stroked, other interfaces in light gray."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (mesh.element_count,):
         raise ValueError("need one flag per element")
+    width = _MESH_WIDTH
     frame, bottom = _mesh_frame(mesh, width, top=28.0)
     body = _header(width, int(bottom + 8), comment)
     if title:
@@ -241,9 +246,10 @@ def _lin_ticks(lo, hi, n=5):
 
 
 def line_plot(series, title="", xlabel="", ylabel="", log_x=False,
-              log_y=False, comment="", width=520, height=380):
+              log_y=False, comment=""):
     """Polyline chart. ``series`` is a list of (label, xs, ys); NaN points
     are dropped per series. Log axes get decade gridlines."""
+    width, height = _PLOT_SIZE
     box = (64.0, 30.0, width - 84.0, height - 84.0)
     cleaned = []
     for label, xs, ys in series:

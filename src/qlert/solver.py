@@ -98,9 +98,10 @@ class NumericalBreakdownError(RuntimeError):
 class NonlinearSolveConfig:
     """Fixed-point controls.
 
-    ``damping`` of None picks 0.7 for a weighted power law with p > 2,
-    whose conductivity grows with the field, else 1.0 (E-J, linear): a
-    full step then minimises a majorant of the energy (module docstring).
+    The damping is not a control: the solve damps by 0.7 when a weighted
+    power law with p > 2, whose conductivity grows with the field, is
+    active, and takes full steps otherwise (E-J, linear), each of which
+    minimises a majorant of the energy (module docstring).
     ``initial_guess`` is None (solve once with sigma frozen at a
     data-scale field) or a nodal array whose free-dof values start the
     iteration; linearized systems go to ``fem.solve_spd`` at defaults.
@@ -108,7 +109,6 @@ class NonlinearSolveConfig:
 
     max_picard_iter: int = 200
     picard_tol: float = 1e-8
-    damping: float | None = None
     initial_guess: np.ndarray | None = None
 
     def __post_init__(self):
@@ -116,22 +116,16 @@ class NonlinearSolveConfig:
             raise ValueError("picard_tol must be positive")
         if self.max_picard_iter < 1:
             raise ValueError("max_picard_iter must be at least 1")
-        if self.damping is not None and not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.initial_guess is not None and np.ndim(self.initial_guess) != 1:
             raise ValueError("initial_guess must be None or a nodal array")
 
 
 def _boundary_pair(f):
-    if isinstance(f, dict):
-        nodes = np.array(sorted(f), dtype=np.int64)
-        values = np.array([f[int(n)] for n in nodes], dtype=float)
-    else:
-        nodes, values = f
-        nodes = np.asarray(nodes, dtype=np.int64)
-        values = np.asarray(values, dtype=float)
-        order = np.argsort(nodes)
-        nodes, values = nodes[order], values[order]
+    nodes, values = f
+    nodes = np.asarray(nodes, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(nodes)
+    nodes, values = nodes[order], values[order]
     if not np.all(np.isfinite(values)):
         raise ValueError("boundary values must be finite")
     return nodes, values
@@ -225,13 +219,14 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
                     excluded_regions=(), context="nonlinear", assembler=None):
     """Quasilinear Dirichlet solve by fixed-point (Kachanov) iteration.
 
-    ``f`` is a dict {node: value} or a (nodes, values) pair. Regions in
-    ``pec_regions`` are merged to floating constants, regions in
-    ``excluded_regions`` are dropped from assembly; neither needs an
-    entry in ``material_map``. ``assembler`` is an optional
-    ``fem.Assembler`` to reuse, with its cached deflation basis, across
-    solves; it must have been built for this mesh object, the nodes of
-    ``f`` and this conductor split, or ValueError names what differs.
+    ``f`` is a (nodes, values) pair. Regions in ``pec_regions`` are
+    merged to floating constants, regions in ``excluded_regions`` are
+    dropped from assembly; neither needs an entry in ``material_map``.
+    The damping follows from the active materials (``NonlinearSolveConfig``).
+    ``assembler`` is an optional ``fem.Assembler`` to reuse, with its
+    cached deflation basis, across solves; it must have been built for
+    this mesh object, the nodes of ``f`` and this conductor split, or
+    ValueError names what differs.
     """
     config = config or NonlinearSolveConfig()
     nodes, values = _boundary_pair(f)
@@ -245,9 +240,7 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
     active = [lab for lab in mesh.region_elements() if lab not in skip]
     for lab in active:
         material_map.for_region(lab)  # fail early on a missing material
-    damping = config.damping
-    if damping is None:
-        damping = _auto_damping(material_map, active)
+    damping = _auto_damping(material_map, active)
     kept = asm.kept
 
     def energy_of(u, e_mag):
@@ -353,8 +346,9 @@ def _as_map(mesh, matrix_material, hidden_regions):
     from .materials import MaterialMap, MaterialModel
 
     if isinstance(matrix_material, MaterialModel):
-        labels = set(np.unique(mesh.element_region)) - set(hidden_regions)
-        return MaterialMap({lab: matrix_material for lab in labels})
+        return MaterialMap({lab: matrix_material
+                            for lab in mesh.region_elements()
+                            if lab not in hidden_regions})
     return matrix_material
 
 
@@ -395,13 +389,13 @@ def boundary_weights(mesh, nodes):
     return w[nodes]
 
 
-def linear_profile(mesh, scale=1.0, axis=0):
-    """Boundary data proportional to a coordinate on the outer boundary.
+def linear_profile(mesh, scale=1.0):
+    """Boundary data proportional to x on the outer boundary.
 
-    Returns (nodes, values) with values = scale * coordinate, which has
-    zero weighted boundary mean on a symmetric outer loop."""
+    Returns (nodes, values) with values = scale * x, which has zero
+    weighted boundary mean on a symmetric outer loop."""
     nodes = qmesh.outer_boundary_nodes(mesh)
-    return nodes, scale * mesh.nodes[nodes, axis]
+    return nodes, scale * mesh.nodes[nodes, 0]
 
 
 def log_grid(high, low, per_decade=9):
@@ -466,7 +460,8 @@ def _warn_exponent_mismatch(material_map, inclusion_regions, p0, limit_kind):
             ref = model.e0 if model.e0 > 0 else 1.0
             grid = np.geomspace(ref * 1e-5, ref * 1e5, 121)
             report = validate_assumptions(model, grid)
-        except Exception:
+        except (KeyError, ValueError):
+            # no material for the region, or a law the check cannot sample
             continue
         q0 = report.small_exponent
         if not np.isfinite(q0):
@@ -487,13 +482,15 @@ def _warn_exponent_mismatch(material_map, inclusion_regions, p0, limit_kind):
 
 
 def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, p0=2.0,
-                 config=None, inclusion_regions=None, limit_solution=None):
+                 config=None):
     """Solve at boundary data lam*f over a decreasing grid of lam and
     compare normalized solutions against the stated limiting problem.
 
-    ``limit_kind`` is "pec" or "pei" and decides how the limiting
-    solution is computed (unless one is passed in). Individual failures
-    are recorded in ``status`` and do not abort the sweep."""
+    The mesh's inclusions are the regions that the limit replaces: by
+    perfect conductors when ``limit_kind`` is "pec", by perfect
+    insulators when it is "pei". The limiting solution is solved here,
+    with ``config``, like every point. Individual failures are recorded
+    in ``status`` and do not abort the sweep."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.ndim != 1 or len(lambda_grid) == 0:
         raise ValueError("lambda grid must be a non-empty 1-d array")
@@ -505,24 +502,14 @@ def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, p0=2.0,
     nodes, values = _boundary_pair(f)
     _check_zero_mean(mesh, nodes, values)
 
-    if inclusion_regions is None:
-        inclusion_regions = mesh.inclusion_regions()
-    inclusion_regions = tuple(inclusion_regions)
+    inclusion_regions = tuple(mesh.inclusion_regions())
     _warn_exponent_mismatch(material_map, inclusion_regions, p0, limit_kind)
 
-    matrix_labels = sorted(
-        set(np.unique(mesh.element_region)) - set(inclusion_regions)
-    )
-    matrix_map = _as_map(mesh, material_map, inclusion_regions)
-    if limit_solution is None:
-        if limit_kind == "pec":
-            limit_solution = solve_pec_limit(
-                mesh, matrix_map, inclusion_regions, (nodes, values), config
-            )
-        else:
-            limit_solution = solve_pei_limit(
-                mesh, matrix_map, inclusion_regions, (nodes, values), config
-            )
+    matrix_labels = [lab for lab in mesh.region_elements()
+                     if lab not in inclusion_regions]
+    limit = solve_pec_limit if limit_kind == "pec" else solve_pei_limit
+    limit_solution = limit(mesh, material_map, inclusion_regions,
+                           (nodes, values), config)
 
     mat_el = np.isin(mesh.element_region, matrix_labels)
     area = qmesh.element_areas(mesh)[mat_el]

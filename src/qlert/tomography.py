@@ -140,7 +140,7 @@ class _Electrodes:
     active: list          # regions that keep their material
 
     @classmethod
-    def of(cls, mesh, amplitude, mode, electrodes, pec_regions):
+    def of(cls, mesh, amplitude, mode, electrodes):
         if amplitude <= 0:
             raise ValueError("amplitude must be positive")
         if mode not in ("nonlinear", "pec-limit"):
@@ -154,17 +154,14 @@ class _Electrodes:
         nodes = np.concatenate(groups)
         if len(np.unique(nodes)) != len(nodes):
             raise ValueError("electrode node sets overlap")
-        if mode == "pec-limit":
-            if pec_regions is None:
-                pec_regions = mesh.inclusion_regions()
-            pec_regions = tuple(pec_regions)
-        else:
-            pec_regions = ()
+        pec_regions = (tuple(mesh.inclusion_regions())
+                       if mode == "pec-limit" else ())
         m = len(ids)
         owner = np.repeat(np.arange(m), [len(gr) for gr in groups])
         patterns = np.full((len(nodes), m), -amplitude / m)
         patterns[np.arange(len(nodes)), owner] += amplitude
-        active = sorted(set(np.unique(mesh.element_region)) - set(pec_regions))
+        active = [lab for lab in mesh.region_elements()
+                  if lab not in pec_regions]
         return cls(ids, nodes, owner, patterns, pec_regions, active)
 
     def incidence(self, node_count):
@@ -190,17 +187,15 @@ def _conductance(g, amplitude, ids, mode, scenario):
 
 
 def conductance_matrix(mesh, material_map, amplitude=1e-3, mode="pec-limit",
-                       electrodes=None, pec_regions=None, config=None,
-                       scenario=""):
+                       electrodes=None, config=None, scenario=""):
     """Measure the electrode conductance matrix of a tagged mesh.
 
     Pattern j drives electrode j at ``amplitude`` redistributed to zero
     mean over the electrodes (everyone else sits at -amplitude/m); gaps
     carry the natural no-flux condition. Entry (i, j) is the total
     reaction current through electrode i. With ``mode="pec-limit"`` the
-    regions in ``pec_regions`` (the mesh's inclusions by default) are
-    replaced by floating perfect conductors; ``mode="nonlinear"`` keeps
-    every material.
+    mesh's inclusions are replaced by floating perfect conductors;
+    ``mode="nonlinear"`` keeps every material.
 
     When every remaining material is field-independent, this is
     ``ConductanceOperator(...).background()``: one factorization solves
@@ -209,10 +204,10 @@ def conductance_matrix(mesh, material_map, amplitude=1e-3, mode="pec-limit",
     passes the maximum-principle monitor."""
     if electrodes is None:
         electrodes = qmesh.electrode_nodes(mesh)
-    el = _Electrodes.of(mesh, amplitude, mode, electrodes, pec_regions)
+    el = _Electrodes.of(mesh, amplitude, mode, electrodes)
     if all(material_map.for_region(lab).field_independent for lab in el.active):
         return ConductanceOperator(
-            mesh, material_map, amplitude, mode, electrodes, el.pec_regions,
+            mesh, material_map, amplitude, mode, electrodes,
         ).background(scenario)
 
     asm = fem.Assembler(mesh, el.nodes, pec_regions=el.pec_regions)
@@ -281,8 +276,9 @@ class ConductanceOperator:
     """Field-independent conductance matrices of one tagged mesh and of
     its changes on a few elements, from one factorization.
 
-    Built once per (mesh, electrodes, conductor split, background
-    material map), all of whose active materials must be
+    Built once per (mesh, electrodes, mode, background material map); in
+    pec-limit mode the mesh's inclusions are floating perfect conductors.
+    All active materials of the map must be
     field-independent: one ``fem.Assembler``, one sparse LU of the
     background free block K, the background free-dof potentials x of
     every pattern, and the background currents. ``background()`` is the
@@ -303,8 +299,8 @@ class ConductanceOperator:
     the maximum-principle monitor."""
 
     def __init__(self, mesh, material_map, amplitude=1e-3, mode="pec-limit",
-                 electrodes=None, pec_regions=None):
-        el = _Electrodes.of(mesh, amplitude, mode, electrodes, pec_regions)
+                 electrodes=None):
+        el = _Electrodes.of(mesh, amplitude, mode, electrodes)
         for lab in el.active:
             if not material_map.for_region(lab).field_independent:
                 raise ValueError(f"region '{lab}' has a field-dependent "
@@ -400,32 +396,32 @@ class ConductanceOperator:
 # ---------------------------------------------------------------------------
 
 
-def symmetric_eigenvalues(matrix, sym_tol=1e-8):
+def symmetric_eigenvalues(matrix):
     """All eigenvalues of a symmetric matrix, ascending.
 
-    Checks that the matrix is square and symmetric to ``sym_tol``
-    relative to its largest entry, then hands its symmetric part to
-    LAPACK (``numpy.linalg.eigvalsh``)."""
+    Checks that the matrix is square and symmetric to 1e-8 relative to
+    its largest entry, then hands its symmetric part to LAPACK
+    (``numpy.linalg.eigvalsh``)."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     scale = max(float(np.max(np.abs(a))), 1e-300)
-    if float(np.max(np.abs(a - a.T))) > sym_tol * scale:
+    if float(np.max(np.abs(a - a.T))) > 1e-8 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
-def spectral_norm(matrix, sym_tol=1e-8):
+def spectral_norm(matrix):
     """2-norm of a symmetric matrix: the largest absolute eigenvalue."""
-    eigs = symmetric_eigenvalues(matrix, sym_tol=sym_tol)
+    eigs = symmetric_eigenvalues(matrix)
     return float(np.max(np.abs(eigs)))
 
 
-def is_psd(matrix, tol=0.0, sym_tol=1e-8):
+def is_psd(matrix, tol=0.0):
     """(flag, min eigenvalue): positive semidefinite up to -tol."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    low = float(symmetric_eigenvalues(matrix, sym_tol=sym_tol)[0])
+    low = float(symmetric_eigenvalues(matrix)[0])
     return low >= -tol, low
 
 
@@ -460,8 +456,9 @@ def goe_noise(size, eta, dg_max, seed):
 # ---------------------------------------------------------------------------
 
 
-def disc_defect(mesh, center, radius, label="defect-1"):
-    """Carve a disc-shaped defect into the matrix region.
+def disc_defect(mesh, center, radius):
+    """Carve a disc-shaped defect, region ``defect-1``, into the matrix
+    region.
 
     Returns (new mesh, element mask). Elements belong to the defect
     when their centroid falls inside the disc and they currently lie in
@@ -469,7 +466,7 @@ def disc_defect(mesh, center, radius, label="defect-1"):
     c = qmesh.element_centroids(mesh)
     mask = np.hypot(c[:, 0] - center[0], c[:, 1] - center[1]) <= radius
     mask &= mesh.element_region == "matrix"
-    new = qmesh.relabel_elements(mesh, mask, label)
+    new = qmesh.relabel_elements(mesh, mask, "defect-1")
     return new, mask
 
 

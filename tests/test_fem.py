@@ -236,7 +236,7 @@ def _ring_bands(mesh, bands):
     mask = np.zeros(mesh.element_count, dtype=bool)
     for lo, hi in bands:
         mask |= (rad > lo) & (rad < hi)
-    return qm.relabel_elements(mesh, mask, "defect-band", kind="defect")
+    return qm.relabel_elements(mesh, mask, "defect-band")
 
 
 def _outer_nodes(mesh):
@@ -348,7 +348,7 @@ class TestExclusion:
         cen = qm.element_centroids(mesh)
         rad = np.hypot(cen[:, 0], cen[:, 1])
         band = (rad > 1.4) & (rad < 2.4)
-        cut = qm.relabel_elements(mesh, band, "defect-band", kind="defect")
+        cut = qm.relabel_elements(mesh, band, "defect-band")
         outer = [lo for lo in qm.boundary_loops(cut) if lo["outer"]][0]["nodes"]
         with pytest.raises(fem.SingularSystemError):
             fem.Assembler(cut, np.asarray(outer), excluded_regions=("defect-band",))
@@ -887,8 +887,7 @@ class TestDeflationBasis:
         mesh = qm.tag_electrodes(self.MESH, qm.ElectrodeLayout.uniform(8, 0.5))
         models = {"matrix": materials.linear(5.55e7)}
         op = tomography.ConductanceOperator(
-            mesh, materials.MaterialMap(models), amplitude=1e-3,
-            pec_regions=self.PETALS)
+            mesh, materials.MaterialMap(models), amplitude=1e-3)
         op.background("background")
         mask = np.zeros(mesh.element_count, dtype=bool)
         mask[np.flatnonzero(mesh.element_region == "matrix")[:5]] = True
@@ -914,7 +913,7 @@ class TestElementGeometryCache:
                                       "inclusion-1": materials.linear(5.0)})
         bn = qm.outer_boundary_nodes(mesh)
         sol = solver.solve_nonlinear(mesh, mmap, (bn, mesh.nodes[bn, 0]))
-        fem.dirichlet_energy(mesh, mmap, sol)
+        fem.dirichlet_energy(mesh, mmap, sol.nodal_potential)
         fem.element_gradients(mesh, sol.nodal_potential)
         assert len(calls) == 1 and calls[0] is mesh
 

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -700,6 +700,8 @@ class TestConductanceOperator:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 120),
            log_factor=st.floats(-3.0, 3.0))
+    # breaches the maximum principle on patterns 2-5, by up to 4.3e-4
+    @example(seed=1549191253, count=62, log_factor=3.0)
     def test_random_masks_match_refactorization(self, tagged_disk, seed,
                                                 count, log_factor):
         rng = np.random.default_rng(seed)
@@ -710,8 +712,22 @@ class TestConductanceOperator:
                                       materials.MaterialMap(models),
                                       amplitude=1.0)
         model = materials.linear(2.0 * 10.0 ** log_factor)
+        # P1 elements at a high contrast can breach the discrete maximum
+        # principle for real; both paths then file the same breaches,
+        # which are cleared here, and a breach filed by one path alone
+        # fails the test
+        start = len(solver.VIOLATIONS)
         g = op.matrix(mask, model, "random")
+        updated = solver.VIOLATIONS[start:]
+        del solver.VIOLATIONS[start:]
         ref = refactored_g(tagged_disk, models, mask, model, 1.0)
+        refactored = solver.VIOLATIONS[start:]
+        assert ([(v["kind"], v["context"]) for v in updated]
+                == [(v["kind"], "random " + v["context"]) for v in refactored])
+        assert np.allclose([v["magnitude"] for v in updated],
+                           [v["magnitude"] for v in refactored],
+                           rtol=0.0, atol=1e-10)
+        del solver.VIOLATIONS[start:]
         assert relative_gap(g, ref) <= 1e-10
 
 
