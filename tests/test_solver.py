@@ -58,6 +58,8 @@ class TestConfig:
             {"picard_tol": 0.0},
             {"picard_tol": -1e-10},
             {"max_picard_iter": 0},
+            {"max_picard_iter": -1},
+            {"initial_guess": np.zeros((3, 2))},
             {"initial_guess": "interpolate"},
             {"initial_guess": "zero"},
         ],
