@@ -667,10 +667,14 @@ def cmd_tomo(tree, digest, out, seed):
 
     # matrix_of(mask, name): the matrix with the defect material on the
     # masked elements, for the defect and every test domain
-    if mode == "pec-limit":
-        # one factorization; each matrix is a low-rank update of it
+    if mode == "pec-limit" or all(m.field_independent
+                                  for m in models.values()):
+        # every active material and the linear defect model are
+        # field-independent: one factorization, and each matrix is a
+        # low-rank update of it
         operator = tomography.ConductanceOperator(
-            mesh, materials.MaterialMap(models), amplitude=amplitude)
+            mesh, materials.MaterialMap(models), amplitude=amplitude,
+            mode=mode)
         g_bg = operator.background("background")
 
         def matrix_of(mask, name):

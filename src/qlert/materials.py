@@ -194,11 +194,6 @@ class MaterialModel:
         slope = (st[k + 1] - st[k]) / (et[k + 1] - et[k])
         return _Piece(lo, hi, _AFFINE, float(st[k] - slope * et[k]), float(slope))
 
-    def piece_bounds(self):
-        """Finite breakpoints of the regularized law (diagnostics)."""
-        bounds, _, _ = self._pieces
-        return bounds[np.isfinite(bounds) & (bounds > 0)]
-
     def without_regularization(self):
         return replace(self, e_floor=0.0, sigma_cap=np.inf)
 
@@ -352,18 +347,6 @@ class MaterialMap:
             return self.models[label]
         except KeyError:
             raise KeyError(f"no material for region '{label}'") from None
-
-    def validate_for(self, mesh):
-        missing = [lab for lab in mesh.region_elements()
-                   if lab not in self.models]
-        if missing:
-            raise ValueError(f"regions without a material: {missing}")
-        return self
-
-    def with_model(self, label, model):
-        d = dict(self.models)
-        d[label] = model
-        return MaterialMap(d)
 
     def sigma_elements(self, mesh, E_elements, labels=None):
         """Per-element conductivity for per-element field magnitudes.

@@ -28,8 +28,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .materials import tabulated
-
 __all__ = [
     "AnnulusFields",
     "CounterexampleModel",
@@ -139,20 +137,6 @@ class AnnulusFields:
         return 3.0 * self.band_energy("w", "outer") + 2.0 * self.band_energy(
             "w", "inner"
         )
-
-    def outer_gradient_ratio(self):
-        """Outer-band energy of v over that of w; approaches 1 as r grows."""
-        return self.band_energy("v", "outer") / self.band_energy("w", "outer")
-
-    def gradient_range(self, field, band="outer"):
-        """Exact (min, max) of the gradient magnitude over a band."""
-        a, b = self._coeffs(field, band)
-        lo, hi = (1.0, 2.0) if band == "inner" else (2.0, self.r)
-        # |grad|^2 = (a - b/rho^2)^2 cos^2 + (a + b/rho^2) ^2 sin^2
-        vals = []
-        for rho in (lo, hi):
-            vals.extend((abs(a - b / rho**2), abs(a + b / rho**2)))
-        return min(vals), max(vals)
 
 
 def annulus_fields(r):
@@ -287,21 +271,6 @@ class CounterexampleModel:
                     out[m] = expr(E[m], params[idx][m])
         out = np.where(E == 0.0, 6.0, out)
         return float(out[0]) if scalar else out
-
-    def to_material(self, samples_per_segment=24):
-        """Tabulated conductivity law for the solver and the growth checks
-        (claimed quadratic exponents; the small-field weight limit is the
-        thing this model refuses to have)."""
-        b = self.breakpoints()
-        es = [np.geomspace(b[0] / 1e3, b[0], 8)]
-        for lo, hi in zip(b[:-1], b[1:]):
-            es.append(np.geomspace(lo * (1 + 1e-9), hi, samples_per_segment))
-        es.append(np.geomspace(b[-1] * (1 + 1e-9), b[-1] * 10, 8))
-        e = np.unique(np.concatenate(es))
-        return tabulated(
-            e, self.sigma_psi(e), p=2.0, p0=2.0, e_floor=0.0, sigma_cap=np.inf,
-            name="oscillating-weight",
-        )
 
 
 def build_counterexample(L, lambda_double_1, n_terms=8):

@@ -7,10 +7,12 @@ golden-file comparisons are meaningful.
 
 Mesh-sized primitives are formatted from whole arrays: pixel coordinates
 come from one numpy expression per axis (``_Frame`` keeps the operation
-order, so every coordinate equals the per-point arithmetic bit for bit),
-colors from one table lookup, and each SVG element from one ``%``
-template applied to ``tolist()`` rows, in blocks of ``_BLOCK`` elements
-so the transient Python lists stay small.
+order, so every coordinate equals the per-point arithmetic bit for bit)
+and colors from one table lookup. A mesh view formats one coordinate
+string per node and joins each triangle from its three corners' strings;
+segments and polylines apply one ``%`` template to ``tolist()`` rows.
+Per-element lists are built in blocks of ``_BLOCK`` elements so the
+transient Python lists stay small.
 
 The colormap is fixed: 8 anchor colors interpolated linearly in RGB to a
 256-entry table. Values are mapped affinely from [vmin, vmax] to table
@@ -136,17 +138,25 @@ def _pixel_rows(frame, x, y):
 
 def _triangles(frame, mesh, palette, index):
     """One flat-shaded ``<polygon>`` per element, filled with
-    ``palette[index[k]]``."""
+    ``palette[index[k]]``.
+
+    Each node's pixel pair is formatted once, as ``"%.6g,%.6g"``, and an
+    element joins the strings of its three corners: the transform is
+    elementwise, so a node's pixel value is the same at every corner."""
     # stroke in the fill color hides hairline antialiasing seams
     tails = ['" fill="%s" stroke="%s" stroke-width="0.4"/>' % (c, c)
              for c in palette]
-    template = '<polygon points="%.6g,%.6g %.6g,%.6g %.6g,%.6g%s'
+    xy = mesh.nodes
+    points = ["%.6g,%.6g" % p for p in zip(frame.x(xy[:, 0]).tolist(),
+                                          frame.y(xy[:, 1]).tolist())]
     out = []
     for start in range(0, mesh.element_count, _BLOCK):
-        corners = mesh.nodes[mesh.elements[start:start + _BLOCK]]
-        rows = _pixel_rows(frame, corners[..., 0], corners[..., 1])
-        fills = [tails[i] for i in index[start:start + _BLOCK].tolist()]
-        out.extend(template % (*row, tail) for row, tail in zip(rows, fills))
+        # one list per corner, not one per element
+        first, second, third = mesh.elements[start:start + _BLOCK].T.tolist()
+        fills = index[start:start + _BLOCK].tolist()
+        out.extend([f'<polygon points="{points[a]} {points[b]} {points[c]}'
+                    f'{tails[i]}'
+                    for a, b, c, i in zip(first, second, third, fills)])
     return out
 
 

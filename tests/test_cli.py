@@ -13,7 +13,8 @@ import pytest
 
 import qlert
 import reference_writers as ref
-from qlert import cli, render, solver
+from qlert import cli, fem, materials, render, solver, tomography
+from qlert import mesh as qmesh
 
 
 def write_config(tmp_path, tree, name="config.json"):
@@ -414,6 +415,67 @@ class TestTomoCommand:
                          dtype=int)
         assert set(np.unique(flags)) <= {0, 1}
         assert flags[:, 0].sum() > 0
+
+    def test_field_independent_nonlinear_run_shares_one_operator(
+            self, tmp_path, monkeypatch):
+        # linear petals: every matrix is a low-rank update of the
+        # background factorization, as in the pec limit
+        tree = cable_tomo_config()
+        tree["materials"]["inclusions"] = {"model": "linear",
+                                           "sigma_s_per_m": 5.55e9}
+        tree["task"].update(mode="nonlinear", test_radii_m=[0.08e-3],
+                            test_spacing_m=0.1e-3)
+        path = write_config(tmp_path, tree)
+        assemblers = []
+
+        class CountingAssembler(fem.Assembler):
+            def __init__(self, *args, **kwargs):
+                assemblers.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "Assembler", CountingAssembler)
+        assert run("tomo", path, tmp_path / "shared") == cli.EXIT_OK
+        assert len(assemblers) == 1
+
+        # the replaced path: every matrix from its own relabelled mesh
+        # and factorization, checked against the shared operator's
+        operator = tomography.ConductanceOperator
+        init, shared = operator.__init__, operator.matrix
+        worst = []
+
+        def keep_map(self, mesh, material_map, *args, **kwargs):
+            self.models = material_map.models
+            init(self, mesh, material_map, *args, **kwargs)
+
+        def per_domain(self, mask, model, scenario=""):
+            got = shared(self, mask, model, scenario).matrix
+            tm = qmesh.relabel_elements(self.mesh, mask, "test-domain")
+            want = tomography.conductance_matrix(
+                tm, materials.MaterialMap({**self.models,
+                                           "test-domain": model}),
+                amplitude=self.amplitude, mode=self.mode, scenario=scenario)
+            worst.append(np.abs(got - want.matrix).max()
+                         / np.abs(want.matrix).max())
+            return want
+
+        monkeypatch.setattr(operator, "__init__", keep_map)
+        monkeypatch.setattr(operator, "matrix", per_domain)
+        assemblers.clear()
+        assert run("tomo", path, tmp_path / "per-domain") == cli.EXIT_OK
+        report = json.loads((tmp_path / "shared" / "report.json").read_text())
+        assert len(worst) == report["test_domains"] + 1  # and the defect
+        assert len(assemblers) == len(worst) + 1
+        assert max(worst) <= 1e-10
+
+        def accepted(out):
+            lines = (tmp_path / out / "domains.csv").read_text().splitlines()
+            return [line.rsplit(",", 1)[1] for line in lines[2:]]
+
+        assert "1" in accepted("shared")
+        assert accepted("shared") == accepted("per-domain")
+        assert ((tmp_path / "shared" / "reconstruction.csv").read_bytes()
+                == (tmp_path / "per-domain" / "reconstruction.csv")
+                .read_bytes())
 
 
 class TestWriteCsv:

@@ -78,9 +78,15 @@ class TestEnergyDensity:
         assert qmat.energy_density(m, 2.0) == pytest.approx(1.0 + 1.5 + 7 / 3)
 
 
+def piece_bounds(model):
+    """Finite breakpoints of the regularized law."""
+    bounds, _, _ = model._pieces
+    return bounds[np.isfinite(bounds) & (bounds > 0)]
+
+
 def finite_difference_consistency(model, e_lo, e_hi):
     es = np.geomspace(e_lo, e_hi, 120)
-    cuts = model.piece_bounds()
+    cuts = piece_bounds(model)
     h = es * 1e-4
     for cut in cuts:
         es = es[np.abs(es - cut) > 3 * np.interp(es, es, h)]
@@ -203,6 +209,20 @@ class TestValidateAssumptions:
             qmat.validate_assumptions(m, np.array([1e-5, 1e5]))
 
 
+def validate_for(material_map, mesh):
+    """The map itself when it has a model for every region of the mesh."""
+    missing = [lab for lab in mesh.region_elements()
+               if lab not in material_map.models]
+    if missing:
+        raise ValueError(f"regions without a material: {missing}")
+    return material_map
+
+
+def with_model(material_map, label, model):
+    """A new map with ``model`` on ``label``."""
+    return qmat.MaterialMap({**material_map.models, label: model})
+
+
 class TestMaterialMap:
     def test_missing_region_detected(self):
         from qlert import mesh as qm
@@ -210,9 +230,9 @@ class TestMaterialMap:
         cable = qm.generate_petal_cable(1.0, [(0.0, 0.0)], 0.5, 2)
         mm = qmat.MaterialMap({"matrix": qmat.linear(1.0)})
         with pytest.raises(ValueError):
-            mm.validate_for(cable)
-        mm2 = mm.with_model("inclusion-1", qmat.preset("BSCCO-EAS"))
-        assert mm2.validate_for(cable) is mm2
+            validate_for(mm, cable)
+        mm2 = with_model(mm, "inclusion-1", qmat.preset("BSCCO-EAS"))
+        assert validate_for(mm2, cable) is mm2
 
     def test_sigma_elements_respects_regions(self):
         from qlert import mesh as qm
@@ -285,7 +305,7 @@ LAWS = {
 def probe_fields(model):
     """Zero, the floor, every breakpoint with its float neighbours, and a
     log sweep plus random draws over twenty decades."""
-    cuts = np.concatenate([model.piece_bounds(), [model.e_floor]])
+    cuts = np.concatenate([piece_bounds(model), [model.e_floor]])
     cuts = cuts[np.isfinite(cuts) & (cuts > 0)]
     rng = np.random.default_rng(7)
     return np.concatenate([
@@ -310,7 +330,7 @@ class TestOneLookup:
     def test_scalars_match_reference_exactly(self, kind):
         model = LAWS[kind]
         for e in (0, 0.0, model.e_floor, np.float64(1e-4), np.array(2.5),
-                  *(float(c) for c in model.piece_bounds())):
+                  *(float(c) for c in piece_bounds(model))):
             for fn, ref in ((qmat.sigma, reference_sigma),
                             (qmat.energy_density, reference_energy_density)):
                 got, want = fn(model, e), ref(model, e)

@@ -106,6 +106,18 @@ class TestMatchesPerValueWriters:
             region_table={"matrix": "matrix"},
         )
 
+    def unused_node(self):
+        # node 2 belongs to no element and stretches the frame past the
+        # elements; the nodes after it keep their indices
+        return qm.Mesh(
+            nodes=[[0.0, 0.0], [1.0, 0.0], [-0.4, 1.3], [1.0, 1.0],
+                   [0.0, 1.0]],
+            elements=[[0, 1, 3], [0, 3, 4]],
+            element_region=["matrix", "matrix"],
+            boundary_edges=[[0, 1, -1], [1, 3, -1], [3, 4, -1], [4, 0, -1]],
+            region_table={"matrix": "matrix"},
+        )
+
     def value_cases(self, mesh):
         m = mesh.element_count
         r = np.hypot(*qm.element_centroids(mesh).T)
@@ -151,6 +163,27 @@ class TestMatchesPerValueWriters:
                               outlines=lines)
                 assert (render.mask_overlay(mesh, mask, **kwargs)
                         == ref.mask_overlay(mesh, mask, **kwargs))
+
+    @pytest.mark.parametrize("kind", ["cable-r5", "unused-node"])
+    def test_node_strings_shared_by_corners(self, kind):
+        # one coordinate string per node, joined per element
+        if kind == "cable-r5":
+            mesh = readme_cable(5)
+            lines = ref.region_outlines(mesh)
+        else:
+            mesh = self.unused_node()
+            lines = [render.edge_segments(mesh, mesh.elements[:, :2])]
+        values = np.hypot(*qm.element_centroids(mesh).T)
+        values[::5] = np.nan
+        kwargs = dict(title="t", comment="c", outlines=lines)
+        assert (render.heatmap(mesh, values, **kwargs)
+                == ref.heatmap(mesh, values, **kwargs))
+        mask = np.random.default_rng(5).random(mesh.element_count) < 0.3
+        segs = render.edge_segments(mesh, mesh.elements[:3, :2])
+        kwargs = dict(true_boundary=segs, title="m", comment="c",
+                      outlines=lines)
+        assert (render.mask_overlay(mesh, mask, **kwargs)
+                == ref.mask_overlay(mesh, mask, **kwargs))
 
     def test_pixel_coordinates_equal_the_scalar_frame(self, cable):
         # bit for bit, not just at the %.6g the SVG shows
