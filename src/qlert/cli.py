@@ -2,9 +2,9 @@
 
 Four subcommands over one JSON config format: ``solve`` (forward field),
 ``sweep`` (limit-approximation error versus excitation scale), ``oracle``
-(closed-form validation battery), ``tomo`` (defect imaging pipeline; in
-pec-limit mode one conductance operator, factored once, serves the
-background, the defect and every test domain).
+(closed-form validation battery), ``tomo`` (defect imaging pipeline; one
+``tomography.ConductanceOperator`` serves the background, the defect and
+every test domain).
 
 The config is a strict tree: unknown keys are rejected and every error
 names the offending dotted key path. Physical quantities carry their
@@ -665,34 +665,11 @@ def cmd_tomo(tree, digest, out, seed):
     if not vmask.any():
         _fail(dpath, "defect discs select no matrix elements")
 
-    # matrix_of(mask, name): the matrix with the defect material on the
-    # masked elements, for the defect and every test domain
-    if mode == "pec-limit" or all(m.field_independent
-                                  for m in models.values()):
-        # every active material and the linear defect model are
-        # field-independent: one factorization, and each matrix is a
-        # low-rank update of it
-        operator = tomography.ConductanceOperator(
-            mesh, materials.MaterialMap(models), amplitude=amplitude,
-            mode=mode)
-        g_bg = operator.background("background")
-
-        def matrix_of(mask, name):
-            return operator.matrix(mask, defect_model, name)
-    else:
-        g_bg = tomography.conductance_matrix(
-            mesh, materials.MaterialMap(models), amplitude=amplitude,
-            mode=mode, config=cfg, scenario="background",
-        )
-
-        def matrix_of(mask, name):
-            tm = qmesh.relabel_elements(mesh, mask, "test-domain")
-            return tomography.conductance_matrix(
-                tm, materials.MaterialMap({**models,
-                                           "test-domain": defect_model}),
-                amplitude=amplitude, mode=mode, config=cfg, scenario=name,
-            )
-    g_v = matrix_of(vmask, "defect")
+    operator = tomography.ConductanceOperator(
+        mesh, materials.MaterialMap(models), amplitude=amplitude, mode=mode,
+        config=cfg)
+    g_bg = operator.background("background")
+    g_v = operator.matrix(vmask, defect_model, "defect")
     dg_max = float(np.abs(g_v.matrix - g_bg.matrix).max())
     noise = tomography.goe_noise(g_v.size, eta, dg_max, seed=seed)
     delta_key = task.get("delta", "noise-norm")
@@ -721,7 +698,8 @@ def cmd_tomo(tree, digest, out, seed):
     except ValueError as exc:
         _fail(rpath, str(exc))
 
-    tests = [(domain, matrix_of(domain.element_mask, domain.id))
+    tests = [(domain,
+              operator.matrix(domain.element_mask, defect_model, domain.id))
              for domain in domains]
     rec = tomography.mpm_reconstruct(measured, tests, delta, tol=psd_tol)
 

@@ -18,11 +18,12 @@ for bit reuse that solution, so a field-independent map takes one linear
 solve. Each iterate's field is computed once and read by both its energy
 and the next step's sigma. A solve takes an optional ``fem.Assembler``
 built for its mesh, boundary nodes and conductor split: ``lambda_sweep``
-shares one across its points, ``tomography.conductance_matrix`` across
-its patterns. Every converged solve runs two cheap monitors — energy descent
-along the iterates and the discrete maximum principle — and files
-anything suspicious in the module-level ``VIOLATIONS`` registry so a test
-session can assert that nothing was ever silently wrong.
+shares one across its points, ``tomography.ConductanceOperator`` one
+across the patterns of each field-dependent matrix. Every converged
+solve runs two cheap monitors — energy descent along the iterates and
+the discrete maximum principle — and files anything suspicious in the
+module-level ``VIOLATIONS`` registry so a test session can assert that
+nothing was ever silently wrong.
 
 ``iterations`` on a returned FieldSolution counts fixed-point steps.
 """

@@ -9,13 +9,13 @@ the true defect V must satisfy G_T - G_V >= 0; testing that inequality
 against noisy data, shifted by the noise bound, yields an upper-bound
 reconstruction as the union of accepted test domains.
 
-When no active material depends on the field (every pec-limit imaging
-problem), a ``ConductanceOperator`` holds one assembly and one sparse LU
+One ``ConductanceOperator`` serves the background, the defect and the
+dictionary. When no active material depends on the field (every
+pec-limit imaging problem), it holds one assembly and one sparse LU
 factorization, solves all patterns as right-hand-side columns for the
 background matrix, and gives the matrix of the defect and of every test
-domain as an exact low-rank (Woodbury) update of that factorization, so
-one operator serves the background, the defect and the dictionary;
-otherwise each pattern of each matrix runs the fixed-point solver.
+domain as an exact low-rank (Woodbury) update of that factorization;
+otherwise it runs the fixed-point solver on each pattern of each matrix.
 Eigenvalues come from LAPACK (``numpy.linalg.eigvalsh``) after a
 symmetry check. PSD decisions are taken on the zero-mean subspace (the
 all-ones pattern is not observable with zero-mean excitations); the
@@ -32,6 +32,7 @@ from scipy import sparse
 from . import fem
 from . import mesh as qmesh
 from . import solver
+from .materials import MaterialMap
 from .materials import sigma as material_sigma
 
 __all__ = [
@@ -197,35 +198,13 @@ def conductance_matrix(mesh, material_map, amplitude=1e-3, mode="pec-limit",
     mesh's inclusions are replaced by floating perfect conductors;
     ``mode="nonlinear"`` keeps every material.
 
-    When every remaining material is field-independent, this is
-    ``ConductanceOperator(...).background()``: one factorization solves
-    all patterns at once. Otherwise each pattern runs
-    ``solver.solve_nonlinear`` with ``config``. Either way every pattern
-    passes the maximum-principle monitor."""
-    if electrodes is None:
-        electrodes = qmesh.electrode_nodes(mesh)
-    el = _Electrodes.of(mesh, amplitude, mode, electrodes)
-    if all(material_map.for_region(lab).field_independent for lab in el.active):
-        return ConductanceOperator(
-            mesh, material_map, amplitude, mode, electrodes,
-        ).background(scenario)
-
-    asm = fem.Assembler(mesh, el.nodes, pec_regions=el.pec_regions)
-    incidence = el.incidence(mesh.node_count)
-    m = len(el.ids)
-    g = np.zeros((m, m))
-    for j in range(m):
-        sol = solver.solve_nonlinear(
-            mesh, material_map, (el.nodes, el.patterns[:, j]), config,
-            pec_regions=el.pec_regions,
-            context=f"conductance pattern {el.ids[j]}", assembler=asm,
-        )
-        e_mag = np.hypot(sol.element_gradient[:, 0],
-                         sol.element_gradient[:, 1])
-        sig = material_map.sigma_elements(mesh, e_mag, el.active)
-        g[:, j] = incidence @ (
-            asm.raw_matrix(sig) @ np.nan_to_num(sol.nodal_potential))
-    return _conductance(g, amplitude, el.ids, mode, scenario)
+    This is ``ConductanceOperator(...).background(scenario)``: one
+    factorization solves all patterns at once when every remaining
+    material is field-independent, and each pattern runs
+    ``solver.solve_nonlinear`` with ``config`` otherwise. Either way
+    every pattern passes the maximum-principle monitor."""
+    return ConductanceOperator(mesh, material_map, amplitude, mode,
+                               electrodes, config).background(scenario)
 
 
 class _InverseColumns:
@@ -273,13 +252,16 @@ class _InverseColumns:
 
 
 class ConductanceOperator:
-    """Field-independent conductance matrices of one tagged mesh and of
-    its changes on a few elements, from one factorization.
+    """Conductance matrices of one tagged mesh and of its changes on a
+    few elements.
 
     Built once per (mesh, electrodes, mode, background material map); in
     pec-limit mode the mesh's inclusions are floating perfect conductors.
-    All active materials of the map must be
-    field-independent: one ``fem.Assembler``, one sparse LU of the
+    When an active material of the map depends on the field, each matrix
+    runs ``solver.solve_nonlinear`` with ``config`` once per pattern on
+    one ``fem.Assembler``, and ``matrix`` solves on the mesh with the
+    masked elements relabelled ``test-domain``. Otherwise it holds
+    one ``fem.Assembler``, one sparse LU of the
     background free block K, the background free-dof potentials x of
     every pattern, and the background currents. ``background()`` is the
     background matrix. ``matrix(mask, model)`` puts ``model`` on the
@@ -299,14 +281,16 @@ class ConductanceOperator:
     the maximum-principle monitor."""
 
     def __init__(self, mesh, material_map, amplitude=1e-3, mode="pec-limit",
-                 electrodes=None):
+                 electrodes=None, config=None):
         el = _Electrodes.of(mesh, amplitude, mode, electrodes)
-        for lab in el.active:
-            if not material_map.for_region(lab).field_independent:
-                raise ValueError(f"region '{lab}' has a field-dependent "
-                                 "material; no single factorization applies")
         self.mesh, self.amplitude, self.mode = mesh, float(amplitude), mode
-        self._el = el
+        self._el, self._map, self._config = el, material_map, config
+        self._in_pec = np.isin(mesh.element_region, el.pec_regions)
+        self._factored = all(material_map.for_region(lab).field_independent
+                             for lab in el.active)
+        if not self._factored:
+            self._g = self._fixed_point(mesh, material_map, "")
+            return
         asm = self._asm = fem.Assembler(mesh, el.nodes,
                                         pec_regions=el.pec_regions)
         self._sigma = material_map.sigma_elements(
@@ -322,6 +306,27 @@ class ConductanceOperator:
         self._g = el.incidence(mesh.node_count) @ (
             asm.raw_matrix(self._sigma) @ np.nan_to_num(self._u))
 
+    def _fixed_point(self, mesh, material_map, where):
+        """Currents of every pattern on ``mesh``, one fixed-point solve
+        each; ``where`` prefixes the monitor contexts."""
+        el = self._el
+        active = [lab for lab in mesh.region_elements()
+                  if lab not in el.pec_regions]
+        asm = fem.Assembler(mesh, el.nodes, pec_regions=el.pec_regions)
+        incidence = el.incidence(mesh.node_count)
+        g = np.zeros((len(el.ids), len(el.ids)))
+        for j, i in enumerate(el.ids):
+            sol = solver.solve_nonlinear(
+                mesh, material_map, (el.nodes, el.patterns[:, j]),
+                self._config, pec_regions=el.pec_regions,
+                context=f"{where}conductance pattern {i}", assembler=asm,
+            )
+            e_mag = np.hypot(*sol.element_gradient.T)
+            sig = material_map.sigma_elements(mesh, e_mag, active)
+            g[:, j] = incidence @ (
+                asm.raw_matrix(sig) @ np.nan_to_num(sol.nodal_potential))
+        return g
+
     def background(self, scenario=""):
         """The conductance matrix of the background material map."""
         return _conductance(self._g, self.amplitude, self._el.ids, self.mode,
@@ -329,9 +334,10 @@ class ConductanceOperator:
 
     def matrix(self, mask, model, scenario=""):
         """The conductance matrix with the field-independent ``model`` on
-        the elements of ``mask`` instead of their background material.
-        ``scenario`` names the domain in the result, in monitor contexts
-        and in errors."""
+        the elements of ``mask`` instead of their background material;
+        the mask may not reach into a perfect conductor. ``scenario``
+        names the domain in the result, in monitor contexts and in
+        errors."""
         name = scenario or "test domain"
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.mesh.element_count,) or not mask.any():
@@ -342,12 +348,19 @@ class ConductanceOperator:
         if not (np.isfinite(sig_t) and sig_t > 0):
             raise ValueError(f"{name}: test conductivity must be positive "
                              f"and finite, got {sig_t}")
-        elements = np.flatnonzero(mask)
-        try:
-            unit = self._asm.element_stiffness(elements)
-        except ValueError:
+        if self._in_pec[mask].any():
             raise ValueError(f"{name}: mask reaches into a perfectly "
-                             "conducting region") from None
+                             "conducting region")
+        where = f"{scenario} " if scenario else ""
+        if not self._factored:
+            g = self._fixed_point(
+                qmesh.relabel_elements(self.mesh, mask, "test-domain"),
+                MaterialMap({**self._map.models, "test-domain": model}),
+                where)
+            return _conductance(g, self.amplitude, self._el.ids, self.mode,
+                                scenario)
+        elements = np.flatnonzero(mask)
+        unit = self._asm.element_stiffness(elements)
         tri = self.mesh.elements[elements]
         delta = (sig_t - self._sigma[elements])[:, None, None] * unit
 
@@ -377,7 +390,7 @@ class ConductanceOperator:
             x = x + z @ c
             energy = c.T @ z_nn @ c  # the background energy of Z c
         u = self._asm.expand(x, self._bc)
-        self._el.check_patterns(u, f"{scenario} " if scenario else "")
+        self._el.check_patterns(u, where)
         # G = U^T K U / amplitude over the pattern potentials U; the change
         # is the energy of Z c plus the masked elements' own change. Being
         # stationary in c, this keeps the currents of a strong conductor

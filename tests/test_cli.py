@@ -477,6 +477,48 @@ class TestTomoCommand:
                 == (tmp_path / "per-domain" / "reconstruction.csv")
                 .read_bytes())
 
+    def test_field_dependent_nonlinear_run_matches_per_domain_path(
+            self, tmp_path, monkeypatch):
+        # E-J petals: every matrix runs the fixed-point solver on its own
+        # relabelled mesh, as the replaced per-domain path did
+        tree = cable_tomo_config()
+        tree["geometry"]["refinement"] = 1
+        tree["boundary"]["electrodes"]["count"] = 4
+        tree["task"].update(mode="nonlinear", test_radii_m=[0.15e-3],
+                            test_spacing_m=0.5e-3)
+        path = write_config(tmp_path, tree)
+        assemblers = []
+
+        class CountingAssembler(fem.Assembler):
+            def __init__(self, *args, **kwargs):
+                assemblers.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "Assembler", CountingAssembler)
+        assert run("tomo", path, tmp_path / "operator") == cli.EXIT_OK
+        report = json.loads(
+            (tmp_path / "operator" / "report.json").read_text())
+        # the background, the defect and each test domain
+        assert len(assemblers) == report["test_domains"] + 2
+
+        def per_domain(self, mask, model, scenario=""):
+            tm = qmesh.relabel_elements(self.mesh, mask, "test-domain")
+            return tomography.conductance_matrix(
+                tm, materials.MaterialMap({**self._map.models,
+                                           "test-domain": model}),
+                amplitude=self.amplitude, mode=self.mode,
+                config=cli.build_solver_config(tree), scenario=scenario)
+
+        monkeypatch.setattr(tomography.ConductanceOperator, "matrix",
+                            per_domain)
+        assert run("tomo", path, tmp_path / "per-domain") == cli.EXIT_OK
+        names = sorted(p.name for p in (tmp_path / "operator").iterdir())
+        assert names == sorted(p.name
+                               for p in (tmp_path / "per-domain").iterdir())
+        for name in names:
+            assert ((tmp_path / "operator" / name).read_bytes()
+                    == (tmp_path / "per-domain" / name).read_bytes()), name
+
 
 class TestWriteCsv:
     """Column-wise CSV cells equal the per-value row writer's."""

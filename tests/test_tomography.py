@@ -687,15 +687,50 @@ class TestConductanceOperator:
             op.matrix(np.zeros(tagged_disk.element_count, bool),
                       materials.linear(1.0), dom.id)
 
-    def test_rejects_field_dependent_background_and_petal_masks(
-            self, tagged_cable, cable_setup):
-        with pytest.raises(ValueError, match="field-dependent"):
-            tomo.ConductanceOperator(tagged_cable, cable_map(tagged_cable),
-                                     amplitude=1e-3, mode="nonlinear")
-        _, op, _ = cable_setup
+    def test_field_dependent_background_and_petal_masks(self, tagged_cable,
+                                                        cable_setup):
+        # a field-dependent map runs one fixed-point solve per pattern
+        mmap = cable_map(tagged_cable)
+        g = tomo.ConductanceOperator(tagged_cable, mmap, amplitude=1e-3,
+                                     mode="nonlinear").background()
+        ref = fixed_point_g(tagged_cable, mmap, 1e-3)
+        assert np.abs(g.matrix - ref).max() <= 1e-14 * np.abs(ref).max()
         petal = tagged_cable.region_mask(tagged_cable.inclusion_regions()[0])
+        # both paths share the perfect-conductor check
+        op = tomo.ConductanceOperator(
+            tagged_cable,
+            cable_map(tagged_cable,
+                      matrix=materials.weighted_power(SIGMA_BG, 1.95)),
+            amplitude=1e-3)
         with pytest.raises(ValueError, match="petal-disc: .*conducting"):
             op.matrix(petal, self.LOW, "petal-disc")
+        _, op, _ = cable_setup
+        with pytest.raises(ValueError, match="petal-disc: .*conducting"):
+            op.matrix(petal, self.LOW, "petal-disc")
+
+    def test_fixed_point_matrices_name_their_matrix_in_monitors(
+            self, monkeypatch):
+        disk = qm.tag_electrodes(qm.generate_disk(1.0, 2),
+                                 qm.ElectrodeLayout.uniform(4, 0.5))
+        solver.clear_violations()
+        monkeypatch.setattr(solver, "MAX_PRINCIPLE_RTOL", -1.0)
+        op = tomo.ConductanceOperator(
+            disk,
+            materials.MaterialMap({"matrix": materials.weighted_power(1.0,
+                                                                      1.5)}),
+            amplitude=1.0, mode="nonlinear")
+        domains = tomo.disc_test_domains(disk, 0.4, spacing=0.6)[:2]
+        for dom in domains:
+            op.matrix(dom.element_mask, materials.linear(1e-3), dom.id)
+        filed = list(solver.VIOLATIONS)
+        solver.clear_violations()
+        ids = sorted(qm.electrode_nodes(disk))
+        assert [v["kind"] for v in filed] == ["max-principle"] * (
+            len(ids) * (len(domains) + 1))
+        assert [v["context"] for v in filed] == [
+            f"conductance pattern {i}" for i in ids] + [
+            f"{dom.id} conductance pattern {i}" for dom in domains for i in ids
+        ]
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 120),

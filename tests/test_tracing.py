@@ -66,3 +66,44 @@ def test_tracer_sees_sigma_under_solves_and_conductance_matrices():
     assert under["solver.solve_nonlinear"] >= 2  # initial iterate + a step
     assert under["tomography.conductance_matrix"] == 1  # one region, once
     assert result["calls"] == sum(under.values())
+
+
+# the imports, the tracer and the disk of PROBE, then a field-dependent
+# conductance matrix
+NONLINEAR_PROBE = PROBE[:PROBE.index("nodes = ")] + r"""
+tomography.conductance_matrix(
+    disk, materials.MaterialMap({"matrix": materials.weighted_power(1.0, 1.5)}),
+    amplitude=1.0, mode="nonlinear")
+
+roots = {}
+for name, _, _, parent, _ in tracer.spans:
+    while parent >= 0 and tracer.spans[parent][3] >= 0:
+        parent = tracer.spans[parent][3]
+    root = tracer.spans[parent][0] if parent >= 0 else ""
+    roots.setdefault(name, set()).add(root)
+metrics = spans.layer_metrics(tracer, solver.VIOLATIONS)
+print(json.dumps({
+    "roots": {name: sorted(r) for name, r in roots.items()},
+    "metrics": {k: metrics[k] for k in (
+        "fem.assemblers_per_matrix", "fem.solves_per_pattern",
+        "solver.solve_nonlinear.calls", "tomography.conductance_matrix.calls")},
+}))
+"""
+
+
+def test_tracer_nests_nonlinear_matrix_solves_under_the_matrix():
+    env = dict(os.environ, PYTHONPATH=str(Path(qlert.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", NONLINEAR_PROBE,
+         str(REPO / "bench" / "spans.py")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(out.stdout)
+    roots = result["roots"]
+    for name in ("solver.solve_nonlinear", "fem.Assembler", "materials.sigma"):
+        assert roots[name] == ["tomography.conductance_matrix"], name
+    metrics = result["metrics"]
+    assert metrics["tomography.conductance_matrix.calls"] == 1
+    assert metrics["solver.solve_nonlinear.calls"] == 4  # one per electrode
+    assert metrics["fem.assemblers_per_matrix"] == 1
+    assert metrics["fem.solves_per_pattern"] > 1  # Picard steps
