@@ -521,9 +521,11 @@ def solve_spd(system, tol=1e-10, max_iter=None, coarse=()):
 
     The Kachanov steps stay on this loop rather than a sparse LU: each
     step brings a new matrix, so a factorization is never reused, and
-    its fill costs memory. Measured on the six solves of the
+    its fill costs memory. Measured at d379729, before cold solves
+    started from the small-data limit, on the six solves of the
     ``forward-r5-r6`` benchmark (README cable, refinement 5 at 0.5 to
-    10 mV and refinement 6 at 1 mV; six runs each, 2 cores), SuperLU
+    10 mV and refinement 6 at 1 mV; 50 linear solves then, 6 now; six
+    runs each, 2 cores), SuperLU
     (``splu`` with ``MMD_AT_PLUS_A``, ``SymmetricMode`` and
     ``diag_pivot_thresh=0``) took a median 1.43 s against 1.35 s here,
     with the same Picard counts, and raised the peak resident set from

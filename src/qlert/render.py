@@ -19,8 +19,6 @@ The colormap is fixed: 8 anchor colors interpolated linearly in RGB to a
 indices; NaN (excluded regions) renders as neutral gray.
 """
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 # dark violet -> blue -> teal -> green -> yellow
@@ -79,13 +77,19 @@ def _fmt(x):
     return "%.6g" % float(x)
 
 
+def _escape(s):
+    """``&``, ``<`` and ``>`` as XML entities, like
+    ``xml.sax.saxutils.escape`` but without importing ``urllib``."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _header(width, height, comment):
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
     ]
     if comment:
-        lines.append(f"<!-- {escape(comment)} -->")
+        lines.append(f"<!-- {_escape(comment)} -->")
     lines.append(
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>'
     )
@@ -96,7 +100,7 @@ def _text(x, y, s, size=11, anchor="start", color="#202020"):
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="monospace" '
         f'font-size="{size}" text-anchor="{anchor}" fill="{color}">'
-        f"{escape(s)}</text>"
+        f"{_escape(s)}</text>"
     )
 
 

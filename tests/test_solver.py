@@ -23,10 +23,10 @@ def cable_mesh(refinement):
     )
 
 
-def cable_materials(mesh):
+def cable_materials(mesh, petal=materials.ej_power_law(8000e6, 27, 1e-4)):
     models = {"matrix": materials.linear(5.55e7)}
     for label in mesh.inclusion_regions():
-        models[label] = materials.ej_power_law(8000e6, 27, 1e-4)
+        models[label] = petal
     return materials.MaterialMap(models)
 
 
@@ -350,7 +350,118 @@ class TestEjUndamped:
         assert abs(full.energy - damped.energy) <= 1e-8 * damped.energy
         u, v = full.nodal_potential, damped.nodal_potential
         assert np.max(np.abs(u - v)) <= 1e-7 * np.max(np.abs(v))
-        assert full.iterations < damped.iterations
+        if amplitude < 0.1:
+            # below saturation both start at the petals' sigma_cap limit,
+            # which is already the fixed point
+            assert full.iterations == damped.iterations == 1
+        else:
+            assert full.iterations < damped.iterations
+
+
+def data_scale_start(mesh, material_map, f):
+    """The iterate a cold solve started from before the small-data
+    start: one linear solve with sigma frozen at the data-scale field."""
+    nodes, values = f
+    order = np.argsort(nodes)
+    nodes, values = nodes[order], values[order]
+    asm = fem.Assembler(mesh, nodes)
+    diam = float(np.max(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)))
+    e_char = float(values.max() - values.min()) / diam
+    sig = material_map.sigma_elements(
+        mesh, np.full(mesh.element_count, e_char))
+    x = fem.solve_spd(asm.assemble(sig, values),
+                      coarse=asm.deflation_basis).x
+    return solver.NonlinearSolveConfig(initial_guess=asm.expand(x, values))
+
+
+class TestSmallDataStart:
+    # A cold solve first tries sigma at zero field wherever it exceeds
+    # the data-scale sigma, the perfect-conductor limit of saturating
+    # petals, and keeps it only when it is its own fixed point; otherwise
+    # it starts from the data-scale iterate. The reference replays the
+    # data-scale path through initial_guess.
+
+    @staticmethod
+    def cable_case(refinement, amplitude, *petal):
+        mesh = cable_mesh(refinement)
+        mmap = cable_materials(mesh, *petal)
+        nodes = qm.outer_boundary_nodes(mesh)
+        return mesh, mmap, (nodes, amplitude * mesh.nodes[nodes, 0]
+                            / CABLE_RADIUS)
+
+    @pytest.mark.parametrize("refinement, amplitude", [
+        (3, 0.5e-3), (3, 1e-3), (3, 10e-3), (5, 0.5e-3), (5, 10e-3),
+    ])
+    def test_saturated_petals_take_one_step_to_the_same_answer(
+            self, refinement, amplitude):
+        mesh, mmap, f = self.cable_case(refinement, amplitude)
+        new = solver.solve_nonlinear(mesh, mmap, f)
+        ref = solver.solve_nonlinear(mesh, mmap, f,
+                                     data_scale_start(mesh, mmap, f))
+        assert new.iterations == 1
+        assert np.array_equal(new.picard_change, [0.0])
+        assert ref.iterations > 1
+        if amplitude < 10e-3:
+            # the reference, too, ends on a repeated sigma
+            assert ref.picard_change[-1] == 0.0
+        assert np.array_equal(new.nodal_potential, ref.nodal_potential)
+        assert new.energy == ref.energy
+
+    def test_one_linear_solve(self, monkeypatch):
+        mesh, mmap, f = self.cable_case(3, 1e-3)
+        solve = fem.solve_spd
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "solve_spd", counting)
+        sol = solver.solve_nonlinear(mesh, mmap, f)
+        assert sol.iterations == 1
+        assert len(calls) == 1
+
+    @staticmethod
+    def assert_replays_the_data_scale_path(mesh, mmap, f):
+        new = solver.solve_nonlinear(mesh, mmap, f)
+        ref = solver.solve_nonlinear(mesh, mmap, f,
+                                     data_scale_start(mesh, mmap, f))
+        assert new.iterations == ref.iterations > 1
+        assert np.array_equal(new.picard_change, ref.picard_change)
+        assert np.array_equal(new.nodal_potential, ref.nodal_potential)
+        assert new.energy == ref.energy
+
+    @pytest.mark.parametrize("amplitude", [30e-3, 0.1, 1.0])
+    def test_above_saturation_falls_back(self, amplitude):
+        self.assert_replays_the_data_scale_path(
+            *self.cable_case(3, amplitude))
+
+    def test_law_without_cap_falls_back(self):
+        # sigma is infinite at zero field: no small-data start to try
+        bare = materials.ej_power_law(8000e6, 27, 1e-4, e_floor=0.0,
+                                      sigma_cap=np.inf)
+        self.assert_replays_the_data_scale_path(
+            *self.cable_case(3, 1.0, bare))
+
+    def test_sublinear_power_matrix_falls_back(self, disk3):
+        mmap = materials.MaterialMap(
+            {"matrix": materials.weighted_power(2.0, 1.5)})
+        self.assert_replays_the_data_scale_path(
+            disk3, mmap, disk_profile(disk3, lambda x, y: x**2 - y**2))
+
+    def test_fallback_stops_at_the_cap_like_the_data_scale_path(self):
+        # n = 36 petals at 1 mV stop at the 200-step cap on either path
+        mesh, mmap, f = self.cable_case(
+            3, 1e-3, materials.preset("YBCO-SP-SCS12050"))
+        errors = []
+        for config in (None, data_scale_start(mesh, mmap, f)):
+            with pytest.raises(solver.PicardNonConvergenceError) as info:
+                solver.solve_nonlinear(mesh, mmap, f, config)
+            errors.append(info.value)
+        new, ref = errors
+        assert str(new) == str(ref)
+        assert np.array_equal(new.energy_history, ref.energy_history)
+        assert np.array_equal(new.change_history, ref.change_history)
 
 
 def scalar_max_principle(u, bc_values, context):
@@ -566,7 +677,9 @@ class TestLambdaSweep:
     def test_per_scale_failures_are_flagged_not_raised(self):
         mesh = cable_mesh(3)
         mmap = cable_materials(mesh)
-        f = solver.linear_profile(mesh, 1.0)
+        # amplitudes 6 V, 0.6 V and 60 mV: every point lies above the
+        # petals' saturation, so a cold solve needs more than one step
+        f = solver.linear_profile(mesh, 1e5)
         # the linear pec limit converges in one step even so
         starved = solver.NonlinearSolveConfig(max_picard_iter=1)
         grid = np.array([1e-1, 1e-2, 1e-3])
