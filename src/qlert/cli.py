@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fem, materials, oracle, render, solver, tomography
+from . import fem, materials, render, solver, tomography
 from . import mesh as qmesh
 
 EXIT_OK = 0
@@ -487,6 +487,8 @@ def annulus_validation(refinements, r=10.0, config=None):
     and the outer boundary driven with the field's own trace; returns
     (refinement, h, relative L2 error, observed order) rows, order from
     consecutive refinements."""
+    from . import oracle  # only the oracle command loads the references
+
     fields = oracle.annulus_fields(r)
     rows = []
     prev = None
@@ -512,6 +514,8 @@ def annulus_validation(refinements, r=10.0, config=None):
 
 
 def cmd_oracle(tree, digest, out, seed):
+    from . import oracle  # only this command loads the references
+
     task, tpath = _task_block(tree, "oracle")
     _no_extras(task, {"kind", "annulus_r", "L", "n_scales", "refinements",
                       "quad_rtol"}, tpath)
@@ -556,8 +560,11 @@ def cmd_oracle(tree, digest, out, seed):
     order = np.argsort(np.concatenate([below, above]))
     convex = bool(np.all(np.diff(slopes[order]) > -1e-12 * slopes.max()))
 
-    sep = oracle.counterexample_energies(r, L=big_l, model=model,
-                                         n_scales=n_scales, rtol=rtol)
+    try:
+        sep = oracle.counterexample_energies(r, L=big_l, model=model,
+                                             n_scales=n_scales, rtol=rtol)
+    except oracle.QuadratureError as exc:
+        return _solver_error(exc)
     _write_report(out / "report.json", {
         "command": "oracle",
         "config_sha256": digest,
@@ -698,9 +705,9 @@ def cmd_tomo(tree, digest, out, seed):
     except ValueError as exc:
         _fail(rpath, str(exc))
 
-    tests = [(domain,
-              operator.matrix(domain.element_mask, defect_model, domain.id))
-             for domain in domains]
+    tests = list(zip(domains, operator.matrices(
+        [domain.element_mask for domain in domains], defect_model,
+        [domain.id for domain in domains])))
     rec = tomography.mpm_reconstruct(measured, tests, delta, tol=psd_tol)
 
     areas = qmesh.element_areas(mesh)
@@ -792,6 +799,11 @@ def _build_parser():
     return parser
 
 
+def _solver_error(exc):
+    print(f"solver error: {exc}", file=sys.stderr)
+    return EXIT_SOLVER
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     handler, needs_geometry = _COMMANDS[args.command]
@@ -805,10 +817,8 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (solver.PicardNonConvergenceError, solver.NumericalBreakdownError,
-            fem.NonConvergenceError, fem.SingularSystemError,
-            oracle.QuadratureError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+            fem.NonConvergenceError, fem.SingularSystemError) as exc:
+        return _solver_error(exc)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -227,11 +227,14 @@ def _edge_runs(elements):
     edge; longer runs pair first with second, third with fourth, ..."""
     e = np.asarray(elements, dtype=np.int64)
     half = e[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    key = np.sort(half, axis=1)
-    order = np.lexsort((key[:, 1], key[:, 0]))
+    # one key per node pair, min * n + max, ordered as (min, max) is
+    n = int(e.max()) + 1 if e.size else 1
+    key = (np.minimum(half[:, 0], half[:, 1]) * n
+           + np.maximum(half[:, 0], half[:, 1]))
+    order = np.argsort(key, kind="stable")
     key = key[order]
     new_run = np.ones(len(key), dtype=bool)
-    new_run[1:] = np.any(key[1:] != key[:-1], axis=1)
+    new_run[1:] = key[1:] != key[:-1]
     start = np.append(np.flatnonzero(new_run), len(key))
     return half[order], order // 3, start
 

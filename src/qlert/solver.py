@@ -283,6 +283,11 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
         nonlocal solved
         if solved is not None and np.array_equal(sig, solved[0]):
             return solved[1]
+        bad = kept[~np.isfinite(sig[kept])]
+        if len(bad):
+            raise NumericalBreakdownError(
+                f"{context}: conductivity is not finite on element "
+                f"{bad[0]} ({sig[bad[0]]})", bad[0])
         x_lin = fem.solve_spd(asm.assemble(sig, values),
                               coarse=asm.deflation_basis).x
         solved = (sig, x_lin)

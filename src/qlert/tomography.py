@@ -14,12 +14,15 @@ dictionary. When no active material depends on the field (every
 pec-limit imaging problem), it holds one assembly and one sparse LU
 factorization, solves all patterns as right-hand-side columns for the
 background matrix, and gives the matrix of the defect and of every test
-domain as an exact low-rank (Woodbury) update of that factorization;
-otherwise it runs the fixed-point solver on each pattern of each matrix.
-Eigenvalues come from LAPACK (``numpy.linalg.eigvalsh``) after a
-symmetry check. PSD decisions are taken on the zero-mean subspace (the
-all-ones pattern is not observable with zero-mean excitations); the
-undeflated spectrum is kept as a diagnostic.
+domain as an exact low-rank (Woodbury) update of that factorization,
+a whole dictionary in one pass with one model check and the inverse
+columns of many domains solved together; otherwise it runs the
+fixed-point solver on each pattern of each matrix. Eigenvalues come
+from LAPACK (``numpy.linalg.eigvalsh``) after a per-matrix symmetry
+check, one stacked call for all test matrices. PSD decisions are taken
+on the zero-mean subspace (the all-ones pattern is not observable with
+zero-mean excitations); the undeflated spectrum is kept as a
+diagnostic.
 """
 
 from __future__ import annotations
@@ -213,7 +216,8 @@ class _InverseColumns:
 
     Neighbouring test domains share most of their dofs, so a dictionary
     walked in order solves each column about once while memory stays
-    bounded on any mesh."""
+    bounded on any mesh; ``prefetch`` solves the columns of several
+    upcoming domains in one call."""
 
     MAX_BYTES = 64 * 2**20
 
@@ -231,10 +235,9 @@ class _InverseColumns:
         rhs[dofs, np.arange(len(dofs))] = 1.0
         return self._lu.solve(rhs)
 
-    def __call__(self, dofs):
-        """K^-1[:, dofs] as an (n, len(dofs)) array."""
-        if len(dofs) > len(self._owner):
-            return self._solve(dofs)
+    def _hold(self, dofs):
+        """Store the columns of ``dofs`` (no more than the store holds),
+        solving the missing ones in one call."""
         self._clock += 1
         held = self._slot[dofs]
         self._used[held[held >= 0]] = self._clock
@@ -248,6 +251,30 @@ class _InverseColumns:
             self._owner[free] = missing
             self._slot[missing] = free
             self._used[free] = self._clock
+
+    def prefetch(self, upcoming):
+        """Store the columns of the leading dof sets of ``upcoming`` that
+        fit in the store together, solving the missing ones in one call;
+        returns how many sets that covers (at least one, whose columns
+        are not stored if it alone does not fit)."""
+        wanted = np.zeros(self._n, dtype=bool)
+        total = count = 0
+        for dofs in upcoming:
+            new = dofs[~wanted[dofs]]
+            if total + len(new) > len(self._owner):
+                break
+            wanted[new] = True
+            total += len(new)
+            count += 1
+        if count:
+            self._hold(np.flatnonzero(wanted))
+        return max(count, 1)
+
+    def __call__(self, dofs):
+        """K^-1[:, dofs] as an (n, len(dofs)) array."""
+        if len(dofs) > len(self._owner):
+            return self._solve(dofs)
+        self._hold(dofs)
         return self._store[self._slot[dofs]].T
 
 
@@ -257,20 +284,21 @@ class ConductanceOperator:
 
     Built once per (mesh, electrodes, mode, background material map); in
     pec-limit mode the mesh's inclusions are floating perfect conductors.
-    When an active material of the map depends on the field, each matrix
-    runs ``solver.solve_nonlinear`` with ``config`` once per pattern on
-    one ``fem.Assembler``, and ``matrix`` solves on the mesh with the
-    masked elements relabelled ``test-domain``. Otherwise it holds
-    one ``fem.Assembler``, one sparse LU of the
-    background free block K, the background free-dof potentials x of
-    every pattern, and the background currents. ``background()`` is the
-    background matrix. ``matrix(mask, model)`` puts ``model`` on the
-    masked elements, which changes K only on the free dofs N of those
-    elements (petal masters included), by the block S, and the
-    right-hand side by db where they touch an electrode. With
-    Z = K^-1[:, N] from ``lu.solve`` (columns kept in a bounded cache,
-    never the whole inverse), the Woodbury identity (Hager, SIAM Review
-    31, 1989) gives the exact potentials
+    ``background()`` is the background matrix, and ``matrices(masks,
+    model, scenarios)`` gives one matrix per mask with ``model`` on the
+    masked elements (``matrix`` is its one-mask case). When an active
+    material of the map depends on the field, each matrix runs
+    ``solver.solve_nonlinear`` with ``config`` once per pattern on one
+    ``fem.Assembler``, on the mesh with the masked elements relabelled
+    ``test-domain``. Otherwise it holds one ``fem.Assembler``, one
+    sparse LU of the background free block K, the background free-dof
+    potentials x of every pattern, and the background currents. A mask
+    changes K only on the free dofs N of its elements (petal masters
+    included), by the block S, and the right-hand side by db where they
+    touch an electrode. With Z = K^-1[:, N] from ``lu.solve`` (columns
+    kept in a bounded cache and solved together for as many upcoming
+    masks as it holds, never the whole inverse), the Woodbury identity
+    (Hager, SIAM Review 31, 1989) gives the exact potentials
 
         x_T = x + Z c,    (I + S Z_NN) c = db_N - S x_N,
 
@@ -302,6 +330,10 @@ class ConductanceOperator:
         self._x = rhs if self._lu is None else self._lu.solve(rhs)
         self._columns = _InverseColumns(self._lu, asm.n_free)
         self._u = asm.expand(self._x, self._bc)
+        # row of each node's potential in np.concatenate([x, bc]), which
+        # holds every value of the nodal potentials
+        self._row = asm.node_dof.copy()
+        self._row[asm.bc_nodes] = asm.n_free + np.arange(len(asm.bc_nodes))
         el.check_patterns(self._u)
         self._g = el.incidence(mesh.node_count) @ (
             asm.raw_matrix(self._sigma) @ np.nan_to_num(self._u))
@@ -329,79 +361,112 @@ class ConductanceOperator:
 
     def background(self, scenario=""):
         """The conductance matrix of the background material map."""
-        return _conductance(self._g, self.amplitude, self._el.ids, self.mode,
-                            scenario)
+        return self._result(self._g, scenario)
 
     def matrix(self, mask, model, scenario=""):
-        """The conductance matrix with the field-independent ``model`` on
-        the elements of ``mask`` instead of their background material;
-        the mask may not reach into a perfect conductor. ``scenario``
-        names the domain in the result, in monitor contexts and in
-        errors."""
-        name = scenario or "test domain"
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.mesh.element_count,) or not mask.any():
-            raise ValueError(f"{name}: mask must select elements of the mesh")
+        """``matrices`` for the one mask ``mask``, named ``scenario``."""
+        return self.matrices([mask], model, [scenario])[0]
+
+    def matrices(self, masks, model, scenarios):
+        """The conductance matrix of each mask of ``masks`` with the
+        field-independent ``model`` on its elements instead of their
+        background material; no mask may reach into a perfect conductor.
+        ``scenarios`` holds one name per mask, used in its result, its
+        monitor contexts and its errors."""
+        masks = [np.asarray(mask, dtype=bool) for mask in masks]
+        scenarios = list(scenarios)
+        if len(scenarios) != len(masks):
+            raise ValueError("need one scenario per mask")
+        for mask, scenario in zip(masks, scenarios):
+            name = scenario or "test domain"
+            if mask.shape != (self.mesh.element_count,) or not mask.any():
+                raise ValueError(
+                    f"{name}: mask must select elements of the mesh")
+            if self._in_pec[mask].any():
+                raise ValueError(f"{name}: mask reaches into a perfectly "
+                                 "conducting region")
+        if not masks:
+            return []
+        name = scenarios[0] or "test domain"
+        if len(masks) > 1:
+            name += f" and {len(masks) - 1} more"
         if not model.field_independent:
             raise ValueError(f"{name}: test material depends on the field")
         sig_t = material_sigma(model, 0.0)
         if not (np.isfinite(sig_t) and sig_t > 0):
             raise ValueError(f"{name}: test conductivity must be positive "
                              f"and finite, got {sig_t}")
-        if self._in_pec[mask].any():
-            raise ValueError(f"{name}: mask reaches into a perfectly "
-                             "conducting region")
-        where = f"{scenario} " if scenario else ""
+        wheres = [f"{scenario} " if scenario else "" for scenario in scenarios]
         if not self._factored:
-            g = self._fixed_point(
+            test_map = MaterialMap({**self._map.models, "test-domain": model})
+            return [self._result(self._fixed_point(
                 qmesh.relabel_elements(self.mesh, mask, "test-domain"),
-                MaterialMap({**self._map.models, "test-domain": model}),
-                where)
-            return _conductance(g, self.amplitude, self._el.ids, self.mode,
-                                scenario)
-        elements = np.flatnonzero(mask)
-        unit = self._asm.element_stiffness(elements)
+                test_map, where), scenario)
+                for mask, where, scenario in zip(masks, wheres, scenarios)]
+        elements = [np.flatnonzero(mask) for mask in masks]
+        dofs = []
+        for each in elements:
+            dof = self._asm.node_dof[self.mesh.elements[each]]
+            dofs.append(np.unique(dof[dof >= 0]))
+        out, stored = [], 0
+        for i, where in enumerate(wheres):
+            if i == stored:
+                stored = i + self._columns.prefetch(dofs[i:])
+            out.append(self._result(
+                self._update(elements[i], dofs[i], sig_t, where),
+                scenarios[i]))
+        return out
+
+    def _result(self, g, scenario):
+        return _conductance(g, self.amplitude, self._el.ids, self.mode,
+                            scenario)
+
+    def _update(self, elements, dofs, sig_t, where):
+        """Currents with conductivity ``sig_t`` on ``elements``, whose
+        free dofs are ``dofs``; ``where`` prefixes the monitor contexts."""
         tri = self.mesh.elements[elements]
-        delta = (sig_t - self._sigma[elements])[:, None, None] * unit
+        delta = ((sig_t - self._sigma[elements])[:, None, None]
+                 * self._asm.element_stiffness(elements))
 
         # N: the free dofs of the masked elements; S and db: the changes
         # of K[N, N] and of the right-hand side on N, which fixed corners
-        # (electrode nodes) push through the changed coupling
+        # (electrode nodes) push through the changed coupling. bincount
+        # adds in the order np.add.at does
         dof = self._asm.node_dof[tri]
-        dofs = np.unique(dof[dof >= 0])
         k = len(dofs)
         x, energy = self._x, 0.0
+        m = x.shape[1]
         if k:
             free = dof >= 0
             pos = np.searchsorted(dofs, dof)
             pair = free[:, :, None] & free[:, None, :]
-            s = np.zeros((k, k))
-            np.add.at(s, (np.broadcast_to(pos[:, :, None], pair.shape)[pair],
-                          np.broadcast_to(pos[:, None, :], pair.shape)[pair]),
-                      delta[pair])
+            cell = pos[:, :, None] * k + pos[:, None, :]
+            s = np.bincount(cell[pair], weights=delta[pair],
+                            minlength=k * k).reshape(k, k)
             fixed = (dof == fem.FIXED)[:, None, :]
             push = -(delta * fixed) @ self._u[tri]
-            db = np.zeros((k, push.shape[2]))
-            np.add.at(db, pos[free], push[free])
+            db = np.bincount(
+                (pos[free][:, None] * m + np.arange(m)).ravel(),
+                weights=push[free].ravel(), minlength=k * m).reshape(k, m)
             z = self._columns(dofs)
             z_nn = z[dofs]
             # Woodbury: x_T = x + Z c with (I + S Z_NN) c = db_N - S x_N
             c = np.linalg.solve(np.eye(k) + s @ z_nn, db - s @ x[dofs])
             x = x + z @ c
             energy = c.T @ z_nn @ c  # the background energy of Z c
-        u = self._asm.expand(x, self._bc)
-        self._el.check_patterns(u, where)
+        # the free-dof and boundary values are every value of the nodal
+        # potentials, so they stand in for them in the monitor
+        values = np.concatenate([x, self._bc])
+        self._el.check_patterns(values, where)
         # G = U^T K U / amplitude over the pattern potentials U; the change
         # is the energy of Z c plus the masked elements' own change. Being
         # stationary in c, this keeps the currents of a strong conductor
         # accurate where reading K_T u at the electrodes would multiply
         # the error of u by the contrast
-        corner = u[tri]
-        m = corner.shape[2]
+        corner = values[self._row[tri]]
         energy = energy + (corner.reshape(-1, m).T
                            @ (delta @ corner).reshape(-1, m))
-        return _conductance(self._g + energy / self.amplitude, self.amplitude,
-                            self._el.ids, self.mode, scenario)
+        return self._g + energy / self.amplitude
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +475,23 @@ class ConductanceOperator:
 
 
 def symmetric_eigenvalues(matrix):
-    """All eigenvalues of a symmetric matrix, ascending.
+    """All eigenvalues of a symmetric matrix, ascending, or of each
+    matrix of an (..., m, m) stack.
 
-    Checks that the matrix is square and symmetric to 1e-8 relative to
-    its largest entry, then hands its symmetric part to LAPACK
+    Checks that every matrix is square and symmetric to 1e-8 relative to
+    its own largest entry, then hands the symmetric parts to LAPACK
     (``numpy.linalg.eigvalsh``)."""
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    scale = max(float(np.max(np.abs(a))), 1e-300)
-    if float(np.max(np.abs(a - a.T))) > 1e-8 * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    return np.linalg.eigvalsh(0.5 * (a + a.T))
+    a_t = np.swapaxes(a, -1, -2)
+    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1)), 1e-300)
+    bad = np.max(np.abs(a - a_t), axis=(-2, -1)) > 1e-8 * scale
+    if np.any(bad):
+        where = (f" at stack index {np.argwhere(bad)[0].tolist()}"
+                 if a.ndim > 2 else "")
+        raise ValueError(f"matrix{where} is not symmetric within tolerance")
+    return np.linalg.eigvalsh(0.5 * (a + a_t))
 
 
 def spectral_norm(matrix):
@@ -557,11 +627,6 @@ def mpm_reconstruct(measured, tests, delta, tol=0.0):
         raise ValueError("need at least one test domain")
     m = measured.size
     mask_len = len(tests[0][0].element_mask)
-    basis = _zero_mean_basis(m)
-    min_eigs = np.empty(len(tests))
-    raw_min_eigs = np.empty(len(tests))
-    accepted = []
-    union = np.zeros(mask_len, dtype=bool)
     for k, (domain, g_test) in enumerate(tests):
         if g_test.size != m:
             raise ValueError(
@@ -569,18 +634,20 @@ def mpm_reconstruct(measured, tests, delta, tol=0.0):
             )
         if len(domain.element_mask) != mask_len:
             raise ValueError(f"test domain {k} lives on a different mesh")
-        shifted = g_test.matrix - measured.matrix + delta * np.eye(m)
-        raw_min_eigs[k] = symmetric_eigenvalues(shifted)[0]
-        deflated = basis.T @ shifted @ basis
-        ok, min_eigs[k] = is_psd(deflated, tol=tol)
-        if ok:
-            accepted.append(k)
-            union |= domain.element_mask
+    basis = _zero_mean_basis(m)
+    shifted = (np.stack([g_test.matrix for _, g_test in tests])
+               - measured.matrix + delta * np.eye(m))
+    raw_min_eigs = symmetric_eigenvalues(shifted)[:, 0]
+    min_eigs = symmetric_eigenvalues(basis.T @ shifted @ basis)[:, 0]
+    accepted = np.flatnonzero(min_eigs >= -tol)
+    union = np.zeros(mask_len, dtype=bool)
+    for k in accepted:
+        union |= tests[k][0].element_mask
     return Reconstruction(
         domains=tuple(dom for dom, _ in tests),
         min_eigenvalues=min_eigs,
         raw_min_eigenvalues=raw_min_eigs,
-        accepted=tuple(accepted),
+        accepted=tuple(int(k) for k in accepted),
         union_mask=union,
         delta=float(delta),
         tol=float(tol),

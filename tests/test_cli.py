@@ -440,26 +440,31 @@ class TestTomoCommand:
         # the replaced path: every matrix from its own relabelled mesh
         # and factorization, checked against the shared operator's
         operator = tomography.ConductanceOperator
-        init, shared = operator.__init__, operator.matrix
+        init, shared = operator.__init__, operator.matrices
         worst = []
 
         def keep_map(self, mesh, material_map, *args, **kwargs):
             self.models = material_map.models
             init(self, mesh, material_map, *args, **kwargs)
 
-        def per_domain(self, mask, model, scenario=""):
-            got = shared(self, mask, model, scenario).matrix
-            tm = qmesh.relabel_elements(self.mesh, mask, "test-domain")
-            want = tomography.conductance_matrix(
-                tm, materials.MaterialMap({**self.models,
-                                           "test-domain": model}),
-                amplitude=self.amplitude, mode=self.mode, scenario=scenario)
-            worst.append(np.abs(got - want.matrix).max()
-                         / np.abs(want.matrix).max())
-            return want
+        def per_domain(self, masks, model, scenarios):
+            out = []
+            for mask, scenario, got in zip(
+                    masks, scenarios, shared(self, masks, model, scenarios)):
+                tm = qmesh.relabel_elements(self.mesh, mask, "test-domain")
+                want = tomography.conductance_matrix(
+                    tm, materials.MaterialMap({**self.models,
+                                               "test-domain": model}),
+                    amplitude=self.amplitude, mode=self.mode,
+                    scenario=scenario)
+                worst.append(np.abs(got.matrix - want.matrix).max()
+                             / np.abs(want.matrix).max())
+                out.append(want)
+            return out
 
+        # ``matrix`` (the defect) is the one-mask case of ``matrices``
         monkeypatch.setattr(operator, "__init__", keep_map)
-        monkeypatch.setattr(operator, "matrix", per_domain)
+        monkeypatch.setattr(operator, "matrices", per_domain)
         assemblers.clear()
         assert run("tomo", path, tmp_path / "per-domain") == cli.EXIT_OK
         report = json.loads((tmp_path / "shared" / "report.json").read_text())
@@ -610,6 +615,20 @@ class TestExitCodes:
         assert code == cli.EXIT_SOLVER
         assert "tolerance" in capsys.readouterr().err
 
+    def test_quadrature_failure_maps_to_three(self, tmp_path, capsys,
+                                              monkeypatch):
+        from qlert import oracle
+
+        def unconverged(*args, **kwargs):
+            raise oracle.QuadratureError("polar quadrature did not converge")
+
+        monkeypatch.setattr(oracle, "counterexample_energies", unconverged)
+        path = write_config(tmp_path, oracle_config())
+        code = run("oracle", path, tmp_path / "out")
+        assert code == cli.EXIT_SOLVER
+        assert ("solver error: polar quadrature did not converge"
+                in capsys.readouterr().err)
+
     def test_unwritable_output_maps_to_four(self, tmp_path, capsys):
         path = write_config(tmp_path, oracle_config())
         blocker = tmp_path / "blocker"
@@ -624,8 +643,10 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
     # scipy.sparse.linalg on first use, so cold starts do not pay for it
     src = str(Path(qlert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    # nor does any command but oracle need the reference fields
     probe = ("import sys, qlert.cli; "
-             "print('scipy.sparse.linalg' in sys.modules)")
+             "print('scipy.sparse.linalg' in sys.modules, "
+             "'qlert.oracle' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -471,6 +471,28 @@ class TestEdgeRunsMatchReference:
         # the edge (0, 1) has four owners: two pairs and no boundary edge
         self.assert_match(_edge_fan())
 
+    @staticmethod
+    def edge_runs_by_lexsort(elements):
+        # the row-wise sort, two-key lexsort and row compare that the one
+        # node-pair key replaced
+        half = np.asarray(elements, dtype=np.int64)[
+            :, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        key = np.sort(half, axis=1)
+        order = np.lexsort((key[:, 1], key[:, 0]))
+        key = key[order]
+        new_run = np.ones(len(key), dtype=bool)
+        new_run[1:] = np.any(key[1:] != key[:-1], axis=1)
+        start = np.append(np.flatnonzero(new_run), len(key))
+        return half[order], order // 3, start
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_edge_runs_equal_the_lexsort_form(self, name):
+        meshes = [self.GENERATORS[name](r) for r in (1, 3, 5)]
+        for elements in [m.elements for m in meshes] + [_edge_fan().elements]:
+            for got, want in zip(qm._edge_runs(elements),
+                                 self.edge_runs_by_lexsort(elements)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_read_mesh_round_trip(self, tmp_path):
         m = qm.tag_electrodes(self.GENERATORS["six-petal"](3),
                               qm.ElectrodeLayout.uniform(16, 0.5))

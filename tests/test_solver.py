@@ -283,6 +283,31 @@ class TestSaturatedPetals:
         assert sol.monitors["max_principle_ok"]
 
 
+class TestCaplessEjLaw:
+    # without e_floor and sigma_cap an E-J conductivity is infinite where
+    # the field vanishes
+
+    LAW = materials.ej_power_law(8000e6, 27, e_floor=0.0, sigma_cap=np.inf)
+
+    def cable_solve(self, amplitude):
+        mesh = cable_mesh(3)
+        nodes = qm.outer_boundary_nodes(mesh)
+        f = (nodes, amplitude * mesh.nodes[nodes, 0] / CABLE_RADIUS)
+        return mesh, solver.solve_nonlinear(
+            mesh, cable_materials(mesh, petal=self.LAW), f)
+
+    def test_infinite_conductivity_names_its_element(self):
+        with pytest.raises(solver.NumericalBreakdownError) as info:
+            self.cable_solve(1e-3)
+        assert f"element {info.value.element} " in str(info.value)
+        assert "conductivity is not finite" in str(info.value)
+
+    def test_converges_at_large_data(self):
+        _, sol = self.cable_solve(1.0)
+        assert sol.monitors["energy_descent_ok"]
+        assert sol.monitors["max_principle_ok"]
+
+
 class TestWeightedPowerDamping:
     # sigma = theta * E**(p-2) grows with the field for p > 2, and the
     # undamped fixed point overshoots it: both cases below stall at the

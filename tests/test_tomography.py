@@ -179,6 +179,30 @@ class TestEigenTools:
             tomo.is_psd(np.eye(2), tol=-1.0)
 
 
+class TestStackedEigenvalues:
+    def test_stack_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(2, 3, 7, 7))
+        a = a + np.swapaxes(a, -1, -2)
+        stacked = tomo.symmetric_eigenvalues(a)
+        assert stacked.shape == (2, 3, 7)
+        for i in np.ndindex(2, 3):
+            assert np.array_equal(stacked[i], tomo.symmetric_eigenvalues(a[i]))
+
+    def test_rejects_a_stack_with_one_asymmetric_member(self):
+        # the tolerance is relative to each matrix's own largest entry: a
+        # skew of 1e-6 is within 1e-8 of the large matrix but not of the
+        # small one
+        big, small = 1e3 * np.eye(3), np.eye(3)
+        big[0, 1] += 1e-6
+        small[0, 1] += 1e-6
+        assert tomo.symmetric_eigenvalues(np.stack([big, big])).shape == (2, 3)
+        with pytest.raises(ValueError, match=r"\[1\] is not symmetric"):
+            tomo.symmetric_eigenvalues(np.stack([big, small, big]))
+        with pytest.raises(ValueError, match="square"):
+            tomo.symmetric_eigenvalues(np.ones((2, 2, 3)))
+
+
 class TestGoeNoise:
     def test_zero_level_gives_zero_matrix(self):
         assert np.all(tomo.goe_noise(8, 0.0, 5.0, seed=1) == 0.0)
@@ -508,6 +532,47 @@ def refactored_g(mesh, models, mask, model, amplitude, **kwargs):
     return tomo.conductance_matrix(tm, mmap, amplitude=amplitude, **kwargs)
 
 
+def replayed_matrix(op, mask, model, scenario):
+    """The Woodbury update of one mask as ``ConductanceOperator.matrix``
+    made it before dictionaries were batched: the mask's own K^-1
+    columns in one ``lu.solve``, S and db summed by ``np.add.at``, and
+    the energy read from nodal potentials built by ``Assembler.expand``."""
+    asm = op._asm
+    elements = np.flatnonzero(mask)
+    tri = op.mesh.elements[elements]
+    delta = ((materials.sigma(model, 0.0) - op._sigma[elements])[:, None, None]
+             * asm.element_stiffness(elements))
+    dof = asm.node_dof[tri]
+    dofs = np.unique(dof[dof >= 0])
+    k = len(dofs)
+    x, energy = op._x, 0.0
+    if k:
+        free = dof >= 0
+        pos = np.searchsorted(dofs, dof)
+        pair = free[:, :, None] & free[:, None, :]
+        s = np.zeros((k, k))
+        np.add.at(s, (np.broadcast_to(pos[:, :, None], pair.shape)[pair],
+                      np.broadcast_to(pos[:, None, :], pair.shape)[pair]),
+                  delta[pair])
+        fixed = (dof == fem.FIXED)[:, None, :]
+        push = -(delta * fixed) @ op._u[tri]
+        db = np.zeros((k, push.shape[2]))
+        np.add.at(db, pos[free], push[free])
+        rhs = np.zeros((asm.n_free, k))
+        rhs[dofs, np.arange(k)] = 1.0
+        z = op._lu.solve(rhs)
+        z_nn = z[dofs]
+        c = np.linalg.solve(np.eye(k) + s @ z_nn, db - s @ x[dofs])
+        x = x + z @ c
+        energy = c.T @ z_nn @ c
+    corner = asm.expand(x, op._bc)[tri]
+    m = corner.shape[2]
+    energy = energy + (corner.reshape(-1, m).T
+                       @ (delta @ corner).reshape(-1, m))
+    return tomo._conductance(op._g + energy / op.amplitude, op.amplitude,
+                             op._el.ids, op.mode, scenario)
+
+
 def relative_gap(g, ref):
     return np.abs(g.matrix - ref.matrix).max() / np.abs(ref.matrix).max()
 
@@ -764,6 +829,114 @@ class TestConductanceOperator:
                            rtol=0.0, atol=1e-10)
         del solver.VIOLATIONS[start:]
         assert relative_gap(g, ref) <= 1e-10
+
+
+class TestBatchedDictionary:
+    """``matrices`` builds a dictionary in one pass and ``mpm_reconstruct``
+    tests it in stacked eigenvalue calls; both give the per-domain
+    results bit for bit."""
+
+    @staticmethod
+    def dictionary(name, request):
+        """(mesh, map, amplitude, mode, domains, test material)."""
+        if name == "disk":
+            mesh = request.getfixturevalue("tagged_disk")
+            return (mesh,
+                    materials.MaterialMap({"matrix": materials.linear(1.0)}),
+                    1.0, "pec-limit",
+                    tomo.disc_test_domains(mesh, 0.2, spacing=0.2),
+                    materials.linear(1e-3))
+        mesh = request.getfixturevalue("tagged_cable")
+        # linear petals in nonlinear mode keep their dofs free
+        petals = {lab: materials.linear(1e2 * SIGMA_BG)
+                  for lab in mesh.inclusion_regions()}
+        return (mesh, cable_map(mesh, **petals if name == "petals" else {}),
+                1e-3, "nonlinear" if name == "petals" else "pec-limit",
+                tomo.disc_test_domains(mesh, 0.08e-3, spacing=0.1e-3),
+                materials.linear(1e-3 * SIGMA_BG))
+
+    @pytest.mark.parametrize("columns", [None, 3, 20])
+    @pytest.mark.parametrize("name", ["disk", "cable", "petals"])
+    def test_matrices_equal_the_per_mask_replay(self, name, columns,
+                                                request, monkeypatch):
+        # a store of 3 or 20 columns holds fewer than the dictionary, so
+        # its columns are solved in several batches or per mask
+        mesh, mmap, amplitude, mode, domains, low = self.dictionary(name,
+                                                                    request)
+        op = tomo.ConductanceOperator(mesh, mmap, amplitude, mode)
+        if columns is not None:
+            monkeypatch.setattr(tomo._InverseColumns, "MAX_BYTES",
+                                8 * op._asm.n_free * columns)
+            op = tomo.ConductanceOperator(mesh, mmap, amplitude, mode)
+        got = op.matrices([d.element_mask for d in domains], low,
+                          [d.id for d in domains])
+        assert len(got) == len(domains) > 20
+        for d, g in zip(domains, got):
+            want = replayed_matrix(op, d.element_mask, low, d.id)
+            assert np.array_equal(g.matrix, want.matrix), d.id
+            assert (g.scenario, g.asymmetry) == (d.id, want.asymmetry)
+        one = op.matrix(domains[5].element_mask, low, domains[5].id)
+        assert np.array_equal(one.matrix, got[5].matrix)
+
+    def test_one_validation_per_dictionary(self, tagged_disk, monkeypatch):
+        op = tomo.ConductanceOperator(
+            tagged_disk, materials.MaterialMap({"matrix": materials.linear(1.0)}),
+            amplitude=1.0)
+        domains = tomo.disc_test_domains(tagged_disk, 0.2, spacing=0.2)
+        calls = []
+
+        def counting_sigma(*args, **kwargs):
+            calls.append(1)
+            return materials.sigma(*args, **kwargs)
+
+        monkeypatch.setattr(tomo, "material_sigma", counting_sigma)
+        op.matrices([d.element_mask for d in domains], materials.linear(1e-3),
+                    [d.id for d in domains])
+        assert len(calls) == 1
+        assert op.matrices([], materials.linear(1e-3), []) == []
+        with pytest.raises(ValueError, match="one scenario per mask"):
+            op.matrices([domains[0].element_mask], materials.linear(1e-3), [])
+        masks = [d.element_mask for d in domains[:3]]
+        with pytest.raises(ValueError, match=f"{domains[0].id} and 2 more: "
+                                             ".*field"):
+            op.matrices(masks, materials.weighted_power(1.0, 3.0),
+                        [d.id for d in domains[:3]])
+        empty = np.zeros(tagged_disk.element_count, bool)
+        with pytest.raises(ValueError, match=f"{domains[1].id}: mask"):
+            op.matrices([masks[0], empty], materials.linear(1e-3),
+                        [domains[0].id, domains[1].id])
+
+    def test_reconstruction_equals_per_domain_tests(self, tagged_disk):
+        mmap = materials.MaterialMap({"matrix": materials.linear(1.0)})
+        op = tomo.ConductanceOperator(tagged_disk, mmap, amplitude=1.0)
+        low = materials.linear(1e-3)
+        _, vmask = tomo.disc_defect(tagged_disk, (0.2, 0.1), 0.35)
+        g_v = op.matrix(vmask, low, "defect")
+        noise = tomo.goe_noise(g_v.size, 0.01, 1.0, seed=4)
+        measured = fake_g(g_v.matrix + noise, g_v.electrode_ids)
+        domains = tomo.disc_test_domains(tagged_disk, 0.2, spacing=0.2)
+        tests = list(zip(domains, op.matrices(
+            [d.element_mask for d in domains], low, [d.id for d in domains])))
+        delta, tol = tomo.spectral_norm(noise), 1e-9
+        rec = tomo.mpm_reconstruct(measured, tests, delta, tol=tol)
+
+        m = g_v.size
+        basis = tomo._zero_mean_basis(m)
+        raw, low_eigs, accepted = [], [], []
+        union = np.zeros(tagged_disk.element_count, dtype=bool)
+        for k, (dom, g_test) in enumerate(tests):
+            shifted = g_test.matrix - measured.matrix + delta * np.eye(m)
+            raw.append(tomo.symmetric_eigenvalues(shifted)[0])
+            ok, value = tomo.is_psd(basis.T @ shifted @ basis, tol=tol)
+            low_eigs.append(value)
+            if ok:
+                accepted.append(k)
+                union |= dom.element_mask
+        assert np.array_equal(rec.raw_min_eigenvalues, raw)
+        assert np.array_equal(rec.min_eigenvalues, low_eigs)
+        assert rec.accepted == tuple(accepted)
+        assert 0 < len(accepted) < len(domains)
+        assert np.array_equal(rec.union_mask, union)
 
 
 class TestPecLimitTomoCommand:
