@@ -104,6 +104,15 @@ def _object(tree, key, path, default=_MISSING):
     return value, full
 
 
+def _xy(value, path):
+    """``value`` as an (x, y) pair of floats."""
+    if (not isinstance(value, list) or len(value) != 2
+            or any(isinstance(c, bool) or not isinstance(c, (int, float))
+                   for c in value)):
+        _fail(path, "expected [x, y] numbers")
+    return float(value[0]), float(value[1])
+
+
 def _no_extras(tree, allowed, path):
     for key in sorted(set(tree) - set(allowed)):
         _fail(f"{path}.{key}" if path else key, "unknown key")
@@ -165,11 +174,7 @@ def build_mesh(tree):
             _fail(f"{ppath}.centers_m", "expected a non-empty list of [x, y]")
         centers = []
         for k, item in enumerate(raw):
-            if (not isinstance(item, list) or len(item) != 2
-                    or any(isinstance(c, bool) or not isinstance(c, (int, float))
-                           for c in item)):
-                _fail(f"{ppath}.centers_m[{k}]", "expected [x, y] numbers")
-            centers.append((float(item[0]), float(item[1])))
+            centers.append(_xy(item, f"{ppath}.centers_m[{k}]"))
     else:
         _no_extras(petals, {"count", "ring_radius_m", "phase_deg"}, ppath)
         count = _integer(petals, "count", ppath, minimum=1)
@@ -198,17 +203,21 @@ def _build_model(entry, path):
                                         positive=True))
     if model == "ej-power-law":
         _no_extras(entry, {"model", "jc_a_per_mm2", "n", "e0_v_per_m"}, path)
-        return materials.ej_power_law(
-            _number(entry, "jc_a_per_mm2", path, positive=True) * 1e6,
-            _number(entry, "n", path, positive=True),
-            e0=_number(entry, "e0_v_per_m", path, default=1e-4, positive=True),
-        )
+        jc = _number(entry, "jc_a_per_mm2", path, positive=True) * 1e6
+        n = _number(entry, "n", path, positive=True)
+        e0 = _number(entry, "e0_v_per_m", path, default=1e-4, positive=True)
+        try:
+            return materials.ej_power_law(jc, n, e0=e0)
+        except ValueError as exc:
+            _fail(f"{path}.n", str(exc))
     if model == "weighted-power":
         _no_extras(entry, {"model", "theta", "p"}, path)
-        return materials.weighted_power(
-            _number(entry, "theta", path, positive=True),
-            _number(entry, "p", path, positive=True),
-        )
+        theta = _number(entry, "theta", path, positive=True)
+        p = _number(entry, "p", path, positive=True)
+        try:
+            return materials.weighted_power(theta, p)
+        except ValueError as exc:
+            _fail(f"{path}.p", str(exc))
     _no_extras(entry, {"model", "name", "e0_v_per_m"}, path)
     name = _string(entry, "name", path)
     try:
@@ -594,12 +603,6 @@ def cmd_oracle(tree, digest, out, seed):
     return EXIT_OK
 
 
-def _disc_mask(mesh, center, radius):
-    centroids = qmesh.element_centroids(mesh)
-    d = np.hypot(centroids[:, 0] - center[0], centroids[:, 1] - center[1])
-    return (d <= radius) & (mesh.element_region == "matrix")
-
-
 def _tag_distinct_electrodes(mesh, layout):
     """``tag_electrodes``; a layout in which some arc tags no boundary
     edge, or neighbouring arcs share a boundary node, cannot measure a
@@ -662,13 +665,10 @@ def cmd_tomo(tree, digest, out, seed):
         if not isinstance(disc, dict):
             _fail(f"{dpath}[{k}]", "expected an object")
         _no_extras(disc, {"center_m", "radius_m"}, f"{dpath}[{k}]")
-        center, _ = _pick(disc, "center_m", f"{dpath}[{k}]")
-        if (not isinstance(center, list) or len(center) != 2
-                or any(isinstance(c, bool) or not isinstance(c, (int, float))
-                       for c in center)):
-            _fail(f"{dpath}[{k}].center_m", "expected [x, y] numbers")
+        center = _xy(_pick(disc, "center_m", f"{dpath}[{k}]")[0],
+                     f"{dpath}[{k}].center_m")
         radius = _number(disc, "radius_m", f"{dpath}[{k}]", positive=True)
-        vmask |= _disc_mask(mesh, center, radius)
+        vmask |= tomography.disc_mask(mesh, center, radius)
     if not vmask.any():
         _fail(dpath, "defect discs select no matrix elements")
 

@@ -53,7 +53,6 @@ __all__ = [
     "SingularSystemError",
     "NonConvergenceError",
     "solve_spd",
-    "local_stiffness",
     "element_geometry",
     "element_gradients",
     "dirichlet_energy",
@@ -107,16 +106,6 @@ def _element_geometry(mesh):
     )
     assert np.allclose(area, area2)
     return b, c, area
-
-
-def local_stiffness(coords, sigma=1.0):
-    """3x3 P1 stiffness of a single triangle."""
-    coords = np.asarray(coords, dtype=float)
-    x, y = coords[:, 0], coords[:, 1]
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    area = 0.5 * (b[0] * c[1] - b[1] * c[0])
-    return sigma * (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
 
 
 def element_gradients(mesh, u):

@@ -43,7 +43,6 @@ __all__ = [
     "PRESET_TABLE",
     "sigma",
     "energy_density",
-    "current_density",
     "validate_assumptions",
     "DEFAULT_E_FLOOR",
     "DEFAULT_SIGMA_CAP",
@@ -239,11 +238,6 @@ def energy_density(model, E):
     """Energy density Q(E) = integral of sigma(xi)*xi from 0 to E."""
     cum = model._pieces[2]
     return _by_piece(model, E, lambda i, pc, e: cum[i] + pc.integral(pc.lo, e))
-
-
-def current_density(model, E):
-    """Current magnitude J(E) = sigma(E) * E."""
-    return sigma(model, E) * np.asarray(E, dtype=float)
 
 
 # ---------------------------------------------------------------------------

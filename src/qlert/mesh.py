@@ -1,10 +1,9 @@
 """Triangular meshes for disk-shaped conductor cross sections.
 
 Structured "spiderweb" generators for disks, annuli, and disks with
-circular inclusions (cable petals), plus boundary-electrode tagging and a
-small text format for interchange. Meshes are immutable; all derived
-quantities (areas, boundary loops, electrode node sets) are computed on
-demand from the arrays.
+circular inclusions (cable petals), plus boundary-electrode tagging.
+Meshes are immutable; all derived quantities (areas, boundary loops,
+electrode node sets) are computed on demand from the arrays.
 
 Conventions
 -----------
@@ -25,17 +24,13 @@ import numpy as np
 __all__ = [
     "Mesh",
     "MeshError",
-    "MeshFormatError",
     "ElectrodeLayout",
     "generate_disk",
     "generate_annulus",
     "generate_petal_cable",
     "tag_electrodes",
-    "read_mesh",
-    "write_mesh",
     "element_areas",
     "element_centroids",
-    "total_area",
     "max_element_diameter",
     "boundary_loops",
     "outer_boundary_nodes",
@@ -46,16 +41,6 @@ __all__ = [
 
 class MeshError(ValueError):
     """Invalid mesh geometry or arguments."""
-
-
-class MeshFormatError(MeshError):
-    """Malformed mesh file. Carries the 1-based line number when known."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 def _frozen(a, dtype):
@@ -491,10 +476,6 @@ def element_centroids(mesh):
     return mesh.nodes[mesh.elements].mean(axis=1)
 
 
-def total_area(mesh):
-    return float(element_areas(mesh).sum())
-
-
 def max_element_diameter(mesh):
     p = mesh.nodes[mesh.elements]
     d = [np.hypot(*(p[:, a] - p[:, b]).T) for a, b in ((0, 1), (1, 2), (2, 0))]
@@ -595,148 +576,4 @@ def relabel_elements(mesh, mask, label):
     table = {k: v for k, v in table.items() if k in set(labels.tolist())}
     return replace(
         mesh, element_region=np.asarray(labels, dtype=np.str_), region_table=table
-    )
-
-
-# ---------------------------------------------------------------------------
-# text format
-# ---------------------------------------------------------------------------
-
-_MAGIC = "qlmesh 1"
-
-
-def write_mesh(mesh, path):
-    """Write the ``qlmesh 1`` text format (see ``read_mesh``)."""
-    lines = [_MAGIC]
-    lines.append(f"nodes {mesh.node_count}")
-    for x, y in mesh.nodes:
-        lines.append(f"{float(x)!r} {float(y)!r}")
-    lines.append(f"elements {mesh.element_count}")
-    for (i, j, k), lab in zip(mesh.elements, mesh.element_region):
-        lines.append(f"{int(i)} {int(j)} {int(k)} {lab}")
-    lines.append(f"boundary {len(mesh.boundary_edges)}")
-    for i, j, eid in mesh.boundary_edges:
-        lines.append(f"{int(i)} {int(j)} {int(eid)}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _content_lines(path):
-    with open(path, "r", encoding="ascii") as fh:
-        for n, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                yield n, text
-
-
-def read_mesh(path):
-    """Parse the ``qlmesh 1`` text format.
-
-    Layout: a ``qlmesh 1`` header, ``nodes N`` followed by N ``x y`` rows,
-    ``elements M`` followed by M ``i j k label`` rows, ``boundary K``
-    followed by K ``i j electrode_id`` rows. ``#`` starts a comment.
-    Region kinds are reconstructed from label names: ``inclusion-*``
-    keeps its own name as kind, ``defect*`` -> defect, else matrix."""
-    it = _content_lines(path)
-
-    def next_line(what):
-        try:
-            return next(it)
-        except StopIteration:
-            raise MeshFormatError(f"unexpected end of file, expected {what}") from None
-
-    n, text = next_line("header")
-    if text != _MAGIC:
-        raise MeshFormatError(f"expected '{_MAGIC}' header, got '{text}'", n)
-
-    def section(name):
-        n, text = next_line(f"'{name} <count>'")
-        parts = text.split()
-        if len(parts) != 2 or parts[0] != name:
-            raise MeshFormatError(f"expected '{name} <count>', got '{text}'", n)
-        try:
-            count = int(parts[1])
-        except ValueError:
-            raise MeshFormatError(f"bad {name} count '{parts[1]}'", n) from None
-        if count < 0:
-            raise MeshFormatError(f"negative {name} count", n)
-        return count
-
-    nn = section("nodes")
-    nodes = np.empty((nn, 2))
-    for r in range(nn):
-        n, text = next_line("node coordinates")
-        parts = text.split()
-        if len(parts) != 2:
-            raise MeshFormatError("node row must be 'x y'", n)
-        try:
-            nodes[r] = [float(parts[0]), float(parts[1])]
-        except ValueError:
-            raise MeshFormatError(f"bad coordinate in '{text}'", n) from None
-
-    ne = section("elements")
-    if ne == 0:
-        raise MeshFormatError("mesh has no elements")
-    elements = np.empty((ne, 3), dtype=np.int64)
-    labels = np.empty(ne, dtype=object)
-    for r in range(ne):
-        n, text = next_line("element row")
-        parts = text.split()
-        if len(parts) != 4:
-            raise MeshFormatError("element row must be 'i j k label'", n)
-        try:
-            elements[r] = [int(p) for p in parts[:3]]
-        except ValueError:
-            raise MeshFormatError(f"bad node index in '{text}'", n) from None
-        if np.any(elements[r] < 0) or np.any(elements[r] >= nn):
-            raise MeshFormatError(f"node index out of range in '{text}'", n)
-        if len(set(elements[r].tolist())) != 3:
-            raise MeshFormatError(f"repeated node in element '{text}'", n)
-        labels[r] = parts[3]
-
-    nb = section("boundary")
-    edges = np.empty((nb, 3), dtype=np.int64)
-    for r in range(nb):
-        n, text = next_line("boundary row")
-        parts = text.split()
-        if len(parts) != 3:
-            raise MeshFormatError("boundary row must be 'i j electrode_id'", n)
-        try:
-            edges[r] = [int(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError(f"bad integer in '{text}'", n) from None
-        if np.any(edges[r, :2] < 0) or np.any(edges[r, :2] >= nn):
-            raise MeshFormatError(f"node index out of range in '{text}'", n)
-        if edges[r, 2] < -1:
-            raise MeshFormatError(f"electrode id below -1 in '{text}'", n)
-
-    for n, _ in it:
-        raise MeshFormatError("trailing content after boundary section", n)
-
-    if np.any(_signed_areas(nodes, elements) <= 0):
-        bad = int(np.argmax(_signed_areas(nodes, elements) <= 0))
-        raise MeshFormatError(f"element {bad} is degenerate or clockwise")
-
-    want = {tuple(sorted(e[:2])) for e in edges.tolist()}
-    have = {
-        tuple(sorted(e[:2]))
-        for e in _boundary_edges_from_elements(elements).tolist()
-    }
-    if want != have:
-        raise MeshFormatError("boundary section does not match element boundary")
-
-    table = {}
-    for lab in set(labels.tolist()):
-        if lab.startswith("inclusion"):
-            table[lab] = lab
-        elif lab.startswith("defect"):
-            table[lab] = "defect"
-        else:
-            table[lab] = "matrix"
-    return Mesh(
-        nodes=nodes,
-        elements=elements,
-        element_region=np.asarray(labels, dtype=np.str_),
-        boundary_edges=edges,
-        region_table=table,
     )

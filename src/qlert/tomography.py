@@ -46,8 +46,8 @@ __all__ = [
     "conductance_matrix",
     "symmetric_eigenvalues",
     "spectral_norm",
-    "is_psd",
     "goe_noise",
+    "disc_mask",
     "disc_defect",
     "disc_test_domains",
     "mpm_reconstruct",
@@ -500,14 +500,6 @@ def spectral_norm(matrix):
     return float(np.max(np.abs(eigs)))
 
 
-def is_psd(matrix, tol=0.0):
-    """(flag, min eigenvalue): positive semidefinite up to -tol."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    low = float(symmetric_eigenvalues(matrix)[0])
-    return low >= -tol, low
-
-
 # ---------------------------------------------------------------------------
 # noise model
 # ---------------------------------------------------------------------------
@@ -539,18 +531,21 @@ def goe_noise(size, eta, dg_max, seed):
 # ---------------------------------------------------------------------------
 
 
+def disc_mask(mesh, center, radius):
+    """Element mask of a disc: the matrix elements whose centroid falls
+    inside it. May select nothing."""
+    c = qmesh.element_centroids(mesh)
+    d = np.hypot(c[:, 0] - center[0], c[:, 1] - center[1])
+    return (d <= radius) & (mesh.element_region == "matrix")
+
+
 def disc_defect(mesh, center, radius):
     """Carve a disc-shaped defect, region ``defect-1``, into the matrix
     region.
 
-    Returns (new mesh, element mask). Elements belong to the defect
-    when their centroid falls inside the disc and they currently lie in
-    the matrix region."""
-    c = qmesh.element_centroids(mesh)
-    mask = np.hypot(c[:, 0] - center[0], c[:, 1] - center[1]) <= radius
-    mask &= mesh.element_region == "matrix"
-    new = qmesh.relabel_elements(mesh, mask, "defect-1")
-    return new, mask
+    Returns (new mesh, ``disc_mask`` element mask)."""
+    mask = disc_mask(mesh, center, radius)
+    return qmesh.relabel_elements(mesh, mask, "defect-1"), mask
 
 
 def disc_test_domains(mesh, radii, spacing=None):

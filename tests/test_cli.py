@@ -189,8 +189,12 @@ class TestConfigValidation:
         ("geometry", {"shape": "annulus", "refinement": 2,
                       "inner_radius_m": 0.6e-3, "outer_radius_m": 0.3e-3},
          "geometry.inner_radius_m"),
+        ("materials.inclusions.n", 0.5, "materials.inclusions.n"),
+        ("materials.inclusions", {"model": "weighted-power", "theta": 1.0,
+                                  "p": 0.5}, "materials.inclusions.p"),
     ], ids=["petal-outside", "petals-overlap", "arcs-share-a-node",
-            "arcs-cover-no-edge", "no-test-domain", "annulus-radii"])
+            "arcs-cover-no-edge", "no-test-domain", "annulus-radii",
+            "ej-n-at-most-one", "weighted-p-at-most-one"])
     def test_unbuildable_setup_names_the_path(self, tmp_path, capsys, key,
                                                value, path):
         tree = cable_tomo_config()

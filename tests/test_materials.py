@@ -94,7 +94,7 @@ def finite_difference_consistency(model, e_lo, e_hi):
     dq = (qmat.energy_density(model, es + h) - qmat.energy_density(model, es - h)) / (
         2 * h
     )
-    j = qmat.current_density(model, es)
+    j = qmat.sigma(model, es) * es
     np.testing.assert_allclose(dq, j, rtol=1e-6)
 
 
@@ -131,7 +131,7 @@ class TestConsistency:
     def test_current_nondecreasing_property(self, jc, n):
         m = qmat.ej_power_law(jc, n, e_floor=0.0, sigma_cap=np.inf)
         es = np.geomspace(1e-10, 1e2, 200)
-        j = qmat.current_density(m, es)
+        j = qmat.sigma(m, es) * es
         assert np.all(np.diff(j) >= 0)
 
     @given(e=st.floats(1e-8, 1e2))

@@ -139,18 +139,18 @@ class TestConductanceMatrix:
 
 class TestEigenTools:
     def test_identity_is_psd(self):
-        ok, low = tomo.is_psd(np.eye(3))
-        assert ok
+        low = tomo.symmetric_eigenvalues(np.eye(3))[0]
+        assert low >= 0.0
         assert low == pytest.approx(1.0, abs=1e-14)
 
     def test_indefinite_diagonal(self):
-        ok, low = tomo.is_psd(np.diag([1.0, -2.0]))
-        assert not ok
+        low = tomo.symmetric_eigenvalues(np.diag([1.0, -2.0]))[0]
+        assert low < 0.0
         assert low == pytest.approx(-2.0, abs=1e-14)
 
     def test_tridiagonal_minimum(self):
         m = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-        _, low = tomo.is_psd(m)
+        low = tomo.symmetric_eigenvalues(m)[0]
         assert low == pytest.approx(2.0 - np.sqrt(2.0), rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 7, 16, 33])
@@ -167,16 +167,17 @@ class TestEigenTools:
         assert tomo.spectral_norm(a) == pytest.approx(5.0, abs=1e-13)
 
     def test_one_by_one(self):
-        ok, low = tomo.is_psd(np.array([[-4.0]]))
-        assert not ok and low == -4.0
+        low = tomo.symmetric_eigenvalues(np.array([[-4.0]]))[0]
+        assert low == -4.0
 
     def test_rejects_asymmetric_and_bad_tol(self):
         with pytest.raises(ValueError, match="symmetric"):
             tomo.symmetric_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="square"):
             tomo.symmetric_eigenvalues(np.ones((2, 3)))
-        with pytest.raises(ValueError, match="tol"):
-            tomo.is_psd(np.eye(2), tol=-1.0)
+        # the semidefinite test's tolerance is mpm_reconstruct's
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            tomo.mpm_reconstruct(None, [], 0.0, tol=-1.0)
 
 
 class TestStackedEigenvalues:
@@ -285,7 +286,7 @@ class TestMonotonicity:
             amplitude=1.0,
         )
         scale = np.abs(g1.matrix).max()
-        _, min_eig = tomo.is_psd(g1.matrix - g2.matrix, tol=1e-9 * scale)
+        min_eig = tomo.symmetric_eigenvalues(g1.matrix - g2.matrix)[0]
         assert min_eig >= -1e-9 * scale
 
 
@@ -927,9 +928,9 @@ class TestBatchedDictionary:
         for k, (dom, g_test) in enumerate(tests):
             shifted = g_test.matrix - measured.matrix + delta * np.eye(m)
             raw.append(tomo.symmetric_eigenvalues(shifted)[0])
-            ok, value = tomo.is_psd(basis.T @ shifted @ basis, tol=tol)
+            value = tomo.symmetric_eigenvalues(basis.T @ shifted @ basis)[0]
             low_eigs.append(value)
-            if ok:
+            if value >= -tol:
                 accepted.append(k)
                 union |= dom.element_mask
         assert np.array_equal(rec.raw_min_eigenvalues, raw)
@@ -966,7 +967,7 @@ class TestPecLimitTomoCommand:
                                  qm.ElectrodeLayout.uniform(16, 0.5))
         models = cli.build_material_models(tree, mesh)
         disc = tree["task"]["defects"][0]
-        vmask = cli._disc_mask(mesh, disc["center_m"], disc["radius_m"])
+        vmask = tomo.disc_mask(mesh, disc["center_m"], disc["radius_m"])
         ref = refactored_g(mesh, models, vmask,
                            materials.linear(1e-3 * SIGMA_BG), 1e-3)
         assert np.abs(g - ref.matrix).max() <= 1e-12 * np.abs(ref.matrix).max()
