@@ -10,7 +10,7 @@ for validation, and a configuration-driven command line frontend.
 Submodules
 ----------
 mesh
-    Structured disk/annulus/cable meshes, electrodes, text format.
+    Structured disk/annulus/cable meshes and electrodes.
 materials
     Conductivity laws, energy densities, growth-assumption checks.
 fem

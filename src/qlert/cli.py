@@ -387,9 +387,7 @@ def cmd_solve(tree, digest, out, seed):
     mesh = build_mesh(tree)
     models = build_material_models(tree, mesh)
     mmap = materials.MaterialMap(models)
-    f, _, layout = build_boundary(tree, mesh)
-    if layout is not None:
-        mesh = qmesh.tag_electrodes(mesh, layout)
+    f, _, _ = build_boundary(tree, mesh)  # electrodes play no part here
     cfg = build_solver_config(tree)
 
     seen = len(solver.VIOLATIONS)  # the registry spans the process

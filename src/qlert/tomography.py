@@ -131,65 +131,6 @@ class Reconstruction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Electrodes:
-    """Electrode nodes, drive patterns and conductor split of one
-    conductance measurement."""
-
-    ids: tuple
-    nodes: np.ndarray     # every electrode node, grouped by electrode
-    owner: np.ndarray     # electrode position of each entry of ``nodes``
-    patterns: np.ndarray  # (len(nodes), m) boundary values per pattern
-    pec_regions: tuple
-    active: list          # regions that keep their material
-
-    @classmethod
-    def of(cls, mesh, amplitude, mode, electrodes):
-        if amplitude <= 0:
-            raise ValueError("amplitude must be positive")
-        if mode not in ("nonlinear", "pec-limit"):
-            raise ValueError("mode must be 'nonlinear' or 'pec-limit'")
-        if electrodes is None:
-            electrodes = qmesh.electrode_nodes(mesh)
-        if not electrodes:
-            raise ValueError("mesh has no tagged electrodes")
-        ids = tuple(sorted(electrodes))
-        groups = [np.asarray(electrodes[i], dtype=np.int64) for i in ids]
-        nodes = np.concatenate(groups)
-        if len(np.unique(nodes)) != len(nodes):
-            raise ValueError("electrode node sets overlap")
-        pec_regions = (tuple(mesh.inclusion_regions())
-                       if mode == "pec-limit" else ())
-        m = len(ids)
-        owner = np.repeat(np.arange(m), [len(gr) for gr in groups])
-        patterns = np.full((len(nodes), m), -amplitude / m)
-        patterns[np.arange(len(nodes)), owner] += amplitude
-        active = [lab for lab in mesh.region_elements()
-                  if lab not in pec_regions]
-        return cls(ids, nodes, owner, patterns, pec_regions, active)
-
-    def incidence(self, node_count):
-        """Electrode-by-node matrix: row i sums the currents of electrode i."""
-        return sparse.csr_matrix(
-            (np.ones(len(self.nodes)), (self.owner, self.nodes)),
-            shape=(len(self.ids), node_count),
-        )
-
-    def check_patterns(self, u, where=""):
-        """Maximum-principle monitor on every pattern column of ``u``."""
-        solver.check_max_principle(u, self.patterns, [
-            f"{where}conductance pattern {i}" for i in self.ids])
-
-
-def _conductance(g, amplitude, ids, mode, scenario):
-    scale = max(float(np.max(np.abs(g))), 1e-300)
-    asymmetry = float(np.max(np.abs(g - g.T))) / scale
-    return ConductanceMatrix(
-        matrix=0.5 * (g + g.T), amplitude=float(amplitude),
-        electrode_ids=ids, mode=mode, scenario=scenario, asymmetry=asymmetry,
-    )
-
-
 def conductance_matrix(mesh, material_map, amplitude=1e-3, mode="pec-limit",
                        electrodes=None, config=None, scenario=""):
     """Measure the electrode conductance matrix of a tagged mesh.
@@ -310,52 +251,80 @@ class ConductanceOperator:
 
     def __init__(self, mesh, material_map, amplitude=1e-3, mode="pec-limit",
                  electrodes=None, config=None):
-        el = _Electrodes.of(mesh, amplitude, mode, electrodes)
+        if amplitude <= 0:
+            raise ValueError("amplitude must be positive")
+        if mode not in ("nonlinear", "pec-limit"):
+            raise ValueError("mode must be 'nonlinear' or 'pec-limit'")
+        if electrodes is None:
+            electrodes = qmesh.electrode_nodes(mesh)
+        if not electrodes:
+            raise ValueError("mesh has no tagged electrodes")
         self.mesh, self.amplitude, self.mode = mesh, float(amplitude), mode
-        self._el, self._map, self._config = el, material_map, config
-        self._in_pec = np.isin(mesh.element_region, el.pec_regions)
+        self._map, self._config = material_map, config
+        # the electrode layout, nodes in ascending order (the Assembler's
+        # bc_nodes); pattern j drives electrode self._ids[j]
+        self._ids = ids = tuple(sorted(electrodes))
+        m = len(ids)
+        groups = [np.asarray(electrodes[i], dtype=np.int64) for i in ids]
+        nodes = np.concatenate(groups)
+        self._nodes, order = np.unique(nodes, return_index=True)
+        if len(self._nodes) != len(nodes):
+            raise ValueError("electrode node sets overlap")
+        owner = np.repeat(np.arange(m), [len(gr) for gr in groups])[order]
+        self._patterns = np.full((len(nodes), m), -amplitude / m)
+        self._patterns[np.arange(len(nodes)), owner] += amplitude
+        # row i sums the currents of electrode self._ids[i]
+        self._incidence = sparse.csr_matrix(
+            (np.ones(len(nodes)), (owner, self._nodes)),
+            shape=(m, mesh.node_count))
+        self._pec = (tuple(mesh.inclusion_regions())
+                     if mode == "pec-limit" else ())
+        self._active = [lab for lab in mesh.region_elements()
+                        if lab not in self._pec]  # regions keeping material
+        self._in_pec = np.isin(mesh.element_region, self._pec)
+
         self._factored = all(material_map.for_region(lab).field_independent
-                             for lab in el.active)
+                             for lab in self._active)
         if not self._factored:
-            self._g = self._fixed_point(mesh, material_map, "")
+            self._g = self._fixed_point(mesh, material_map, self._active, "")
             return
-        asm = self._asm = fem.Assembler(mesh, el.nodes,
-                                        pec_regions=el.pec_regions)
+        asm = self._asm = fem.Assembler(mesh, self._nodes,
+                                        pec_regions=self._pec)
         self._sigma = material_map.sigma_elements(
-            mesh, np.zeros(mesh.element_count), el.active)
-        order = np.argsort(el.nodes)  # the Assembler's sorted bc_nodes
-        self._bc = el.patterns[order]
+            mesh, np.zeros(mesh.element_count), self._active)
         self._lu, k_fd = asm.factor(self._sigma)
-        rhs = -k_fd @ self._bc
+        rhs = -k_fd @ self._patterns
         self._x = rhs if self._lu is None else self._lu.solve(rhs)
         self._columns = _InverseColumns(self._lu, asm.n_free)
-        self._u = asm.expand(self._x, self._bc)
-        # row of each node's potential in np.concatenate([x, bc]), which
-        # holds every value of the nodal potentials
+        self._u = asm.expand(self._x, self._patterns)
+        # row of each node's potential in np.concatenate([x, patterns]),
+        # which holds every value of the nodal potentials
         self._row = asm.node_dof.copy()
         self._row[asm.bc_nodes] = asm.n_free + np.arange(len(asm.bc_nodes))
-        el.check_patterns(self._u)
-        self._g = el.incidence(mesh.node_count) @ (
+        solver.check_max_principle(self._u, self._patterns,
+                                   self._contexts(""))
+        self._g = self._incidence @ (
             asm.raw_matrix(self._sigma) @ np.nan_to_num(self._u))
 
-    def _fixed_point(self, mesh, material_map, where):
+    def _contexts(self, where):
+        """Monitor context of each pattern, prefixed by ``where``."""
+        return [f"{where}conductance pattern {i}" for i in self._ids]
+
+    def _fixed_point(self, mesh, material_map, active, where):
         """Currents of every pattern on ``mesh``, one fixed-point solve
-        each; ``where`` prefixes the monitor contexts."""
-        el = self._el
-        active = [lab for lab in mesh.region_elements()
-                  if lab not in el.pec_regions]
-        asm = fem.Assembler(mesh, el.nodes, pec_regions=el.pec_regions)
-        incidence = el.incidence(mesh.node_count)
-        g = np.zeros((len(el.ids), len(el.ids)))
-        for j, i in enumerate(el.ids):
+        each, with the regions ``active`` keeping their material;
+        ``where`` prefixes the monitor contexts."""
+        asm = fem.Assembler(mesh, self._nodes, pec_regions=self._pec)
+        g = np.zeros((len(self._ids), len(self._ids)))
+        for j, context in enumerate(self._contexts(where)):
             sol = solver.solve_nonlinear(
-                mesh, material_map, (el.nodes, el.patterns[:, j]),
-                self._config, pec_regions=el.pec_regions,
-                context=f"{where}conductance pattern {i}", assembler=asm,
+                mesh, material_map, (self._nodes, self._patterns[:, j]),
+                self._config, pec_regions=self._pec, context=context,
+                assembler=asm,
             )
             e_mag = np.hypot(*sol.element_gradient.T)
             sig = material_map.sigma_elements(mesh, e_mag, active)
-            g[:, j] = incidence @ (
+            g[:, j] = self._incidence @ (
                 asm.raw_matrix(sig) @ np.nan_to_num(sol.nodal_potential))
         return g
 
@@ -399,31 +368,49 @@ class ConductanceOperator:
         wheres = [f"{scenario} " if scenario else "" for scenario in scenarios]
         if not self._factored:
             test_map = MaterialMap({**self._map.models, "test-domain": model})
+            active = [*self._active, "test-domain"]
             return [self._result(self._fixed_point(
                 qmesh.relabel_elements(self.mesh, mask, "test-domain"),
-                test_map, where), scenario)
+                test_map, active, where), scenario)
                 for mask, where, scenario in zip(masks, wheres, scenarios)]
         elements = [np.flatnonzero(mask) for mask in masks]
         dofs = []
         for each in elements:
             dof = self._asm.node_dof[self.mesh.elements[each]]
             dofs.append(np.unique(dof[dof >= 0]))
-        out, stored = [], 0
-        for i, where in enumerate(wheres):
+        out, lows, highs, stored = [], [], [], 0
+        for i, scenario in enumerate(scenarios):
             if i == stored:
                 stored = i + self._columns.prefetch(dofs[i:])
-            out.append(self._result(
-                self._update(elements[i], dofs[i], sig_t, where),
-                scenarios[i]))
+            g, values = self._update(elements[i], dofs[i], sig_t)
+            out.append(self._result(g, scenario))
+            finite = np.isfinite(values)
+            lows.append(np.where(finite, values, np.inf).min(axis=0))
+            highs.append(np.where(finite, values, -np.inf).max(axis=0))
+        # the monitor reads only each column's finite extremes, so one
+        # check over theirs covers every pattern of every mask
+        bounds = np.stack([self._patterns.min(axis=0),
+                           self._patterns.max(axis=0)])
+        solver.check_max_principle(
+            np.stack([np.concatenate(lows), np.concatenate(highs)]),
+            np.tile(bounds, len(masks)),
+            [c for where in wheres for c in self._contexts(where)])
         return out
 
     def _result(self, g, scenario):
-        return _conductance(g, self.amplitude, self._el.ids, self.mode,
-                            scenario)
+        """The symmetrized matrix of currents ``g``, keeping its
+        reciprocity violation as ``asymmetry``."""
+        scale = max(float(np.max(np.abs(g))), 1e-300)
+        return ConductanceMatrix(
+            matrix=0.5 * (g + g.T), amplitude=self.amplitude,
+            electrode_ids=self._ids, mode=self.mode, scenario=scenario,
+            asymmetry=float(np.max(np.abs(g - g.T))) / scale,
+        )
 
-    def _update(self, elements, dofs, sig_t, where):
+    def _update(self, elements, dofs, sig_t):
         """Currents with conductivity ``sig_t`` on ``elements``, whose
-        free dofs are ``dofs``; ``where`` prefixes the monitor contexts."""
+        free dofs are ``dofs``, and the free-dof and boundary values of
+        every pattern's potentials."""
         tri = self.mesh.elements[elements]
         delta = ((sig_t - self._sigma[elements])[:, None, None]
                  * self._asm.element_stiffness(elements))
@@ -456,8 +443,7 @@ class ConductanceOperator:
             energy = c.T @ z_nn @ c  # the background energy of Z c
         # the free-dof and boundary values are every value of the nodal
         # potentials, so they stand in for them in the monitor
-        values = np.concatenate([x, self._bc])
-        self._el.check_patterns(values, where)
+        values = np.concatenate([x, self._patterns])
         # G = U^T K U / amplitude over the pattern potentials U; the change
         # is the energy of Z c plus the masked elements' own change. Being
         # stationary in c, this keeps the currents of a strong conductor
@@ -466,7 +452,7 @@ class ConductanceOperator:
         corner = values[self._row[tri]]
         energy = energy + (corner.reshape(-1, m).T
                            @ (delta @ corner).reshape(-1, m))
-        return self._g + energy / self.amplitude
+        return self._g + energy / self.amplitude, values
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,18 @@ class TestConfigValidation:
         assert ("config error: boundary.electrodes: 32 arcs configured but "
                 "16 of them cover a boundary edge") in err
 
+    def test_arcs_sharing_a_node_are_rejected(self, tmp_path, capsys):
+        # at refinement 1 no boundary edge has its midpoint in the
+        # 12-degree gaps between these arcs, so neighbouring electrodes
+        # share the node between their end edges
+        tree = tomo_config()
+        tree["geometry"]["refinement"] = 1
+        tree["boundary"]["electrodes"] = {"count": 3, "coverage": 0.9}
+        code = run("tomo", write_config(tmp_path, tree), tmp_path / "out")
+        assert code == cli.EXIT_CONFIG
+        assert ("config error: boundary.electrodes: neighbouring arcs share "
+                "a boundary node") in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value, path", [
         ("geometry.petals.ring_radius_m", 0.5e-3, "geometry.petals"),
         ("geometry.petals.ring_radius_m", 0.1e-3, "geometry.petals"),
@@ -192,9 +204,12 @@ class TestConfigValidation:
         ("materials.inclusions.n", 0.5, "materials.inclusions.n"),
         ("materials.inclusions", {"model": "weighted-power", "theta": 1.0,
                                   "p": 0.5}, "materials.inclusions.p"),
+        ("task.delta", -1e-9, "task.delta"),
+        ("task.psd_tol", -1e-9, "task.psd_tol"),
     ], ids=["petal-outside", "petals-overlap", "arcs-share-a-node",
             "arcs-cover-no-edge", "no-test-domain", "annulus-radii",
-            "ej-n-at-most-one", "weighted-p-at-most-one"])
+            "ej-n-at-most-one", "weighted-p-at-most-one", "negative-delta",
+            "negative-psd-tol"])
     def test_unbuildable_setup_names_the_path(self, tmp_path, capsys, key,
                                                value, path):
         tree = cable_tomo_config()
@@ -292,6 +307,23 @@ class TestSolveCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["iterations"] >= 1
         assert report["monitors"]["max_principle_ok"]
+
+    def test_pei_limit_mode_runs(self, tmp_path):
+        # insulating petals lower the energy of the same Dirichlet data
+        # below that of perfectly conducting ones
+        energies = {}
+        for mode in ("pei-limit", "pec-limit"):
+            tree = solve_config()
+            tree["task"]["mode"] = mode
+            out = tmp_path / mode
+            assert run("solve", write_config(tmp_path, tree),
+                       out) == cli.EXIT_OK
+            report = json.loads((out / "report.json").read_text())
+            assert report["mode"] == mode
+            assert report["monitors"]["max_principle_ok"]
+            assert report["violations"] == []
+            energies[mode] = report["energy"]
+        assert 0 < energies["pei-limit"] < energies["pec-limit"]
 
     def test_report_lists_only_its_own_violations(self, tmp_path,
                                                   monkeypatch):
@@ -395,6 +427,29 @@ class TestTomoCommand:
             assert (float(r[6]) >= 0) == (r[7] == "1")
             assert float(r[6]) == pytest.approx(
                 float(r[4]) + report["psd_tol"], rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("key, value", [("delta", 0.25),
+                                            ("psd_tol", 1e-3)])
+    def test_numeric_tolerance_is_used(self, tmp_path, key, value):
+        tree = tomo_config()
+        tree["task"][key] = value
+        out = tmp_path / "out"
+        assert run("tomo", write_config(tmp_path, tree), out) == cli.EXIT_OK
+        assert json.loads((out / "report.json").read_text())[key] == value
+
+    def test_scalar_test_radius_is_a_one_radius_list(self, tmp_path):
+        tree = tomo_config()
+        assert tree["task"]["test_radii_m"] == [0.35]
+        assert run("tomo", write_config(tmp_path, tree),
+                   tmp_path / "list") == cli.EXIT_OK
+        tree["task"]["test_radii_m"] = 0.35
+        assert run("tomo", write_config(tmp_path, tree),
+                   tmp_path / "scalar") == cli.EXIT_OK
+        for name in ("domains.csv", "reconstruction.csv"):
+            # apart from the config hash on the first line
+            lines = [(tmp_path / out / name).read_text().splitlines()[1:]
+                     for out in ("list", "scalar")]
+            assert lines[0] == lines[1]
 
     def test_seed_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, tomo_config())
@@ -510,17 +565,25 @@ class TestTomoCommand:
         # the background, the defect and each test domain
         assert len(assemblers) == report["test_domains"] + 2
 
-        def per_domain(self, mask, model, scenario=""):
-            tm = qmesh.relabel_elements(self.mesh, mask, "test-domain")
-            return tomography.conductance_matrix(
-                tm, materials.MaterialMap({**self._map.models,
-                                           "test-domain": model}),
-                amplitude=self.amplitude, mode=self.mode,
-                config=cli.build_solver_config(tree), scenario=scenario)
+        replaced = []
 
-        monkeypatch.setattr(tomography.ConductanceOperator, "matrix",
+        def per_domain(self, masks, model, scenarios):
+            out = []
+            for mask, scenario in zip(masks, scenarios):
+                replaced.append(scenario)
+                tm = qmesh.relabel_elements(self.mesh, mask, "test-domain")
+                out.append(tomography.conductance_matrix(
+                    tm, materials.MaterialMap({**self._map.models,
+                                               "test-domain": model}),
+                    amplitude=self.amplitude, mode=self.mode,
+                    config=cli.build_solver_config(tree), scenario=scenario))
+            return out
+
+        # ``matrix`` (the defect) is the one-mask case of ``matrices``
+        monkeypatch.setattr(tomography.ConductanceOperator, "matrices",
                             per_domain)
         assert run("tomo", path, tmp_path / "per-domain") == cli.EXIT_OK
+        assert len(replaced) == report["test_domains"] + 1  # and the defect
         names = sorted(p.name for p in (tmp_path / "operator").iterdir())
         assert names == sorted(p.name
                                for p in (tmp_path / "per-domain").iterdir())

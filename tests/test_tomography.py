@@ -566,12 +566,11 @@ def replayed_matrix(op, mask, model, scenario):
         c = np.linalg.solve(np.eye(k) + s @ z_nn, db - s @ x[dofs])
         x = x + z @ c
         energy = c.T @ z_nn @ c
-    corner = asm.expand(x, op._bc)[tri]
+    corner = asm.expand(x, op._patterns)[tri]
     m = corner.shape[2]
     energy = energy + (corner.reshape(-1, m).T
                        @ (delta @ corner).reshape(-1, m))
-    return tomo._conductance(op._g + energy / op.amplitude, op.amplitude,
-                             op._el.ids, op.mode, scenario)
+    return op._result(op._g + energy / op.amplitude, scenario)
 
 
 def relative_gap(g, ref):
@@ -878,6 +877,44 @@ class TestBatchedDictionary:
             assert (g.scenario, g.asymmetry) == (d.id, want.asymmetry)
         one = op.matrix(domains[5].element_mask, low, domains[5].id)
         assert np.array_equal(one.matrix, got[5].matrix)
+
+    @pytest.mark.parametrize("name", ["disk", "cable"])
+    def test_one_monitor_check_files_the_per_mask_breaches(
+            self, name, request, monkeypatch):
+        # with a negative tolerance every pattern of every mask breaches;
+        # the dictionary's one check must file what a check per mask on
+        # the same potentials files, in the same order
+        mesh, mmap, amplitude, mode, domains, low = self.dictionary(name,
+                                                                    request)
+        op = tomo.ConductanceOperator(mesh, mmap, amplitude, mode)
+        update, potentials = tomo.ConductanceOperator._update, []
+
+        def recording(self, *args):
+            g, values = update(self, *args)
+            potentials.append(values)
+            return g, values
+
+        monkeypatch.setattr(tomo.ConductanceOperator, "_update", recording)
+        monkeypatch.setattr(solver, "MAX_PRINCIPLE_RTOL", -1.0)
+        scenarios = [d.id for d in domains]
+        scenarios[1] = ""  # an unnamed mask's contexts carry no prefix
+        try:
+            got = op.matrices([d.element_mask for d in domains], low,
+                              scenarios)
+            filed = list(solver.VIOLATIONS)
+            solver.clear_violations()
+            for values, scenario in zip(potentials, scenarios):
+                where = f"{scenario} " if scenario else ""
+                solver.check_max_principle(values, op._patterns, [
+                    f"{where}conductance pattern {i}"
+                    for i in got[0].electrode_ids])
+            replayed = list(solver.VIOLATIONS)
+        finally:
+            solver.clear_violations()
+        assert len(potentials) == len(domains)
+        assert len(filed) == len(domains) * got[0].size
+        assert filed == replayed
+        assert filed[got[0].size]["context"] == "conductance pattern 0"
 
     def test_one_validation_per_dictionary(self, tagged_disk, monkeypatch):
         op = tomo.ConductanceOperator(
