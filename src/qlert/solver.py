@@ -15,19 +15,21 @@ exactly. Each linearized solve still starts cold, from zero, so that a
 step is a fixed function of sigma and the loop stops once sigma stops
 changing; it also lets a step whose sigma equals the last solved one bit
 for bit reuse that solution, so a field-independent map takes one linear
-solve. A cold solve (no initial guess) starts from the small-data limit
-of the paper: sigma at zero field wherever it exceeds sigma at the
-data-scale field, which puts saturating petals at sigma_cap, the perfect
-conductor, and leaves every other region at its data-scale sigma. That
-start is kept only if sigma at its own field equals it bit for bit, so
-that it is the exact fixed point of the regularized problem and one step
-confirms it with change 0; otherwise the solve starts from sigma frozen
-at the data-scale field. On the README cable below petal saturation
-(up to about 20 mV at refinement 3) this replaces 5 to 40 steps by one
-linear solve. Each iterate's field is computed once and read by both its
-energy and the next step's sigma. A solve takes an optional
-``fem.Assembler`` built for its mesh, boundary nodes and conductor split:
-``lambda_sweep`` shares one across its points,
+solve, and a sweep point whose sigma did not move rescales the last
+point's solution by the ratio of the data scales. A cold solve (no
+initial guess) starts from the small-data limit of the paper: sigma at
+zero field wherever it exceeds sigma at the data-scale field, which puts
+saturating petals at sigma_cap, the perfect conductor, and leaves every
+other region at its data-scale sigma. That start is kept only if sigma
+at its own field equals it bit for bit, so that it is the exact fixed
+point of the regularized problem and one step confirms it with change 0;
+otherwise the solve starts from sigma frozen at the data-scale field. On
+the README cable below petal saturation (up to about 20 mV at refinement
+3) this replaces 5 to 40 steps by one linear solve. Each iterate's field
+is computed once and read by both its energy and the next step's sigma;
+a step that leaves the iterate unchanged bit for bit keeps it. A solve
+takes an optional ``fem.Assembler`` built for its mesh, boundary nodes
+and conductor split: ``lambda_sweep`` shares one across its points,
 ``tomography.ConductanceOperator`` one across the patterns of each
 field-dependent matrix. Every converged solve runs two cheap monitors —
 energy descent along the iterates and the discrete maximum principle —
@@ -227,8 +229,35 @@ def _field(mesh, u):
     return grads, np.hypot(grads[:, 0], grads[:, 1])
 
 
+class _LastSolve:
+    """The last linearized system solved, for systems whose boundary data
+    are ``scale`` times one fixed profile: its sigma, its scale and its
+    solution. The system is linear in the data, so one whose sigma equals
+    the last bit for bit is solved by that solution per unit of scale
+    times its own scale, and at the same scale by that solution itself.
+    A solve holds one for its own steps at scale 1; ``lambda_sweep``
+    shares one across its points, with ``scale`` set to each point's
+    lambda."""
+
+    def __init__(self):
+        self.scale = 1.0
+        self._last = None
+
+    def lookup(self, sigma):
+        """The solution at ``scale`` if ``sigma`` was the last solved,
+        else None."""
+        if self._last is None or not np.array_equal(sigma, self._last[0]):
+            return None
+        _, scale, x = self._last
+        return x if scale == self.scale else x / scale * self.scale
+
+    def store(self, sigma, x):
+        self._last = (sigma, self.scale, x)
+
+
 def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
-                    excluded_regions=(), context="nonlinear", assembler=None):
+                    excluded_regions=(), context="nonlinear", assembler=None,
+                    *, _last_solve=None):
     """Quasilinear Dirichlet solve by fixed-point (Kachanov) iteration.
 
     ``f`` is a (nodes, values) pair. Regions in ``pec_regions`` are
@@ -238,7 +267,8 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
     ``assembler`` is an optional ``fem.Assembler`` to reuse, with its
     cached deflation basis, across solves; it must have been built for
     this mesh object, the nodes of ``f`` and this conductor split, or
-    ValueError names what differs.
+    ValueError names what differs. ``_last_solve`` is ``lambda_sweep``'s
+    shared ``_LastSolve``; a solve of its own starts a fresh one.
     """
     config = config or NonlinearSolveConfig()
     nodes, values = _boundary_pair(f)
@@ -272,17 +302,17 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
             monitors=monitors,
         )
 
-    # The system last solved: (sigma, x). Each linearized solve starts
-    # cold, so it is a fixed function of sigma (the boundary values never
-    # change within a solve), and a step whose sigma equals the last one
-    # bit for bit reuses its answer instead of solving again. A
-    # field-independent map then takes one linear solve, not two.
-    solved = None
+    # Each linearized solve starts cold, so it is a fixed function of
+    # sigma and the data, and a step whose sigma equals the last solved
+    # one bit for bit reuses that answer (``_LastSolve``): a
+    # field-independent map takes one linear solve, not two, and a sweep
+    # point whose sigma did not move rescales the last point's solve.
+    last = _last_solve if _last_solve is not None else _LastSolve()
 
     def linear_solve(sig):
-        nonlocal solved
-        if solved is not None and np.array_equal(sig, solved[0]):
-            return solved[1]
+        x_lin = last.lookup(sig)
+        if x_lin is not None:
+            return x_lin
         bad = kept[~np.isfinite(sig[kept])]
         if len(bad):
             raise NumericalBreakdownError(
@@ -290,10 +320,12 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
                 f"{bad[0]} ({sig[bad[0]]})", bad[0])
         x_lin = fem.solve_spd(asm.assemble(sig, values),
                               coarse=asm.deflation_basis).x
-        solved = (sig, x_lin)
+        last.store(sig, x_lin)
         return x_lin
 
-    # initial iterate
+    # initial iterate; fixed when it is the small-data start, whose field
+    # the fixed-point check below has already computed
+    fixed = False
     if config.initial_guess is not None:
         u = np.asarray(config.initial_guess, dtype=float)
         if u.shape != (mesh.node_count,):
@@ -314,18 +346,20 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
         # a law without a cap is infinite at zero field and never tried.
         sig_small = np.maximum(sig_data, material_map.sigma_elements(
             mesh, np.zeros(n_el), active))
-        fixed = False
         if np.all(np.isfinite(sig_small)):
             x = linear_solve(sig_small)
-            e_small = _field(mesh, asm.expand(x, values))[1]
-            fixed = np.all(np.isfinite(e_small[kept])) and np.array_equal(
-                material_map.sigma_elements(mesh, e_small, active),
+            u = asm.expand(x, values)
+            grads, e_mag = _field(mesh, u)
+            fixed = np.all(np.isfinite(e_mag[kept])) and np.array_equal(
+                material_map.sigma_elements(mesh, e_mag, active),
                 sig_small)
         if not fixed:
             x = linear_solve(sig_data)
-    u = asm.expand(x, values)
-    # each iterate's field feeds both its energy and the next step's sigma
-    grads, e_mag = _field(mesh, u)
+    if not fixed:
+        u = asm.expand(x, values)
+        # each iterate's field feeds both its energy and the next step's
+        # sigma
+        grads, e_mag = _field(mesh, u)
 
     energies = [energy_of(u, e_mag)]
     changes = []
@@ -349,10 +383,15 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
         x_new = (1.0 - damping) * x + damping * x_lin
         scale = max(float(np.max(np.abs(x_new))), 1e-300)
         change = float(np.max(np.abs(x_new - x))) / scale
-        x = x_new
-        u = asm.expand(x, values)
-        grads, e_mag = _field(mesh, u)
-        energies.append(energy_of(u, e_mag))
+        if np.array_equal(x_new.view(np.int64), x.view(np.int64)):
+            # the iterate did not move, signed zeros included: it keeps
+            # its field and energy
+            energies.append(energies[-1])
+        else:
+            x = x_new
+            u = asm.expand(x, values)
+            grads, e_mag = _field(mesh, u)
+            energies.append(energy_of(u, e_mag))
         changes.append(change)
         if change <= config.picard_tol:
             converged = True
@@ -522,8 +561,14 @@ def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, p0=2.0,
     The mesh's inclusions are the regions that the limit replaces: by
     perfect conductors when ``limit_kind`` is "pec", by perfect
     insulators when it is "pei". The limiting solution is solved here,
-    with ``config``, like every point. Individual failures are recorded
-    in ``status`` and do not abort the sweep."""
+    with ``config``, like every point. Each point after the first starts
+    from the last converged point's potential scaled to its lambda. The
+    data are lam * f, so each linearized system is linear in lam: a step
+    whose sigma equals the last one solved in the sweep bit for bit (at
+    every point where saturated petals sit at ``sigma_cap`` and the rest
+    is linear) takes that solution times the ratio of the lambdas instead
+    of a linear solve. Individual failures are recorded in ``status`` and
+    do not abort the sweep."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.ndim != 1 or len(lambda_grid) == 0:
         raise ValueError("lambda grid must be a non-empty 1-d array")
@@ -553,8 +598,10 @@ def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, p0=2.0,
     lim_max = float(np.max(np.abs(v_lim[mat_nodes])))
 
     # one assembler, and one deflation basis, for every point: they share
-    # the mesh, the boundary nodes and the (empty) conductor split
+    # the mesh, the boundary nodes and the (empty) conductor split; and
+    # one last linear solve, at data scale lam for each point
     asm = fem.Assembler(mesh, nodes)
+    last = _LastSolve()
     base = config or NonlinearSolveConfig()
     n = len(lambda_grid)
     e2 = np.full(n, np.nan)
@@ -570,10 +617,12 @@ def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, p0=2.0,
         if prev is not None:
             guess = prev.nodal_potential * (lam / prev_lam)
             cfg = replace(base, initial_guess=guess)
+        last.scale = lam
         try:
             sol = solve_nonlinear(
                 mesh, material_map, (nodes, lam * values), cfg,
                 context=f"sweep lambda={lam:.3e}", assembler=asm,
+                _last_solve=last,
             )
         except (PicardNonConvergenceError, NumericalBreakdownError,
                 fem.NonConvergenceError) as err:

@@ -206,7 +206,7 @@ class TestConfigValidation:
                                   "p": 0.5}, "materials.inclusions.p"),
         ("task.delta", -1e-9, "task.delta"),
         ("task.psd_tol", -1e-9, "task.psd_tol"),
-    ], ids=["petal-outside", "petals-overlap", "arcs-share-a-node",
+    ], ids=["petal-outside", "petals-overlap", "more-arcs-than-edges",
             "arcs-cover-no-edge", "no-test-domain", "annulus-radii",
             "ej-n-at-most-one", "weighted-p-at-most-one", "negative-delta",
             "negative-psd-tol"])

@@ -727,6 +727,116 @@ class TestLambdaSweep:
         assert columns[0][0] == 1.0
         assert columns[4][1] == sweep.picard_iters[1]
 
+    # Points of a sweep share their last linear solve: a step whose sigma
+    # equals it bit for bit rescales it to the point's lambda. The
+    # reference replays the sweep with every point solved on its own.
+
+    @staticmethod
+    def unshared_sweep(monkeypatch, *args, **kwargs):
+        """``lambda_sweep`` with each point's solve_nonlinear given no
+        shared last solve: the same warm guesses, no reuse across points."""
+        solve = solver.solve_nonlinear
+
+        def alone(*a, _last_solve=None, **kw):
+            return solve(*a, **kw)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "solve_nonlinear", alone)
+            return solver.lambda_sweep(*args, **kwargs)
+
+    @staticmethod
+    def saturated_cable_sweep(amplitude):
+        # the README cable at amplitude x lambda: below 10 mV the petals
+        # sit at sigma_cap, so points there share one sigma
+        mesh = cable_mesh(3)
+        mmap = cable_materials(mesh)
+        f = solver.linear_profile(mesh, amplitude / CABLE_RADIUS)
+        grid = solver.log_grid(1e-1, 1e-8, per_decade=1)
+        return mesh, mmap, f, grid, "pec"
+
+    @staticmethod
+    def assert_within_bounds(sweep, ref):
+        assert sweep.status == ref.status
+        assert np.array_equal(sweep.picard_iters, ref.picard_iters)
+        ok = np.isfinite(ref.e2)
+        assert np.array_equal(np.isfinite(sweep.e2), ok)
+        for got, want, rtol in ((sweep.e2, ref.e2, 1e-7),
+                                (sweep.einf, ref.einf, 1e-7),
+                                (sweep.g0, ref.g0, 1e-12)):
+            assert np.all(np.abs(got[ok] - want[ok])
+                          <= rtol * np.abs(want[ok]))
+        # up to the first converged point nothing is shared yet
+        first = int(np.argmax(ok))
+        for got, want in ((sweep.e2, ref.e2), (sweep.einf, ref.einf),
+                          (sweep.g0, ref.g0)):
+            assert np.array_equal(got[:first + 1], want[:first + 1],
+                                  equal_nan=True)
+        assert np.array_equal(sweep.solutions[first].nodal_potential,
+                              ref.solutions[first].nodal_potential)
+
+    def test_points_that_share_sigma_rescale_the_last_solve(
+            self, monkeypatch):
+        solve = fem.solve_spd
+        calls = []
+        per_solve = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        solve_nonlinear = solver.solve_nonlinear
+
+        def counted(*args, **kwargs):
+            before = len(calls)
+            try:
+                return solve_nonlinear(*args, **kwargs)
+            finally:
+                per_solve.append(len(calls) - before)
+
+        monkeypatch.setattr(fem, "solve_spd", counting)
+        monkeypatch.setattr(solver, "solve_nonlinear", counted)
+        # 1 mV x lambda: every point lies below saturation
+        sweep = solver.lambda_sweep(*self.saturated_cable_sweep(1e-3))
+        assert sweep.all_ok and len(sweep.lambdas) == 8
+        assert np.array_equal(sweep.picard_iters, [1] * 8)
+        # the limit, the first point (its small-data start), then none
+        assert per_solve == [1, 1] + [0] * 7
+
+    def test_rescaled_solves_agree_with_unshared_points(self, monkeypatch):
+        # 1 V x lambda: the first two points move sigma, the rest share it
+        args = self.saturated_cable_sweep(1.0)
+        sweep = solver.lambda_sweep(*args)
+        ref = self.unshared_sweep(monkeypatch, *args)
+        assert sweep.all_ok
+        self.assert_within_bounds(sweep, ref)
+
+    def test_moving_sigma_matches_unshared_points_bit_for_bit(
+            self, holed_disk, monkeypatch):
+        mmap = materials.MaterialMap(
+            {"matrix": materials.weighted_power(2.0, 2.0),
+             "inclusion-1": materials.weighted_power(1.0, 1.5)})
+        nodes, values = disk_profile(holed_disk, lambda x, y: x)
+        grid = solver.log_grid(1.0, 1e-7, per_decade=1)
+        args = (holed_disk, mmap, (nodes, values), grid, "pec")
+        sweep = solver.lambda_sweep(*args)
+        ref = self.unshared_sweep(monkeypatch, *args)
+        assert len(grid) == 8 and sweep.all_ok
+        for got, want in zip(sweep.columns(), ref.columns()):
+            assert np.array_equal(got, want)
+        for got, want in zip(sweep.solutions, ref.solutions):
+            assert np.array_equal(got.nodal_potential, want.nodal_potential)
+
+    def test_failed_point_leaves_later_points_correct(self, monkeypatch):
+        # one step per point: the 0.1 V point, above saturation, fails;
+        # the later ones start cold and converge at once
+        starved = solver.NonlinearSolveConfig(max_picard_iter=1)
+        args = self.saturated_cable_sweep(1.0)
+        sweep = solver.lambda_sweep(*args, config=starved)
+        ref = self.unshared_sweep(monkeypatch, *args, config=starved)
+        assert sweep.status[0].startswith("error:")
+        assert sweep.status[1:] == ("ok",) * 7
+        self.assert_within_bounds(sweep, ref)
+
 
 class TestSharedAssembler:
     MAP = materials.MaterialMap({"matrix": materials.linear(1.0),
