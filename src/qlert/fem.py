@@ -175,7 +175,8 @@ def _stable_order(rows):
     key = rows.astype(np.int64) << 32
     key |= np.arange(len(key))
     key.sort()
-    return (key & 0xFFFFFFFF).astype(np.int32)
+    key &= 0xFFFFFFFF
+    return key.astype(np.int32)
 
 
 class _CsrPlan:
@@ -199,21 +200,24 @@ class _CsrPlan:
         n_rows = shape[0]
         indptr = np.zeros(n_rows + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        # the entry positions ride along as the data, sorted with their
+        # column indices: the sort's permutation depends on those alone
         order = _stable_order(rows)
-        probe = sparse.csr_matrix((order.astype(float), cols[order], indptr),
-                                  shape=shape)
+        probe = sparse.csr_matrix((order, cols[order], indptr), shape=shape)
+        del order  # the probe's data, freed with the probe
         probe.sort_indices()
-        entry = probe.data.astype(np.int32)  # entries in summation order
-        n = len(entry)
+        self.shape = shape
+        self.gather = at[probe.data]  # entries in summation order
+        indices = probe.indices
+        del probe
+        n = len(indices)
         opens = np.ones(n, dtype=bool)  # the entry starts a new slot
-        opens[1:] = probe.indices[1:] != probe.indices[:-1]
+        opens[1:] = indices[1:] != indices[:-1]
         opens[indptr[:-1][indptr[:-1] < n]] = True  # and so does each row
         before = np.zeros(n + 1, dtype=np.int32)  # slots before entry k
         np.cumsum(opens, out=before[1:])
-        self.shape = shape
-        self.gather = at[entry]
         self.slot = before[1:] - 1
-        self.indices = probe.indices[opens]
+        self.indices = indices[opens]
         self.indptr = before[indptr]
         for a in (self.gather, self.slot, self.indices, self.indptr):
             a.setflags(write=False)
@@ -294,30 +298,34 @@ class Assembler:
                 f"{len(stranded)} mesh component(s) carry no boundary value"
             )
 
-        b, c, area = element_geometry(mesh)
-        bk, ck, ak = b[self.kept], c[self.kept], area[self.kept]
-        self._s_local = (
-            bk[:, :, None] * bk[:, None, :] + ck[:, :, None] * ck[:, None, :]
-        ) / (4.0 * ak[:, None, None])
-
         # entry (k, i, j) of the flattened (K, 3, 3) local matrices couples
         # corner i (row) with corner j (column) of kept element k; int32
-        # index arrays keep the set-up transient small, and it sets the
-        # peak memory of a large solve
+        # index arrays, each freed after its last reader, keep the set-up
+        # transient small, and it sets the peak memory of a large solve
         gi = index[kept_tris].astype(np.int32)  # (K,3) dof classes per corner
         rows, cols = _corner_pairs(gi)
         ff = np.flatnonzero((rows >= 0) & (cols >= 0)).astype(np.int32)
         self._ff_plan = _CsrPlan(ff, rows[ff], cols[ff],
                                  (self.n_free, self.n_free))
+        del ff
 
         fixed_masters = np.flatnonzero(index == FIXED)
         fcol = np.full(mesh.node_count, -1, dtype=np.int32)
         fcol[fixed_masters] = np.arange(len(fixed_masters))
         self.n_fixed = len(fixed_masters)
         fd = np.flatnonzero((rows >= 0) & (cols == FIXED)).astype(np.int32)
+        del cols
         _, fixed_cols = _corner_pairs(fcol[kept_tris])
         self._fd_plan = _CsrPlan(fd, rows[fd], fixed_cols[fd],
                                  (self.n_free, self.n_fixed))
+        del rows, fixed_cols, fd
+
+        b, c, area = element_geometry(mesh)
+        bk, ck = b[self.kept], c[self.kept]
+        s_local = bk[:, :, None] * bk[:, None, :]
+        s_local += ck[:, :, None] * ck[:, None, :]
+        s_local /= 4.0 * area[self.kept][:, None, None]
+        self._s_local = s_local
 
     def _sigma_kept(self, per_element_sigma):
         s = np.asarray(per_element_sigma, dtype=float)

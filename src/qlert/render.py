@@ -11,8 +11,9 @@ order, so every coordinate equals the per-point arithmetic bit for bit)
 and colors from one table lookup. A mesh view formats one coordinate
 string per node and joins each triangle from its three corners' strings;
 segments and polylines apply one ``%`` template to ``tolist()`` rows.
-Per-element lists are built in blocks of ``_BLOCK`` elements so the
-transient Python lists stay small.
+Per-element lists are built in blocks of ``_BLOCK`` elements, each
+joined into one string, so the transient Python lists stay small, and a
+document is joined once, its final newline included.
 
 The colormap is fixed: 8 anchor colors interpolated linearly in RGB to a
 256-entry table. Values are mapped affinely from [vmin, vmax] to table
@@ -141,8 +142,9 @@ def _pixel_rows(frame, x, y):
 
 
 def _triangles(frame, mesh, palette, index):
-    """One flat-shaded ``<polygon>`` per element, filled with
-    ``palette[index[k]]``.
+    """One flat-shaded ``<polygon>`` line per element, filled with
+    ``palette[index[k]]``, the lines of each block of ``_BLOCK`` elements
+    joined into one string.
 
     Each node's pixel pair is formatted once, as ``"%.6g,%.6g"``, and an
     element joins the strings of its three corners: the transform is
@@ -155,12 +157,13 @@ def _triangles(frame, mesh, palette, index):
                                           frame.y(xy[:, 1]).tolist())]
     out = []
     for start in range(0, mesh.element_count, _BLOCK):
-        # one list per corner, not one per element
+        # one list per corner, not one per element, and one string per
+        # block
         first, second, third = mesh.elements[start:start + _BLOCK].T.tolist()
         fills = index[start:start + _BLOCK].tolist()
-        out.extend([f'<polygon points="{points[a]} {points[b]} {points[c]}'
-                    f'{tails[i]}'
-                    for a, b, c, i in zip(first, second, third, fills)])
+        out.append("\n".join([
+            f'<polygon points="{points[a]} {points[b]} {points[c]}{tails[i]}'
+            for a, b, c, i in zip(first, second, third, fills)]))
     return out
 
 
@@ -223,8 +226,8 @@ def heatmap(mesh, element_values, title="", comment="", outlines=(),
         )
     body.append(_text(bar_x, bottom + 32, _fmt(lo), anchor="middle"))
     body.append(_text(bar_x + bar_w, bottom + 32, _fmt(hi), anchor="middle"))
-    body.append("</svg>")
-    return "\n".join(body) + "\n"
+    body.append("</svg>\n")
+    return "\n".join(body)
 
 
 def mask_overlay(mesh, mask, true_boundary=(), outlines=(), title="",
@@ -245,8 +248,8 @@ def mask_overlay(mesh, mask, true_boundary=(), outlines=(), title="",
         body.extend(_segments(frame, segs, "#9aa0a6", width=0.8))
     for segs in ((true_boundary,) if len(true_boundary) else ()):
         body.extend(_segments(frame, segs, "#b02020", width=1.6))
-    body.append("</svg>")
-    return "\n".join(body) + "\n"
+    body.append("</svg>\n")
+    return "\n".join(body)
 
 
 def _log_ticks(lo, hi):
@@ -339,5 +342,5 @@ def line_plot(series, title="", xlabel="", ylabel="", log_x=False,
         body.append(_text(px + pw / 2.0, height - 10, xlabel, anchor="middle"))
     if ylabel:
         body.append(_text(14, py - 10, ylabel))
-    body.append("</svg>")
-    return "\n".join(body) + "\n"
+    body.append("</svg>\n")
+    return "\n".join(body)

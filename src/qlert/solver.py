@@ -324,8 +324,9 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
         return x_lin
 
     # initial iterate; fixed when it is the small-data start, whose field
-    # the fixed-point check below has already computed
-    fixed = False
+    # and sigma the fixed-point check below has already computed. sig is
+    # sigma at the current field once computed, None before
+    fixed, sig = False, None
     if config.initial_guess is not None:
         u = np.asarray(config.initial_guess, dtype=float)
         if u.shape != (mesh.node_count,):
@@ -350,9 +351,9 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
             x = linear_solve(sig_small)
             u = asm.expand(x, values)
             grads, e_mag = _field(mesh, u)
-            fixed = np.all(np.isfinite(e_mag[kept])) and np.array_equal(
-                material_map.sigma_elements(mesh, e_mag, active),
-                sig_small)
+            if np.all(np.isfinite(e_mag[kept])):
+                sig = material_map.sigma_elements(mesh, e_mag, active)
+                fixed = np.array_equal(sig, sig_small)
         if not fixed:
             x = linear_solve(sig_data)
     if not fixed:
@@ -360,13 +361,15 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
         # each iterate's field feeds both its energy and the next step's
         # sigma
         grads, e_mag = _field(mesh, u)
+        sig = None  # if any, of the rejected start's field
 
     energies = [energy_of(u, e_mag)]
     changes = []
     converged = False
     for _ in range(config.max_picard_iter):
         _check_finite_field(e_mag, kept, context)
-        sig = material_map.sigma_elements(mesh, e_mag, active)
+        if sig is None:
+            sig = material_map.sigma_elements(mesh, e_mag, active)
         # Start from zero, not from x: CG stops at a relative residual of
         # 1e-10, and where it lands inside that ball depends on its
         # start, so a warm start would make the change criterion measure
@@ -385,12 +388,13 @@ def solve_nonlinear(mesh, material_map, f, config=None, pec_regions=(),
         change = float(np.max(np.abs(x_new - x))) / scale
         if np.array_equal(x_new.view(np.int64), x.view(np.int64)):
             # the iterate did not move, signed zeros included: it keeps
-            # its field and energy
+            # its field, sigma and energy
             energies.append(energies[-1])
         else:
             x = x_new
             u = asm.expand(x, values)
             grads, e_mag = _field(mesh, u)
+            sig = None  # of the old field
             energies.append(energy_of(u, e_mag))
         changes.append(change)
         if change <= config.picard_tol:

@@ -15,12 +15,13 @@ pec-limit imaging problem), it holds one assembly and one sparse LU
 factorization, solves all patterns as right-hand-side columns for the
 background matrix, and gives the matrix of the defect and of every test
 domain as an exact low-rank (Woodbury) update of that factorization,
-a whole dictionary in one pass with one model check and the inverse
-columns of many domains solved together; otherwise it runs the
-fixed-point solver on each pattern of each matrix. Eigenvalues come
-from LAPACK (``numpy.linalg.eigvalsh``) after a per-matrix symmetry
-check, one stacked call for all test matrices. PSD decisions are taken
-on the zero-mean subspace (the all-ones pattern is not observable with
+a whole dictionary in one pass with one model check, the inverse
+columns of many domains solved together and same-shaped domains updated
+in stacked calls; otherwise it runs the fixed-point solver on each
+pattern of each matrix. Eigenvalues come from LAPACK
+(``numpy.linalg.eigvalsh``) after a per-matrix symmetry check, one
+stacked call for all test matrices. PSD decisions are taken on the
+zero-mean subspace (the all-ones pattern is not observable with
 zero-mean excitations); the undeflated spectrum is kept as a
 diagnostic.
 """
@@ -158,7 +159,7 @@ class _InverseColumns:
     Neighbouring test domains share most of their dofs, so a dictionary
     walked in order solves each column about once while memory stays
     bounded on any mesh; ``prefetch`` solves the columns of several
-    upcoming domains in one call."""
+    upcoming domains in one call and ``fetch`` reads them."""
 
     MAX_BYTES = 64 * 2**20
 
@@ -195,9 +196,10 @@ class _InverseColumns:
 
     def prefetch(self, upcoming):
         """Store the columns of the leading dof sets of ``upcoming`` that
-        fit in the store together, solving the missing ones in one call;
-        returns how many sets that covers (at least one, whose columns
-        are not stored if it alone does not fit)."""
+        fit in the store together, solving the missing ones in one call,
+        and mark them used as fetching those sets one after another
+        would; returns how many sets that covers (at least one, whose
+        columns are not stored if it alone does not fit)."""
         wanted = np.zeros(self._n, dtype=bool)
         total = count = 0
         for dofs in upcoming:
@@ -209,14 +211,21 @@ class _InverseColumns:
             count += 1
         if count:
             self._hold(np.flatnonzero(wanted))
+            # each column was last used by the last of the sets holding it
+            sets = upcoming[:count]
+            np.maximum.at(self._used, self._slot[np.concatenate(sets)],
+                          np.repeat(self._clock + np.arange(1, count + 1),
+                                    [len(dofs) for dofs in sets]))
+            self._clock += count
         return max(count, 1)
 
-    def __call__(self, dofs):
-        """K^-1[:, dofs] as an (n, len(dofs)) array."""
-        if len(dofs) > len(self._owner):
-            return self._solve(dofs)
-        self._hold(dofs)
-        return self._store[self._slot[dofs]].T
+    def fetch(self, dofs):
+        """K^-1[:, dofs] for each row of the (B, k) array ``dofs``, as a
+        (B, n, k) stack; the rows are sets the last ``prefetch`` covered,
+        or the one set it could not store, which is solved directly."""
+        if dofs.shape[1] > len(self._owner):
+            return self._solve(dofs[0])[None]
+        return self._store[self._slot[dofs]].swapaxes(1, 2)
 
 
 class ConductanceOperator:
@@ -246,8 +255,13 @@ class ConductanceOperator:
     the same as x_T = y - Z (I + S Z_NN)^-1 S y_N with y = x + Z db_N.
     The currents follow from the energy form G = U^T K U / amplitude:
     the background currents plus the energy c^T Z_NN c and the masked
-    elements' own stiffness change. Every pattern of every matrix passes
-    the maximum-principle monitor."""
+    elements' own stiffness change. Masks of the same shape (as many
+    free dofs and elements) among those whose columns are held together
+    are updated in stacked calls, one per step, as many at a time as
+    their Z and potential stacks fit in the cache's byte budget; the
+    stacked LAPACK and BLAS calls work item by item, so each matrix is
+    bit for bit what the mask alone gives. Every pattern of every matrix
+    passes the maximum-principle monitor."""
 
     def __init__(self, mesh, material_map, amplitude=1e-3, mode="pec-limit",
                  electrodes=None, config=None):
@@ -330,7 +344,7 @@ class ConductanceOperator:
 
     def background(self, scenario=""):
         """The conductance matrix of the background material map."""
-        return self._result(self._g, scenario)
+        return self._results(self._g[None], [scenario])[0]
 
     def matrix(self, mask, model, scenario=""):
         """``matrices`` for the one mask ``mask``, named ``scenario``."""
@@ -369,90 +383,140 @@ class ConductanceOperator:
         if not self._factored:
             test_map = MaterialMap({**self._map.models, "test-domain": model})
             active = [*self._active, "test-domain"]
-            return [self._result(self._fixed_point(
+            return self._results(np.stack([self._fixed_point(
                 qmesh.relabel_elements(self.mesh, mask, "test-domain"),
-                test_map, active, where), scenario)
-                for mask, where, scenario in zip(masks, wheres, scenarios)]
-        elements = [np.flatnonzero(mask) for mask in masks]
-        dofs = []
-        for each in elements:
-            dof = self._asm.node_dof[self.mesh.elements[each]]
-            dofs.append(np.unique(dof[dof >= 0]))
-        out, lows, highs, stored = [], [], [], 0
-        for i, scenario in enumerate(scenarios):
-            if i == stored:
-                stored = i + self._columns.prefetch(dofs[i:])
-            g, values = self._update(elements[i], dofs[i], sig_t)
-            out.append(self._result(g, scenario))
-            finite = np.isfinite(values)
-            lows.append(np.where(finite, values, np.inf).min(axis=0))
-            highs.append(np.where(finite, values, -np.inf).max(axis=0))
+                test_map, active, where)
+                for mask, where in zip(masks, wheres)]), scenarios)
+
+        # each mask's elements, and N: the free dofs they touch, ascending,
+        # from one np.unique over (mask, dof) keys
+        element = [np.flatnonzero(mask) for mask in masks]
+        width = np.array([len(each) for each in element])  # elements per mask
+        element = np.concatenate(element)
+        n, span = self._asm.n_free, max(self._asm.n_free, 1)
+        dof = self._asm.node_dof[self.mesh.elements[element]]
+        owner = np.repeat(np.arange(len(masks)) * span, width)
+        keys = np.unique((owner[:, None] + dof)[dof >= 0])
+        del owner, dof  # freed before the first lu.solve, a large peak
+        k_all = np.bincount(keys // span, minlength=len(masks))
+        e_start = np.concatenate([[0], np.cumsum(width)])
+        k_start = np.concatenate([[0], np.cumsum(k_all)])
+        dofs = keys % span
+        dof_sets = np.split(dofs, k_start[1:-1])
+
+        m = len(self._ids)
+        rows = n + len(self._patterns)  # free dofs and electrode nodes
+        shape = k_all * (width.max() + 1) + width
+        g = np.empty((len(masks), m, m))
+        lows, highs = np.empty((len(masks), m)), np.empty((len(masks), m))
+        start = 0
+        while start < len(masks):
+            stop = start + self._columns.prefetch(dof_sets[start:])
+            # the masks of one shape among those whose columns are held
+            window = start + np.argsort(shape[start:stop], kind="stable")
+            for group in np.split(window,
+                                  np.flatnonzero(np.diff(shape[window])) + 1):
+                k, count = k_all[group[0]], width[group[0]]
+                size = max(1, self._columns.MAX_BYTES
+                           // (8 * (n * k + rows * m)))
+                for batch in np.split(group, range(size, len(group), size)):
+                    g[batch], lows[batch], highs[batch] = self._update(
+                        element[e_start[batch, None] + np.arange(count)],
+                        dofs[k_start[batch, None] + np.arange(k)], sig_t)
+            start = stop
         # the monitor reads only each column's finite extremes, so one
         # check over theirs covers every pattern of every mask
         bounds = np.stack([self._patterns.min(axis=0),
                            self._patterns.max(axis=0)])
         solver.check_max_principle(
-            np.stack([np.concatenate(lows), np.concatenate(highs)]),
+            np.stack([lows.ravel(), highs.ravel()]),
             np.tile(bounds, len(masks)),
             [c for where in wheres for c in self._contexts(where)])
-        return out
+        return self._results(g, scenarios)
 
-    def _result(self, g, scenario):
-        """The symmetrized matrix of currents ``g``, keeping its
-        reciprocity violation as ``asymmetry``."""
-        scale = max(float(np.max(np.abs(g))), 1e-300)
-        return ConductanceMatrix(
-            matrix=0.5 * (g + g.T), amplitude=self.amplitude,
-            electrode_ids=self._ids, mode=self.mode, scenario=scenario,
-            asymmetry=float(np.max(np.abs(g - g.T))) / scale,
-        )
+    def _results(self, g, scenarios):
+        """The symmetrized matrix of each of the (B, m, m) currents ``g``,
+        named by ``scenarios``, keeping its reciprocity violation as
+        ``asymmetry``."""
+        g_t = np.swapaxes(g, 1, 2)
+        scale = np.maximum(np.max(np.abs(g), axis=(1, 2)), 1e-300)
+        asymmetry = np.max(np.abs(g - g_t), axis=(1, 2)) / scale
+        return [ConductanceMatrix(
+            matrix=matrix, amplitude=self.amplitude, electrode_ids=self._ids,
+            mode=self.mode, scenario=scenario, asymmetry=value)
+            for matrix, value, scenario in zip(0.5 * (g + g_t),
+                                                asymmetry.tolist(), scenarios)]
 
     def _update(self, elements, dofs, sig_t):
-        """Currents with conductivity ``sig_t`` on ``elements``, whose
-        free dofs are ``dofs``, and the free-dof and boundary values of
-        every pattern's potentials."""
-        tri = self.mesh.elements[elements]
-        delta = ((sig_t - self._sigma[elements])[:, None, None]
-                 * self._asm.element_stiffness(elements))
+        """Currents with conductivity ``sig_t`` on each row of the (B, E)
+        ``elements``, whose free dofs are the row of the (B, k) ``dofs``,
+        and the extremes of the finite values of every pattern's
+        potentials, (B, m) each.
 
-        # N: the free dofs of the masked elements; S and db: the changes
-        # of K[N, N] and of the right-hand side on N, which fixed corners
-        # (electrode nodes) push through the changed coupling. bincount
-        # adds in the order np.add.at does
-        dof = self._asm.node_dof[tri]
-        k = len(dofs)
-        x, energy = self._x, 0.0
+        Each step is one call over the stack: the stacked LAPACK and BLAS
+        calls work item by item, and bincount adds each bin in the order
+        np.add.at does, so each result is bit for bit the mask's alone."""
+        batch, count = elements.shape
+        k = dofs.shape[1]
+        tri = self.mesh.elements[elements]
+        delta = ((sig_t - self._sigma[elements])[..., None, None]
+                 * self._asm.element_stiffness(elements.ravel()).reshape(
+                     batch, count, 3, 3))
+        x, n = self._x, self._asm.n_free
         m = x.shape[1]
-        if k:
-            free = dof >= 0
-            pos = np.searchsorted(dofs, dof)
-            pair = free[:, :, None] & free[:, None, :]
-            cell = pos[:, :, None] * k + pos[:, None, :]
-            s = np.bincount(cell[pair], weights=delta[pair],
-                            minlength=k * k).reshape(k, k)
-            fixed = (dof == fem.FIXED)[:, None, :]
-            push = -(delta * fixed) @ self._u[tri]
-            db = np.bincount(
-                (pos[free][:, None] * m + np.arange(m)).ravel(),
-                weights=push[free].ravel(), minlength=k * m).reshape(k, m)
-            z = self._columns(dofs)
-            z_nn = z[dofs]
-            # Woodbury: x_T = x + Z c with (I + S Z_NN) c = db_N - S x_N
-            c = np.linalg.solve(np.eye(k) + s @ z_nn, db - s @ x[dofs])
-            x = x + z @ c
-            energy = c.T @ z_nn @ c  # the background energy of Z c
         # the free-dof and boundary values are every value of the nodal
         # potentials, so they stand in for them in the monitor
-        values = np.concatenate([x, self._patterns])
+        values = np.empty((batch, n + len(self._patterns), m))
+        values[:, n:] = self._patterns
+        energy = 0.0
+        if k:
+            # S and db: the changes of K[N, N] and of the right-hand side
+            # on N, which fixed corners (electrode nodes) push through the
+            # changed coupling. Offset by n per item, the rows of dofs are
+            # one ascending array, and ``at`` is each free corner's row of
+            # the stack, so item b's bins follow those of item b - 1
+            dof = self._asm.node_dof[tri]
+            free = dof >= 0
+            item = np.arange(batch)[:, None, None]
+            at = np.searchsorted((dofs + item[:, 0] * n).ravel(),
+                                 dof + item * n)
+            pos = at - item * k  # the row in its own item
+            pair = free[..., :, None] & free[..., None, :]
+            cell = at[..., :, None] * k + pos[..., None, :]
+            s = np.bincount(cell[pair], weights=delta[pair],
+                            minlength=batch * k * k).reshape(batch, k, k)
+            fixed = (dof == fem.FIXED)[..., None, :]
+            push = -(delta * fixed) @ self._u[tri]
+            db = np.bincount(
+                (at[free][:, None] * m + np.arange(m)).ravel(),
+                weights=push[free].ravel(),
+                minlength=batch * k * m).reshape(batch, k, m)
+            z = self._columns.fetch(dofs)
+            z_nn = np.take_along_axis(z, dofs[:, :, None], axis=1)
+            # Woodbury: x_T = x + Z c with (I + S Z_NN) c = db_N - S x_N
+            c = np.linalg.solve(np.eye(k) + s @ z_nn, db - s @ x[dofs])
+            np.matmul(z, c, out=values[:, :n])
+            values[:, :n] += x
+            # the background energy of Z c
+            energy = np.swapaxes(c, 1, 2) @ z_nn @ c
+        else:
+            values[:, :n] = x
         # G = U^T K U / amplitude over the pattern potentials U; the change
         # is the energy of Z c plus the masked elements' own change. Being
         # stationary in c, this keeps the currents of a strong conductor
         # accurate where reading K_T u at the electrodes would multiply
         # the error of u by the contrast
-        corner = values[self._row[tri]]
-        energy = energy + (corner.reshape(-1, m).T
-                           @ (delta @ corner).reshape(-1, m))
-        return self._g + energy / self.amplitude, values
+        corner = values[np.arange(batch)[:, None, None], self._row[tri]]
+        energy = energy + (
+            np.swapaxes(corner.reshape(batch, -1, m), 1, 2)
+            @ (delta @ corner).reshape(batch, -1, m))
+        finite = np.isfinite(values)
+        if finite.all():
+            low, high = values.min(axis=1), values.max(axis=1)
+        else:
+            low = np.where(finite, values, np.inf).min(axis=1)
+            high = np.where(finite, values, -np.inf).max(axis=1)
+        return self._g + energy / self.amplitude, low, high
 
 
 # ---------------------------------------------------------------------------
@@ -553,24 +617,21 @@ def disc_test_domains(mesh, radii, spacing=None):
     hi = mesh.nodes.max(axis=0)
     xs = np.arange(lo[0] + step / 2, hi[0], step)
     ys = np.arange(lo[1] + step / 2, hi[1], step)
+    # every centroid's distance to every grid point, rows y-major
+    dist = np.hypot(c[:, 0] - xs[None, :, None],
+                    c[:, 1] - ys[:, None, None]).reshape(-1, len(c))
+    centers = [(x, y) for y in ys.tolist() for x in xs.tolist()]
     out = []
     seen = set()
-    k = 0
-    for r in radii:
-        for y in ys:
-            for x in xs:
-                mask = (np.hypot(c[:, 0] - x, c[:, 1] - y) <= r) & in_matrix
-                if not mask.any():
-                    continue
-                key = mask.tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(TestDomain(
-                    id=f"disc-{k}", element_mask=mask,
-                    center=(float(x), float(y)), radius=float(r),
-                ))
-                k += 1
+    for r in radii.tolist():
+        masks = (dist <= r) & in_matrix
+        for i in np.flatnonzero(masks.any(axis=1)).tolist():
+            key = masks[i].tobytes()
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(TestDomain(id=f"disc-{len(out)}", element_mask=masks[i],
+                                  center=centers[i], radius=r))
     if not out:
         raise ValueError("no test domain overlaps the matrix region")
     return out

@@ -1,5 +1,7 @@
 """Assembly, constraint handling, and conjugate-gradient tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -669,6 +671,24 @@ class TestCsrPlan:
         assert asm.n_free == 0
         for got, ref in zip(asm._blocks(sigma), coo_blocks(asm, sigma)):
             assert_same_csr(got, ref)
+
+    @pytest.mark.parametrize("refinement", [5, 6])
+    @pytest.mark.parametrize("pec", [False, True])
+    def test_setup_peak_is_small_against_what_is_kept(self, refinement, pec):
+        # the set-up of a large solve's Assembler sets its memory peak
+        mesh = cli.build_mesh(readme_cable(refinement, 1e-3))
+        split = {"pec_regions": tuple(mesh.inclusion_regions())} if pec else {}
+        nodes = qm.outer_boundary_nodes(mesh)
+        fem.element_geometry(mesh)  # kept by the mesh, not the Assembler
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            asm = fem.Assembler(mesh, nodes, **split)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert asm.n_free > 0
+        assert peak - base <= 2.5 * (kept - base)
 
     def test_plan_arrays_are_shared_and_read_only(self):
         asm = fem.Assembler(TWO_PETALS, qm.outer_boundary_nodes(TWO_PETALS))

@@ -259,6 +259,20 @@ class TestScenarios:
         two = tomo.disc_test_domains(tagged_disk, (0.3, 0.5))
         assert len(two) > len(one)
 
+    @pytest.mark.parametrize("mesh_name, radii, spacing", [
+        ("tagged_disk", (0.3, 0.5), None),
+        ("tagged_cable", (0.05e-3, 0.08e-3), 0.05e-3),
+    ])
+    def test_grid_equals_the_per_point_loop(self, mesh_name, radii, spacing,
+                                            request):
+        mesh = request.getfixturevalue(mesh_name)
+        got = tomo.disc_test_domains(mesh, radii, spacing=spacing)
+        want = looped_disc_test_domains(mesh, radii, spacing)
+        assert len(got) == len(want)
+        for d, w in zip(got, want):
+            assert (d.id, d.center, d.radius) == (w.id, w.center, w.radius)
+            assert np.array_equal(d.element_mask, w.element_mask), d.id
+
     def test_rejects_bad_geometry(self, tagged_disk):
         with pytest.raises(ValueError):
             tomo.disc_test_domains(tagged_disk, -0.1)
@@ -266,6 +280,27 @@ class TestScenarios:
             tomo.disc_test_domains(tagged_disk, 0.3, spacing=0.0)
         with pytest.raises(ValueError):
             tomo.TestDomain("empty", np.zeros(5, bool), (0.0, 0.0), 1.0)
+
+
+def looped_disc_test_domains(mesh, radii, spacing):
+    """``disc_test_domains`` as it was written before its grid became one
+    broadcast: one distance per grid point, radius by radius."""
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    step = float(spacing) if spacing is not None else float(radii.min())
+    c = qm.element_centroids(mesh)
+    in_matrix = mesh.element_region == "matrix"
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    out, seen = [], set()
+    for r in radii:
+        for y in np.arange(lo[1] + step / 2, hi[1], step):
+            for x in np.arange(lo[0] + step / 2, hi[0], step):
+                mask = (np.hypot(c[:, 0] - x, c[:, 1] - y) <= r) & in_matrix
+                if mask.any() and mask.tobytes() not in seen:
+                    seen.add(mask.tobytes())
+                    out.append(tomo.TestDomain(
+                        id=f"disc-{len(out)}", element_mask=mask,
+                        center=(float(x), float(y)), radius=float(r)))
+    return out
 
 
 class TestMonotonicity:
@@ -536,8 +571,10 @@ def refactored_g(mesh, models, mask, model, amplitude, **kwargs):
 def replayed_matrix(op, mask, model, scenario):
     """The Woodbury update of one mask as ``ConductanceOperator.matrix``
     made it before dictionaries were batched: the mask's own K^-1
-    columns in one ``lu.solve``, S and db summed by ``np.add.at``, and
-    the energy read from nodal potentials built by ``Assembler.expand``."""
+    columns in one ``lu.solve``, S and db summed by ``np.add.at``, the
+    energy read from nodal potentials built by ``Assembler.expand``, and
+    the matrix symmetrized on its own. Returns (matrix, those nodal
+    potentials, one column per pattern)."""
     asm = op._asm
     elements = np.flatnonzero(mask)
     tri = op.mesh.elements[elements]
@@ -566,11 +603,17 @@ def replayed_matrix(op, mask, model, scenario):
         c = np.linalg.solve(np.eye(k) + s @ z_nn, db - s @ x[dofs])
         x = x + z @ c
         energy = c.T @ z_nn @ c
-    corner = asm.expand(x, op._patterns)[tri]
+    u = asm.expand(x, op._patterns)
+    corner = u[tri]
     m = corner.shape[2]
     energy = energy + (corner.reshape(-1, m).T
                        @ (delta @ corner).reshape(-1, m))
-    return op._result(op._g + energy / op.amplitude, scenario)
+    g = op._g + energy / op.amplitude
+    scale = max(float(np.max(np.abs(g))), 1e-300)
+    return tomo.ConductanceMatrix(
+        matrix=0.5 * (g + g.T), amplitude=op.amplitude,
+        electrode_ids=op._ids, mode=op.mode, scenario=scenario,
+        asymmetry=float(np.max(np.abs(g - g.T))) / scale), u
 
 
 def relative_gap(g, ref):
@@ -872,11 +915,64 @@ class TestBatchedDictionary:
                           [d.id for d in domains])
         assert len(got) == len(domains) > 20
         for d, g in zip(domains, got):
-            want = replayed_matrix(op, d.element_mask, low, d.id)
+            want, _ = replayed_matrix(op, d.element_mask, low, d.id)
             assert np.array_equal(g.matrix, want.matrix), d.id
             assert (g.scenario, g.asymmetry) == (d.id, want.asymmetry)
         one = op.matrix(domains[5].element_mask, low, domains[5].id)
         assert np.array_equal(one.matrix, got[5].matrix)
+
+    @staticmethod
+    def batch_sizes(monkeypatch):
+        """The number of masks of each stacked update, in call order."""
+        update, sizes = tomo.ConductanceOperator._update, []
+
+        def recording(self, elements, *args):
+            sizes.append(len(elements))
+            return update(self, elements, *args)
+
+        monkeypatch.setattr(tomo.ConductanceOperator, "_update", recording)
+        return sizes
+
+    @staticmethod
+    def shapes(op, domains):
+        """(free dofs, elements) of each domain: masks of one shape are
+        updated together."""
+        out = []
+        for d in domains:
+            dof = op._asm.node_dof[op.mesh.elements[d.element_mask]]
+            out.append((len(np.unique(dof[dof >= 0])), d.element_mask.sum()))
+        return out
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_stacked_groups_equal_the_per_mask_replay(self, tagged_disk,
+                                                      monkeypatch, split):
+        # two radii mix shapes that one mask has alone with shapes that
+        # many share; a budget of n columns still holds the whole
+        # dictionary's columns at once but splits the larger groups
+        mmap = materials.MaterialMap({"matrix": materials.linear(1.0)})
+        low = materials.linear(1e-3)
+        domains = tomo.disc_test_domains(tagged_disk, (0.2, 0.35),
+                                         spacing=0.2)
+        op = tomo.ConductanceOperator(tagged_disk, mmap, amplitude=1.0)
+        if split:
+            monkeypatch.setattr(tomo._InverseColumns, "MAX_BYTES",
+                                8 * op._asm.n_free ** 2)
+            op = tomo.ConductanceOperator(tagged_disk, mmap, amplitude=1.0)
+        sizes = self.batch_sizes(monkeypatch)
+        got = op.matrices([d.element_mask for d in domains], low,
+                          [d.id for d in domains])
+        shapes = self.shapes(op, domains)
+        counts = [shapes.count(shape) for shape in set(shapes)]
+        assert min(counts) == 1 and max(counts) > 1
+        assert sum(sizes) == len(domains) and max(sizes) > 1
+        if split:
+            assert len(sizes) > len(counts)
+        else:
+            assert sorted(sizes) == sorted(counts)
+        for d, g in zip(domains, got):
+            want, _ = replayed_matrix(op, d.element_mask, low, d.id)
+            assert np.array_equal(g.matrix, want.matrix), d.id
+            assert (g.scenario, g.asymmetry) == (d.id, want.asymmetry)
 
     @pytest.mark.parametrize("name", ["disk", "cable"])
     def test_one_monitor_check_files_the_per_mask_breaches(
@@ -887,14 +983,10 @@ class TestBatchedDictionary:
         mesh, mmap, amplitude, mode, domains, low = self.dictionary(name,
                                                                     request)
         op = tomo.ConductanceOperator(mesh, mmap, amplitude, mode)
-        update, potentials = tomo.ConductanceOperator._update, []
-
-        def recording(self, *args):
-            g, values = update(self, *args)
-            potentials.append(values)
-            return g, values
-
-        monkeypatch.setattr(tomo.ConductanceOperator, "_update", recording)
+        # each mask's nodal potentials hold the same values as the
+        # free-dof and boundary values the dictionary's check reads
+        potentials = [replayed_matrix(op, d.element_mask, low, d.id)[1]
+                      for d in domains]
         monkeypatch.setattr(solver, "MAX_PRINCIPLE_RTOL", -1.0)
         scenarios = [d.id for d in domains]
         scenarios[1] = ""  # an unnamed mask's contexts carry no prefix
