@@ -6,16 +6,21 @@ Four subcommands over one JSON config format: ``solve`` (forward field),
 ``tomography.ConductanceOperator`` serves the background, the defect and
 every test domain).
 
-The config is a strict tree: unknown keys are rejected and every error
-names the offending dotted key path. Physical quantities carry their
-unit in the key name (``radius_m``, ``amplitude_v``, ``sigma_s_per_m``)
-under a mandatory top-level ``units: "SI"`` marker. Every artifact
-embeds the sha256 of the config file for provenance, and identical
-(config, seed) runs produce byte-identical outputs at the same BLAS
-thread count. The conjugate gradients' dot products go to BLAS, whose
-threaded reduction order depends on the thread count: the refinement-6
-README cable at 1 mV writes potentials that differ by up to 4.3e-18 V
-between 1 and 2 OpenBLAS threads.
+The config is a strict tree read through one reader per object
+(``_Reader``): each key is named once, where a command reads it, and the
+read checks its type and range; whatever no read asked for is rejected
+as an unknown key, and every error names the offending dotted key path.
+Each command reads and checks its whole config, mesh-dependent checks
+included, before it creates the output directory or starts a solve.
+Physical quantities carry their unit in the key name (``radius_m``,
+``amplitude_v``, ``sigma_s_per_m``) under a mandatory top-level
+``units: "SI"`` marker. Every artifact embeds the sha256 of the config
+file for provenance, and identical (config, seed) runs produce
+byte-identical outputs at the same BLAS thread count. The conjugate
+gradients' dot products go to BLAS, whose threaded reduction order
+depends on the thread count: the refinement-6 README cable at 1 mV
+writes potentials that differ by up to 4.3e-18 V between 1 and 2
+OpenBLAS threads.
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence,
 4 filesystem error.
@@ -26,6 +31,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -49,73 +55,124 @@ def _fail(path, message):
     raise ConfigError(f"{path}: {message}")
 
 
-def _typename(value):
-    return type(value).__name__
+@contextmanager
+def _blame(path, errors=ValueError):
+    """Report ``errors`` raised in the block as a fault at ``path``."""
+    try:
+        yield
+    except errors as exc:
+        _fail(path, str(exc))
 
 
-def _pick(tree, key, path, default=_MISSING):
-    full = f"{path}.{key}" if path else key
-    if key not in tree:
-        if default is _MISSING:
-            _fail(full, "missing required key")
-        return default, full
-    return tree[key], full
-
-
-def _number(tree, key, path, default=_MISSING, positive=False):
-    value, full = _pick(tree, key, path, default)
-    if value is default and key not in tree:
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(full, f"expected a number, got {_typename(value)}")
-    if positive and not value > 0:
-        _fail(full, "must be positive")
-    return float(value)
-
-
-def _integer(tree, key, path, default=_MISSING, minimum=None):
-    value, full = _pick(tree, key, path, default)
-    if value is default and key not in tree:
-        return value
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(full, f"expected an integer, got {_typename(value)}")
-    if minimum is not None and value < minimum:
-        _fail(full, f"must be at least {minimum}")
-    return int(value)
-
-
-def _string(tree, key, path, default=_MISSING, choices=None):
-    value, full = _pick(tree, key, path, default)
-    if value is default and key not in tree:
-        return value
-    if not isinstance(value, str):
-        _fail(full, f"expected a string, got {_typename(value)}")
-    if choices is not None and value not in choices:
-        _fail(full, f"must be one of {sorted(choices)}")
-    return value
-
-
-def _object(tree, key, path, default=_MISSING):
-    value, full = _pick(tree, key, path, default)
-    if value is default and key not in tree:
-        return value, full
-    if not isinstance(value, dict):
-        _fail(full, f"expected an object, got {_typename(value)}")
-    return value, full
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _xy(value, path):
     """``value`` as an (x, y) pair of floats."""
-    if (not isinstance(value, list) or len(value) != 2
-            or any(isinstance(c, bool) or not isinstance(c, (int, float))
-                   for c in value)):
+    if not (isinstance(value, list) and len(value) == 2
+            and all(map(_is_number, value))):
         _fail(path, "expected [x, y] numbers")
     return float(value[0]), float(value[1])
 
 
-def _no_extras(tree, allowed, path):
-    for key in sorted(set(tree) - set(allowed)):
-        _fail(f"{path}.{key}" if path else key, "unknown key")
+class _Reader:
+    """One config object and its dotted key path.
+
+    Each read names a key once: it marks the key as known, fails when a
+    required key is missing, checks the value's type and range, and puts
+    the key path in every error. A default is returned as it is when the
+    key is absent. ``done`` then rejects every key that no read asked
+    for, so a key is allowed exactly where a command reads it."""
+
+    def __init__(self, tree, path=""):
+        self.tree, self.path, self._asked = tree, path, set()
+
+    def key(self, key):
+        return f"{self.path}.{key}" if self.path else key
+
+    def fail(self, key, message):
+        _fail(self.key(key), message)
+
+    def _get(self, key, default):
+        """(value, whether the config gives it)."""
+        self._asked.add(key)
+        if key in self.tree:
+            return self.tree[key], True
+        if default is _MISSING:
+            self.fail(key, "missing required key")
+        return default, False
+
+    def _wrong_type(self, key, expected, value):
+        self.fail(key, f"expected {expected}, got {type(value).__name__}")
+
+    def raw(self, key, default=_MISSING):
+        """The value, unchecked, and its key path."""
+        return self._get(key, default)[0], self.key(key)
+
+    def number(self, key, default=_MISSING, *, positive=False, minimum=None,
+               below=None, sentinel=_MISSING):
+        """A float, ``> 0`` when ``positive``, ``>= minimum`` and
+        ``< below`` when given. ``sentinel`` (a word such as "noise-norm",
+        or None) is the default and may stand in for the number."""
+        if sentinel is not _MISSING:
+            default = sentinel
+        value, given = self._get(key, default)
+        if not given or value == sentinel:
+            return value
+        if not _is_number(value):
+            self._wrong_type(key, "a number", value)
+        if positive and not value > 0:
+            self.fail(key, "must be positive")
+        if minimum is not None and value < minimum:
+            self.fail(key, "must be nonnegative" if minimum == 0
+                      else f"must be at least {minimum:g}")
+        if below is not None and value >= below:
+            self.fail(key, f"must be below {below:g}")
+        return float(value)
+
+    def integer(self, key, default=_MISSING, *, minimum=None):
+        value, given = self._get(key, default)
+        if not given:
+            return value
+        if isinstance(value, bool) or not isinstance(value, int):
+            self._wrong_type(key, "an integer", value)
+        if minimum is not None and value < minimum:
+            self.fail(key, f"must be at least {minimum}")
+        return int(value)
+
+    def string(self, key, default=_MISSING, *, choices=None):
+        value, given = self._get(key, default)
+        if given and not isinstance(value, str):
+            self._wrong_type(key, "a string", value)
+        if given and choices is not None and value not in choices:
+            self.fail(key, f"must be one of {sorted(choices)}")
+        return value
+
+    def object(self, key, default=_MISSING):
+        """The reader of the object at ``key``; a None default is
+        returned as it is when the key is absent."""
+        value, given = self._get(key, default)
+        if not given and value is None:
+            return None
+        if not isinstance(value, dict):
+            self._wrong_type(key, "an object", value)
+        return _Reader(value, self.key(key))
+
+    def accept(self, *keys):
+        """Allow ``keys`` without reading them."""
+        self._asked.update(keys)
+
+    def done(self):
+        """Reject every key that no read asked for."""
+        for key in sorted(set(self.tree) - self._asked):
+            self.fail(key, "unknown key")
+
+
+def _top(tree):
+    """The reader of a config's top level: ``tree`` itself when it is
+    one, so that a command's reads of each section are recorded."""
+    return tree if isinstance(tree, _Reader) else _Reader(tree)
 
 
 def load_config(path):
@@ -140,103 +197,73 @@ def load_config(path):
 
 
 def build_mesh(tree):
-    geo, path = _object(tree, "geometry", "")
-    shape = _string(geo, "shape", path, choices={"disk", "annulus", "cable"})
-    refinement = _integer(geo, "refinement", path, minimum=1)
+    geo = _top(tree).object("geometry")
+    shape = geo.string("shape", choices={"disk", "annulus", "cable"})
+    refinement = geo.integer("refinement", minimum=1)
     if shape == "disk":
-        _no_extras(geo, {"shape", "refinement", "radius_m"}, path)
-        return qmesh.generate_disk(
-            _number(geo, "radius_m", path, positive=True), refinement
-        )
+        radius = geo.number("radius_m", positive=True)
+        geo.done()
+        return qmesh.generate_disk(radius, refinement)
+    outer = geo.number("outer_radius_m", positive=True)
     if shape == "annulus":
-        _no_extras(
-            geo, {"shape", "refinement", "inner_radius_m", "outer_radius_m"},
-            path,
-        )
-        inner = _number(geo, "inner_radius_m", path, positive=True)
-        outer = _number(geo, "outer_radius_m", path, positive=True)
-        try:
+        inner = geo.number("inner_radius_m", positive=True)
+        geo.done()
+        with _blame(geo.key("inner_radius_m"), qmesh.MeshError):
             return qmesh.generate_annulus(inner, outer, refinement)
-        except qmesh.MeshError as exc:
-            _fail(f"{path}.inner_radius_m", str(exc))
-    _no_extras(
-        geo,
-        {"shape", "refinement", "outer_radius_m", "petal_radius_m", "petals"},
-        path,
-    )
-    outer = _number(geo, "outer_radius_m", path, positive=True)
-    petal_r = _number(geo, "petal_radius_m", path, positive=True)
-    petals, ppath = _object(geo, "petals", path)
-    if "centers_m" in petals:
-        _no_extras(petals, {"centers_m"}, ppath)
-        raw = petals["centers_m"]
-        if not isinstance(raw, list) or not raw:
-            _fail(f"{ppath}.centers_m", "expected a non-empty list of [x, y]")
-        centers = []
-        for k, item in enumerate(raw):
-            centers.append(_xy(item, f"{ppath}.centers_m[{k}]"))
+    petal_r = geo.number("petal_radius_m", positive=True)
+    petals = geo.object("petals")
+    absent = object()
+    listed, lpath = petals.raw("centers_m", absent)
+    if listed is not absent:
+        if not isinstance(listed, list) or not listed:
+            _fail(lpath, "expected a non-empty list of [x, y]")
+        centers = [_xy(item, f"{lpath}[{k}]") for k, item in enumerate(listed)]
     else:
-        _no_extras(petals, {"count", "ring_radius_m", "phase_deg"}, ppath)
-        count = _integer(petals, "count", ppath, minimum=1)
-        ring = _number(petals, "ring_radius_m", ppath, positive=True)
-        phase = math.radians(_number(petals, "phase_deg", ppath, default=0.0))
+        count = petals.integer("count", minimum=1)
+        ring = petals.number("ring_radius_m", positive=True)
+        phase = math.radians(petals.number("phase_deg", default=0.0))
         centers = [
             (ring * math.cos(phase + 2 * math.pi * k / count),
              ring * math.sin(phase + 2 * math.pi * k / count))
             for k in range(count)
         ]
-    try:
+    petals.done()
+    geo.done()
+    with _blame(petals.path, qmesh.MeshError):
         return qmesh.generate_petal_cable(outer, centers, petal_r, refinement)
-    except qmesh.MeshError as exc:
-        _fail(ppath, str(exc))
 
 
-def _build_model(entry, path):
-    if not isinstance(entry, dict):
-        _fail(path, f"expected an object, got {_typename(entry)}")
-    model = _string(entry, "model", path,
-                    choices={"linear", "ej-power-law", "weighted-power",
-                             "preset"})
+def _build_model(entry):
+    model = entry.string("model", choices={"linear", "ej-power-law",
+                                           "weighted-power", "preset"})
     if model == "linear":
-        _no_extras(entry, {"model", "sigma_s_per_m"}, path)
-        return materials.linear(_number(entry, "sigma_s_per_m", path,
-                                        positive=True))
-    if model == "ej-power-law":
-        _no_extras(entry, {"model", "jc_a_per_mm2", "n", "e0_v_per_m"}, path)
-        jc = _number(entry, "jc_a_per_mm2", path, positive=True) * 1e6
-        n = _number(entry, "n", path, positive=True)
-        e0 = _number(entry, "e0_v_per_m", path, default=1e-4, positive=True)
-        try:
-            return materials.ej_power_law(jc, n, e0=e0)
-        except ValueError as exc:
-            _fail(f"{path}.n", str(exc))
+        return materials.linear(entry.number("sigma_s_per_m", positive=True))
     if model == "weighted-power":
-        _no_extras(entry, {"model", "theta", "p"}, path)
-        theta = _number(entry, "theta", path, positive=True)
-        p = _number(entry, "p", path, positive=True)
-        try:
+        theta = entry.number("theta", positive=True)
+        p = entry.number("p", positive=True)
+        with _blame(entry.key("p")):
             return materials.weighted_power(theta, p)
-        except ValueError as exc:
-            _fail(f"{path}.p", str(exc))
-    _no_extras(entry, {"model", "name", "e0_v_per_m"}, path)
-    name = _string(entry, "name", path)
-    try:
-        return materials.preset(
-            name, e0=_number(entry, "e0_v_per_m", path, default=1e-4,
-                             positive=True)
-        )
-    except ValueError as exc:
-        _fail(f"{path}.name", str(exc))
+    e0 = entry.number("e0_v_per_m", default=1e-4, positive=True)
+    if model == "ej-power-law":
+        jc = entry.number("jc_a_per_mm2", positive=True) * 1e6
+        n = entry.number("n", positive=True)
+        with _blame(entry.key("n")):
+            return materials.ej_power_law(jc, n, e0=e0)
+    name = entry.string("name")
+    with _blame(entry.key("name")):
+        return materials.preset(name, e0=e0)
 
 
 def build_material_models(tree, mesh):
     """Per-region model dict; ``inclusions`` is a fallback for every
     inclusion region without its own entry."""
-    block, path = _object(tree, "materials", "")
+    block = _top(tree).object("materials")
     models = {}
     fallback = None
-    for key in sorted(block):
-        built = _build_model(block[key], f"{path}.{key}")
+    for key in sorted(block.tree):
+        entry = block.object(key)
+        built = _build_model(entry)
+        entry.done()
         if key == "inclusions":
             fallback = built
         else:
@@ -246,66 +273,63 @@ def build_material_models(tree, mesh):
         if label in inclusion_set and fallback is not None:
             models[label] = fallback
         elif label not in mesh.defect_regions():
-            _fail(f"{path}.{label}", "no material model for this region")
+            block.fail(label, "no material model for this region")
     for label in sorted(set(models) - set(mesh.region_table)):
-        _fail(f"{path}.{label}", "no such region in the mesh")
+        block.fail(label, "no such region in the mesh")
     return models
 
 
 def build_boundary(tree, mesh, require_electrodes=False):
     """Returns (profile pair or None, amplitude, electrode layout or None)."""
-    block, path = _object(tree, "boundary", "")
-    _no_extras(block, {"profile", "amplitude_v", "electrodes"}, path)
-    _string(block, "profile", path, choices={"x-linear"})
-    amplitude = _number(block, "amplitude_v", path, positive=True)
+    block = _top(tree).object("boundary")
+    block.string("profile", choices={"x-linear"})
+    amplitude = block.number("amplitude_v", positive=True)
+    el = block.object("electrodes", _MISSING if require_electrodes else None)
     layout = None
-    if "electrodes" in block:
-        el, epath = _object(block, "electrodes", path)
-        _no_extras(el, {"count", "coverage", "rotation_deg"}, epath)
-        count = _integer(el, "count", epath, minimum=2)
-        coverage = _number(el, "coverage", epath, positive=True)
-        if coverage >= 1.0:
-            _fail(f"{epath}.coverage", "must be below 1")
-        rotation = math.radians(_number(el, "rotation_deg", epath, default=0.0))
+    if el is not None:
+        count = el.integer("count", minimum=2)
+        coverage = el.number("coverage", positive=True, below=1.0)
+        rotation = math.radians(el.number("rotation_deg", default=0.0))
+        el.done()
         layout = qmesh.ElectrodeLayout.uniform(count, coverage, rotation)
-    elif require_electrodes:
-        _fail(f"{path}.electrodes", "missing required key")
+    block.done()
     radius = float(np.hypot(*mesh.nodes.T).max())
     f = solver.linear_profile(mesh, scale=amplitude / radius)
     return f, amplitude, layout
 
 
 def build_solver_config(tree):
-    block, path = _object(tree, "solver", "", default={})
-    _no_extras(block, {"max_picard_iter", "picard_tol"}, path)
-    kwargs = {}
-    if "max_picard_iter" in block:
-        kwargs["max_picard_iter"] = _integer(block, "max_picard_iter", path,
-                                             minimum=1)
-    if "picard_tol" in block:
-        kwargs["picard_tol"] = _number(block, "picard_tol", path,
-                                       positive=True)
-    return solver.NonlinearSolveConfig(**kwargs)
+    block = _top(tree).object("solver", default={})
+    base = solver.NonlinearSolveConfig  # its class attributes hold defaults
+    cfg = base(
+        max_picard_iter=block.integer("max_picard_iter",
+                                      default=base.max_picard_iter, minimum=1),
+        picard_tol=block.number("picard_tol", default=base.picard_tol,
+                                positive=True),
+    )
+    block.done()
+    return cfg
 
 
-def _task_block(tree, expected):
-    block, path = _object(tree, "task", "")
-    kind = _string(block, "kind", path,
-                   choices={"solve", "sweep", "oracle", "tomo"})
-    if kind != expected:
-        _fail(f"{path}.kind", f"is '{kind}' but the subcommand is '{expected}'")
-    return block, path
-
-
-def _validate_top(tree, needs_geometry):
-    _no_extras(tree, {"units", "geometry", "materials", "boundary", "solver",
-                      "task"}, "")
-    units = _string(tree, "units", "")
+def _task(config, kind):
+    """The reader of the task of a ``kind`` command, after the units
+    marker and the task's kind are checked."""
+    units = config.string("units")
     if units != "SI":
-        _fail("units", f"must be 'SI', got '{units}'")
-    for key in ("geometry", "materials", "boundary") if needs_geometry else ():
-        if key not in tree:
-            _fail(key, "missing required key")
+        config.fail("units", f"must be 'SI', got '{units}'")
+    task = config.object("task")
+    named = task.string("kind", choices=set(_COMMANDS))
+    if named != kind:
+        task.fail("kind", f"is '{named}' but the subcommand is '{kind}'")
+    return task
+
+
+def _ready(out, *readers):
+    """The end of a command's config checks: reject every key that no
+    read asked for, then create the output directory."""
+    for reader in readers:
+        reader.done()
+    out.mkdir(parents=True, exist_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +403,16 @@ def _element_mean(mesh, nodal):
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(tree, digest, out, seed):
-    task, tpath = _task_block(tree, "solve")
-    _no_extras(task, {"kind", "mode"}, tpath)
-    mode = _string(task, "mode", tpath, default="nonlinear",
-                   choices={"nonlinear", "pec-limit", "pei-limit"})
-    mesh = build_mesh(tree)
-    models = build_material_models(tree, mesh)
+def cmd_solve(config, digest, out, seed):
+    task = _task(config, "solve")
+    mode = task.string("mode", default="nonlinear",
+                       choices={"nonlinear", "pec-limit", "pei-limit"})
+    mesh = build_mesh(config)
+    models = build_material_models(config, mesh)
     mmap = materials.MaterialMap(models)
-    f, _, _ = build_boundary(tree, mesh)  # electrodes play no part here
-    cfg = build_solver_config(tree)
+    f, _, _ = build_boundary(config, mesh)  # electrodes play no part here
+    cfg = build_solver_config(config)
+    _ready(out, task, config)
 
     seen = len(solver.VIOLATIONS)  # the registry spans the process
     regions = mesh.inclusion_regions()
@@ -441,22 +465,21 @@ def cmd_solve(tree, digest, out, seed):
     return EXIT_OK
 
 
-def cmd_sweep(tree, digest, out, seed):
-    task, tpath = _task_block(tree, "sweep")
-    _no_extras(task, {"kind", "limit", "lambda_high", "lambda_low",
-                      "per_decade", "p0"}, tpath)
-    limit_kind = _string(task, "limit", tpath, choices={"pec", "pei"})
-    high = _number(task, "lambda_high", tpath, positive=True)
-    low = _number(task, "lambda_low", tpath, positive=True)
+def cmd_sweep(config, digest, out, seed):
+    task = _task(config, "sweep")
+    limit_kind = task.string("limit", choices={"pec", "pei"})
+    high = task.number("lambda_high", positive=True)
+    low = task.number("lambda_low", positive=True)
     if not high > low:
-        _fail(f"{tpath}.lambda_high", "must exceed lambda_low")
-    per_decade = _integer(task, "per_decade", tpath, default=9, minimum=1)
-    p0 = _number(task, "p0", tpath, default=2.0, positive=True)
+        task.fail("lambda_high", "must exceed lambda_low")
+    per_decade = task.integer("per_decade", default=9, minimum=1)
+    p0 = task.number("p0", default=2.0, positive=True)
+    mesh = build_mesh(config)
+    mmap = materials.MaterialMap(build_material_models(config, mesh))
+    f, _, _ = build_boundary(config, mesh)
+    cfg = build_solver_config(config)
+    _ready(out, task, config)
 
-    mesh = build_mesh(tree)
-    mmap = materials.MaterialMap(build_material_models(tree, mesh))
-    f, _, _ = build_boundary(tree, mesh)
-    cfg = build_solver_config(tree)
     grid = solver.log_grid(high, low, per_decade)
     sweep = solver.lambda_sweep(mesh, mmap, f, grid, limit_kind, p0=p0,
                                 config=cfg)
@@ -520,35 +543,28 @@ def annulus_validation(refinements, r=10.0, config=None):
     return rows
 
 
-def cmd_oracle(tree, digest, out, seed):
+def cmd_oracle(config, digest, out, seed):
     from . import oracle  # only this command loads the references
 
-    task, tpath = _task_block(tree, "oracle")
-    _no_extras(task, {"kind", "annulus_r", "L", "n_scales", "refinements",
-                      "quad_rtol"}, tpath)
-    r = _number(task, "annulus_r", tpath, default=10.0)
-    if r < 10.0:
-        _fail(f"{tpath}.annulus_r", "must be at least 10")
-    big_l = _number(task, "L", tpath, default=11.0)
-    n_scales = _integer(task, "n_scales", tpath, default=2, minimum=1)
-    rtol = _number(task, "quad_rtol", tpath, default=1e-7, positive=True)
-    refinements, rpath = _pick(task, "refinements", tpath, default=[2, 3, 4])
+    task = _task(config, "oracle")
+    r = task.number("annulus_r", default=10.0, minimum=10)
+    big_l = task.number("L", default=11.0)
+    n_scales = task.integer("n_scales", default=2, minimum=1)
+    rtol = task.number("quad_rtol", default=1e-7, positive=True)
+    refinements, rpath = task.raw("refinements", default=[2, 3, 4])
     if (not isinstance(refinements, list) or len(refinements) < 2
             or any(isinstance(v, bool) or not isinstance(v, int) or v < 1
                    for v in refinements)):
         _fail(rpath, "expected a list of at least two refinement levels")
-    cfg = build_solver_config(tree)
-
-    rows = annulus_validation(refinements, r=r, config=cfg)
-    _write_csv(out / "oracle.csv", digest,
-               ("refinement", "h", "rel_l2_error", "observed_order"),
-               zip(*rows))
-
-    try:
+    cfg = build_solver_config(config)
+    # a config shared with the other commands may hold their sections
+    config.accept("geometry", "materials", "boundary")
+    with _blame(task.key("L")):
         model = oracle.build_counterexample(big_l, 1.0,
                                             n_terms=max(n_scales, 4))
-    except ValueError as exc:
-        _fail(f"{tpath}.L", str(exc))
+    _ready(out, task, config)
+
+    rows = annulus_validation(refinements, r=r, config=cfg)
     ld, lp = model.lambda_double, model.lambda_prime
     n = len(lp)
     interleaved = bool(
@@ -572,6 +588,9 @@ def cmd_oracle(tree, digest, out, seed):
                                              n_scales=n_scales, rtol=rtol)
     except oracle.QuadratureError as exc:
         return _solver_error(exc)
+    _write_csv(out / "oracle.csv", digest,
+               ("refinement", "h", "rel_l2_error", "observed_order"),
+               zip(*rows))
     _write_report(out / "report.json", {
         "command": "oracle",
         "config_sha256": digest,
@@ -616,59 +635,56 @@ def _tag_distinct_electrodes(mesh, layout):
     return mesh
 
 
-def cmd_tomo(tree, digest, out, seed):
-    task, tpath = _task_block(tree, "tomo")
-    _no_extras(task, {"kind", "defects", "eta", "seed", "delta",
-                      "test_radii_m", "test_spacing_m", "mode",
-                      "defect_sigma_factor", "psd_tol"}, tpath)
-    mode = _string(task, "mode", tpath, default="pec-limit",
-                   choices={"pec-limit", "nonlinear"})
-    eta = _number(task, "eta", tpath)
-    if eta < 0:
-        _fail(f"{tpath}.eta", "must be nonnegative")
-    cfg_seed = _integer(task, "seed", tpath, minimum=0)
+def cmd_tomo(config, digest, out, seed):
+    task = _task(config, "tomo")
+    mode = task.string("mode", default="pec-limit",
+                       choices={"pec-limit", "nonlinear"})
+    eta = task.number("eta", minimum=0)
+    cfg_seed = task.integer("seed", minimum=0)
     seed = cfg_seed if seed is None else seed
-    factor = _number(task, "defect_sigma_factor", tpath, default=1e-3,
-                     positive=True)
+    factor = task.number("defect_sigma_factor", default=1e-3, positive=True)
     if factor >= 1.0:
-        _fail(f"{tpath}.defect_sigma_factor", "must drop conductivity (< 1)")
-
-    defects, dpath = _pick(task, "defects", tpath)
+        task.fail("defect_sigma_factor", "must drop conductivity (< 1)")
+    defects, dpath = task.raw("defects")
     if not isinstance(defects, list) or not defects:
         _fail(dpath, "expected a non-empty list of discs")
-    radii, rpath = _pick(task, "test_radii_m", tpath)
-    if isinstance(radii, (int, float)) and not isinstance(radii, bool):
+    discs = []
+    for k, entry in enumerate(defects):
+        if not isinstance(entry, dict):
+            _fail(f"{dpath}[{k}]", "expected an object")
+        disc = _Reader(entry, f"{dpath}[{k}]")
+        discs.append((_xy(*disc.raw("center_m")),
+                      disc.number("radius_m", positive=True)))
+        disc.done()
+    radii, rpath = task.raw("test_radii_m")
+    if _is_number(radii):
         radii = [float(radii)]
     if (not isinstance(radii, list) or not radii
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in radii)):
+            or not all(map(_is_number, radii))):
         _fail(rpath, "expected a radius or list of radii")
-    spacing = None
-    if task.get("test_spacing_m") is not None:
-        spacing = _number(task, "test_spacing_m", tpath, positive=True)
+    spacing = task.number("test_spacing_m", sentinel=None, positive=True)
+    delta = task.number("delta", sentinel="noise-norm", minimum=0)
+    psd_tol = task.number("psd_tol", sentinel="solver-noise", minimum=0)
 
-    mesh = build_mesh(tree)
-    models = build_material_models(tree, mesh)
-    _, amplitude, layout = build_boundary(tree, mesh, require_electrodes=True)
+    mesh = build_mesh(config)
+    models = build_material_models(config, mesh)
+    _, amplitude, layout = build_boundary(config, mesh,
+                                          require_electrodes=True)
     mesh = _tag_distinct_electrodes(mesh, layout)
-    cfg = build_solver_config(tree)
+    cfg = build_solver_config(config)
     matrix_model = models["matrix"]
     if matrix_model.kind != "linear":
         _fail("materials.matrix",
               "defect imaging needs a linear matrix model")
     defect_model = materials.linear(factor * matrix_model.sigma0)
-
     vmask = np.zeros(mesh.element_count, dtype=bool)
-    for k, disc in enumerate(defects):
-        if not isinstance(disc, dict):
-            _fail(f"{dpath}[{k}]", "expected an object")
-        _no_extras(disc, {"center_m", "radius_m"}, f"{dpath}[{k}]")
-        center = _xy(_pick(disc, "center_m", f"{dpath}[{k}]")[0],
-                     f"{dpath}[{k}].center_m")
-        radius = _number(disc, "radius_m", f"{dpath}[{k}]", positive=True)
+    for center, radius in discs:
         vmask |= tomography.disc_mask(mesh, center, radius)
     if not vmask.any():
         _fail(dpath, "defect discs select no matrix elements")
+    with _blame(rpath):
+        domains = tomography.disc_test_domains(mesh, radii, spacing=spacing)
+    _ready(out, task, config)
 
     operator = tomography.ConductanceOperator(
         mesh, materials.MaterialMap(models), amplitude=amplitude, mode=mode,
@@ -677,31 +693,14 @@ def cmd_tomo(tree, digest, out, seed):
     g_v = operator.matrix(vmask, defect_model, "defect")
     dg_max = float(np.abs(g_v.matrix - g_bg.matrix).max())
     noise = tomography.goe_noise(g_v.size, eta, dg_max, seed=seed)
-    delta_key = task.get("delta", "noise-norm")
-    if delta_key == "noise-norm":
+    if delta == "noise-norm":
         delta = tomography.spectral_norm(noise) if eta > 0 else 0.0
-    else:
-        delta = _number(task, "delta", tpath)
-        if delta < 0:
-            _fail(f"{tpath}.delta", "must be nonnegative")
     measured = tomography.ConductanceMatrix(
         g_v.matrix + noise, amplitude, g_v.electrode_ids, mode, "measured",
         g_v.asymmetry,
     )
-
-    scale = float(np.abs(g_bg.matrix).max())
-    psd_key = task.get("psd_tol", "solver-noise")
-    if psd_key == "solver-noise":
-        psd_tol = 1e-9 * scale
-    else:
-        psd_tol = _number(task, "psd_tol", tpath)
-        if psd_tol < 0:
-            _fail(f"{tpath}.psd_tol", "must be nonnegative")
-
-    try:
-        domains = tomography.disc_test_domains(mesh, radii, spacing=spacing)
-    except ValueError as exc:
-        _fail(rpath, str(exc))
+    if psd_tol == "solver-noise":
+        psd_tol = 1e-9 * float(np.abs(g_bg.matrix).max())
 
     tests = list(zip(domains, operator.matrices(
         [domain.element_mask for domain in domains], defect_model,
@@ -774,12 +773,8 @@ def cmd_tomo(tree, digest, out, seed):
 # entry point
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {
-    "solve": (cmd_solve, True),
-    "sweep": (cmd_sweep, True),
-    "oracle": (cmd_oracle, False),
-    "tomo": (cmd_tomo, True),
-}
+_COMMANDS = {"solve": cmd_solve, "sweep": cmd_sweep, "oracle": cmd_oracle,
+             "tomo": cmd_tomo}
 
 
 def _build_parser():
@@ -804,13 +799,10 @@ def _solver_error(exc):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    handler, needs_geometry = _COMMANDS[args.command]
     try:
         tree, digest = load_config(args.config)
-        _validate_top(tree, needs_geometry)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return handler(tree, digest, out, args.seed)
+        return _COMMANDS[args.command](_Reader(tree), digest, Path(args.out),
+                                       args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

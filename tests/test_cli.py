@@ -268,6 +268,158 @@ class TestConfigValidation:
         assert code == cli.EXIT_CONFIG
 
 
+_DELETE = object()
+
+CONFIGS = {"solve": solve_config, "sweep": sweep_config,
+           "oracle": oracle_config, "tomo": tomo_config}
+
+
+def mutated(tree, key, value):
+    """``tree`` with the dotted ``key`` set to ``value`` (removed for
+    ``_DELETE``); key None replaces the whole tree."""
+    if key is None:
+        return value
+    *parents, last = key.split(".")
+    node = tree
+    for part in parents:
+        node = node[part]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return tree
+
+
+class TestConfigErrorTable:
+    """One faulty key per row: exit 2, the message starts with the key
+    path, and no artifact is written."""
+
+    @pytest.mark.parametrize("command, key, value, path", [
+        ("solve", "boundary.amplitude_v", "1 mV", "boundary.amplitude_v"),
+        ("solve", "task.mode", 3, "task.mode"),
+        ("solve", "boundary", [], "boundary"),
+        ("solve", "solver", [], "solver"),
+        ("sweep", "geometry.radius_m", 0.0, "geometry.radius_m"),
+        ("sweep", "geometry.refinement", 0, "geometry.refinement"),
+        ("sweep", "geometry.shape", "square", "geometry.shape"),
+        ("solve", "geometry.petals.centers_m", [[0.0]],
+         "geometry.petals.centers_m[0]"),
+        ("solve", None, [], "config.json"),
+        ("solve", "geometry.petals.centers_m", [],
+         "geometry.petals.centers_m"),
+        ("solve", "geometry.petals.count", 6, "geometry.petals.count"),
+        ("sweep", "materials.matrix", 1.0, "materials.matrix"),
+        ("solve", "materials.inclusions.name", "unobtainium",
+         "materials.inclusions.name"),
+        ("tomo", "boundary.electrodes.coverage", 1.0,
+         "boundary.electrodes.coverage"),
+        ("solve", "geometry", _DELETE, "geometry"),
+        ("sweep", "task", _DELETE, "task"),
+        ("oracle", "bogus", 1, "bogus"),
+        ("sweep", "task.lambda_high", 1e-3, "task.lambda_high"),
+        ("oracle", "task.annulus_r", 5.0, "task.annulus_r"),
+        ("oracle", "task.refinements", [2], "task.refinements"),
+        ("oracle", "task.L", 5.0, "task.L"),
+        ("tomo", "task.eta", -0.1, "task.eta"),
+        ("tomo", "task.seed", -1, "task.seed"),
+        ("tomo", "task.defect_sigma_factor", 1.0,
+         "task.defect_sigma_factor"),
+        ("tomo", "task.defects", [], "task.defects"),
+        ("tomo", "task.test_radii_m", "large", "task.test_radii_m"),
+        ("tomo", "task.test_spacing_m", -0.1, "task.test_spacing_m"),
+        ("tomo", "materials.matrix",
+         {"model": "weighted-power", "theta": 1.0, "p": 3.0},
+         "materials.matrix"),
+        ("tomo", "task.defects", [1.0], "task.defects[0]"),
+        ("tomo", "task.defects", [{"center_m": "origin", "radius_m": 0.1}],
+         "task.defects[0].center_m"),
+        ("tomo", "task.defects",
+         [{"center_m": [0.0, 0.0], "radius_m": 0.1, "depth_m": 1.0}],
+         "task.defects[0].depth_m"),
+        ("tomo", "task.defects", [{"center_m": [5.0, 5.0], "radius_m": 0.1}],
+         "task.defects"),
+        ("tomo", "task.delta", "max", "task.delta"),
+    ], ids=["number-type", "string-type", "object-type", "solver-type",
+            "positive", "at-least", "one-of", "xy-pair", "top-level-object",
+            "empty-centers", "centers-and-count", "material-entry-type",
+            "unknown-preset", "coverage-at-one", "missing-geometry",
+            "missing-task", "unknown-top-key", "lambda-order",
+            "annulus-r-below-10", "one-refinement", "L-at-most-10",
+            "negative-eta", "negative-seed", "factor-at-one", "no-defects",
+            "radii-type", "negative-spacing", "nonlinear-matrix",
+            "defect-entry-type", "defect-center", "unknown-disc-key",
+            "defects-miss-mesh", "delta-word"])
+    def test_error_names_the_path(self, tmp_path, capsys, command, key,
+                                  value, path):
+        tree = mutated(CONFIGS[command](), key, value)
+        out = tmp_path / "out"
+        code = run(command, write_config(tmp_path, tree), out)
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"{path}: " in err
+        assert not any(out.glob("*"))
+
+
+class TestFailBeforeWork:
+    """A config error exits before the first solve and writes nothing."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("delta", -1.0), ("psd_tol", -1.0), ("test_radii_m", [1e-9])])
+    def test_tomo_builds_no_operator(self, tmp_path, capsys, monkeypatch,
+                                     key, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ConductanceOperator built")
+
+        monkeypatch.setattr(tomography, "ConductanceOperator", refuse)
+        tree = cable_tomo_config()
+        tree["task"]["mode"] = "nonlinear"
+        tree["task"][key] = value
+        out = tmp_path / "out"
+        code = run("tomo", write_config(tmp_path, tree), out)
+        assert code == cli.EXIT_CONFIG
+        assert f"config error: task.{key}: " in capsys.readouterr().err
+        assert not any(out.glob("*"))
+
+    def test_oracle_checks_l_before_the_annulus_solves(self, tmp_path,
+                                                       capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("annulus solved")
+
+        monkeypatch.setattr(cli, "annulus_validation", refuse)
+        tree = oracle_config()
+        tree["task"]["L"] = 5.0
+        out = tmp_path / "out"
+        assert run("oracle", write_config(tmp_path, tree),
+                   out) == cli.EXIT_CONFIG
+        assert "config error: task.L: " in capsys.readouterr().err
+        assert not any(out.glob("*"))
+
+    def test_oracle_accepts_and_skips_the_mesh_sections(self, tmp_path,
+                                                        capsys):
+        # a config shared with the other commands: oracle reads none of
+        # geometry, materials or boundary, so the task's fault is reported
+        tree = oracle_config()
+        tree.update(geometry={"bogus": 1}, materials=[], boundary=None)
+        tree["task"]["L"] = 5.0
+        assert run("oracle", write_config(tmp_path, tree),
+                   tmp_path / "out") == cli.EXIT_CONFIG
+        assert "config error: task.L: " in capsys.readouterr().err
+
+    def test_quadrature_failure_leaves_no_artifact(self, tmp_path,
+                                                   monkeypatch):
+        from qlert import oracle
+
+        def unconverged(*args, **kwargs):
+            raise oracle.QuadratureError("polar quadrature did not converge")
+
+        monkeypatch.setattr(oracle, "counterexample_energies", unconverged)
+        out = tmp_path / "out"
+        assert run("oracle", write_config(tmp_path, oracle_config()),
+                   out) == cli.EXIT_SOLVER
+        assert not any(out.glob("*"))
+
+
 class TestSolveCommand:
     def test_artifacts_and_provenance(self, tmp_path, capsys):
         path = write_config(tmp_path, solve_config())
@@ -710,10 +862,12 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
     # scipy.sparse.linalg on first use, so cold starts do not pay for it
     src = str(Path(qlert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    # nor does any command but oracle need the reference fields
+    # nor does any command but oracle need the reference fields, nor
+    # anything but mesh generation scipy.spatial
     probe = ("import sys, qlert.cli; "
              "print('scipy.sparse.linalg' in sys.modules, "
-             "'qlert.oracle' in sys.modules)")
+             "'qlert.oracle' in sys.modules, "
+             "'scipy.spatial' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"

@@ -650,6 +650,19 @@ class TestLambdaSweep:
             warnings.simplefilter("error")
             solver.lambda_sweep(holed_disk, mmap, (nodes, values), grid, "pec")
 
+    def test_linear_inclusion_warns_against_the_conductor_limit(
+            self, holed_disk):
+        # small-field exponent 2 = p0: the inclusion does not outgrow the
+        # matrix at small fields, so the perfect-conductor limit is unsure
+        mmap = materials.MaterialMap(
+            {"matrix": materials.weighted_power(2.0, 2.0),
+             "inclusion-1": materials.linear(5.0)}
+        )
+        nodes, values = disk_profile(holed_disk, lambda x, y: x)
+        with pytest.warns(UserWarning, match="perfect-conductor"):
+            solver.lambda_sweep(holed_disk, mmap, (nodes, values),
+                                np.array([1.0, 0.1]), "pec")
+
     def test_unexpected_error_in_the_exponent_check_propagates(
             self, holed_disk, monkeypatch):
         # only a missing material or an unsampleable law skips the check

@@ -648,6 +648,16 @@ class TestConductanceOperator:
                                          spacing=0.1e-3)
         return models, op, domains
 
+    def test_rejects_overlapping_electrodes(self, tagged_disk):
+        # a node in two groups would be driven by two patterns at once
+        electrodes = dict(qm.electrode_nodes(tagged_disk))
+        electrodes[1] = np.append(electrodes[1], electrodes[0][0])
+        with pytest.raises(ValueError, match="electrode node sets overlap"):
+            tomo.ConductanceOperator(
+                tagged_disk,
+                materials.MaterialMap({"matrix": materials.linear(1.0)}),
+                amplitude=1.0, electrodes=electrodes)
+
     def test_cable_dictionary_matches_refactorization(self, tagged_cable,
                                                       cable_setup):
         models, op, domains = cable_setup
