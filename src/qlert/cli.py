@@ -68,12 +68,26 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite(value):
+    """``value``, a number, as a float; None unless it is finite. JSON as
+    Python reads it allows NaN and Infinity, and an integer may be too
+    large for a float."""
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _xy(value, path):
-    """``value`` as an (x, y) pair of floats."""
+    """``value`` as an (x, y) pair of finite floats."""
     if not (isinstance(value, list) and len(value) == 2
             and all(map(_is_number, value))):
         _fail(path, "expected [x, y] numbers")
-    return float(value[0]), float(value[1])
+    xy = tuple(map(_finite, value))
+    if None in xy:
+        _fail(path, "must be finite")
+    return xy
 
 
 class _Reader:
@@ -122,6 +136,9 @@ class _Reader:
             return value
         if not _is_number(value):
             self._wrong_type(key, "a number", value)
+        value = _finite(value)
+        if value is None:
+            self.fail(key, "must be finite")
         if positive and not value > 0:
             self.fail(key, "must be positive")
         if minimum is not None and value < minimum:
@@ -129,7 +146,7 @@ class _Reader:
                       else f"must be at least {minimum:g}")
         if below is not None and value >= below:
             self.fail(key, f"must be below {below:g}")
-        return float(value)
+        return value
 
     def integer(self, key, default=_MISSING, *, minimum=None):
         value, given = self._get(key, default)
@@ -658,10 +675,12 @@ def cmd_tomo(config, digest, out, seed):
         disc.done()
     radii, rpath = task.raw("test_radii_m")
     if _is_number(radii):
-        radii = [float(radii)]
+        radii = [radii]
     if (not isinstance(radii, list) or not radii
             or not all(map(_is_number, radii))):
         _fail(rpath, "expected a radius or list of radii")
+    if None in map(_finite, radii):
+        _fail(rpath, "must be finite")
     spacing = task.number("test_spacing_m", sentinel=None, positive=True)
     delta = task.number("delta", sentinel="noise-norm", minimum=0)
     psd_tol = task.number("psd_tol", sentinel="solver-noise", minimum=0)

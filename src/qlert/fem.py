@@ -586,18 +586,24 @@ def dirichlet_energy(mesh, material_map, u, skip_regions=(), e_mag=None):
     Elements in ``skip_regions`` and elements whose potential is
     undefined (inside excluded regions) contribute nothing; skipped
     regions need no material. ``e_mag``, the per-element |grad u|,
-    saves computing it again when the caller already has it."""
+    saves computing it again when the caller already has it. Regions
+    that share one model object take one ``energy_density`` call; the
+    total is still summed region by region, in mesh order."""
     if e_mag is None:
         grads = element_gradients(mesh, u)
         e_mag = np.hypot(grads[:, 0], grads[:, 1])
     _, _, area = element_geometry(mesh)
     ok = np.isfinite(e_mag)
     skip = set(skip_regions)
-    total = 0.0
+    regions = []
     for label, elements in mesh.region_elements().items():
         m = elements[ok[elements]]
-        if label in skip or len(m) == 0:
-            continue
-        dens = energy_density(material_map.for_region(label), e_mag[m])
-        total += float(np.sum(dens * area[m]))
+        if label not in skip and len(m):
+            regions.append((label, m))
+    dens = np.empty(len(e_mag))
+    for model, m in material_map._by_model(regions):
+        dens[m] = energy_density(model, e_mag[m])
+    total = 0.0
+    for _, m in regions:
+        total += float(np.sum(dens[m] * area[m]))
     return total

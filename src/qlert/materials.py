@@ -342,19 +342,34 @@ class MaterialMap:
         except KeyError:
             raise KeyError(f"no material for region '{label}'") from None
 
+    def _by_model(self, regions):
+        """The ``(label, elements)`` pairs of ``regions`` grouped by the
+        identity of their model, in order of first appearance: a list of
+        (model, the elements of its regions concatenated). A law is
+        elementwise, so one call on a group's elements gives each element
+        the value that one call per region would."""
+        groups = {}
+        for label, elements in regions:
+            model = self.for_region(label)
+            groups.setdefault(id(model), (model, []))[1].append(elements)
+        return [(model, parts[0] if len(parts) == 1 else np.concatenate(parts))
+                for model, parts in groups.values()]
+
     def sigma_elements(self, mesh, E_elements, labels=None):
         """Per-element conductivity for per-element field magnitudes.
 
         Evaluates the regions in ``labels`` (every mesh region by default)
         and looks up no other; their elements get the placeholder 1, and
-        their fields are never read, so they may be NaN."""
+        their fields are never read, so they may be NaN. Regions that
+        share one model object take one ``sigma`` call on their elements
+        together."""
         index = mesh.region_elements()
         if labels is None:
             labels = index
+        regions = [(label, index.get(label, _NO_ELEMENTS)) for label in labels]
         out = np.ones(mesh.element_count)
-        for label in labels:
-            m = index.get(label, _NO_ELEMENTS)
-            out[m] = sigma(self.for_region(label), E_elements[m])
+        for model, m in self._by_model(regions):
+            out[m] = sigma(model, E_elements[m])
         return out
 
 

@@ -378,13 +378,14 @@ def generate_petal_cable(outer_radius, petal_centers, petal_radius, refinement):
 
     simplices = Delaunay(pts).simplices
     cent = pts[simplices].mean(axis=1)
-    labels = np.full(len(simplices), "matrix", dtype=object)
-    table = {"matrix": "matrix"}
+    # code 0 is the matrix, code k + 1 petal k
+    names = ["matrix"] + [f"inclusion-{k + 1}" for k in range(len(centers))]
+    codes = np.zeros(len(simplices), dtype=np.int64)
     for k, c in enumerate(centers):
         inside = np.hypot(cent[:, 0] - c[0], cent[:, 1] - c[1]) < petal_radius
-        labels[inside] = f"inclusion-{k + 1}"
-        table[f"inclusion-{k + 1}"] = f"inclusion-{k + 1}"
-    return _make_mesh(pts, simplices, np.asarray(labels, dtype=np.str_), table)
+        codes[inside] = k + 1
+    labels = np.array(names)[codes]
+    return _make_mesh(pts, simplices, labels, {n: n for n in names})
 
 
 # ---------------------------------------------------------------------------

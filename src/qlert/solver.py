@@ -248,8 +248,19 @@ class _LastSolve:
         else None."""
         if self._last is None or not np.array_equal(sigma, self._last[0]):
             return None
-        _, scale, x = self._last
-        return x if scale == self.scale else x / scale * self.scale
+        return self.at(self.scale)
+
+    def at(self, scale):
+        """The last solution rescaled to ``scale``; the solution itself at
+        the scale it was solved at."""
+        _, solved, x = self._last
+        return x if solved == scale else x / solved * scale
+
+    def rescaled(self, x, scale):
+        """True if ``x`` is the last solution rescaled, bit for bit, to
+        ``scale``, another scale than the one it was solved at."""
+        return (self._last is not None and self._last[1] != scale
+                and np.array_equal(x, self.at(scale)))
 
     def store(self, sigma, x):
         self._last = (sigma, self.scale, x)
@@ -456,12 +467,13 @@ def boundary_weights(mesh, nodes):
     nodes = np.asarray(nodes, dtype=np.int64)
     in_set = np.zeros(mesh.node_count, dtype=bool)
     in_set[nodes] = True
+    i, j = mesh.boundary_edges[:, 0], mesh.boundary_edges[:, 1]
+    both = in_set[i] & in_set[j]
+    i, j = i[both], j[both]
+    half = 0.5 * np.linalg.norm(mesh.nodes[j] - mesh.nodes[i], axis=1)
     w = np.zeros(mesh.node_count)
-    for i, j, _ in mesh.boundary_edges:
-        if in_set[i] and in_set[j]:
-            length = float(np.linalg.norm(mesh.nodes[j] - mesh.nodes[i]))
-            w[i] += 0.5 * length
-            w[j] += 0.5 * length
+    np.add.at(w, i, half)
+    np.add.at(w, j, half)
     return w[nodes]
 
 
@@ -530,14 +542,21 @@ def _check_zero_mean(mesh, nodes, values):
 
 
 def _warn_exponent_mismatch(material_map, inclusion_regions, p0, limit_kind):
+    reports = {}  # one check per model object, shared by its regions
     for lab in inclusion_regions:
         try:
             model = material_map.for_region(lab)
-            ref = model.e0 if model.e0 > 0 else 1.0
-            grid = np.geomspace(ref * 1e-5, ref * 1e5, 121)
-            report = validate_assumptions(model, grid)
-        except (KeyError, ValueError):
-            # no material for the region, or a law the check cannot sample
+        except KeyError:
+            continue  # no material for the region
+        if id(model) not in reports:
+            try:
+                ref = model.e0 if model.e0 > 0 else 1.0
+                grid = np.geomspace(ref * 1e-5, ref * 1e5, 121)
+                reports[id(model)] = validate_assumptions(model, grid)
+            except ValueError:
+                reports[id(model)] = None  # a law the check cannot sample
+        report = reports[id(model)]
+        if report is None:
             continue
         q0 = report.small_exponent
         if not np.isfinite(q0):
@@ -565,14 +584,17 @@ def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, p0=2.0,
     The mesh's inclusions are the regions that the limit replaces: by
     perfect conductors when ``limit_kind`` is "pec", by perfect
     insulators when it is "pei". The limiting solution is solved here,
-    with ``config``, like every point. Each point after the first starts
-    from the last converged point's potential scaled to its lambda. The
-    data are lam * f, so each linearized system is linear in lam: a step
-    whose sigma equals the last one solved in the sweep bit for bit (at
-    every point where saturated petals sit at ``sigma_cap`` and the rest
-    is linear) takes that solution times the ratio of the lambdas instead
-    of a linear solve. Individual failures are recorded in ``status`` and
-    do not abort the sweep."""
+    with ``config``, like every point. The data are lam * f, so each
+    linearized system is linear in lam: a step whose sigma equals the last
+    one solved in the sweep bit for bit (at every point where saturated
+    petals sit at ``sigma_cap`` and the rest is linear) takes that
+    solution times the ratio of the lambdas instead of a linear solve.
+    Each point after the first starts from the last converged point's
+    potential scaled to its lambda; when that point itself ended on such
+    a rescale, the start is the same solution rescaled the same way to
+    the new lambda, so that a point whose sigma does not move computes
+    one field and one energy. Individual failures are recorded in
+    ``status`` and do not abort the sweep."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.ndim != 1 or len(lambda_grid) == 0:
         raise ValueError("lambda grid must be a non-empty 1-d array")
@@ -616,10 +638,19 @@ def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, p0=2.0,
     solutions = []
     prev = None
     prev_lam = None
+    free = asm.node_dof >= 0
     for k, lam in enumerate(lambda_grid):
         cfg = base
         if prev is not None:
-            guess = prev.nodal_potential * (lam / prev_lam)
+            x_prev = np.empty(asm.n_free)
+            x_prev[asm.node_dof[free]] = prev.nodal_potential[free]
+            if last.rescaled(x_prev, prev_lam):
+                # the last point ended on a rescaled solve: start this one
+                # on the rescale that its first step's lookup will return,
+                # so that the step leaves the iterate and its field alone
+                guess = asm.expand(last.at(lam), lam * values)
+            else:
+                guess = prev.nodal_potential * (lam / prev_lam)
             cfg = replace(base, initial_guess=guess)
         last.scale = lam
         try:

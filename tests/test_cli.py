@@ -339,6 +339,11 @@ class TestConfigErrorTable:
         ("tomo", "task.defects", [{"center_m": [5.0, 5.0], "radius_m": 0.1}],
          "task.defects"),
         ("tomo", "task.delta", "max", "task.delta"),
+        ("tomo", "task.eta", float("nan"), "task.eta"),
+        ("solve", "boundary.amplitude_v", float("inf"), "boundary.amplitude_v"),
+        ("tomo", "task.defects",
+         [{"center_m": [0.0, float("-inf")], "radius_m": 0.1}],
+         "task.defects[0].center_m"),
     ], ids=["number-type", "string-type", "object-type", "solver-type",
             "positive", "at-least", "one-of", "xy-pair", "top-level-object",
             "empty-centers", "centers-and-count", "material-entry-type",
@@ -348,7 +353,8 @@ class TestConfigErrorTable:
             "negative-eta", "negative-seed", "factor-at-one", "no-defects",
             "radii-type", "negative-spacing", "nonlinear-matrix",
             "defect-entry-type", "defect-center", "unknown-disc-key",
-            "defects-miss-mesh", "delta-word"])
+            "defects-miss-mesh", "delta-word", "nan-eta",
+            "infinite-amplitude", "infinite-center"])
     def test_error_names_the_path(self, tmp_path, capsys, command, key,
                                   value, path):
         tree = mutated(CONFIGS[command](), key, value)
@@ -359,6 +365,33 @@ class TestConfigErrorTable:
         assert err.startswith("config error: ")
         assert f"{path}: " in err
         assert not any(out.glob("*"))
+
+
+class TestNonFiniteNumbers:
+    """Python's json reads NaN and Infinity, and integers of any size;
+    a number that is not a finite float is a config error, not a crash
+    in the solve that reads it."""
+
+    @pytest.mark.parametrize("command, key, value, path", [
+        ("tomo", "task.eta", float("nan"), "task.eta"),
+        ("tomo", "task.eta", float("inf"), "task.eta"),
+        ("solve", "boundary.amplitude_v", float("inf"), "boundary.amplitude_v"),
+        ("sweep", "task.lambda_high", 10**400, "task.lambda_high"),
+        ("tomo", "task.defects",
+         [{"center_m": [float("nan"), 0.0], "radius_m": 0.1}],
+         "task.defects[0].center_m"),
+        ("tomo", "task.test_radii_m", [0.08, float("inf")],
+         "task.test_radii_m"),
+    ], ids=["nan", "infinity", "infinite-positive", "huge-integer",
+            "nan-center", "infinite-radius"])
+    def test_rejected_as_not_finite(self, tmp_path, capsys, command, key,
+                                    value, path):
+        tree = mutated(CONFIGS[command](), key, value)
+        out = tmp_path / "out"
+        code = run(command, write_config(tmp_path, tree), out)
+        assert code == cli.EXIT_CONFIG
+        assert f"{path}: must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFailBeforeWork:

@@ -394,3 +394,95 @@ class TestSigmaElements:
             partial.sigma_elements(cable, np.ones(cable.element_count))
         with pytest.raises(ValueError, match="finite"):
             full_map.sigma_elements(cable, e, ["matrix", "inclusion-1"])
+
+
+class TestSharedModels:
+    """Regions that share one model object take one law call on their
+    elements together, with the values and the energy total that one call
+    per region gives, bit for bit."""
+
+    EJ = qmat.ej_power_law(8e9, 27)
+    TABULATED = LAWS["tabulated"]
+
+    @pytest.fixture(scope="class")
+    def cable(self):
+        from qlert import mesh as qm
+
+        angles = (np.arange(6) + 0.5) * np.pi / 3
+        centers = [(0.6 * np.cos(a), 0.6 * np.sin(a)) for a in angles]
+        return qm.generate_petal_cable(1.0, centers, 0.2, 3)
+
+    @pytest.fixture(scope="class")
+    def shared_map(self, cable):
+        # odd petals share one E-J law, even ones one tabulated law, so a
+        # model's elements are not contiguous in mesh order
+        models = {"matrix": LAWS["linear"]}
+        for k, label in enumerate(sorted(cable.inclusion_regions())):
+            models[label] = self.EJ if k % 2 == 0 else self.TABULATED
+        return qmat.MaterialMap(models)
+
+    def fields(self, cable):
+        """Per-element fields below e_floor, at sigma_cap and on the power
+        branch of the E-J law, drawn in random order."""
+        floor, ecap = piece_bounds(self.EJ)
+        rng = np.random.default_rng(11)
+        pools = np.stack([
+            rng.uniform(0.0, floor, cable.element_count),
+            10.0 ** rng.uniform(np.log10(floor), np.log10(ecap),
+                                cable.element_count),
+            10.0 ** rng.uniform(np.log10(ecap), 4.0, cable.element_count),
+        ])
+        e = pools[rng.integers(0, 3, cable.element_count),
+                  np.arange(cable.element_count)]
+        sig = qmat.sigma(self.EJ, e)
+        assert np.any(e < floor) and np.any(sig == self.EJ.sigma_cap)
+        assert np.any((e > ecap) & (sig < self.EJ.sigma_cap))
+        return e
+
+    @staticmethod
+    def reference_energy(mesh, material_map, e_mag):
+        from qlert import fem
+
+        _, _, area = fem.element_geometry(mesh)
+        total = 0.0
+        for label, elements in mesh.region_elements().items():
+            dens = qmat.energy_density(material_map.for_region(label),
+                                       e_mag[elements])
+            total += float(np.sum(dens * area[elements]))
+        return total
+
+    def test_sigma_matches_one_call_per_region(self, cable, shared_map,
+                                               monkeypatch):
+        e = self.fields(cable)
+        labels = sorted(cable.region_elements())
+        want = reference_sigma_for(cable, shared_map, labels, e)
+        sigma = qmat.sigma
+        called = []
+
+        def counting(model, E):
+            called.append(model)
+            return sigma(model, E)
+
+        monkeypatch.setattr(qmat, "sigma", counting)
+        got = shared_map.sigma_elements(cable, e)
+        np.testing.assert_array_equal(got, want)
+        # one call per model, in the order the labels first name it
+        assert [id(m) for m in called] == [
+            id(self.EJ), id(self.TABULATED), id(LAWS["linear"])]
+
+    def test_energy_matches_one_call_per_region(self, cable, shared_map,
+                                                monkeypatch):
+        from qlert import fem
+
+        e = self.fields(cable)
+        want = self.reference_energy(cable, shared_map, e)
+        energy_density = fem.energy_density
+        called = []
+
+        def counting(model, E):
+            called.append(model)
+            return energy_density(model, E)
+
+        monkeypatch.setattr(fem, "energy_density", counting)
+        assert fem.dirichlet_energy(cable, shared_map, None, e_mag=e) == want
+        assert len(called) == 3

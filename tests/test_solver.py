@@ -663,6 +663,29 @@ class TestLambdaSweep:
             solver.lambda_sweep(holed_disk, mmap, (nodes, values),
                                 np.array([1.0, 0.1]), "pec")
 
+    def test_petals_that_share_a_model_are_checked_once(self, monkeypatch):
+        # one validate_assumptions call for the six petals' one linear
+        # model, and still one warning per petal
+        mesh = cable_mesh(3)
+        mmap = cable_materials(mesh, petal=materials.linear(1e8))
+        validate = solver.validate_assumptions
+        checked = []
+
+        def counting(model, grid):
+            checked.append(model)
+            return validate(model, grid)
+
+        monkeypatch.setattr(solver, "validate_assumptions", counting)
+        f = solver.linear_profile(mesh, 1e-3 / CABLE_RADIUS)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solver.lambda_sweep(mesh, mmap, f, np.array([1.0, 0.1]), "pec")
+        assert checked == [mmap.for_region("inclusion-1")]
+        assert [str(w.message).split("'")[1] for w in caught] == [
+            f"inclusion-{k}" for k in range(1, 7)]
+        assert all("perfect-conductor limit may not apply" in str(w.message)
+                   for w in caught)
+
     def test_unexpected_error_in_the_exponent_check_propagates(
             self, holed_disk, monkeypatch):
         # only a missing material or an unsampleable law skips the check
@@ -814,6 +837,40 @@ class TestLambdaSweep:
         assert np.array_equal(sweep.picard_iters, [1] * 8)
         # the limit, the first point (its small-data start), then none
         assert per_solve == [1, 1] + [0] * 7
+
+    def test_rescaled_points_compute_one_field_and_one_energy(
+            self, monkeypatch):
+        counts = {"field": 0, "energy": 0}
+        per_solve = []
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        solve_nonlinear = solver.solve_nonlinear
+
+        def per_point(*args, **kwargs):
+            before = dict(counts)
+            try:
+                return solve_nonlinear(*args, **kwargs)
+            finally:
+                per_solve.append((counts["field"] - before["field"],
+                                  counts["energy"] - before["energy"]))
+
+        monkeypatch.setattr(fem, "element_gradients",
+                            counted(fem.element_gradients, "field"))
+        monkeypatch.setattr(fem, "dirichlet_energy",
+                            counted(fem.dirichlet_energy, "energy"))
+        monkeypatch.setattr(solver, "solve_nonlinear", per_point)
+        # 1 mV x lambda: every point lies below saturation
+        sweep = solver.lambda_sweep(*self.saturated_cable_sweep(1e-3))
+        assert sweep.all_ok
+        # the limit and the first point solve; the second point, the first
+        # rescale, starts from the first point's potential scaled and
+        # moves once; every later point starts on its rescale and keeps it
+        assert per_solve == [(1, 1), (1, 1), (2, 2)] + [(1, 1)] * 6
 
     def test_rescaled_solves_agree_with_unshared_points(self, monkeypatch):
         # 1 V x lambda: the first two points move sigma, the rest share it
