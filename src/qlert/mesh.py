@@ -169,40 +169,71 @@ def _ring_points(radius, ntheta, center=(0.0, 0.0)):
     return np.column_stack([cx + radius * np.cos(ang), cy + radius * np.sin(ang)])
 
 
-def _strip(inner_ids, inner_angles, outer_ids, outer_angles):
+def _bands(inner, inner_angles, inner_band, outer, outer_angles, outer_band,
+           outer_first=True):
+    """Triangulate many bands at once, each between two closed rings of
+    points ordered by increasing angle from the first. Band b's inner ring
+    is the run of ``inner`` whose ``inner_band`` is b, its outer ring the
+    run of ``outer`` whose ``outer_band`` is b; bands are numbered
+    0, 1, ... in the order of the runs. Returns the triangles, band by
+    band, and the band of each.
+
+    Each band advances whichever ring has the smaller next angle, the
+    outer one on ties (the inner one with ``outer_first=False``), which
+    alternates cleanly when counts match: one stable merge of the two
+    rings' next-angle sequences, the ring positions at each step counted
+    from the steps before it."""
+    inner, outer = np.asarray(inner), np.asarray(outer)
+    nbands = int(inner_band[-1]) + 1
+    n_in = np.bincount(inner_band, minlength=nbands)
+    n_out = np.bincount(outer_band, minlength=nbands)
+    s_in = np.cumsum(n_in) - n_in
+    s_out = np.cumsum(n_out) - n_out
+
+    def next_angles(angles, start, count):
+        nxt = np.roll(np.asarray(angles, dtype=float), -1)
+        nxt[start + count - 1] = angles[start] + 2 * np.pi
+        return nxt
+
+    band = np.concatenate([outer_band, inner_band])
+    nxt = np.concatenate([next_angles(outer_angles, s_out, n_out),
+                          next_angles(inner_angles, s_in, n_in)])
+    is_outer = np.arange(len(band)) < len(outer)
+    order = np.lexsort((is_outer != outer_first, nxt, band))
+    band, is_outer = band[order], is_outer[order]
+    first = np.cumsum(n_in + n_out) - (n_in + n_out)
+    j = np.cumsum(is_outer) - is_outer
+    i = np.arange(len(band)) - j
+    j -= j[first][band]
+    i -= i[first][band]
+    ni, no, si, so = n_in[band], n_out[band], s_in[band], s_out[band]
+    third = np.where(is_outer, outer[so + (j + 1) % no], inner[si + (i + 1) % ni])
+    return np.column_stack([inner[si + i % ni], outer[so + j % no], third]), band
+
+
+def _strip(inner_ids, inner_angles, outer_ids, outer_angles, outer_first=True):
     """Triangulate the band between two closed rings of points ordered by
-    increasing angle. Advances whichever ring has the smaller next angle
-    (outer wins ties), which alternates cleanly when counts match."""
-    ni, no = len(inner_ids), len(outer_ids)
-    tris = []
-    i = j = 0
-    while i < ni or j < no:
-        nxt_i = inner_angles[i + 1] if i + 1 <= ni - 1 else inner_angles[0] + 2 * np.pi
-        nxt_j = outer_angles[j + 1] if j + 1 <= no - 1 else outer_angles[0] + 2 * np.pi
-        if i >= ni:
-            nxt_i = np.inf
-        if j >= no:
-            nxt_j = np.inf
-        if nxt_j <= nxt_i:
-            tris.append((inner_ids[i % ni], outer_ids[j % no], outer_ids[(j + 1) % no]))
-            j += 1
-        else:
-            tris.append((inner_ids[i % ni], outer_ids[j % no], inner_ids[(i + 1) % ni]))
-            i += 1
+    increasing angle (``_bands`` for one band)."""
+    tris, _ = _bands(inner_ids, inner_angles, np.zeros(len(inner_ids), dtype=np.int64),
+                     outer_ids, outer_angles, np.zeros(len(outer_ids), dtype=np.int64),
+                     outer_first)
     return tris
 
 
-def _spiderweb_triangles(rings):
-    """Fan around the center plus two-pointer strips between rings."""
-    tris = []
+def _spiderweb_triangles(rings, outer_first=True):
+    """Fan around the center plus the strips between consecutive rings."""
     first = rings[0]
-    for j in range(len(first)):
-        tris.append((0, first[j], first[(j + 1) % len(first)]))
-    for inner, outer in zip(rings[:-1], rings[1:]):
-        a_in = 2.0 * np.pi * np.arange(len(inner)) / len(inner)
-        a_out = 2.0 * np.pi * np.arange(len(outer)) / len(outer)
-        tris.extend(_strip(inner, a_in, outer, a_out))
-    return tris
+    fan = np.column_stack([np.zeros_like(first), first, np.roll(first, -1)])
+    if len(rings) == 1:
+        return fan
+    angles = [2.0 * np.pi * np.arange(len(r)) / len(r) for r in rings]
+    which = [np.full(len(r), k, dtype=np.int64) for k, r in enumerate(rings)]
+    strips, _ = _bands(np.concatenate(rings[:-1]), np.concatenate(angles[:-1]),
+                       np.concatenate(which[:-1]),
+                       np.concatenate(rings[1:]), np.concatenate(angles[1:]),
+                       np.concatenate(which[1:]) - 1,
+                       outer_first)
+    return np.concatenate([fan, strips])
 
 
 def _edge_runs(elements):
@@ -296,9 +327,8 @@ def generate_annulus(r_inner, r_outer, refinement):
     pts = np.concatenate([_ring_points(r, ntheta) for r in radii])
     rings = [np.arange(k * ntheta, (k + 1) * ntheta) for k in range(nr + 1)]
     ang = 2.0 * np.pi * np.arange(ntheta) / ntheta
-    tris = []
-    for inner, outer in zip(rings[:-1], rings[1:]):
-        tris.extend(_strip(inner, ang, outer, ang))
+    tris = np.concatenate([_strip(inner, ang, outer, ang)
+                           for inner, outer in zip(rings[:-1], rings[1:])])
     labels = np.full(len(tris), "matrix")
     return _make_mesh(pts, tris, labels, {"matrix": "matrix"})
 
@@ -321,24 +351,423 @@ def _centered_petal_mesh(outer_radius, petal_radius, refinement):
     for r in radii:
         ring = np.arange(start, start + ntheta)
         all_pts.append(_ring_points(r, ntheta))
-        shell_tris.extend(_strip(prev, ang, ring, ang))
+        shell_tris.append(_strip(prev, ang, ring, ang))
         prev = ring
         start += ntheta
-    tris = core_tris + shell_tris
+    shell_tris = np.concatenate(shell_tris)
+    tris = np.concatenate([core_tris, shell_tris])
     labels = np.array(["inclusion-1"] * len(core_tris) + ["matrix"] * len(shell_tris))
     table = {"matrix": "matrix", "inclusion-1": "inclusion-1"}
     return _make_mesh(np.concatenate(all_pts), tris, labels, table)
+
+
+# ---------------------------------------------------------------------------
+# Delaunay stitch: element adjacency, point insertion, Lawson edge flips
+# ---------------------------------------------------------------------------
+
+# Rounding bounds of the orientation and in-circle determinants computed
+# in floating point with unit roundoff u, relative to the sum of their
+# terms' magnitudes: (3 + 16 u) u and (10 + 96 u) u (Shewchuk, "Adaptive
+# precision floating-point arithmetic and fast robust geometric
+# predicates", 1997). A determinant within its bound of zero is computed
+# again in extended precision and, if still that close, exactly, so every
+# decision of the stitch is exact; an exactly cocircular quadrilateral
+# keeps the diagonal it was built with, which makes the mesh a function of
+# the inputs alone.
+_U = (np.finfo(np.float64).eps / 2, np.finfo(np.longdouble).eps / 2)
+_ORIENT_ERR = tuple((3 + 16 * u) * u for u in _U)
+_INCIRCLE_ERR = tuple((10 + 96 * u) * u for u in _U)
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def _opposite_edges(tri, n):
+    """Both nodes and the node-pair key of the edge opposite each corner,
+    corners in row-major order."""
+    a, b = tri[:, [1, 2, 0]].ravel(), tri[:, [2, 0, 1]].ravel()
+    return a, b, np.minimum(a, b) * n + np.maximum(a, b)
+
+
+def _equal_pairs(key):
+    """Positions (i, j) of the keys that occur twice."""
+    order = np.argsort(key, kind="stable")
+    same = np.flatnonzero(key[order][1:] == key[order][:-1])
+    return order[same], order[same + 1]
+
+
+def _neighbours(tri, n):
+    """``nbr[t, k]``: the element across the edge opposite corner k of t,
+    -1 on the boundary."""
+    _, _, key = _opposite_edges(tri, n)
+    i, j = _equal_pairs(key)
+    nbr = np.full(len(key), -1, dtype=np.int64)
+    nbr[i], nbr[j] = j // 3, i // 3
+    return nbr.reshape(-1, 3)
+
+
+def _relink(tri, nbr, rows, n):
+    """Pair the edges of the rewritten ``rows`` again.
+
+    On entry each corner of a rewritten row holds the element that was
+    across that edge before the rewrite (anything, for an edge between two
+    rewritten rows). Edges shared within ``rows`` pair with each other;
+    each other edge keeps its element and points that element back."""
+    a, b, key = _opposite_edges(tri[rows], n)
+    i, j = _equal_pairs(key)
+    flat = nbr[rows].ravel()
+    flat[i], flat[j] = rows[j // 3], rows[i // 3]
+    paired = np.zeros(len(flat), dtype=bool)
+    paired[i] = paired[j] = True
+    out = np.flatnonzero(~paired & (flat >= 0))
+    far = tri[flat[out]]
+    slot = np.argmax((far != a[out, None]) & (far != b[out, None]), axis=1)
+    nbr[flat[out], slot] = rows[out // 3]
+    nbr[rows] = flat.reshape(-1, 3)
+
+
+def _put(arr, rows, *columns):
+    """Write ``columns`` into the given rows of the (M, 3) ``arr``."""
+    for k, column in enumerate(columns):
+        arr[rows, k] = column
+
+
+def _integers(values):
+    """Exact integers proportional to the floats ``values`` (one shared
+    power-of-two scale)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios]
+
+
+def _exact_orientation(ax, ay, bx, by, cx, cy):
+    ax, ay, bx, by, cx, cy = _integers((ax, ay, bx, by, cx, cy))
+    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (v > 0) - (v < 0)
+
+
+def _exact_incircle(ax, ay, bx, by, cx, cy, dx, dy):
+    ax, ay, bx, by, cx, cy, dx, dy = _integers((ax, ay, bx, by, cx, cy, dx, dy))
+    ax, ay, bx, by, cx, cy = ax - dx, ay - dy, bx - dx, by - dy, cx - dx, cy - dy
+    v = ((ax * ax + ay * ay) * (bx * cy - cx * by)
+         + (bx * bx + by * by) * (cx * ay - ax * cy)
+         + (cx * cx + cy * cy) * (ax * by - bx * ay))
+    return (v > 0) - (v < 0)
+
+
+def _orientation_det(a, b, c):
+    left = (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+    right = (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])
+    return left - right, np.abs(left) + np.abs(right)
+
+
+def _incircle_det(a, b, c, d):
+    ax, ay = a[..., 0] - d[..., 0], a[..., 1] - d[..., 1]
+    bx, by = b[..., 0] - d[..., 0], b[..., 1] - d[..., 1]
+    cx, cy = c[..., 0] - d[..., 0], c[..., 1] - d[..., 1]
+    al, bl, cl = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    det = al * (bx * cy - cx * by) + bl * (cx * ay - ax * cy) + cl * (ax * by - bx * ay)
+    bound = (al * (np.abs(bx * cy) + np.abs(cx * by))
+             + bl * (np.abs(cx * ay) + np.abs(ax * cy))
+             + cl * (np.abs(ax * by) + np.abs(bx * ay)))
+    return det, bound
+
+
+def _exact_sign(det_of, err, exact, *points):
+    """Sign of the determinant ``det_of`` takes of the coordinate arrays
+    ``points`` (..., 2), exactly: in double precision where it clears its
+    rounding bound, else in extended precision, else in integers."""
+    det, bound = det_of(*points)
+    sign = np.sign(det).astype(np.int64)
+    unsure = np.abs(det) <= err[0] * bound
+    if unsure.any():
+        close = [np.broadcast_to(x, unsure.shape + (2,))[unsure] for x in points]
+        det, bound = det_of(*(x.astype(np.longdouble) for x in close))
+        wide = np.sign(det).astype(np.int64)
+        still = np.abs(det) <= err[1] * bound
+        if still.any():
+            rows = np.concatenate([x[still] for x in close], axis=1)
+            wide[still] = [exact(*row) for row in rows.tolist()]
+        sign[unsure] = wide
+    return sign
+
+
+def _orientation(a, b, c):
+    """Sign of the orientation of points c against the lines a -> b, as
+    coordinate arrays (..., 2): 1 to the left, 0 on the line, -1 to the
+    right, exactly."""
+    return _exact_sign(_orientation_det, _ORIENT_ERR, _exact_orientation, a, b, c)
+
+
+def _sides(p, corners, q):
+    """Orientation sign of point q against each edge of the element with
+    ``corners`` (..., 3), the edge opposite corner k in column k."""
+    v, w = p[corners], p[q]
+    return np.stack([_orientation(v[..., (k + 1) % 3, :], v[..., (k + 2) % 3, :], w)
+                     for k in range(3)], axis=-1)
+
+
+def _holds(p, corners, q):
+    """Whether the closed element with ``corners`` holds point q."""
+    return (_sides(p, corners, q) >= 0).all(-1)
+
+
+def _incircle(p, a, b, c, d):
+    """Sign of the in-circle test of d against counterclockwise (a, b, c):
+    1 inside the circle, 0 on it, -1 outside, exactly."""
+    return _exact_sign(_incircle_det, _INCIRCLE_ERR, _exact_incircle,
+                       p[a], p[b], p[c], p[d])
+
+
+def _circumcenters(p, tri):
+    """Center of each element's circumcircle."""
+    a, b, c = p[tri[:, 0]], p[tri[:, 1]], p[tri[:, 2]]
+    b, c = b - a, c - a
+    d = 2 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    bb, cc = (b * b).sum(axis=1), (c * c).sum(axis=1)
+    return a + np.column_stack([c[:, 1] * bb - b[:, 1] * cc,
+                                b[:, 0] * cc - c[:, 0] * bb]) / d[:, None]
+
+
+def _one_per_element(count, *owners):
+    """Mask of the candidates that each hold every element they name in
+    ``owners`` (rows of element indices, -1 for none) against all later
+    candidates: no two kept candidates share an element."""
+    idx = np.arange(len(owners[0]))
+    first = np.full(count, len(idx))
+    for e in owners:
+        np.minimum.at(first, e[e >= 0], idx[e >= 0])
+    keep = np.ones(len(idx), dtype=bool)
+    for e in owners:
+        keep &= (e < 0) | (first[e] == idx)
+    return keep
+
+
+def _lawson(p, tri, nbr, rows):
+    """Flip interior edges (Lawson, 1977) until no far vertex lies inside
+    a near element's circumcircle.
+
+    Each round checks the edges of ``rows``, flips a set of bad edges no
+    two of which share an element, and checks only the rewritten elements
+    next."""
+    n = len(p)
+    checked = np.zeros(len(tri), dtype=bool)
+    while len(rows):
+        checked[rows] = True
+        t = np.repeat(rows, 3)
+        k = np.tile(np.arange(3), len(rows))
+        u = nbr[t, k]
+        # each edge once, from its lower row when both sides are checked
+        e = np.flatnonzero((u >= 0) & ((u > t) | ~checked[u]))
+        checked[rows] = False
+        t, k, u = t[e], k[e], u[e]
+        m = np.argmax(nbr[u] == t[:, None], axis=1)
+        a, b, c, d = tri[t, k], tri[t, _NEXT[k]], tri[t, _PREV[k]], tri[u, m]
+        bad = np.flatnonzero(_incircle(p, a, b, c, d) > 0)
+        bad = bad[_one_per_element(len(tri), t[bad], u[bad])]
+        if not len(bad):
+            return
+        t, k, u, m, a, b, c, d = (v[bad] for v in (t, k, u, m, a, b, c, d))
+        # (a, b, c) and (d, c, b) become (a, b, d) and (a, d, c)
+        ab, ca = nbr[t, _PREV[k]], nbr[t, _NEXT[k]]
+        bd, dc = nbr[u, _NEXT[m]], nbr[u, _PREV[m]]
+        _put(tri, t, a, b, d)
+        _put(tri, u, a, d, c)
+        _put(nbr, t, bd, u, ab)
+        _put(nbr, u, dc, ca, t)
+        rows = np.concatenate([t, u])
+        _relink(tri, nbr, rows, n)
+
+
+def _insert(p, tri, nbr, count, free, loc):
+    """Insert the points ``free`` into the triangulation in the first
+    ``count`` rows of the preallocated ``tri`` and ``nbr``; ``loc`` names
+    an element holding each point. Returns the new row count.
+
+    Each round inserts at most one point per element: a point inside
+    splits its element in three, a point on an edge splits both elements
+    of that edge in two. The points left over move to the new element
+    that holds them."""
+    n = len(p)
+    while len(free):
+        side = _sides(p, tri[loc], free)
+        on = side == 0
+        if np.any(on.sum(axis=1) > 1) or np.any(side < 0):
+            raise MeshError("petal stitch met a duplicate or misplaced node")
+        edge = np.argmax(on, axis=1)
+        split = on.any(axis=1)
+        across = np.where(split, nbr[loc, edge], -1)
+        if np.any(split & (across < 0)):
+            raise MeshError("petal stitch met a node on the outer boundary")
+        take = _one_per_element(count, loc, across)
+        inner = np.flatnonzero(take & ~split)
+        onedge = np.flatnonzero(take & split)
+        ni, ne = len(inner), len(onedge)
+        # inside: (a, b, c) becomes (a, b, q), (b, c, q) and (c, a, q)
+        t, q = loc[inner], free[inner]
+        a, b, c = tri[t].T
+        na, nb, nc = nbr[t].T
+        s1 = count + np.arange(ni)
+        s2 = s1 + ni
+        _put(tri, t, a, b, q)
+        _put(tri, s1, b, c, q)
+        _put(tri, s2, c, a, q)
+        _put(nbr, t, s1, s2, nc)
+        _put(nbr, s1, s2, t, na)
+        _put(nbr, s2, t, s1, nb)
+        count += 2 * ni
+        # on the edge (b, c) of (a, b, c) and (d, c, b): (a, b, q),
+        # (a, q, c), (d, c, q) and (d, q, b)
+        t, q, k, u = loc[onedge], free[onedge], edge[onedge], across[onedge]
+        m = np.argmax(nbr[u] == t[:, None], axis=1)
+        a, b, c, d = tri[t, k], tri[t, _NEXT[k]], tri[t, _PREV[k]], tri[u, m]
+        ab, ca = nbr[t, _PREV[k]], nbr[t, _NEXT[k]]
+        bd, dc = nbr[u, _NEXT[m]], nbr[u, _PREV[m]]
+        e1 = count + np.arange(ne)
+        e2 = e1 + ne
+        _put(tri, t, a, b, q)
+        _put(tri, e1, a, q, c)
+        _put(tri, u, d, c, q)
+        _put(tri, e2, d, q, b)
+        _put(nbr, t, e2, e1, ab)
+        _put(nbr, e1, u, ca, t)
+        _put(nbr, u, e1, e2, dc)
+        _put(nbr, e2, t, bd, u)
+        count += 2 * ne
+        _relink(tri, nbr, np.concatenate([loc[inner], s1, s2, t, e1, u, e2]), n)
+        # the points left over in a split element move to one of its parts
+        parts = np.concatenate([np.stack([loc[inner], s1, s2, s2], axis=1),
+                                np.stack([t, e1, u, e2], axis=1)])
+        split_of = np.full(count, -1)
+        split_of[loc[inner]] = np.arange(ni)
+        split_of[t] = split_of[u] = ni + np.arange(ne)
+        free, loc = free[~take], loc[~take]
+        moved = np.flatnonzero(split_of[loc] >= 0)
+        cand = parts[split_of[loc[moved]]]
+        inside = _holds(p, tri[cand], free[moved, None])
+        loc[moved] = cand[np.arange(len(moved)), np.argmax(inside, axis=1)]
+    return count
+
+
+def _locate(p, tri, hubs, free):
+    """An element holding each point of ``free``.
+
+    Each point is first tried in the element of its nearest hub's star
+    (the elements around that node) whose angular sector holds it; the
+    points found in none of those are searched for in every element."""
+    hub_of = np.full(len(p), -1)
+    hub_of[hubs] = np.arange(len(hubs))
+    star, corner = np.nonzero(hub_of[tri] >= 0)
+    hub, first = tri[star, corner], tri[star, _NEXT[corner]]
+    rank = hub_of[hub]
+    # sectors sorted by hub, then by the angle at which they start
+    key = 8.0 * rank + np.arctan2(p[first, 1] - p[hub, 1], p[first, 0] - p[hub, 0])
+    order = np.argsort(key)
+    key, star = key[order], star[order]
+    d = p[free, None, :] - p[None, hubs, :]
+    near = np.argmin((d ** 2).sum(-1), axis=1)
+    dq = d[np.arange(len(free)), near]
+    qkey = 8.0 * near + np.arctan2(dq[:, 1], dq[:, 0])
+    lo = np.searchsorted(key, 8.0 * near - 4.0)
+    hi = np.searchsorted(key, 8.0 * near + 4.0)
+    pos = np.searchsorted(key, qkey, side="right") - 1
+    pos = np.where(pos < lo, hi - 1, pos)  # before the first sector: the last wraps round
+    loc = np.full(len(free), -1)
+    loc[lo < hi] = star[pos[lo < hi]]
+    found = (loc >= 0) & _holds(p, tri[loc], free)
+    lost = np.flatnonzero(~found)
+    if len(lost):
+        inside = _holds(p, tri[None, :, :], free[lost, None])
+        if not inside.any(axis=1).all():
+            raise MeshError("petal stitch lost a node outside the outer boundary")
+        loc[lost] = np.argmax(inside, axis=1)
+    return loc
+
+
+def _covers(p, tri, nbr, polygon_area, nedges):
+    """Whether ``tri`` is a triangulation of the outer polygon: every
+    element counterclockwise, their areas summing to the polygon's and
+    only the polygon's edges on the boundary."""
+    area = _signed_areas(p, tri)
+    return (bool(np.all(_orientation(*p[tri.T]) > 0))
+            and abs(area.sum() - polygon_area) <= 1e-9 * polygon_area
+            and int((nbr < 0).sum()) == nedges)
+
+
+def _fill_stars(p, tris, hubs, rim, collar):
+    """Replace the star of each hub (its elements) by the hub's own rings
+    where they fit: a fan to the rim, the strip from rim to collar and a
+    strip from the collar to the star's outline; or, where the collar
+    does not fit, the fan and a strip from the rim to the outline. A fill
+    fits when all its elements are counterclockwise, which puts the ring
+    inside the outline. Row k of ``rim`` and ``collar`` holds hub k's ring
+    nodes from angle 0 counterclockwise."""
+    hub_of = np.full(len(p), -1)
+    hub_of[hubs] = np.arange(len(hubs))
+    at_hub = hub_of[tris] >= 0
+    star, corner = np.nonzero(at_hub)
+    hub = tris[star, corner]
+    x = tris[star, _NEXT[corner]]
+    angle = np.mod(np.arctan2(p[x, 1] - p[hub, 1], p[x, 0] - p[hub, 0]), 2 * np.pi)
+    order = np.lexsort((angle, hub_of[hub]))
+    star, x, angle, k = star[order], x[order], angle[order], hub_of[hub[order]]
+    present, band = np.unique(k, return_inverse=True)
+    if not len(present):
+        return tris
+
+    def rings(ring, which):
+        n = ring.shape[1]
+        return (ring[which].ravel(), np.tile(2 * np.pi * np.arange(n) / n, len(which)),
+                np.repeat(np.arange(len(which)), n))
+
+    fits = []
+    for ring in (collar, rim):
+        fill, of = _bands(*rings(ring, present), x, angle, band, outer_first=False)
+        ok = np.ones(len(present), dtype=bool)
+        ok[of[_orientation(*p[fill.T]) <= 0]] = False
+        fits.append((fill, of, ok))
+    (to_collar, of_c, use_collar), (to_rim, of_r, use_rim) = fits
+    use_rim &= ~use_collar
+    # two stars that share an element are not both filled: the first wins
+    pairs = hub_of[tris[at_hub.sum(axis=1) > 1]]
+    rank = np.full(len(hubs) + 1, -1)
+    rank[present] = np.arange(len(present))
+    for k in range(len(present)):
+        if use_collar[k] or use_rim[k]:
+            rows = np.any(pairs == present[k], axis=1)
+            later = rank[pairs[rows]]
+            later = later[later > k]
+            use_collar[later] = use_rim[later] = False
+    keep = np.ones(len(tris), dtype=bool)
+    keep[star[(use_collar | use_rim)[band]]] = False
+    filled = present[use_collar | use_rim]
+    fan = np.stack([np.repeat(hubs[filled], rim.shape[1]), rim[filled].ravel(),
+                    np.roll(rim[filled], -1, axis=1).ravel()], axis=1)
+    parts = [tris[keep], fan, to_collar[use_collar[of_c]], to_rim[use_rim[of_r]]]
+    if use_collar.any():
+        which = present[use_collar]
+        parts.append(_bands(*rings(rim, which), *rings(collar, which),
+                            outer_first=False)[0])
+    return np.concatenate(parts)
 
 
 def generate_petal_cable(outer_radius, petal_centers, petal_radius, refinement):
     """Disk of ``outer_radius`` containing disjoint circular petals.
 
     Petal k's elements are labeled ``"inclusion-<k+1>"``, the rest
-    ``"matrix"``. Petals must lie strictly
-    inside the disk and be pairwise disjoint. A single petal centered at
-    the origin gets a fully structured conforming mesh; general layouts
-    embed per-petal spiderwebs into the background cloud and stitch with
-    a Delaunay pass.
+    ``"matrix"``. Petals must lie strictly inside the disk and be pairwise
+    disjoint, and so must each petal's collar ring (one ring pitch past
+    its rim) stay inside the outer boundary and off every other petal.
+    A single petal centered at the origin gets a fully structured
+    conforming mesh. General layouts embed per-petal spiderwebs into the
+    global spiderweb cloud, which keeps only its nodes away from the
+    petals, and stitch them by rule, with no Qhull: the global web's
+    elements with every dropped node merged into its nearest petal
+    center; around each center its rim and collar rings where they fit,
+    the rest of them inserted as points; Lawson edge flips to the
+    Delaunay triangulation; and inside each rim the petal's own web.
+    Orientation and in-circle tests are exact and an exactly cocircular
+    quadrilateral keeps the diagonal it was built with, so the mesh is a
+    function of the inputs alone.
     """
     if outer_radius <= 0 or petal_radius <= 0:
         raise MeshError("radii must be positive")
@@ -357,35 +786,128 @@ def generate_petal_cable(outer_radius, petal_centers, petal_radius, refinement):
     if len(centers) == 1 and np.hypot(*centers[0]) == 0.0:
         return _centered_petal_mesh(outer_radius, petal_radius, refinement)
 
-    from scipy.spatial import Delaunay
-
     nglobal = 2**refinement
     h = outer_radius / nglobal
+    prings = max(2, round(petal_radius / h))
+    ru = petal_radius / prings  # local ring pitch; one collar ring past the rim
+    collar = ru * (prings + 1)
+    nouter = 6 * nglobal
+    # the outer boundary is the inscribed polygon: its edge normals and
+    # their distance from the origin
+    normal = 2 * np.pi * (np.arange(nouter) + 0.5) / nouter
+    apothem = outer_radius * math.cos(np.pi / nouter)
+    reach = (centers @ np.array([np.cos(normal), np.sin(normal)])).max(axis=1)
+    # A petal's own web, flipped to Delaunay. No node of another petal
+    # may enter the circle of a web element on the rim, so that each rim
+    # stays a ring of Delaunay edges in the cable.
+    lpts, lrings = _spiderweb_points(petal_radius, prings)
+    petal = _spiderweb_triangles(lrings, outer_first=False)
+    _lawson(lpts, petal, _neighbours(petal, len(lpts)), np.arange(len(petal)))
+    rim = 1 + 3 * prings * (prings - 1)  # local index of the first rim node
+    on_rim = petal[(petal >= rim).sum(axis=1) == 2]
+    center = _circumcenters(lpts, on_rim)
+    reach_out = np.max(np.hypot(*center.T) + np.hypot(*(lpts[on_rim[:, 0]] - center).T))
+    apart = np.hypot(*(centers[:, None] - centers[None]).transpose(2, 0, 1))
+    np.fill_diagonal(apart, np.inf)
+    near = apart <= collar + reach_out
+    for k in range(len(centers)):
+        if reach[k] + collar >= apothem:
+            raise MeshError(f"the collar ring of petal {k + 1} reaches the "
+                            f"outer boundary at refinement {refinement}")
+        if np.any(near[k]):
+            b = int(np.argmax(near[k]))
+            raise MeshError(f"the collar ring of petal {k + 1} reaches "
+                            f"petal {b + 1} at refinement {refinement}")
+
     gpts, grings = _spiderweb_points(outer_radius, nglobal)
     on_boundary = np.zeros(len(gpts), dtype=bool)
     on_boundary[grings[-1]] = True
+    d = np.hypot(gpts[:, None, 0] - centers[:, 0], gpts[:, None, 1] - centers[:, 1])
+    keep = np.all(d > petal_radius + ru + 0.6 * h, axis=1) | on_boundary
+    nearest = np.argmin(d, axis=1)
+    local, _ = _spiderweb_points(collar, prings + 1)
+    pts = np.concatenate([gpts[keep], (local + centers[:, None]).reshape(-1, 2)])
+    nkeep, nlocal = int(keep.sum()), len(local)
+    hubs = nkeep + nlocal * np.arange(len(centers))  # the petal centers
+    kept = np.cumsum(keep) - 1
 
-    clouds = []
-    prings = max(2, round(petal_radius / h))
-    ru = petal_radius / prings  # local ring pitch; one collar ring past the rim
-    keep = np.ones(len(gpts), dtype=bool)
-    for c in centers:
-        local, _ = _spiderweb_points(ru * (prings + 1), prings + 1, center=c)
-        clouds.append(local)
-        d = np.hypot(gpts[:, 0] - c[0], gpts[:, 1] - c[1])
-        keep &= (d > petal_radius + ru + 0.6 * h) | on_boundary
-    pts = np.concatenate([gpts[keep]] + clouds)
+    # Start from the global web with each dropped node merged into its
+    # nearest petal center. Where that folds an element over, merge every
+    # inner node into the first center: a fan of the convex outer polygon.
+    web = _spiderweb_triangles(grings, outer_first=False)
+    polygon_area = 0.5 * nouter * outer_radius**2 * math.sin(2 * np.pi / nouter)
+    for merged in (np.where(keep, kept, hubs[nearest]),
+                   np.where(on_boundary, kept, hubs[0])):
+        tris = merged[web]
+        tris = tris[(tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2])
+                    & (tris[:, 2] != tris[:, 0])]
+        nbrs = _neighbours(tris, len(pts))
+        if _covers(pts, tris, nbrs, polygon_area, nouter):
+            break
+    else:
+        raise MeshError("petal stitch could not cover the outer polygon")
 
-    simplices = Delaunay(pts).simplices
-    cent = pts[simplices].mean(axis=1)
-    # code 0 is the matrix, code k + 1 petal k
+    # fill the stars with the petals' rings where they fit, then insert
+    # every node still left out, save the petals' inner rings
+    petal_nodes = hubs[:, None] + np.append(0, np.arange(rim, nlocal))
+    tris = _fill_stars(pts, tris, hubs, petal_nodes[:, 1:1 + 6 * prings],
+                       petal_nodes[:, 1 + 6 * prings:])
+    used = np.zeros(len(pts), dtype=bool)
+    used[tris] = True
+    free = np.concatenate([np.flatnonzero(~used[:nkeep]), petal_nodes.ravel()])
+    free = free[~used[free]]
+    count = len(tris)
+    tri = np.zeros((count + 2 * len(free), 3), dtype=np.int64)
+    nbr = np.full_like(tri, -1)
+    tri[:count], nbr[:count] = tris, _neighbours(tris, len(pts))
+    if len(free):
+        count = _insert(pts, tri, nbr, count, free,
+                        _locate(pts, tri[:count], hubs, free))
+    tri, nbr = tri[:count], nbr[:count]
+    _lawson(pts, tri, nbr, np.arange(count))
+
+    # Each rim is a ring of Delaunay edges around its center alone: the
+    # fan inside gives way to the petal's own web, flipped to Delaunay
+    # against the nodes around it. A petal's elements are then those
+    # with every corner in its web.
+    web_nodes = hubs[:, None] + np.arange(rim + 6 * prings)
+    owner = np.full(len(pts), -1)
+    owner[web_nodes] = np.arange(len(centers))[:, None]
+
+    def petal_of(elements):
+        o = owner[elements]
+        return np.where((o[:, 0] == o[:, 1]) & (o[:, 1] == o[:, 2]), o[:, 0], -1)
+
+    fan = np.flatnonzero(petal_of(tri) >= 0)
+    if len(fan) != 6 * prings * len(centers):
+        raise MeshError("petal stitch lost a petal rim")
+    # the webs take the fans' rows and new ones; across each rim edge
+    # lies the element that faced the fan there
+    n = len(pts)
+    webs = (hubs[:, None, None] + petal).reshape(-1, 3)
+    extra = len(webs) - len(fan)
+    hub_at = np.argmax(tri[fan] == hubs[petal_of(tri[fan])][:, None], axis=1)
+    a, b = tri[fan, _NEXT[hub_at]], tri[fan, _PREV[hub_at]]
+    rim_key = np.minimum(a, b) * n + np.maximum(a, b)
+    order = np.argsort(rim_key)
+    rim_key, facing = rim_key[order], nbr[fan, hub_at][order]
+    _, _, key = _opposite_edges(webs, n)
+    at = np.minimum(np.searchsorted(rim_key, key), len(rim_key) - 1)
+    hint = np.where(rim_key[at] == key, facing[at], -1).reshape(-1, 3)
+    rows = np.append(fan, np.arange(count, count + extra))
+    elements = np.concatenate([tri, webs[:extra]])
+    nbr = np.concatenate([nbr, hint[:extra]])
+    elements[rows], nbr[rows] = webs, hint
+    _relink(elements, nbr, rows, n)
+    _lawson(pts, elements, nbr, rows[(hint >= 0).any(axis=1)])
     names = ["matrix"] + [f"inclusion-{k + 1}" for k in range(len(centers))]
-    codes = np.zeros(len(simplices), dtype=np.int64)
-    for k, c in enumerate(centers):
-        inside = np.hypot(cent[:, 0] - c[0], cent[:, 1] - c[1]) < petal_radius
-        codes[inside] = k + 1
-    labels = np.array(names)[codes]
-    return _make_mesh(pts, simplices, labels, {n: n for n in names})
+    t, k = np.nonzero(nbr < 0)
+    edges = np.column_stack([elements[t, _NEXT[k]], elements[t, _PREV[k]]])
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    return Mesh(nodes=pts, elements=elements,
+                element_region=np.array(names)[petal_of(elements) + 1],
+                boundary_edges=np.column_stack([edges, np.full(len(edges), -1)]),
+                region_table={lab: lab for lab in names})
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,26 @@ def conductance_matrix(mesh, material_map, amplitude=1e-3, mode="pec-limit",
                                electrodes, config).background(scenario)
 
 
+class _PaddedLU:
+    """An LU factorization whose ``solve`` pads the right-hand sides with
+    zero columns to a multiple of ``BLOCK``. SuperLU rounds a column of a
+    multi-column solve differently with the number of columns in the call
+    (its BLAS kernels treat a trailing partial block of columns apart);
+    padded to whole blocks, a column of K^-1 has the same bits whichever
+    columns share its call, so those solved for several test domains
+    together equal those solved for one domain alone."""
+
+    BLOCK = 16
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, rhs):
+        padded = np.zeros((rhs.shape[0], -(-rhs.shape[1] // self.BLOCK) * self.BLOCK))
+        padded[:, :rhs.shape[1]] = rhs
+        return self._lu.solve(padded)[:, :rhs.shape[1]]
+
+
 class _InverseColumns:
     """Columns of K^-1 from one LU factorization, solved on first use and
     kept in a least-recently-used store of at most ``MAX_BYTES``.
@@ -306,9 +326,10 @@ class ConductanceOperator:
                                         pec_regions=self._pec)
         self._sigma = material_map.sigma_elements(
             mesh, np.zeros(mesh.element_count), self._active)
-        self._lu, k_fd = asm.factor(self._sigma)
+        lu, k_fd = asm.factor(self._sigma)
         rhs = -k_fd @ self._patterns
-        self._x = rhs if self._lu is None else self._lu.solve(rhs)
+        self._x = rhs if lu is None else lu.solve(rhs)
+        self._lu = None if lu is None else _PaddedLU(lu)
         self._columns = _InverseColumns(self._lu, asm.n_free)
         self._u = asm.expand(self._x, self._patterns)
         # row of each node's potential in np.concatenate([x, patterns]),

@@ -7,6 +7,7 @@ imaging on the reference cable geometry."""
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from qlert import cli, materials, oracle, solver, tomography as tomo
 from qlert import mesh as qm
@@ -114,6 +115,46 @@ def test_energy_separation_ingredients():
                  / fields.band_energy("w", "outer"))
         gaps.append(abs(ratio - 1.0))
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def qhull_cable(mesh):
+    """The Qhull triangulation of the cable's nodes, labelled by element
+    centroid as the Qhull-based mesher did."""
+    simplices = Delaunay(mesh.nodes).simplices
+    cent = mesh.nodes[simplices].mean(axis=1)
+    names = ["matrix"] + mesh.inclusion_regions()
+    codes = np.zeros(len(simplices), dtype=np.int64)
+    for k, (cx, cy) in enumerate(PETAL_CENTERS):
+        codes[np.hypot(cent[:, 0] - cx, cent[:, 1] - cy) < PETAL_RADIUS] = k + 1
+    return qm._make_mesh(mesh.nodes, simplices, np.array(names)[codes],
+                         {n: n for n in names})
+
+
+@pytest.mark.parametrize("refinement, amplitudes", [
+    (3, (1e-3, 20e-3)), (5, (0.5e-3, 1e-3, 2e-3, 5e-3, 10e-3)), (6, (1e-3,)),
+])
+def test_stitch_moves_solves_by_rounding_only(refinement, amplitudes):
+    # The stitch equals Qhull's triangulation up to cocircular ties, on
+    # which constant-sigma element pairs have the same P1 stiffness. The
+    # amplitudes stay below saturation, where a solve is one exact step;
+    # above it (30 mV) the fixed-point iteration stops on its 1e-8 change,
+    # which a rounding-level change can move by one step.
+    mesh = cable_mesh(refinement)
+    ref = qhull_cable(mesh)
+    for amplitude in amplitudes:
+        got, want = (
+            solver.solve_nonlinear(m, materials.MaterialMap(cable_models(m)),
+                                   x_profile(m, amplitude))
+            for m in (mesh, ref))
+        assert got.iterations == want.iterations
+        assert abs(got.energy - want.energy) <= 1e-10 * abs(want.energy)
+    layout = qm.ElectrodeLayout.uniform(16, 0.5)
+    got, want = (
+        tomo.conductance_matrix(m, materials.MaterialMap(cable_models(m)),
+                                amplitude=AMPLITUDE, mode="pec-limit",
+                                scenario="background").matrix
+        for m in (qm.tag_electrodes(mesh, layout), qm.tag_electrodes(ref, layout)))
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_cable_limit_error_decays_with_excitation():

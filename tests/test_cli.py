@@ -896,7 +896,7 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
     src = str(Path(qlert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     # nor does any command but oracle need the reference fields, nor
-    # anything but mesh generation scipy.spatial
+    # anything scipy.spatial
     probe = ("import sys, qlert.cli; "
              "print('scipy.sparse.linalg' in sys.modules, "
              "'qlert.oracle' in sys.modules, "
@@ -904,3 +904,25 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False False False"
+
+
+def test_cable_meshing_and_solve_leave_scipy_spatial_unloaded(tmp_path):
+    # the petal stitch needs no Qhull: meshing the README cable and one
+    # pec-limit solve of it load no scipy.spatial
+    tree = cable_tomo_config()
+    del tree["boundary"]["electrodes"]
+    tree["task"] = {"kind": "solve", "mode": "pec-limit"}
+    path = write_config(tmp_path, tree)
+    src = str(Path(qlert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import math, sys, qlert.cli as cli, qlert.mesh as qm; "
+        "centers = [(0.35e-3 * math.cos(math.radians(30 + 60 * k)), "
+        "0.35e-3 * math.sin(math.radians(30 + 60 * k))) for k in range(6)]; "
+        "qm.generate_petal_cable(0.6e-3, centers, 0.12e-3, 3); "
+        f"code = cli.main(['solve', '--config', {str(path)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]); "
+        "print(code, 'scipy.spatial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "0 False"

@@ -3,6 +3,9 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
 from qlert import mesh as qm
 
@@ -131,6 +134,20 @@ class TestGeneratePetalCable:
     def test_overlapping_petals_rejected(self):
         with pytest.raises(qm.MeshError):
             qm.generate_petal_cable(1.0, [(-0.2, 0.0), (0.2, 0.0)], 0.25, 2)
+
+    @pytest.mark.parametrize("refinement", [2, 3])
+    def test_collar_past_the_outer_boundary_rejected(self, refinement):
+        # the petal fits, but its collar ring would reach radius 1.075
+        with pytest.raises(qm.MeshError, match=(
+                f"collar ring of petal 1 reaches the outer boundary "
+                f"at refinement {refinement}")):
+            qm.generate_petal_cable(1.0, [(0.7, 0.0)], 0.25, refinement)
+
+    def test_collar_reaching_another_petal_rejected(self):
+        # disjoint petals whose collar rings reach into each other
+        with pytest.raises(qm.MeshError, match=(
+                "collar ring of petal 1 reaches petal 2 at refinement 3")):
+            qm.generate_petal_cable(1.0, [(-0.2, 0.0), (0.2, 0.0)], 0.19, 3)
 
     def test_labels_partition_elements(self):
         centers = symmetric_petal_centers(3, 0.5)
@@ -435,3 +452,223 @@ class TestEdgeRunsMatchReference:
             for got, want in zip(qm._edge_runs(elements),
                                  self.edge_runs_by_lexsort(elements)):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# The strip rule as the two-pointer loop that the one merge replaced, kept
+# as the reference: disk, annulus and centred-petal meshes stay the same
+# element for element.
+
+
+def strip_loop(inner_ids, inner_angles, outer_ids, outer_angles):
+    ni, no = len(inner_ids), len(outer_ids)
+    tris = []
+    i = j = 0
+    while i < ni or j < no:
+        nxt_i = inner_angles[i + 1] if i + 1 <= ni - 1 else inner_angles[0] + 2 * np.pi
+        nxt_j = outer_angles[j + 1] if j + 1 <= no - 1 else outer_angles[0] + 2 * np.pi
+        if i >= ni:
+            nxt_i = np.inf
+        if j >= no:
+            nxt_j = np.inf
+        if nxt_j <= nxt_i:
+            tris.append((inner_ids[i % ni], outer_ids[j % no], outer_ids[(j + 1) % no]))
+            j += 1
+        else:
+            tris.append((inner_ids[i % ni], outer_ids[j % no], inner_ids[(i + 1) % ni]))
+            i += 1
+    return tris
+
+
+def spiderweb_triangles_loop(rings):
+    tris = []
+    first = rings[0]
+    for j in range(len(first)):
+        tris.append((0, first[j], first[(j + 1) % len(first)]))
+    for inner, outer in zip(rings[:-1], rings[1:]):
+        a_in = 2.0 * np.pi * np.arange(len(inner)) / len(inner)
+        a_out = 2.0 * np.pi * np.arange(len(outer)) / len(outer)
+        tris.extend(strip_loop(inner, a_in, outer, a_out))
+    return tris
+
+
+class TestStripMerge:
+    @pytest.mark.parametrize("ni, no, shift", [
+        (6, 12, 0.0), (12, 18, 0.0), (24, 24, 0.0), (24, 24, 0.1),
+        (5, 7, 0.3), (30, 12, 0.05), (1, 6, 0.0),
+    ])
+    def test_merge_equals_the_loop(self, ni, no, shift):
+        inner = np.arange(ni) + 100
+        outer = np.arange(no) + 200
+        a_in = 2 * np.pi * np.arange(ni) / ni
+        a_out = shift + 2 * np.pi * np.arange(no) / no
+        want = np.array(strip_loop(inner, a_in, outer, a_out))
+        got = qm._strip(inner, a_in, outer, a_out)
+        assert np.array_equal(got, want)
+
+    GENERATORS = {
+        "disk": lambda r: qm.generate_disk(1.0, r),
+        "annulus": lambda r: qm.generate_annulus(1.0, 4.0, r),
+        "centred-petal": lambda r: qm.generate_petal_cable(
+            1.0, [(0.0, 0.0)], 0.3, r),
+    }
+
+    @pytest.mark.parametrize("refinement", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_meshes_equal_the_loop_built(self, monkeypatch, name, refinement):
+        got = self.GENERATORS[name](refinement)
+        monkeypatch.setattr(qm, "_strip", strip_loop)
+        monkeypatch.setattr(qm, "_spiderweb_triangles", spiderweb_triangles_loop)
+        want = self.GENERATORS[name](refinement)
+        assert got.elements.dtype == want.elements.dtype
+        assert np.array_equal(got.elements, want.elements)
+        assert np.array_equal(got.boundary_edges, want.boundary_edges)
+
+
+# General petal layouts are stitched without Qhull. The checks below hold
+# the stitch to the Delaunay triangulation that scipy.spatial (Qhull)
+# builds on the same nodes, up to cocircular ties, where either diagonal
+# is Delaunay.
+
+# In-circle values, relative to the fourth power of the quadrilateral's
+# longest side or diagonal, within this of zero are cocircular ties to
+# rounding; the stitch decides every other edge exactly.
+TIE_TOL = 1e-12
+
+
+def head_cloud(outer_radius, centers, petal_radius, refinement):
+    """The node cloud as the Qhull-based mesher built it, node for node."""
+    nglobal = 2**refinement
+    h = outer_radius / nglobal
+    gpts, grings = qm._spiderweb_points(outer_radius, nglobal)
+    on_boundary = np.zeros(len(gpts), dtype=bool)
+    on_boundary[grings[-1]] = True
+    clouds = []
+    prings = max(2, round(petal_radius / h))
+    ru = petal_radius / prings
+    keep = np.ones(len(gpts), dtype=bool)
+    for c in np.asarray(centers, dtype=float).reshape(-1, 2):
+        local, _ = qm._spiderweb_points(ru * (prings + 1), prings + 1, center=c)
+        clouds.append(local)
+        d = np.hypot(gpts[:, 0] - c[0], gpts[:, 1] - c[1])
+        keep &= (d > petal_radius + ru + 0.6 * h) | on_boundary
+    return np.concatenate([gpts[keep]] + clouds)
+
+
+def interior_edges(nodes, elements):
+    """Sorted node pairs of the interior edges and the relative in-circle
+    value of each: the far vertex against the near element, positive
+    inside, over the fourth power of the quadrilateral's longest side or
+    diagonal, which is the same from either diagonal."""
+    e = np.asarray(elements)
+    keys = {}
+    rows = []
+    for t, tri in enumerate(e):
+        for k in range(3):
+            a, b, c = tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3]
+            key = (min(b, c), max(b, c))
+            if key in keys:
+                rows.append((key, keys.pop(key), a))
+            else:
+                keys[key] = t
+    pairs = np.array([key for key, _, _ in rows])
+    near = e[[t for _, t, _ in rows]]
+    quad = nodes[np.column_stack([near, [d for _, _, d in rows]])]
+    (ax, ay), (bx, by), (cx, cy) = [(quad[:, k] - quad[:, 3]).T for k in range(3)]
+    al, bl, cl = ax**2 + ay**2, bx**2 + by**2, cx**2 + cy**2
+    det = al * (bx * cy - cx * by) + bl * (cx * ay - ax * cy) + cl * (ax * by - bx * ay)
+    side = ((quad[:, :, None] - quad[:, None]) ** 2).sum(-1).max(axis=(1, 2))
+    return pairs, det / side**2
+
+
+def counterclockwise(nodes, elements):
+    e = np.array(elements)
+    flip = qm._signed_areas(nodes, e) < 0
+    e[flip] = e[flip][:, ::-1]
+    return e
+
+
+def assert_delaunay_stitch(mesh, outer_radius, centers, petal_radius, refinement):
+    nodes = mesh.nodes
+    assert np.array_equal(nodes, head_cloud(outer_radius, centers, petal_radius,
+                                            refinement))
+    areas = qm.element_areas(mesh)
+    assert np.all(areas > 0)
+    nouter = 6 * 2**refinement
+    polygon = 0.5 * nouter * outer_radius**2 * math.sin(2 * math.pi / nouter)
+    assert abs(areas.sum() - polygon) <= 1e-12 * polygon
+    # each petal region is its rim spiderweb: rim nodes on the interface,
+    # every node within the rim, the rim polygon's area
+    nrim = 6 * max(2, round(petal_radius / (outer_radius / 2**refinement)))
+    rim_polygon = 0.5 * nrim * petal_radius**2 * math.sin(2 * math.pi / nrim)
+    for k, c in enumerate(np.asarray(centers, dtype=float).reshape(-1, 2)):
+        label = f"inclusion-{k + 1}"
+        inside = mesh.region_mask(label)
+        edges, _, _ = qm.region_interface_edges(mesh, label)
+        rim = np.unique(edges)
+        assert len(rim) == nrim and len(edges) == nrim
+        assert np.allclose(np.hypot(*(nodes[rim] - c).T), petal_radius, rtol=1e-12)
+        region = np.unique(mesh.elements[inside])
+        assert np.all(np.hypot(*(nodes[region] - c).T) <= petal_radius * (1 + 1e-12))
+        assert abs(areas[inside].sum() - rim_polygon) <= 1e-12 * rim_polygon
+    # Delaunay, and Qhull's triangulation up to ties
+    ours, rel = interior_edges(nodes, mesh.elements)
+    assert rel.max() <= TIE_TOL
+    qhull, qrel = interior_edges(nodes, counterclockwise(nodes, Delaunay(nodes).simplices))
+    ours_set, qhull_set = set(map(tuple, ours)), set(map(tuple, qhull))
+    ties = set(map(tuple, ours[np.abs(rel) <= TIE_TOL]))
+    qties = set(map(tuple, qhull[np.abs(qrel) <= TIE_TOL]))
+    assert ours_set - qhull_set <= ties
+    assert qhull_set - ours_set <= qties
+
+
+def symmetric(n, ring, rotation=0.0):
+    return [tuple(c) for c in symmetric_petal_centers(n, ring, rotation)]
+
+
+STITCH_LAYOUTS = {
+    # every general layout the tests mesh, and the README cable
+    "six-petal": (1.0, symmetric(6, 0.55), 0.21, 3),
+    "three-petal": (1.0, symmetric(3, 0.5), 0.2, 3),
+    "two-petal-r1": (6.0, [(3.0, 0.0), (-3.0, 0.0)], 1.0, 1),
+    "two-petal-r2": (6.0, [(3.0, 0.0), (-3.0, 0.0)], 1.0, 2),
+    "two-petal-r3": (6.0, [(3.0, 0.0), (-3.0, 0.0)], 1.0, 3),
+    "one-off-centre-r1": (6.0, [(3.0, 0.0)], 1.0, 1),
+    "one-off-centre-r2": (6.0, [(3.0, 0.0)], 1.0, 2),
+    "holed": (1.0, [(0.3, -0.2)], 0.25, 3),
+    "pair": (1.0, [(-0.5, 0.0), (0.5, 0.0)], 0.3, 2),
+    **{f"readme-r{r}": (0.6e-3, README_PETALS, 0.12e-3, r) for r in range(1, 7)},
+}
+
+
+@st.composite
+def petal_layouts(draw):
+    """1-8 disjoint petals in the unit disk, refinement 1-4."""
+    refinement = draw(st.integers(1, 4))
+    petal_radius = draw(st.floats(0.02, 0.3))
+    centers = []
+    for _ in range(draw(st.integers(1, 8))):
+        r = draw(st.floats(0.0, 1.0 - petal_radius))
+        a = draw(st.floats(0.0, 2 * math.pi))
+        c = (r * math.cos(a), r * math.sin(a))
+        if all(math.hypot(c[0] - d[0], c[1] - d[1]) > 2 * petal_radius
+               for d in centers):
+            centers.append(c)
+    return 1.0, centers, petal_radius, refinement
+
+
+class TestDelaunayStitch:
+    @pytest.mark.parametrize("name", sorted(STITCH_LAYOUTS))
+    def test_layout_is_delaunay_up_to_ties(self, name):
+        layout = STITCH_LAYOUTS[name]
+        assert_delaunay_stitch(qm.generate_petal_cable(*layout), *layout)
+
+    @settings(max_examples=60, deadline=None)
+    @given(petal_layouts())
+    def test_accepted_layouts_are_delaunay_up_to_ties(self, layout):
+        assume(layout[1] != [(0.0, 0.0)])  # the structured centred mesh
+        try:
+            mesh = qm.generate_petal_cable(*layout)
+        except qm.MeshError as err:
+            assert "stitch" not in str(err)
+            assume(False)
+        assert_delaunay_stitch(mesh, *layout)
