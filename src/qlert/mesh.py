@@ -501,9 +501,8 @@ def _orientation(a, b, c):
 def _sides(p, corners, q):
     """Orientation sign of point q against each edge of the element with
     ``corners`` (..., 3), the edge opposite corner k in column k."""
-    v, w = p[corners], p[q]
-    return np.stack([_orientation(v[..., (k + 1) % 3, :], v[..., (k + 2) % 3, :], w)
-                     for k in range(3)], axis=-1)
+    v = p[corners]
+    return _orientation(v[..., [1, 2, 0], :], v[..., [2, 0, 1], :], p[q][..., None, :])
 
 
 def _holds(p, corners, q):
@@ -800,13 +799,13 @@ def generate_petal_cable(outer_radius, petal_centers, petal_radius, refinement):
     # A petal's own web, flipped to Delaunay. No node of another petal
     # may enter the circle of a web element on the rim, so that each rim
     # stays a ring of Delaunay edges in the cable.
-    lpts, lrings = _spiderweb_points(petal_radius, prings)
-    petal = _spiderweb_triangles(lrings, outer_first=False)
-    _lawson(lpts, petal, _neighbours(petal, len(lpts)), np.arange(len(petal)))
+    local, lrings = _spiderweb_points(collar, prings + 1)
+    petal = _spiderweb_triangles(lrings[:-1], outer_first=False)
+    _lawson(local, petal, _neighbours(petal, len(local)), np.arange(len(petal)))
     rim = 1 + 3 * prings * (prings - 1)  # local index of the first rim node
     on_rim = petal[(petal >= rim).sum(axis=1) == 2]
-    center = _circumcenters(lpts, on_rim)
-    reach_out = np.max(np.hypot(*center.T) + np.hypot(*(lpts[on_rim[:, 0]] - center).T))
+    center = _circumcenters(local, on_rim)
+    reach_out = np.max(np.hypot(*center.T) + np.hypot(*(local[on_rim[:, 0]] - center).T))
     apart = np.hypot(*(centers[:, None] - centers[None]).transpose(2, 0, 1))
     np.fill_diagonal(apart, np.inf)
     near = apart <= collar + reach_out
@@ -825,7 +824,6 @@ def generate_petal_cable(outer_radius, petal_centers, petal_radius, refinement):
     d = np.hypot(gpts[:, None, 0] - centers[:, 0], gpts[:, None, 1] - centers[:, 1])
     keep = np.all(d > petal_radius + ru + 0.6 * h, axis=1) | on_boundary
     nearest = np.argmin(d, axis=1)
-    local, _ = _spiderweb_points(collar, prings + 1)
     pts = np.concatenate([gpts[keep], (local + centers[:, None]).reshape(-1, 2)])
     nkeep, nlocal = int(keep.sum()), len(local)
     hubs = nkeep + nlocal * np.arange(len(centers))  # the petal centers
