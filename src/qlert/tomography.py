@@ -328,6 +328,8 @@ class ConductanceOperator:
             mesh, np.zeros(mesh.element_count), self._active)
         lu, k_fd = asm.factor(self._sigma)
         rhs = -k_fd @ self._patterns
+        # the patterns take the one solve a direct matrix takes; only the
+        # K^-1 columns, shared between test domains, go through padding
         self._x = rhs if lu is None else lu.solve(rhs)
         self._lu = None if lu is None else _PaddedLU(lu)
         self._columns = _InverseColumns(self._lu, asm.n_free)
