@@ -92,10 +92,12 @@ class Mesh:
             raise MeshError("element_region must have one label per element")
         if self.boundary_edges.ndim != 2 or self.boundary_edges.shape[1] != 3:
             raise MeshError("boundary_edges must be a (K, 3) array")
-        labels = set(np.unique(self.element_region))
-        missing = labels - set(self.region_table)
-        if missing:
-            raise MeshError(f"region_table missing labels: {sorted(missing)}")
+        known = np.zeros(len(self.element_region), dtype=bool)
+        for label in self.region_table:
+            known |= self.element_region == label
+        if not known.all():
+            missing = sorted(set(self.element_region[~known]))
+            raise MeshError(f"region_table missing labels: {missing}")
 
     @property
     def node_count(self):

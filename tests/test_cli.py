@@ -6,10 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlert
 import reference_writers as ref
@@ -826,6 +829,110 @@ class TestWriteCsv:
         with pytest.raises(TypeError, match="dtype"):
             cli._write_csv(tmp_path / "x.csv", "d", ("a",),
                            (np.zeros(2, dtype=bool),))
+
+    def test_floats_equal_repr_exactly(self, tmp_path):
+        rng = np.random.default_rng(25)
+        bits = rng.integers(0, 2**64, size=2**20, dtype=np.uint64)
+        tens = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        twos = np.ldexp(1.0, np.arange(-1074, 1024))
+        subnormal = rng.integers(1, 2**52, size=1000, dtype=np.uint64)
+        # decimals one half-unit past a 15-, 16- or 17-digit rounding, as
+        # read to the nearest double
+        halves = [float(f"{d}5e{e}")
+                  for digits in (15, 16, 17)
+                  for d, e in zip(
+                      rng.integers(10 ** (digits - 1), 10 ** digits, 10_000),
+                      rng.integers(-170, 150, 10_000))]
+        # exact ties: odd multiples of 2**-n end on a 5, and between two
+        # wide doubles every short decimal may sit on the half-way point
+        odd = np.arange(1, 200, 2.0)
+        ties = np.concatenate([np.ldexp(odd, -n) for n in range(80)]
+                              + [np.ldexp(2.0**52 + odd, n) for n in range(80)])
+        near = np.concatenate([tens, halves, ties])
+        signed = np.concatenate([
+            subnormal.view(np.float64), twos, near, np.nextafter(near, 0),
+            np.nextafter(near, np.inf), [0.0, np.nan, np.inf,
+                                         9.999999999999999e-06,
+                                         9.999999999999999e-05]])
+        values = np.concatenate([bits.view(np.float64), signed, -signed])
+        values = np.resize(values, (8, -(-len(values) // 8)))
+        text = self.both(tmp_path, [f"c{i}" for i in range(8)], values)
+        # With cli._MARGIN set to 0 the filter prints 1.0000000000000001e+23,
+        # the double above 1e23, as 1e+23: 10**23 lies half-way between it
+        # and the double below, and reads back as that one.
+        cells = set(",".join(text.splitlines()[2:]).split(","))
+        assert {"1.0000000000000001e+23", "9.999999999999999e-06",
+                "9.999999999999999e-05", "-0.0", "5e-324"} <= cells
+        some = values[:, ::64].ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.both(tmp_path, ("f32", "long", "list"), (
+                some.astype(np.float32), some.astype(np.longdouble),
+                some.tolist()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_floats_equal_repr(self, values):
+        text = cli._csv_block([np.array(values)]).decode()
+        assert text.splitlines() == [repr(v) for v in values]
+
+    def count_fallbacks(self, monkeypatch):
+        calls = []
+        exact = cli._repr_float
+
+        def counted(value):
+            calls.append(value)
+            return exact(value)
+
+        monkeypatch.setattr(cli, "_repr_float", counted)
+        return calls
+
+    def test_fallback_takes_what_the_filter_cannot(self, tmp_path,
+                                                   monkeypatch):
+        calls = self.count_fallbacks(monkeypatch)
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
+                   2.0**-1022, 0.5, -1.0, 2.0**60, 1e-300, -1e305]
+        # two exact ties: 3 * 2**-24 ends on the 18th digit's 5, and 1e23
+        # is half-way between two doubles
+        ties = [3 * 2.0**-24, 1e23, np.nextafter(1e23, np.inf)]
+        plain = [0.1, 1 / 3, -2.5e-7, 1e15, 123.0, 6.02214076e23]
+        self.both(tmp_path, ("x",), (special + ties + plain,))
+        assert calls[:len(special)] == pytest.approx(special, nan_ok=True)
+        assert len(calls) == len(special + ties)
+
+    def test_kernel_writes_a_solve(self, tmp_path, monkeypatch):
+        # the README cable at refinement 5: at most 1 % of the floats of
+        # potential.csv and field.csv go to repr
+        tree = cable_tomo_config()
+        tree["geometry"]["refinement"] = 5
+        del tree["boundary"]["electrodes"]
+        tree["task"] = {"kind": "solve", "mode": "nonlinear"}
+        calls = self.count_fallbacks(monkeypatch)
+        assert run("solve", write_config(tmp_path, tree),
+                   tmp_path / "out") == cli.EXIT_OK
+        floats = 0
+        for name in ("potential.csv", "field.csv"):
+            rows = (tmp_path / "out" / name).read_text().splitlines()[2:]
+            floats += sum(row.count(",") for row in rows)
+        assert floats > 20_000
+        assert len(calls) <= 0.01 * floats
+
+    def test_peak_memory_of_an_r6_field_csv(self, tmp_path):
+        # the refinement-6 README cable's field.csv: 24,708 rows of an
+        # element id and five floats
+        rng = np.random.default_rng(6)
+        n = 24_708
+        columns = (np.arange(n), *rng.standard_normal((5, n)) * 1e-3)
+        cli._csv_tables()  # built once per process and kept
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cli._write_csv(tmp_path / "field.csv", "d",
+                           ("element", "cx_m", "cy_m", "ex_v_per_m",
+                            "ey_v_per_m", "e_v_per_m"), columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 4 * 2**20
 
 
 class TestArtifactsMatchPerValueWriters:
