@@ -19,7 +19,7 @@ file for provenance, and identical (config, seed) runs produce
 byte-identical outputs at the same BLAS thread count. The conjugate
 gradients' dot products go to BLAS, whose threaded reduction order
 depends on the thread count: the refinement-6 README cable at 1 mV
-writes potentials that differ by up to 4.3e-18 V between 1 and 2
+writes potentials that differ by up to 3.6e-18 V between 1 and 2
 OpenBLAS threads.
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence,
@@ -775,6 +775,10 @@ def cmd_sweep(config, digest, out, seed):
     grid = solver.log_grid(high, low, per_decade)
     sweep = solver.lambda_sweep(mesh, mmap, f, grid, limit_kind, p0=p0,
                                 config=cfg)
+    bad = sum(s != "ok" for s in sweep.status)
+    if bad == len(grid):
+        return _solver_error(f"all {bad} sweep points failed, the first with "
+                             f"{sweep.status[0]}")
 
     _write_csv(out / "sweep.csv", digest, solver.LambdaSweep.CSV_HEADER,
                sweep.columns())
@@ -797,7 +801,6 @@ def cmd_sweep(config, digest, out, seed):
         "status": list(sweep.status),
         "limit_energy": sweep.limit.energy,
     })
-    bad = sum(s != "ok" for s in sweep.status)
     print(f"sweep: {len(grid)} scales, {bad} failed -> {out}")
     return EXIT_OK
 

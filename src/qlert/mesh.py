@@ -147,28 +147,35 @@ class Mesh:
 # ---------------------------------------------------------------------------
 
 
-def _spiderweb_points(radius, nrings, center=(0.0, 0.0)):
+def _ring_angles(counts):
+    """Ring number and angle of each point of rings of ``counts`` points,
+    ring after ring, each ring equally spaced counterclockwise from
+    angle 0."""
+    which = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    n = np.asarray(counts)[which]
+    return which, 2.0 * np.pi * (np.arange(len(which)) - first[which]) / n
+
+
+def _rings(radii, counts, start=0):
+    """Concentric rings about the origin, ring k holding ``counts[k]``
+    points at radius ``radii[k]``, equally spaced counterclockwise from
+    angle 0. Returns (points, rings), the points ring after ring and
+    rings[k] the index array of ring k, counted from ``start``."""
+    which, angle = _ring_angles(counts)
+    r = np.asarray(radii, dtype=float)[which]
+    first = (start + np.cumsum(counts) - counts).tolist()
+    return (np.column_stack([r * np.cos(angle), r * np.sin(angle)]),
+            [np.arange(f, f + n) for f, n in zip(first, np.asarray(counts).tolist())])
+
+
+def _spiderweb_points(radius, nrings):
     """Center point plus ``nrings`` concentric rings, ring i holding 6*i
     equally spaced points. Returns (points, rings) where rings[i] is the
     index array of ring i+1, ordered counterclockwise from angle 0."""
-    cx, cy = center
-    pts = [np.array([[cx, cy]])]
-    rings = []
-    start = 1
-    for i in range(1, nrings + 1):
-        n = 6 * i
-        ang = 2.0 * np.pi * np.arange(n) / n
-        r = radius * i / nrings
-        pts.append(np.column_stack([cx + r * np.cos(ang), cy + r * np.sin(ang)]))
-        rings.append(np.arange(start, start + n))
-        start += n
-    return np.concatenate(pts), rings
-
-
-def _ring_points(radius, ntheta, center=(0.0, 0.0)):
-    ang = 2.0 * np.pi * np.arange(ntheta) / ntheta
-    cx, cy = center
-    return np.column_stack([cx + radius * np.cos(ang), cy + radius * np.sin(ang)])
+    i = np.arange(1, nrings + 1)
+    pts, rings = _rings(radius * i / nrings, 6 * i, start=1)
+    return np.concatenate([np.zeros((1, 2)), pts]), rings
 
 
 def _bands(inner, inner_angles, inner_band, outer, outer_angles, outer_band,
@@ -213,57 +220,23 @@ def _bands(inner, inner_angles, inner_band, outer, outer_angles, outer_band,
     return np.column_stack([inner[si + i % ni], outer[so + j % no], third]), band
 
 
-def _strip(inner_ids, inner_angles, outer_ids, outer_angles, outer_first=True):
-    """Triangulate the band between two closed rings of points ordered by
-    increasing angle (``_bands`` for one band)."""
-    tris, _ = _bands(inner_ids, inner_angles, np.zeros(len(inner_ids), dtype=np.int64),
-                     outer_ids, outer_angles, np.zeros(len(outer_ids), dtype=np.int64),
-                     outer_first)
+def _ring_bands(rings, outer_first=True):
+    """Triangulate the band between each two consecutive ``rings`` (index
+    arrays, each ring equally spaced counterclockwise from angle 0), all
+    in one ``_bands`` call."""
+    which, angle = _ring_angles([len(r) for r in rings])
+    ids = np.concatenate(rings)
+    inner, outer = which < len(rings) - 1, which > 0
+    tris, _ = _bands(ids[inner], angle[inner], which[inner],
+                     ids[outer], angle[outer], which[outer] - 1, outer_first)
     return tris
 
 
 def _spiderweb_triangles(rings, outer_first=True):
-    """Fan around the center plus the strips between consecutive rings."""
+    """Fan around the center plus the bands between consecutive rings."""
     first = rings[0]
     fan = np.column_stack([np.zeros_like(first), first, np.roll(first, -1)])
-    if len(rings) == 1:
-        return fan
-    angles = [2.0 * np.pi * np.arange(len(r)) / len(r) for r in rings]
-    which = [np.full(len(r), k, dtype=np.int64) for k, r in enumerate(rings)]
-    strips, _ = _bands(np.concatenate(rings[:-1]), np.concatenate(angles[:-1]),
-                       np.concatenate(which[:-1]),
-                       np.concatenate(rings[1:]), np.concatenate(angles[1:]),
-                       np.concatenate(which[1:]) - 1,
-                       outer_first)
-    return np.concatenate([fan, strips])
-
-
-def _edge_runs(elements):
-    """Half-edges in one stable sort by node pair: (half, owner, start),
-    each as its element orients it, that element, and the run starts of
-    equal edges closed by the half-edge count. A run of one is a boundary
-    edge; longer runs pair first with second, third with fourth, ..."""
-    e = np.asarray(elements, dtype=np.int64)
-    half = e[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    # one key per node pair, min * n + max, ordered as (min, max) is
-    n = int(e.max()) + 1 if e.size else 1
-    key = (np.minimum(half[:, 0], half[:, 1]) * n
-           + np.maximum(half[:, 0], half[:, 1]))
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    new_run = np.ones(len(key), dtype=bool)
-    new_run[1:] = key[1:] != key[:-1]
-    start = np.append(np.flatnonzero(new_run), len(key))
-    return half[order], order // 3, start
-
-
-def _boundary_edges_from_elements(elements):
-    """Edges owned by exactly one triangle, oriented as in that triangle
-    (domain on the left) and sorted by (i, j). Untagged: electrode id -1."""
-    half, _, start = _edge_runs(elements)
-    out = half[start[:-1][np.diff(start) == 1]]
-    out = out[np.lexsort((out[:, 1], out[:, 0]))]
-    return np.column_stack([out, np.full(len(out), -1, dtype=np.int64)])
+    return np.concatenate([fan, _ring_bands(rings, outer_first)])
 
 
 def _signed_areas(nodes, elements):
@@ -284,7 +257,7 @@ def _make_mesh(nodes, elements, labels, region_table):
         nodes=nodes,
         elements=elements,
         element_region=np.asarray(labels),
-        boundary_edges=_boundary_edges_from_elements(elements),
+        boundary_edges=_boundary_edges(elements, _neighbours(elements, len(nodes))),
         region_table=dict(region_table),
     )
 
@@ -325,12 +298,9 @@ def generate_annulus(r_inner, r_outer, refinement):
         raise MeshError("refinement must be at least 1")
     ntheta = 12 * 2 ** (refinement - 1)
     nr = max(1, round(ntheta * math.log(r_outer / r_inner) / (2 * np.pi)))
-    radii = np.geomspace(r_inner, r_outer, nr + 1)
-    pts = np.concatenate([_ring_points(r, ntheta) for r in radii])
-    rings = [np.arange(k * ntheta, (k + 1) * ntheta) for k in range(nr + 1)]
-    ang = 2.0 * np.pi * np.arange(ntheta) / ntheta
-    tris = np.concatenate([_strip(inner, ang, outer, ang)
-                           for inner, outer in zip(rings[:-1], rings[1:])])
+    pts, rings = _rings(np.geomspace(r_inner, r_outer, nr + 1),
+                        np.full(nr + 1, ntheta))
+    tris = _ring_bands(rings)
     labels = np.full(len(tris), "matrix")
     return _make_mesh(pts, tris, labels, {"matrix": "matrix"})
 
@@ -341,26 +311,15 @@ def _centered_petal_mesh(outer_radius, petal_radius, refinement):
     # interface, exact labels, no Delaunay involved.
     ncore = 2**refinement
     ntheta = 6 * ncore
-    pts, rings = _spiderweb_points(petal_radius, ncore)
-    core_tris = _spiderweb_triangles(rings)
+    core, rings = _spiderweb_points(petal_radius, ncore)
     nshell = max(1, math.ceil(ntheta * math.log(outer_radius / petal_radius) / (2 * np.pi)))
     radii = np.geomspace(petal_radius, outer_radius, nshell + 1)[1:]
-    ang = 2.0 * np.pi * np.arange(ntheta) / ntheta
-    all_pts = [pts]
-    prev = rings[-1]
-    shell_tris = []
-    start = len(pts)
-    for r in radii:
-        ring = np.arange(start, start + ntheta)
-        all_pts.append(_ring_points(r, ntheta))
-        shell_tris.append(_strip(prev, ang, ring, ang))
-        prev = ring
-        start += ntheta
-    shell_tris = np.concatenate(shell_tris)
-    tris = np.concatenate([core_tris, shell_tris])
-    labels = np.array(["inclusion-1"] * len(core_tris) + ["matrix"] * len(shell_tris))
+    shell, shell_rings = _rings(radii, np.full(nshell, ntheta), start=len(core))
+    tris = _spiderweb_triangles(rings + shell_rings)
+    # the core web's fan and bands hold 6 * ncore**2 elements
+    labels = np.where(np.arange(len(tris)) < 6 * ncore**2, "inclusion-1", "matrix")
     table = {"matrix": "matrix", "inclusion-1": "inclusion-1"}
-    return _make_mesh(np.concatenate(all_pts), tris, labels, table)
+    return _make_mesh(np.concatenate([core, shell]), tris, labels, table)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +350,19 @@ def _opposite_edges(tri, n):
 
 
 def _equal_pairs(key):
-    """Positions (i, j) of the keys that occur twice."""
+    """Positions (i, j) of equal keys, ordered by key: in a stable sort each
+    run of equal keys pairs first with second, third with fourth, ..."""
     order = np.argsort(key, kind="stable")
-    same = np.flatnonzero(key[order][1:] == key[order][:-1])
-    return order[same], order[same + 1]
+    key = key[order]
+    i = np.flatnonzero(key[1:] == key[:-1])
+    chained = i[1:] == i[:-1] + 1
+    if chained.any():
+        # a run of more than two equal keys gives a chain of consecutive
+        # i: keep its first, third, ... entries
+        at = np.arange(len(i))
+        head = np.maximum.accumulate(np.where(np.append(True, ~chained), at, 0))
+        i = i[((at - head) & 1) == 0]
+    return order[i], order[i + 1]
 
 
 def _neighbours(tri, n):
@@ -405,6 +373,15 @@ def _neighbours(tri, n):
     nbr = np.full(len(key), -1, dtype=np.int64)
     nbr[i], nbr[j] = j // 3, i // 3
     return nbr.reshape(-1, 3)
+
+
+def _boundary_edges(tri, nbr):
+    """Edges with no element across (``nbr`` -1), oriented as in their
+    element (domain on the left), sorted by (i, j) and untagged (id -1)."""
+    t, k = np.nonzero(nbr < 0)
+    edges = np.column_stack([tri[t, _NEXT[k]], tri[t, _PREV[k]]])
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    return np.column_stack([edges, np.full(len(edges), -1)])
 
 
 def _relink(tri, nbr, rows, n):
@@ -716,9 +693,8 @@ def _fill_stars(p, tris, hubs, rim, collar):
         return tris
 
     def rings(ring, which):
-        n = ring.shape[1]
-        return (ring[which].ravel(), np.tile(2 * np.pi * np.arange(n) / n, len(which)),
-                np.repeat(np.arange(len(which)), n))
+        band, angle = _ring_angles(np.full(len(which), ring.shape[1]))
+        return ring[which].ravel(), angle, band
 
     fits = []
     for ring in (collar, rim):
@@ -778,10 +754,12 @@ def generate_petal_cable(outer_radius, petal_centers, petal_radius, refinement):
     for k, c in enumerate(centers):
         if np.hypot(*c) + petal_radius >= outer_radius:
             raise MeshError(f"petal {k + 1} touches or crosses the outer boundary")
-    for a in range(len(centers)):
-        for b in range(a + 1, len(centers)):
-            if np.hypot(*(centers[a] - centers[b])) <= 2 * petal_radius:
-                raise MeshError(f"petals {a + 1} and {b + 1} overlap")
+    apart = np.hypot(*(centers[:, None] - centers[None]).transpose(2, 0, 1))
+    np.fill_diagonal(apart, np.inf)
+    # the first overlap in row order is the first pair (a, b) with a < b
+    a, b = np.nonzero(apart <= 2 * petal_radius)
+    if len(a):
+        raise MeshError(f"petals {a[0] + 1} and {b[0] + 1} overlap")
     if len(centers) == 0:
         return generate_disk(outer_radius, refinement)
     if len(centers) == 1 and np.hypot(*centers[0]) == 0.0:
@@ -808,8 +786,6 @@ def generate_petal_cable(outer_radius, petal_centers, petal_radius, refinement):
     on_rim = petal[(petal >= rim).sum(axis=1) == 2]
     center = _circumcenters(local, on_rim)
     reach_out = np.max(np.hypot(*center.T) + np.hypot(*(local[on_rim[:, 0]] - center).T))
-    apart = np.hypot(*(centers[:, None] - centers[None]).transpose(2, 0, 1))
-    np.fill_diagonal(apart, np.inf)
     near = apart <= collar + reach_out
     for k in range(len(centers)):
         if reach[k] + collar >= apothem:
@@ -886,14 +862,12 @@ def generate_petal_cable(outer_radius, petal_centers, petal_radius, refinement):
     n = len(pts)
     webs = (hubs[:, None, None] + petal).reshape(-1, 3)
     extra = len(webs) - len(fan)
-    hub_at = np.argmax(tri[fan] == hubs[petal_of(tri[fan])][:, None], axis=1)
-    a, b = tri[fan, _NEXT[hub_at]], tri[fan, _PREV[hub_at]]
-    rim_key = np.minimum(a, b) * n + np.maximum(a, b)
-    order = np.argsort(rim_key)
-    rim_key, facing = rim_key[order], nbr[fan, hub_at][order]
-    _, _, key = _opposite_edges(webs, n)
-    at = np.minimum(np.searchsorted(rim_key, key), len(rim_key) - 1)
-    hint = np.where(rim_key[at] == key, facing[at], -1).reshape(-1, 3)
+    _, _, key = _opposite_edges(np.concatenate([tri[fan], webs]), n)
+    i, j = _equal_pairs(key)
+    on_rim = (i < 3 * len(fan)) & (j >= 3 * len(fan))
+    hint = np.full(len(key), -1)
+    hint[j[on_rim]] = nbr[fan].ravel()[i[on_rim]]
+    hint = hint[3 * len(fan):].reshape(-1, 3)
     rows = np.append(fan, np.arange(count, count + extra))
     elements = np.concatenate([tri, webs[:extra]])
     nbr = np.concatenate([nbr, hint[:extra]])
@@ -901,12 +875,9 @@ def generate_petal_cable(outer_radius, petal_centers, petal_radius, refinement):
     _relink(elements, nbr, rows, n)
     _lawson(pts, elements, nbr, rows[(hint >= 0).any(axis=1)])
     names = ["matrix"] + [f"inclusion-{k + 1}" for k in range(len(centers))]
-    t, k = np.nonzero(nbr < 0)
-    edges = np.column_stack([elements[t, _NEXT[k]], elements[t, _PREV[k]]])
-    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     return Mesh(nodes=pts, elements=elements,
                 element_region=np.array(names)[petal_of(elements) + 1],
-                boundary_edges=np.column_stack([edges, np.full(len(edges), -1)]),
+                boundary_edges=_boundary_edges(elements, nbr),
                 region_table={lab: lab for lab in names})
 
 
@@ -1052,10 +1023,9 @@ def _paired_edges(mesh):
 
     Depends on the connectivity alone, so one pairing serves every
     region label of a mesh."""
-    half, owner, start = _edge_runs(mesh.elements)
-    offset = np.arange(len(half)) - np.repeat(start[:-1], np.diff(start))
-    second = np.flatnonzero(offset % 2 == 1)
-    return np.sort(half[second], axis=1), owner[second - 1], owner[second]
+    _, _, key = _opposite_edges(mesh.elements, mesh.node_count)
+    i, j = _equal_pairs(key)
+    return np.column_stack(np.divmod(key[i], mesh.node_count)), i // 3, j // 3
 
 
 def region_interface_edges(mesh, label, pairs=None):

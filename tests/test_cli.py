@@ -974,6 +974,20 @@ class TestExitCodes:
         assert code == cli.EXIT_SOLVER
         assert "tolerance" in capsys.readouterr().err
 
+    def test_sweep_with_every_point_failed_maps_to_three(self, tmp_path,
+                                                         capsys):
+        tree = cable_tomo_config()
+        tree["geometry"]["refinement"] = 2
+        tree["boundary"] = {"profile": "x-linear", "amplitude_v": 1.0}
+        tree["solver"] = {"max_picard_iter": 1}
+        tree["task"] = {"kind": "sweep", "limit": "pec", "lambda_high": 1,
+                        "lambda_low": 0.5}
+        out = tmp_path / "out"
+        assert run("sweep", write_config(tmp_path, tree), out) == cli.EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "solver error: all 4 sweep points failed, the first with error:" in err
+        assert list(out.iterdir()) == []
+
     def test_quadrature_failure_maps_to_three(self, tmp_path, capsys,
                                               monkeypatch):
         from qlert import oracle

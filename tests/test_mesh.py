@@ -135,6 +135,16 @@ class TestGeneratePetalCable:
         with pytest.raises(qm.MeshError):
             qm.generate_petal_cable(1.0, [(-0.2, 0.0), (0.2, 0.0)], 0.25, 2)
 
+    def test_first_failed_check_names_its_petals(self):
+        # petals 1 and 4 overlap, and so do 2 and 3: the first pair is
+        # named; a petal past the boundary is reported before any overlap
+        centers = [(0.5, 0.0), (-0.5, 0.0), (-0.5, 0.1), (0.5, 0.1)]
+        with pytest.raises(qm.MeshError, match="^petals 1 and 4 overlap$"):
+            qm.generate_petal_cable(1.0, centers, 0.1, 3)
+        with pytest.raises(qm.MeshError, match=(
+                "^petal 5 touches or crosses the outer boundary$")):
+            qm.generate_petal_cable(1.0, centers + [(0.0, 0.95)], 0.1, 3)
+
     @pytest.mark.parametrize("refinement", [2, 3])
     def test_collar_past_the_outer_boundary_rejected(self, refinement):
         # the petal fits, but its collar ring would reach radius 1.075
@@ -315,7 +325,7 @@ def _carve_ring(mesh, lo, hi):
 
 
 def _edge_fan():
-    # four triangles on the edge (0, 1), as a mesh file may hold: the
+    # four triangles on the edge (0, 1), as a hand-built `Mesh` may hold: the
     # loop pairs its owners first with second and third with fourth
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
                       [0.5, 2.0], [0.5, -2.0]])
@@ -408,6 +418,8 @@ class TestEdgeRunsMatchReference:
         "annulus": lambda r: qm.generate_annulus(1.0, 4.0, r),
         "centred-petal": lambda r: qm.generate_petal_cable(
             1.0, [(0.0, 0.0)], 0.3, r),
+        "oracle-petal": lambda r: qm.generate_petal_cable(
+            10.0, [(0.0, 0.0)], 1.0, r),
         "six-petal": lambda r: qm.generate_petal_cable(
             0.6e-3, README_PETALS, 0.12e-3, r),
     }
@@ -415,7 +427,8 @@ class TestEdgeRunsMatchReference:
     @staticmethod
     def assert_match(mesh):
         want = boundary_edges_by_unique(mesh.elements)
-        got = qm._boundary_edges_from_elements(mesh.elements)
+        got = qm._boundary_edges(mesh.elements,
+                                 qm._neighbours(mesh.elements, mesh.node_count))
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert np.array_equal(mesh.boundary_edges[:, :2], want[:, :2])
         for got, want in zip(qm._paired_edges(mesh),
@@ -431,27 +444,16 @@ class TestEdgeRunsMatchReference:
         # the edge (0, 1) has four owners: two pairs and no boundary edge
         self.assert_match(_edge_fan())
 
-    @staticmethod
-    def edge_runs_by_lexsort(elements):
-        # the row-wise sort, two-key lexsort and row compare that the one
-        # node-pair key replaced
-        half = np.asarray(elements, dtype=np.int64)[
-            :, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        key = np.sort(half, axis=1)
-        order = np.lexsort((key[:, 1], key[:, 0]))
-        key = key[order]
-        new_run = np.ones(len(key), dtype=bool)
-        new_run[1:] = np.any(key[1:] != key[:-1], axis=1)
-        start = np.append(np.flatnonzero(new_run), len(key))
-        return half[order], order // 3, start
-
-    @pytest.mark.parametrize("name", sorted(GENERATORS))
-    def test_edge_runs_equal_the_lexsort_form(self, name):
-        meshes = [self.GENERATORS[name](r) for r in (1, 3, 5)]
-        for elements in [m.elements for m in meshes] + [_edge_fan().elements]:
-            for got, want in zip(qm._edge_runs(elements),
-                                 self.edge_runs_by_lexsort(elements)):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+    def test_equal_pairs_take_each_run_two_by_two(self):
+        # runs of 3 to 12 equal keys, paired in key order, then position
+        key = np.random.default_rng(0).integers(0, 12, 100)
+        want = [[], []]
+        for k in np.unique(key):
+            at = np.flatnonzero(key == k)
+            want[0] += at[0:len(at) - 1:2].tolist()
+            want[1] += at[1::2].tolist()
+        got = qm._equal_pairs(key)
+        assert [g.tolist() for g in got] == want
 
 
 # The strip rule as the two-pointer loop that the one merge replaced, kept
@@ -479,16 +481,19 @@ def strip_loop(inner_ids, inner_angles, outer_ids, outer_angles):
     return tris
 
 
-def spiderweb_triangles_loop(rings):
+def ring_bands_loop(rings):
     tris = []
-    first = rings[0]
-    for j in range(len(first)):
-        tris.append((0, first[j], first[(j + 1) % len(first)]))
     for inner, outer in zip(rings[:-1], rings[1:]):
         a_in = 2.0 * np.pi * np.arange(len(inner)) / len(inner)
         a_out = 2.0 * np.pi * np.arange(len(outer)) / len(outer)
         tris.extend(strip_loop(inner, a_in, outer, a_out))
     return tris
+
+
+def spiderweb_triangles_loop(rings):
+    first = rings[0]
+    fan = [(0, first[j], first[(j + 1) % len(first)]) for j in range(len(first))]
+    return fan + ring_bands_loop(rings)
 
 
 class TestStripMerge:
@@ -502,21 +507,24 @@ class TestStripMerge:
         a_in = 2 * np.pi * np.arange(ni) / ni
         a_out = shift + 2 * np.pi * np.arange(no) / no
         want = np.array(strip_loop(inner, a_in, outer, a_out))
-        got = qm._strip(inner, a_in, outer, a_out)
-        assert np.array_equal(got, want)
+        got, band = qm._bands(inner, a_in, np.zeros(ni, dtype=np.int64),
+                              outer, a_out, np.zeros(no, dtype=np.int64))
+        assert np.array_equal(got, want) and not band.any()
 
     GENERATORS = {
         "disk": lambda r: qm.generate_disk(1.0, r),
         "annulus": lambda r: qm.generate_annulus(1.0, 4.0, r),
         "centred-petal": lambda r: qm.generate_petal_cable(
             1.0, [(0.0, 0.0)], 0.3, r),
+        "oracle-petal": lambda r: qm.generate_petal_cable(
+            10.0, [(0.0, 0.0)], 1.0, r),
     }
 
     @pytest.mark.parametrize("refinement", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_meshes_equal_the_loop_built(self, monkeypatch, name, refinement):
         got = self.GENERATORS[name](refinement)
-        monkeypatch.setattr(qm, "_strip", strip_loop)
+        monkeypatch.setattr(qm, "_ring_bands", ring_bands_loop)
         monkeypatch.setattr(qm, "_spiderweb_triangles", spiderweb_triangles_loop)
         want = self.GENERATORS[name](refinement)
         assert got.elements.dtype == want.elements.dtype
@@ -547,8 +555,8 @@ def head_cloud(outer_radius, centers, petal_radius, refinement):
     ru = petal_radius / prings
     keep = np.ones(len(gpts), dtype=bool)
     for c in np.asarray(centers, dtype=float).reshape(-1, 2):
-        local, _ = qm._spiderweb_points(ru * (prings + 1), prings + 1, center=c)
-        clouds.append(local)
+        local, _ = qm._spiderweb_points(ru * (prings + 1), prings + 1)
+        clouds.append(c + local)
         d = np.hypot(gpts[:, 0] - c[0], gpts[:, 1] - c[1])
         keep &= (d > petal_radius + ru + 0.6 * h) | on_boundary
     return np.concatenate([gpts[keep]] + clouds)
