@@ -319,12 +319,13 @@ def build_boundary(tree, mesh, require_electrodes=False):
 
 def build_solver_config(tree):
     block = _top(tree).object("solver", default={})
-    base = solver.NonlinearSolveConfig  # its class attributes hold defaults
-    cfg = base(
-        max_picard_iter=block.integer("max_picard_iter",
-                                      default=base.max_picard_iter, minimum=1),
-        picard_tol=block.number("picard_tol", default=base.picard_tol,
-                                positive=True),
+    cfg = solver.NonlinearSolveConfig(  # its class attributes hold defaults
+        max_picard_iter=block.integer(
+            "max_picard_iter", minimum=1,
+            default=solver.NonlinearSolveConfig.max_picard_iter),
+        picard_tol=block.number(
+            "picard_tol", positive=True,
+            default=solver.NonlinearSolveConfig.picard_tol),
     )
     block.done()
     return cfg
@@ -788,7 +789,7 @@ def cmd_sweep(config, digest, out, seed):
              ("einf", sweep.lambdas, sweep.einf)],
             title=f"{limit_kind} limit approximation error",
             xlabel="lambda", ylabel="relative error",
-            log_x=True, log_y=True, comment=f"config sha256:{digest}",
+            comment=f"config sha256:{digest}",
         ),
         encoding="utf-8",
     )

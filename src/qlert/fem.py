@@ -518,15 +518,12 @@ def solve_spd(system, tol=1e-10, max_iter=None, coarse=()):
 
     The Kachanov steps stay on this loop rather than a sparse LU: each
     step brings a new matrix, so a factorization is never reused, and
-    its fill costs memory. Measured at d379729, before cold solves
-    started from the small-data limit, on the six solves of the
-    ``forward-r5-r6`` benchmark (README cable, refinement 5 at 0.5 to
-    10 mV and refinement 6 at 1 mV; 50 linear solves then, 6 now; six
-    runs each, 2 cores), SuperLU
-    (``splu`` with ``MMD_AT_PLUS_A``, ``SymmetricMode`` and
-    ``diag_pivot_thresh=0``) took a median 1.43 s against 1.35 s here,
-    with the same Picard counts, and raised the peak resident set from
-    93 to 104 MB (+11 %; the refinement-6 solve alone 92.8 to 102 MB)."""
+    its fill costs memory. Even the one linear solve of a
+    ``forward-r5-r6`` benchmark command, the certified small-data step
+    on the README cable, is slower through ``splu``
+    (``Assembler.factor``, then its ``solve``): measured at d29b3d1,
+    best of 7 on one CPU, 12.9 ms against 7.0 ms here at refinement 5
+    and 68.3 ms against 42.2 ms at refinement 6."""
     a, b = system
     b = np.asarray(b, dtype=float)
     n = a.shape[0]

@@ -20,8 +20,10 @@ custom-tabulated
     Piecewise-linear sigma between samples, constant beyond the ends.
 
 Regularization: evaluation uses max(E, e_floor) and caps sigma at
-sigma_cap, so assembled systems stay bounded even for laws that blow up
-as E -> 0. Pass e_floor=0, sigma_cap=inf to work with the bare law.
+sigma_cap (``DEFAULT_E_FLOOR`` and ``DEFAULT_SIGMA_CAP`` for every
+factory), so assembled systems stay bounded even for laws that blow up
+as E -> 0. ``MaterialModel.without_regularization()`` gives the bare
+law; ``dataclasses.replace`` sets other values.
 """
 
 from __future__ import annotations
@@ -112,7 +114,6 @@ class MaterialModel:
     p0: float = 2.0
     e_floor: float = DEFAULT_E_FLOOR
     sigma_cap: float = DEFAULT_SIGMA_CAP
-    name: str = ""
 
     def __post_init__(self):
         if self.e_floor < 0 or self.sigma_cap <= 0:
@@ -245,13 +246,13 @@ def energy_density(model, E):
 # ---------------------------------------------------------------------------
 
 
-def linear(sigma0, name=""):
+def linear(sigma0):
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
-    return MaterialModel(kind="linear", sigma0=float(sigma0), p=2.0, p0=2.0, name=name)
+    return MaterialModel(kind="linear", sigma0=float(sigma0), p=2.0, p0=2.0)
 
 
-def weighted_power(theta, p, e_floor=DEFAULT_E_FLOOR, sigma_cap=DEFAULT_SIGMA_CAP):
+def weighted_power(theta, p):
     """sigma(E) = theta * E**(p-2), energy theta*E**p/p."""
     if theta <= 0 or p <= 1:
         raise ValueError("need theta > 0 and p > 1")
@@ -260,14 +261,10 @@ def weighted_power(theta, p, e_floor=DEFAULT_E_FLOOR, sigma_cap=DEFAULT_SIGMA_CA
         theta=float(theta),
         p=float(p),
         p0=float(p),
-        e_floor=e_floor,
-        sigma_cap=sigma_cap,
     )
 
 
-def ej_power_law(
-    jc, n, e0=1e-4, e_floor=DEFAULT_E_FLOOR, sigma_cap=DEFAULT_SIGMA_CAP, name=""
-):
+def ej_power_law(jc, n, e0=1e-4):
     """Superconductor power law: sigma(E) = (jc/e0)*(E/e0)**((1-n)/n).
 
     ``jc`` in A/m^2, ``e0`` in V/m. The energy density grows like
@@ -283,21 +280,10 @@ def ej_power_law(
         e0=float(e0),
         p=g,
         p0=g,
-        e_floor=e_floor,
-        sigma_cap=sigma_cap,
-        name=name,
     )
 
 
-def tabulated(
-    e_values,
-    sigma_values,
-    p=2.0,
-    p0=2.0,
-    e_floor=DEFAULT_E_FLOOR,
-    sigma_cap=DEFAULT_SIGMA_CAP,
-    name="",
-):
+def tabulated(e_values, sigma_values, p=2.0, p0=2.0):
     """Piecewise-linear sigma through the given samples, constant beyond
     the ends. ``p`` and ``p0`` are the claimed growth exponents."""
     return MaterialModel(
@@ -306,13 +292,10 @@ def tabulated(
         sigma_table=np.asarray(sigma_values, dtype=float),
         p=float(p),
         p0=float(p0),
-        e_floor=e_floor,
-        sigma_cap=sigma_cap,
-        name=name,
     )
 
 
-def preset(name, e0=1e-4, e_floor=DEFAULT_E_FLOOR, sigma_cap=DEFAULT_SIGMA_CAP):
+def preset(name, e0=1e-4):
     """Named superconducting tape, critical current given in A/mm^2."""
     try:
         jc_mm2, n = PRESET_TABLE[name]
@@ -320,9 +303,7 @@ def preset(name, e0=1e-4, e_floor=DEFAULT_E_FLOOR, sigma_cap=DEFAULT_SIGMA_CAP):
         raise ValueError(
             f"unknown preset '{name}', choose from {sorted(PRESET_TABLE)}"
         ) from None
-    return ej_power_law(
-        jc_mm2 * 1e6, n, e0=e0, e_floor=e_floor, sigma_cap=sigma_cap, name=name
-    )
+    return ej_power_law(jc_mm2 * 1e6, n, e0=e0)
 
 
 # ---------------------------------------------------------------------------

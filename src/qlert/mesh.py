@@ -626,19 +626,29 @@ def _insert(p, tri, nbr, count, free, loc):
     return count
 
 
+def _hub_stars(p, tri, hubs):
+    """The stars of ``hubs`` (the elements around each hub node), one
+    entry per element corner at a hub: each node's row in ``hubs`` (-1 for
+    the other nodes), then per entry the element, the hub, the corner
+    after the hub, and the angle in (-pi, pi] of the direction from the
+    hub to that corner, where the element's sector starts."""
+    hub_of = np.full(len(p), -1)
+    hub_of[hubs] = np.arange(len(hubs))
+    star, corner = np.nonzero(hub_of[tri] >= 0)
+    hub, first = tri[star, corner], tri[star, _NEXT[corner]]
+    angle = np.arctan2(p[first, 1] - p[hub, 1], p[first, 0] - p[hub, 0])
+    return hub_of, star, hub, first, angle
+
+
 def _locate(p, tri, hubs, free):
     """An element holding each point of ``free``.
 
     Each point is first tried in the element of its nearest hub's star
     (the elements around that node) whose angular sector holds it; the
     points found in none of those are searched for in every element."""
-    hub_of = np.full(len(p), -1)
-    hub_of[hubs] = np.arange(len(hubs))
-    star, corner = np.nonzero(hub_of[tri] >= 0)
-    hub, first = tri[star, corner], tri[star, _NEXT[corner]]
-    rank = hub_of[hub]
+    hub_of, star, hub, _, angle = _hub_stars(p, tri, hubs)
     # sectors sorted by hub, then by the angle at which they start
-    key = 8.0 * rank + np.arctan2(p[first, 1] - p[hub, 1], p[first, 0] - p[hub, 0])
+    key = 8.0 * hub_of[hub] + angle
     order = np.argsort(key)
     key, star = key[order], star[order]
     d = p[free, None, :] - p[None, hubs, :]
@@ -679,13 +689,8 @@ def _fill_stars(p, tris, hubs, rim, collar):
     fits when all its elements are counterclockwise, which puts the ring
     inside the outline. Row k of ``rim`` and ``collar`` holds hub k's ring
     nodes from angle 0 counterclockwise."""
-    hub_of = np.full(len(p), -1)
-    hub_of[hubs] = np.arange(len(hubs))
-    at_hub = hub_of[tris] >= 0
-    star, corner = np.nonzero(at_hub)
-    hub = tris[star, corner]
-    x = tris[star, _NEXT[corner]]
-    angle = np.mod(np.arctan2(p[x, 1] - p[hub, 1], p[x, 0] - p[hub, 0]), 2 * np.pi)
+    hub_of, star, hub, x, angle = _hub_stars(p, tris, hubs)
+    angle = np.mod(angle, 2 * np.pi)
     order = np.lexsort((angle, hub_of[hub]))
     star, x, angle, k = star[order], x[order], angle[order], hub_of[hub[order]]
     present, band = np.unique(k, return_inverse=True)
@@ -705,7 +710,7 @@ def _fill_stars(p, tris, hubs, rim, collar):
     (to_collar, of_c, use_collar), (to_rim, of_r, use_rim) = fits
     use_rim &= ~use_collar
     # two stars that share an element are not both filled: the first wins
-    pairs = hub_of[tris[at_hub.sum(axis=1) > 1]]
+    pairs = hub_of[tris[np.bincount(star, minlength=len(tris)) > 1]]
     rank = np.full(len(hubs) + 1, -1)
     rank[present] = np.arange(len(present))
     for k in range(len(present)):
@@ -1066,7 +1071,8 @@ def relabel_elements(mesh, mask, label):
     labels[mask] = label
     table = dict(mesh.region_table)
     table[label] = "defect"
-    table = {k: v for k, v in table.items() if k in set(labels.tolist())}
+    present = set(labels.tolist())
+    table = {k: v for k, v in table.items() if k in present}
     return replace(
         mesh, element_region=np.asarray(labels, dtype=np.str_), region_table=table
     )

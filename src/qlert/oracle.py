@@ -155,7 +155,9 @@ def annulus_fields(r):
 # oscillating energy density
 # ---------------------------------------------------------------------------
 
-_TWO, _THREE, _BRIDGE_UP, _BRIDGE_DOWN = 0, 1, 2, 3
+# interval kinds: the 2E^2 and 3E^2 plateaus, and the tangent-line
+# bridges between them (the same expressions whichever way they climb)
+_TWO, _THREE, _BRIDGE = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -218,9 +220,9 @@ class CounterexampleModel:
             lp = self.lambda_prime[n - 1]
             ld = self.lambda_double[n - 1]
             add(L * ld_next, _THREE)  # covers [ld_next, L*ld_next] and below
-            add(lp, _BRIDGE_DOWN, L * ld_next)  # tangent point a = L*ld_next
+            add(lp, _BRIDGE, L * ld_next)  # tangent point a = L*ld_next
             add(L * lp, _TWO)
-            add(ld, _BRIDGE_UP, ld)  # tangent point at the upper plateau
+            add(ld, _BRIDGE, ld)  # tangent point at the upper plateau
         add(np.inf, _THREE)
         return np.array(bounds), np.array(kinds), np.array(params)
 
@@ -228,49 +230,38 @@ class CounterexampleModel:
         b, _, _ = self._segments
         return b[np.isfinite(b) & (b > 0)]
 
-    def phi(self, E):
-        """The oscillating part: Psi = phi + E^2."""
+    def _by_kind(self, E, two, three, bridge):
+        """``two(e, a)``, ``three(e, a)`` or ``bridge(e, a)`` on the field
+        magnitudes e that fall in an interval of that kind, a being the
+        interval's bridge parameter; a float for scalar ``E``. Zero,
+        negative and non-finite fields fall in a 3E^2 interval."""
         E = np.asarray(E, dtype=float)
         scalar = E.ndim == 0
         E = np.atleast_1d(E)
         b, kinds, params = self._segments
         idx = np.clip(np.searchsorted(b, E, side="right") - 1, 0, len(kinds) - 1)
         out = np.empty_like(E)
-        for code, expr in (
-            (_TWO, lambda e, a: e**2),
-            (_THREE, lambda e, a: 2.0 * e**2),
-            (_BRIDGE_UP, lambda e, a: 4.0 * a * e - 2.0 * a**2),
-            (_BRIDGE_DOWN, lambda e, a: 4.0 * a * e - 2.0 * a**2),
-        ):
+        for code, expr in ((_TWO, two), (_THREE, three), (_BRIDGE, bridge)):
             m = kinds[idx] == code
             if m.any():
                 out[m] = expr(E[m], params[idx][m])
         return float(out[0]) if scalar else out
+
+    def phi(self, E):
+        """The oscillating part: Psi = phi + E^2."""
+        return self._by_kind(E, lambda e, a: e**2, lambda e, a: 2.0 * e**2,
+                             lambda e, a: 4.0 * a * e - 2.0 * a**2)
 
     def psi(self, E):
         E = np.asarray(E, dtype=float)
         return self.phi(E) + E**2
 
     def sigma_psi(self, E):
-        """Conductivity realizing Psi: sigma(E) = Psi'(E)/E."""
-        E = np.asarray(E, dtype=float)
-        scalar = E.ndim == 0
-        E = np.atleast_1d(E)
-        b, kinds, params = self._segments
-        idx = np.clip(np.searchsorted(b, E, side="right") - 1, 0, len(kinds) - 1)
-        out = np.empty_like(E)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for code, expr in (
-                (_TWO, lambda e, a: np.full_like(e, 4.0)),
-                (_THREE, lambda e, a: np.full_like(e, 6.0)),
-                (_BRIDGE_UP, lambda e, a: 2.0 + 4.0 * a / e),
-                (_BRIDGE_DOWN, lambda e, a: 2.0 + 4.0 * a / e),
-            ):
-                m = kinds[idx] == code
-                if m.any():
-                    out[m] = expr(E[m], params[idx][m])
-        out = np.where(E == 0.0, 6.0, out)
-        return float(out[0]) if scalar else out
+        """Conductivity realizing Psi: sigma(E) = Psi'(E)/E, and its limit
+        6 at E = 0. Bridges lie at positive E, so none divides by zero."""
+        return self._by_kind(E, lambda e, a: np.full_like(e, 4.0),
+                             lambda e, a: np.full_like(e, 6.0),
+                             lambda e, a: 2.0 + 4.0 * a / e)
 
 
 def build_counterexample(L, lambda_double_1, n_terms=8):
@@ -295,12 +286,16 @@ def _polar_integral(f, rho_lo, rho_hi, n_rho, n_theta):
     return total * (rho_hi - rho_lo) / n_rho * 2.0 * np.pi / n_theta
 
 
-def _converged_polar_integral(f, rho_lo, rho_hi, rtol=1e-7, n0=32, max_doublings=6):
+#: radial cells of the first midpoint rule, and how often they double
+_N0, _MAX_DOUBLINGS = 32, 6
+
+
+def _converged_polar_integral(f, rho_lo, rho_hi, rtol):
     # accept when successive Richardson extrapolants of the midpoint rule
     # agree; the raw rule alone converges too slowly to test against rtol
     raw_prev = ext_prev = None
-    n = n0
-    for _ in range(max_doublings + 1):
+    n = _N0
+    for _ in range(_MAX_DOUBLINGS + 1):
         raw = _polar_integral(f, rho_lo, rho_hi, n, 2 * n)
         if raw_prev is not None:
             ext = raw + (raw - raw_prev) / 3.0

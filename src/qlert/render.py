@@ -16,8 +16,8 @@ joined into one string, so the transient Python lists stay small, and a
 document is joined once, its final newline included.
 
 The colormap is fixed: 8 anchor colors interpolated linearly in RGB to a
-256-entry table. Values are mapped affinely from [vmin, vmax] to table
-indices; NaN (excluded regions) renders as neutral gray.
+256-entry table. Values are mapped affinely from the range of the finite
+data to table indices; NaN (excluded regions) renders as neutral gray.
 """
 
 import numpy as np
@@ -84,7 +84,17 @@ def _escape(s):
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _header(width, height, comment):
+def _text(x, y, s, size=11, anchor="start"):
+    return (
+        f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="monospace" '
+        f'font-size="{size}" text-anchor="{anchor}" fill="#202020">'
+        f"{_escape(s)}</text>"
+    )
+
+
+def _figure(width, height, title, comment):
+    """The head of every figure: the ``<svg>`` tag, the comment, a white
+    background and the centred title."""
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
@@ -94,15 +104,9 @@ def _header(width, height, comment):
     lines.append(
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>'
     )
+    if title:
+        lines.append(_text(width / 2.0, 18, title, size=13, anchor="middle"))
     return lines
-
-
-def _text(x, y, s, size=11, anchor="start", color="#202020"):
-    return (
-        f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="monospace" '
-        f'font-size="{size}" text-anchor="{anchor}" fill="{color}">'
-        f"{_escape(s)}</text>"
-    )
 
 
 class _Frame:
@@ -122,7 +126,8 @@ class _Frame:
         return self.py + self.ph - (y - self.y0) / span * self.ph
 
 
-def _mesh_frame(mesh, width, top, margin=10.0):
+def _mesh_frame(mesh, width, top):
+    margin = 10.0
     xy = mesh.nodes
     x0, y0 = xy.min(axis=0)
     x1, y1 = xy.max(axis=0)
@@ -167,7 +172,7 @@ def _triangles(frame, mesh, palette, index):
     return out
 
 
-def _segments(frame, segs, color, width=1.2):
+def _segments(frame, segs, color, width):
     segs = np.asarray(segs, dtype=float).reshape(-1, 4)
     template = ('<line x1="%%.6g" y1="%%.6g" x2="%%.6g" y2="%%.6g" '
                 'stroke="%s" stroke-width="%s"/>' % (color, width))
@@ -183,9 +188,23 @@ def edge_segments(mesh, edges):
     return np.hstack([a, b])
 
 
-def heatmap(mesh, element_values, title="", comment="", outlines=(),
-            vmin=None, vmax=None):
-    """Flat-shaded per-element field plot with a horizontal colorbar.
+def _mesh_view(mesh, below, title, comment, palette, index, layers):
+    """A figure of ``mesh`` with ``below`` pixels of room under it: element
+    k filled with ``palette[index[k]]``, then the segment arrays of each
+    (arrays, color, stroke width) layer of ``layers`` drawn on top.
+    Returns the body and the pixel row of the mesh's bottom edge."""
+    frame, bottom = _mesh_frame(mesh, _MESH_WIDTH, top=28.0)
+    body = _figure(_MESH_WIDTH, int(bottom + below), title, comment)
+    body.extend(_triangles(frame, mesh, palette, index))
+    for arrays, color, stroke in layers:
+        for segs in arrays:
+            body.extend(_segments(frame, segs, color, width=stroke))
+    return body, bottom
+
+
+def heatmap(mesh, element_values, title="", comment="", outlines=()):
+    """Flat-shaded per-element field plot with a horizontal colorbar
+    spanning the finite values.
 
     ``outlines`` is a sequence of (x1, y1, x2, y2) segment arrays drawn
     on top (region interfaces, true defect boundaries)."""
@@ -194,30 +213,18 @@ def heatmap(mesh, element_values, title="", comment="", outlines=(),
         raise ValueError("need one value per element")
     finite_mask = np.isfinite(values)
     finite = values[finite_mask]
-    if vmin is not None:
-        lo = vmin
-    else:
-        lo = float(finite.min()) if finite.size else 0.0
-    if vmax is not None:
-        hi = vmax
-    else:
-        hi = float(finite.max()) if finite.size else 1.0
+    lo = float(finite.min()) if finite.size else 0.0
+    hi = float(finite.max()) if finite.size else 1.0
     if hi <= lo:
         hi = lo + 1.0
 
-    width = _MESH_WIDTH
-    frame, bottom = _mesh_frame(mesh, width, top=28.0)
-    body = _header(width, int(bottom + 46), comment)
-    if title:
-        body.append(_text(width / 2.0, 18, title, size=13, anchor="middle"))
     with np.errstate(all="ignore"):
         t = np.where(finite_mask, (values - lo) / (hi - lo), np.nan)
-    body.extend(_triangles(frame, mesh, _PALETTE, _color_index(t)))
-    for segs in outlines:
-        body.extend(_segments(frame, segs, "#202020", width=1.0))
+    body, bottom = _mesh_view(mesh, 46, title, comment, _PALETTE,
+                              _color_index(t), [(outlines, "#202020", 1.0)])
 
     # colorbar strip: 64 cells sampling the table
-    bar_w, bar_h, bar_x = width - 120.0, 10.0, 60.0
+    bar_w, bar_h, bar_x = _MESH_WIDTH - 120.0, 10.0, 60.0
     for k in range(64):
         body.append(
             f'<rect x="{_fmt(bar_x + k * bar_w / 64)}" y="{_fmt(bottom + 8)}" '
@@ -237,17 +244,10 @@ def mask_overlay(mesh, mask, true_boundary=(), outlines=(), title="",
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (mesh.element_count,):
         raise ValueError("need one flag per element")
-    width = _MESH_WIDTH
-    frame, bottom = _mesh_frame(mesh, width, top=28.0)
-    body = _header(width, int(bottom + 8), comment)
-    if title:
-        body.append(_text(width / 2.0, 18, title, size=13, anchor="middle"))
-    body.extend(_triangles(frame, mesh, ("#eef0f2", "#e8a33d"),
-                           mask.astype(np.intp)))
-    for segs in outlines:
-        body.extend(_segments(frame, segs, "#9aa0a6", width=0.8))
-    for segs in ((true_boundary,) if len(true_boundary) else ()):
-        body.extend(_segments(frame, segs, "#b02020", width=1.6))
+    body, _ = _mesh_view(
+        mesh, 8, title, comment, ("#eef0f2", "#e8a33d"), mask.astype(np.intp),
+        [(outlines, "#9aa0a6", 0.8),
+         ((true_boundary,) if len(true_boundary) else (), "#b02020", 1.6)])
     body.append("</svg>\n")
     return "\n".join(body)
 
@@ -258,25 +258,17 @@ def _log_ticks(lo, hi):
     return [10.0**d for d in range(lo_d, hi_d + 1)]
 
 
-def _lin_ticks(lo, hi, n=5):
-    return list(np.linspace(lo, hi, n))
-
-
-def line_plot(series, title="", xlabel="", ylabel="", log_x=False,
-              log_y=False, comment=""):
-    """Polyline chart. ``series`` is a list of (label, xs, ys); NaN points
-    are dropped per series. Log axes get decade gridlines."""
+def line_plot(series, title="", xlabel="", ylabel="", comment=""):
+    """Log-log polyline chart with decade gridlines. ``series`` is a list
+    of (label, xs, ys); points that are not finite and positive in both
+    coordinates are dropped per series."""
     width, height = _PLOT_SIZE
     box = (64.0, 30.0, width - 84.0, height - 84.0)
     cleaned = []
     for label, xs, ys in series:
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        keep = np.isfinite(xs) & np.isfinite(ys)
-        if log_x:
-            keep &= xs > 0
-        if log_y:
-            keep &= ys > 0
+        keep = (0 < xs) & (xs < np.inf) & (0 < ys) & (ys < np.inf)
         if keep.any():
             cleaned.append((label, xs[keep], ys[keep]))
     if not cleaned:
@@ -284,38 +276,30 @@ def line_plot(series, title="", xlabel="", ylabel="", log_x=False,
 
     all_x = np.concatenate([xs for _, xs, _ in cleaned])
     all_y = np.concatenate([ys for _, _, ys in cleaned])
-    tx = np.log10 if log_x else (lambda v: v)
-    ty = np.log10 if log_y else (lambda v: v)
-    xlim = (float(tx(all_x.min())), float(tx(all_x.max())))
-    ylim = (float(ty(all_y.min())), float(ty(all_y.max())))
+    xlim = (float(np.log10(all_x.min())), float(np.log10(all_x.max())))
+    ylim = (float(np.log10(all_y.min())), float(np.log10(all_y.max())))
     if xlim[0] == xlim[1]:
         xlim = (xlim[0] - 0.5, xlim[1] + 0.5)
     if ylim[0] == ylim[1]:
         ylim = (ylim[0] - 0.5, ylim[1] + 0.5)
     frame = _Frame(xlim, ylim, box)
 
-    body = _header(width, height, comment)
-    if title:
-        body.append(_text(width / 2.0, 18, title, size=13, anchor="middle"))
+    body = _figure(width, height, title, comment)
     px, py, pw, ph = box
     body.append(
         f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(pw)}" '
         f'height="{_fmt(ph)}" fill="none" stroke="#404040"/>'
     )
 
-    x_ticks = _log_ticks(all_x.min(), all_x.max()) if log_x else \
-        _lin_ticks(*xlim)
-    y_ticks = _log_ticks(all_y.min(), all_y.max()) if log_y else \
-        _lin_ticks(*ylim)
-    for v in x_ticks:
-        gx = frame.x(tx(v))
+    for v in _log_ticks(all_x.min(), all_x.max()):
+        gx = frame.x(np.log10(v))
         body.append(
             f'<line x1="{_fmt(gx)}" y1="{_fmt(py)}" x2="{_fmt(gx)}" '
             f'y2="{_fmt(py + ph)}" stroke="#d8d8d8" stroke-width="0.7"/>'
         )
         body.append(_text(gx, py + ph + 16, _fmt(v), size=10, anchor="middle"))
-    for v in y_ticks:
-        gy = frame.y(ty(v))
+    for v in _log_ticks(all_y.min(), all_y.max()):
+        gy = frame.y(np.log10(v))
         body.append(
             f'<line x1="{_fmt(px)}" y1="{_fmt(gy)}" x2="{_fmt(px + pw)}" '
             f'y2="{_fmt(gy)}" stroke="#d8d8d8" stroke-width="0.7"/>'
@@ -324,7 +308,8 @@ def line_plot(series, title="", xlabel="", ylabel="", log_x=False,
 
     for k, (label, xs, ys) in enumerate(cleaned):
         color = _SERIES_COLORS[k % len(_SERIES_COLORS)]
-        (row,) = _pixel_rows(frame, tx(xs)[None, :], ty(ys)[None, :])
+        (row,) = _pixel_rows(frame, np.log10(xs)[None, :],
+                             np.log10(ys)[None, :])
         pts = " ".join(["%.6g,%.6g"] * len(xs)) % tuple(row)
         body.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

@@ -132,24 +132,21 @@ class Reconstruction:
 # ---------------------------------------------------------------------------
 
 
-def conductance_matrix(mesh, material_map, amplitude=1e-3, mode="pec-limit",
-                       electrodes=None, config=None, scenario=""):
-    """Measure the electrode conductance matrix of a tagged mesh.
+def conductance_matrix(mesh, material_map, amplitude=1e-3):
+    """Measure the electrode conductance matrix of a tagged mesh, its
+    inclusions replaced by floating perfect conductors.
 
     Pattern j drives electrode j at ``amplitude`` redistributed to zero
     mean over the electrodes (everyone else sits at -amplitude/m); gaps
     carry the natural no-flux condition. Entry (i, j) is the total
-    reaction current through electrode i. With ``mode="pec-limit"`` the
-    mesh's inclusions are replaced by floating perfect conductors;
-    ``mode="nonlinear"`` keeps every material.
+    reaction current through electrode i.
 
-    This is ``ConductanceOperator(...).background(scenario)``: one
-    factorization solves all patterns at once when every remaining
-    material is field-independent, and each pattern runs
-    ``solver.solve_nonlinear`` with ``config`` otherwise. Either way
-    every pattern passes the maximum-principle monitor."""
-    return ConductanceOperator(mesh, material_map, amplitude, mode,
-                               electrodes, config).background(scenario)
+    This is ``ConductanceOperator(mesh, material_map,
+    amplitude).background()``: one factorization solves all patterns at
+    once when every remaining material is field-independent, and each
+    pattern runs ``solver.solve_nonlinear`` otherwise. Either way every
+    pattern passes the maximum-principle monitor."""
+    return ConductanceOperator(mesh, material_map, amplitude).background()
 
 
 class _PaddedLU:
@@ -252,8 +249,10 @@ class ConductanceOperator:
     """Conductance matrices of one tagged mesh and of its changes on a
     few elements.
 
-    Built once per (mesh, electrodes, mode, background material map); in
-    pec-limit mode the mesh's inclusions are floating perfect conductors.
+    Built once per (mesh, mode, background material map), on the
+    electrodes the mesh's tags define (``mesh.electrode_nodes``); in
+    pec-limit mode the mesh's inclusions are floating perfect conductors;
+    ``mode="nonlinear"`` keeps every material.
     ``background()`` is the background matrix, and ``matrices(masks,
     model, scenarios)`` gives one matrix per mask with ``model`` on the
     masked elements (``matrix`` is its one-mask case). When an active
@@ -284,13 +283,12 @@ class ConductanceOperator:
     passes the maximum-principle monitor."""
 
     def __init__(self, mesh, material_map, amplitude=1e-3, mode="pec-limit",
-                 electrodes=None, config=None):
+                 config=None):
         if amplitude <= 0:
             raise ValueError("amplitude must be positive")
         if mode not in ("nonlinear", "pec-limit"):
             raise ValueError("mode must be 'nonlinear' or 'pec-limit'")
-        if electrodes is None:
-            electrodes = qmesh.electrode_nodes(mesh)
+        electrodes = qmesh.electrode_nodes(mesh)
         if not electrodes:
             raise ValueError("mesh has no tagged electrodes")
         self.mesh, self.amplitude, self.mode = mesh, float(amplitude), mode

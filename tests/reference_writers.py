@@ -11,8 +11,8 @@ import numpy as np
 
 from qlert import mesh as qmesh
 from qlert import render
-from qlert.render import (COLOR_TABLE, _NAN_COLOR, _SERIES_COLORS, _header,
-                          _lin_ticks, _log_ticks, _text)
+from qlert.render import (COLOR_TABLE, _NAN_COLOR, _SERIES_COLORS, _figure,
+                          _log_ticks, _text)
 
 
 def color_at(t):
@@ -63,7 +63,7 @@ def _triangle(frame, coords, color):
     )
 
 
-def _segments(frame, segs, color, width=1.2):
+def _segments(frame, segs, color, width):
     out = []
     for x1, y1, x2, y2 in segs:
         out.append(
@@ -75,20 +75,18 @@ def _segments(frame, segs, color, width=1.2):
 
 
 def heatmap(mesh, element_values, title="", comment="", outlines=(),
-            vmin=None, vmax=None, width=480):
+            width=480):
     values = np.asarray(element_values, dtype=float)
     if values.shape != (mesh.element_count,):
         raise ValueError("need one value per element")
     finite = values[np.isfinite(values)]
-    lo = float(finite.min()) if vmin is None and finite.size else (vmin or 0.0)
-    hi = float(finite.max()) if vmax is None and finite.size else (vmax or 1.0)
+    lo = float(finite.min()) if finite.size else 0.0
+    hi = float(finite.max()) if finite.size else 1.0
     if hi <= lo:
         hi = lo + 1.0
 
     frame, bottom = _mesh_frame(mesh, width, top=28.0)
-    body = _header(width, int(bottom + 46), comment)
-    if title:
-        body.append(_text(width / 2.0, 18, title, size=13, anchor="middle"))
+    body = _figure(width, int(bottom + 46), title, comment)
     for el, val in zip(mesh.elements, values):
         t = np.nan if not np.isfinite(val) else (val - lo) / (hi - lo)
         body.append(_triangle(frame, mesh.nodes[el], color_at(t)))
@@ -114,9 +112,7 @@ def mask_overlay(mesh, mask, true_boundary=(), outlines=(), title="",
     if mask.shape != (mesh.element_count,):
         raise ValueError("need one flag per element")
     frame, bottom = _mesh_frame(mesh, width, top=28.0)
-    body = _header(width, int(bottom + 8), comment)
-    if title:
-        body.append(_text(width / 2.0, 18, title, size=13, anchor="middle"))
+    body = _figure(width, int(bottom + 8), title, comment)
     for el, flag in zip(mesh.elements, mask):
         body.append(_triangle(frame, mesh.nodes[el],
                               "#e8a33d" if flag else "#eef0f2"))
@@ -128,18 +124,16 @@ def mask_overlay(mesh, mask, true_boundary=(), outlines=(), title="",
     return "\n".join(body) + "\n"
 
 
-def line_plot(series, title="", xlabel="", ylabel="", log_x=False,
-              log_y=False, comment="", width=520, height=380):
+def line_plot(series, title="", xlabel="", ylabel="", comment="", width=520,
+              height=380):
     box = (64.0, 30.0, width - 84.0, height - 84.0)
     cleaned = []
     for label, xs, ys in series:
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         keep = np.isfinite(xs) & np.isfinite(ys)
-        if log_x:
-            keep &= xs > 0
-        if log_y:
-            keep &= ys > 0
+        keep &= xs > 0
+        keep &= ys > 0
         if keep.any():
             cleaned.append((label, xs[keep], ys[keep]))
     if not cleaned:
@@ -147,8 +141,7 @@ def line_plot(series, title="", xlabel="", ylabel="", log_x=False,
 
     all_x = np.concatenate([xs for _, xs, _ in cleaned])
     all_y = np.concatenate([ys for _, _, ys in cleaned])
-    tx = np.log10 if log_x else (lambda v: v)
-    ty = np.log10 if log_y else (lambda v: v)
+    tx = ty = np.log10
     xlim = (float(tx(all_x.min())), float(tx(all_x.max())))
     ylim = (float(ty(all_y.min())), float(ty(all_y.max())))
     if xlim[0] == xlim[1]:
@@ -157,19 +150,15 @@ def line_plot(series, title="", xlabel="", ylabel="", log_x=False,
         ylim = (ylim[0] - 0.5, ylim[1] + 0.5)
     frame = _Frame(xlim, ylim, box)
 
-    body = _header(width, height, comment)
-    if title:
-        body.append(_text(width / 2.0, 18, title, size=13, anchor="middle"))
+    body = _figure(width, height, title, comment)
     px, py, pw, ph = box
     body.append(
         f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(pw)}" '
         f'height="{_fmt(ph)}" fill="none" stroke="#404040"/>'
     )
 
-    x_ticks = _log_ticks(all_x.min(), all_x.max()) if log_x else \
-        _lin_ticks(*xlim)
-    y_ticks = _log_ticks(all_y.min(), all_y.max()) if log_y else \
-        _lin_ticks(*ylim)
+    x_ticks = _log_ticks(all_x.min(), all_x.max())
+    y_ticks = _log_ticks(all_y.min(), all_y.max())
     for v in x_ticks:
         gx = frame.x(tx(v))
         body.append(

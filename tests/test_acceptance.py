@@ -52,20 +52,20 @@ def imaging_setup():
     )
     models = cable_models(mesh)
     defect_model = materials.linear(DEFECT_DROP * SIGMA_MATRIX)
-    g_bg = tomo.conductance_matrix(
+    g_bg = tomo.ConductanceOperator(
         mesh, materials.MaterialMap(models), amplitude=AMPLITUDE,
-        mode="pec-limit", scenario="background",
-    )
+        mode="pec-limit",
+    ).background("background")
     domains = tomo.disc_test_domains(
         mesh, (0.05e-3, 0.08e-3), spacing=0.05e-3
     )
     tests = []
     for dom in domains:
         tm = qm.relabel_elements(mesh, dom.element_mask, "test-domain")
-        g_t = tomo.conductance_matrix(
+        g_t = tomo.ConductanceOperator(
             tm, materials.MaterialMap({**models, "test-domain": defect_model}),
-            amplitude=AMPLITUDE, mode="pec-limit", scenario=dom.id,
-        )
+            amplitude=AMPLITUDE, mode="pec-limit",
+        ).background(dom.id)
         tests.append((dom, g_t))
     return mesh, models, defect_model, g_bg, tests
 
@@ -150,9 +150,9 @@ def test_stitch_moves_solves_by_rounding_only(refinement, amplitudes):
         assert abs(got.energy - want.energy) <= 1e-10 * abs(want.energy)
     layout = qm.ElectrodeLayout.uniform(16, 0.5)
     got, want = (
-        tomo.conductance_matrix(m, materials.MaterialMap(cable_models(m)),
-                                amplitude=AMPLITUDE, mode="pec-limit",
-                                scenario="background").matrix
+        tomo.ConductanceOperator(m, materials.MaterialMap(cable_models(m)),
+                                 amplitude=AMPLITUDE, mode="pec-limit",
+                                 ).background("background").matrix
         for m in (qm.tag_electrodes(mesh, layout), qm.tag_electrodes(ref, layout)))
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -252,10 +252,10 @@ def test_noisy_reconstruction_upper_bounds_defect(imaging_setup):
         vmask = disc_union(discs)
         assert vmask.sum() >= 10, f"{name}: defect too small to resolve"
         dmesh = qm.relabel_elements(mesh, vmask, "defect-1")
-        g_v = tomo.conductance_matrix(
+        g_v = tomo.ConductanceOperator(
             dmesh, materials.MaterialMap({**models, "defect-1": defect_model}),
-            amplitude=AMPLITUDE, mode="pec-limit", scenario=name,
-        )
+            amplitude=AMPLITUDE, mode="pec-limit",
+        ).background(name)
         dg_max = float(np.abs(g_v.matrix - g_bg.matrix).max())
         for seed in (1, 2, 3):
             noise = tomo.goe_noise(g_v.size, 0.01, dg_max, seed=seed)

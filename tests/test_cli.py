@@ -699,11 +699,11 @@ class TestTomoCommand:
             for mask, scenario, got in zip(
                     masks, scenarios, shared(self, masks, model, scenarios)):
                 tm = qmesh.relabel_elements(self.mesh, mask, "test-domain")
-                want = tomography.conductance_matrix(
+                want = tomography.ConductanceOperator(
                     tm, materials.MaterialMap({**self.models,
                                                "test-domain": model}),
                     amplitude=self.amplitude, mode=self.mode,
-                    scenario=scenario)
+                ).background(scenario)
                 worst.append(np.abs(got.matrix - want.matrix).max()
                              / np.abs(want.matrix).max())
                 out.append(want)
@@ -760,11 +760,12 @@ class TestTomoCommand:
             for mask, scenario in zip(masks, scenarios):
                 replaced.append(scenario)
                 tm = qmesh.relabel_elements(self.mesh, mask, "test-domain")
-                out.append(tomography.conductance_matrix(
+                out.append(tomography.ConductanceOperator(
                     tm, materials.MaterialMap({**self._map.models,
                                                "test-domain": model}),
                     amplitude=self.amplitude, mode=self.mode,
-                    config=cli.build_solver_config(tree), scenario=scenario))
+                    config=cli.build_solver_config(tree),
+                ).background(scenario))
             return out
 
         # ``matrix`` (the defect) is the one-mask case of ``matrices``

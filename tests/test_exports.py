@@ -1,8 +1,11 @@
 """Every name a qlert module exports through ``__all__`` exists, and each
-one is used by the package, the benchmark or the README."""
+one is used by the package, the benchmark or the README; every option of
+a public callable is set by one of them."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import qlert
+from test_readme import README, python_api_block
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,3 +68,111 @@ def test_every_export_has_a_user():
                     and (module_name, attr) not in UNUSED_BY_DESIGN):
                 unused.append(f"{module_name}.{attr}")
     assert unused == []
+
+
+# options that no command, benchmark or example sets, kept on purpose
+OPTIONS_BY_DESIGN = {
+    ("qlert.fem", "solve_spd", "tol"):
+        "tests take tighter reference solves; a planned caller solves at "
+        "another tolerance",
+    ("qlert.fem", "solve_spd", "max_iter"):
+        "tests drive the non-convergence path with it",
+    ("qlert.materials", "tabulated", "p"):
+        "a user's law states its own large-field growth exponent",
+    ("qlert.materials", "tabulated", "p0"):
+        "a user's law states its own small-field growth exponent",
+}
+
+
+def _public_callables(module):
+    """(name, object) of a module's public callables: the names in its
+    ``__all__``, or the functions it defines when it has none."""
+    if hasattr(module, "__all__"):
+        names = module.__all__
+    else:
+        names = [name for name, obj in vars(module).items()
+                 if inspect.isfunction(obj) and not name.startswith("_")
+                 and obj.__module__ == module.__name__]
+    return [(name, getattr(module, name)) for name in names
+            if callable(getattr(module, name))]
+
+
+def _options(obj):
+    """(the named parameters of ``obj``, the names of those that have a
+    default); neither holds ``*args`` or ``**kwargs``."""
+    try:
+        params = inspect.signature(obj).parameters.values()
+    except ValueError:  # exception classes: no signature of their own
+        return [], []
+    named = [p for p in params
+             if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
+    return named, [p.name for p in named if p.default is not p.empty]
+
+
+class _Calls(ast.NodeVisitor):
+    """Every call of one source: (called name, positional parameters it
+    fills, keywords it names, innermost enclosing definition)."""
+
+    def __init__(self):
+        self.calls, self._owner = [], [None]
+
+    def _define(self, node):
+        self._owner.append(node.name)
+        self.generic_visit(node)
+        self._owner.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _define
+
+    def visit_Call(self, node):
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        positional = 0
+        for arg in node.args:
+            if isinstance(arg, ast.Starred):
+                break
+            positional += 1
+        keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
+        self.calls.append((name, positional, keywords, self._owner[-1]))
+        self.generic_visit(node)
+
+
+def _calls(path, source):
+    visitor = _Calls()
+    visitor.visit(ast.parse(source, filename=str(path)))
+    return [(path, *call) for call in visitor.calls]
+
+
+def test_every_option_has_a_setter():
+    """Each option of a public callable is set, by position, by keyword
+    or through ``dataclasses.replace``, by a call in the package outside
+    the callable's own definition (a method is a definition of its own),
+    in the benchmark or in the README's Python example."""
+    sources = sorted(Path(qlert.__file__).parent.glob("*.py"))
+    bench = sorted((ROOT / "bench").glob("*.py"))
+    calls = [call for path in sources + bench
+             for call in _calls(path.resolve(), path.read_text("utf-8"))]
+    calls += _calls(README, python_api_block())
+    replaced = {kw for _, name, _, keywords, _ in calls if name == "replace"
+                for kw in keywords}
+    unset = set()
+    for module_name in MODULES:
+        module = importlib.import_module(module_name)
+        home = Path(module.__file__).resolve()
+        for attr, obj in _public_callables(module):
+            named, options = _options(obj)
+            position = {p.name: k for k, p in enumerate(named)
+                        if p.kind is not p.KEYWORD_ONLY}
+            fields = replaced if dataclasses.is_dataclass(obj) else set()
+            for option in options:
+                if option not in fields and not any(
+                        name == attr and (path != home or owner != attr)
+                        and (option in keywords
+                             or position.get(option, positional) < positional)
+                        for path, name, positional, keywords, owner in calls):
+                    unset.add((module_name, attr, option))
+    unset_names = sorted(
+        f"{module.removeprefix('qlert.')}.{attr}({option})"
+        for module, attr, option in unset - OPTIONS_BY_DESIGN.keys())
+    assert not unset_names, "options no caller sets: " + ", ".join(unset_names)
+    # an option that gained a setter leaves the list
+    assert sorted(OPTIONS_BY_DESIGN.keys() - unset) == []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,13 +56,13 @@ class TestEnergyDensity:
 
     def test_ej_power_law_closed_form(self):
         jc, n, e0 = 8e9, 27.0, 1e-4
-        m = qmat.ej_power_law(jc, n, e0=e0, e_floor=0.0, sigma_cap=np.inf)
+        m = qmat.ej_power_law(jc, n, e0=e0).without_regularization()
         assert qmat.energy_density(m, e0) == pytest.approx(
             jc * e0 * n / (n + 1), rel=1e-12
         )
 
     def test_regularization_shifts_energy_only_slightly_at_scale(self):
-        bare = qmat.ej_power_law(8e9, 27, e_floor=0.0, sigma_cap=np.inf)
+        bare = qmat.ej_power_law(8e9, 27).without_regularization()
         reg = qmat.ej_power_law(8e9, 27)
         qb, qr = qmat.energy_density(bare, 1e-4), qmat.energy_density(reg, 1e-4)
         assert qr != qb
@@ -72,7 +74,7 @@ class TestEnergyDensity:
 
     def test_tabulated_matches_hand_integral(self):
         # sigma: 2 on [0,1] rising to 4 at E=3, constant after
-        m = qmat.tabulated([1.0, 3.0], [2.0, 4.0], e_floor=0.0)
+        m = replace(qmat.tabulated([1.0, 3.0], [2.0, 4.0]), e_floor=0.0)
         assert qmat.energy_density(m, 1.0) == pytest.approx(1.0)
         # integral of (1+E)*E from 1 to 2 = [E^2/2 + E^3/3] = (2+8/3)-(0.5+1/3)
         assert qmat.energy_density(m, 2.0) == pytest.approx(1.0 + 1.5 + 7 / 3)
@@ -106,7 +108,7 @@ class TestConsistency:
             qmat.weighted_power(1.0, 4.0),
             qmat.weighted_power(3.0, 1.5),
             qmat.ej_power_law(8e9, 27),
-            qmat.ej_power_law(8e9, 27, e_floor=0.0, sigma_cap=np.inf),
+            qmat.ej_power_law(8e9, 27).without_regularization(),
             qmat.tabulated([1e-6, 1.0, 2.0], [3.0, 4.0, 3.5]),
         ],
     )
@@ -121,7 +123,7 @@ class TestConsistency:
     )
     @settings(max_examples=60, deadline=None)
     def test_weighted_power_consistency_property(self, theta, p, e):
-        m = qmat.weighted_power(theta, p, e_floor=0.0, sigma_cap=np.inf)
+        m = qmat.weighted_power(theta, p).without_regularization()
         h = e * 1e-5
         dq = (qmat.energy_density(m, e + h) - qmat.energy_density(m, e - h)) / (2 * h)
         assert dq == pytest.approx(qmat.sigma(m, e) * e, rel=1e-5)
@@ -129,7 +131,7 @@ class TestConsistency:
     @given(jc=st.floats(1e6, 1e10), n=st.floats(5.0, 50.0))
     @settings(max_examples=40, deadline=None)
     def test_current_nondecreasing_property(self, jc, n):
-        m = qmat.ej_power_law(jc, n, e_floor=0.0, sigma_cap=np.inf)
+        m = qmat.ej_power_law(jc, n).without_regularization()
         es = np.geomspace(1e-10, 1e2, 200)
         j = qmat.sigma(m, es) * es
         assert np.all(np.diff(j) >= 0)
@@ -137,9 +139,9 @@ class TestConsistency:
     @given(e=st.floats(1e-8, 1e2))
     @settings(max_examples=40, deadline=None)
     def test_regularization_vanishes_pointwise(self, e):
-        bare = qmat.ej_power_law(8e9, 20, e_floor=0.0, sigma_cap=np.inf)
+        bare = qmat.ej_power_law(8e9, 20).without_regularization()
         vals = [
-            qmat.sigma(qmat.ej_power_law(8e9, 20, e_floor=f, sigma_cap=c), e)
+            qmat.sigma(replace(bare, e_floor=f, sigma_cap=c), e)
             for f, c in [(1e-6, 1e12), (1e-9, 1e14), (1e-12, 1e18), (1e-15, 1e20)]
         ]
         target = qmat.sigma(bare, e)
@@ -190,13 +192,12 @@ class TestValidateAssumptions:
 
     def test_mixed_growth_reports_envelope(self):
         # sigma = 1 + E: quadratic small-field energy, cubic large-field
-        m = qmat.tabulated(
+        m = replace(qmat.tabulated(
             np.geomspace(1e-6, 1e6, 600),
             1.0 + np.geomspace(1e-6, 1e6, 600),
             p=3.0,
             p0=2.0,
-            e_floor=0.0,
-        )
+        ), e_floor=0.0)
         rep = qmat.validate_assumptions(m, np.geomspace(1e-5, 1e5, 500))
         assert rep.small_exponent == pytest.approx(2.0, abs=0.05)
         assert rep.large_exponent == pytest.approx(3.0, abs=0.1)
@@ -295,10 +296,10 @@ LAWS = {
     "weighted-p2": qmat.weighted_power(2.0, 2.0),
     "weighted-p3": qmat.weighted_power(1.5, 3.0),
     "ej": qmat.ej_power_law(8e9, 27),
-    "ej-bare": qmat.ej_power_law(8e9, 27, e_floor=0.0, sigma_cap=np.inf),
+    "ej-bare": qmat.ej_power_law(8e9, 27).without_regularization(),
     "preset": qmat.preset("YBCO-AMSC"),
-    "tabulated": qmat.tabulated([1e-6, 1.0, 2.0], [3.0, 4.0, 3.5],
-                                e_floor=1e-8, sigma_cap=3.8),
+    "tabulated": replace(qmat.tabulated([1e-6, 1.0, 2.0], [3.0, 4.0, 3.5]),
+                         e_floor=1e-8, sigma_cap=3.8),
 }
 
 

@@ -287,7 +287,7 @@ class TestCaplessEjLaw:
     # without e_floor and sigma_cap an E-J conductivity is infinite where
     # the field vanishes
 
-    LAW = materials.ej_power_law(8000e6, 27, e_floor=0.0, sigma_cap=np.inf)
+    LAW = materials.ej_power_law(8000e6, 27).without_regularization()
 
     def cable_solve(self, amplitude):
         mesh = cable_mesh(3)
@@ -333,8 +333,8 @@ class TestWeightedPowerDamping:
         disk = qm.tag_electrodes(qm.generate_disk(1.0, 3),
                                  qm.ElectrodeLayout.uniform(8, 0.5))
         mmap = materials.MaterialMap({"matrix": materials.weighted_power(2.0, 3.0)})
-        g = tomography.conductance_matrix(disk, mmap, amplitude=1.0,
-                                          mode="nonlinear")
+        g = tomography.ConductanceOperator(disk, mmap, amplitude=1.0,
+                                           mode="nonlinear").background()
         assert g.size == 8
         assert np.all(np.isfinite(g.matrix))
         assert solver.VIOLATIONS == []
@@ -463,8 +463,7 @@ class TestSmallDataStart:
 
     def test_law_without_cap_falls_back(self):
         # sigma is infinite at zero field: no small-data start to try
-        bare = materials.ej_power_law(8000e6, 27, 1e-4, e_floor=0.0,
-                                      sigma_cap=np.inf)
+        bare = materials.ej_power_law(8000e6, 27, 1e-4).without_regularization()
         self.assert_replays_the_data_scale_path(
             *self.cable_case(3, 1.0, bare))
 

@@ -1,6 +1,7 @@
 """Conductance matrices, eigen tools, noise model, and imaging tests."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,7 +54,8 @@ class TestConductanceMatrix:
             qm.generate_disk(1.0, 3), qm.ElectrodeLayout.uniform(4, 0.5)
         )
         mmap = materials.MaterialMap({"matrix": materials.linear(2.0)})
-        g = tomo.conductance_matrix(mesh, mmap, amplitude=1.0, mode="nonlinear")
+        g = tomo.ConductanceOperator(mesh, mmap, amplitude=1.0,
+                                     mode="nonlinear").background()
         m = g.matrix
         scale = np.abs(m).max()
         for i in range(4):
@@ -66,7 +68,8 @@ class TestConductanceMatrix:
             qm.generate_annulus(0.5, 1.0, 3), qm.ElectrodeLayout.uniform(4, 0.5)
         )
         mmap = materials.MaterialMap({"matrix": materials.linear(2.0)})
-        g = tomo.conductance_matrix(mesh, mmap, amplitude=1.0, mode="nonlinear")
+        g = tomo.ConductanceOperator(mesh, mmap, amplitude=1.0,
+                                     mode="nonlinear").background()
         m = g.matrix
         scale = np.abs(m).max()
         for i in range(4):
@@ -74,14 +77,14 @@ class TestConductanceMatrix:
                 assert abs(m[i, j] - m[(i + 1) % 4, (j + 1) % 4]) <= 1e-12 * scale
 
     def test_conductivity_scale_carries_through_exactly(self, tagged_disk):
-        one = tomo.conductance_matrix(
+        one = tomo.ConductanceOperator(
             tagged_disk, materials.MaterialMap({"matrix": materials.linear(2.0)}),
             amplitude=1.0, mode="nonlinear",
-        )
-        four = tomo.conductance_matrix(
+        ).background()
+        four = tomo.ConductanceOperator(
             tagged_disk, materials.MaterialMap({"matrix": materials.linear(8.0)}),
             amplitude=1.0, mode="nonlinear",
-        )
+        ).background()
         assert np.array_equal(four.matrix, 4.0 * one.matrix)
 
     def test_symmetry_row_sums_and_reciprocity(self, tagged_disk):
@@ -94,20 +97,20 @@ class TestConductanceMatrix:
         assert g.asymmetry <= 1e-9
 
     def test_nonlinear_reciprocity_within_picard_tolerance(self, tagged_cable):
-        g = tomo.conductance_matrix(
+        g = tomo.ConductanceOperator(
             tagged_cable, cable_map(tagged_cable), amplitude=1e-3,
             mode="nonlinear",
-        )
+        ).background()
         assert g.asymmetry <= 1e-8
 
     def test_limit_and_nonlinear_pipelines_agree_at_small_data(self, tagged_cable):
         mmap = cable_map(tagged_cable)
-        gp = tomo.conductance_matrix(
+        gp = tomo.ConductanceOperator(
             tagged_cable, mmap, amplitude=1e-6, mode="pec-limit"
-        )
-        gn = tomo.conductance_matrix(
+        ).background()
+        gn = tomo.ConductanceOperator(
             tagged_cable, mmap, amplitude=1e-6, mode="nonlinear"
-        )
+        ).background()
         rel = np.linalg.norm(gp.matrix - gn.matrix) / np.linalg.norm(gp.matrix)
         assert rel <= 1e-2
 
@@ -132,7 +135,7 @@ class TestConductanceMatrix:
         with pytest.raises(ValueError, match="amplitude"):
             tomo.conductance_matrix(tagged_disk, mmap, amplitude=0.0)
         with pytest.raises(ValueError, match="mode"):
-            tomo.conductance_matrix(tagged_disk, mmap, mode="impedance")
+            tomo.ConductanceOperator(tagged_disk, mmap, mode="impedance")
         with pytest.raises(ValueError, match="electrode"):
             tomo.conductance_matrix(qm.generate_disk(1.0, 2), mmap)
 
@@ -500,8 +503,8 @@ class TestDirectConductance:
     def test_nonlinear_readout_matches_group_sums(self, tagged_disk):
         mmap = materials.MaterialMap(
             {"matrix": materials.weighted_power(2.0, 1.5)})
-        g = tomo.conductance_matrix(tagged_disk, mmap, amplitude=1.0,
-                                    mode="nonlinear")
+        g = tomo.ConductanceOperator(tagged_disk, mmap, amplitude=1.0,
+                                     mode="nonlinear").background()
         ref = fixed_point_g(tagged_disk, mmap, 1.0)
         assert np.abs(g.matrix - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -510,15 +513,16 @@ class TestDirectConductance:
     def test_field_independent_matrix_factors_once(self, tagged_disk, counts,
                                                    model):
         mmap = materials.MaterialMap({"matrix": model})
-        g = tomo.conductance_matrix(tagged_disk, mmap, amplitude=1.0,
-                                    mode="nonlinear")
+        g = tomo.ConductanceOperator(tagged_disk, mmap, amplitude=1.0,
+                                     mode="nonlinear").background()
         assert counts == {"assemblers": 1, "fixed_point": 0}
         assert g.size == 8
 
     def test_ej_nonlinear_matrix_keeps_one_solve_per_pattern(self, tagged_cable,
                                                              counts):
-        g = tomo.conductance_matrix(tagged_cable, cable_map(tagged_cable),
-                                    amplitude=1e-3, mode="nonlinear")
+        g = tomo.ConductanceOperator(tagged_cable, cable_map(tagged_cable),
+                                     amplitude=1e-3,
+                                     mode="nonlinear").background()
         assert counts["fixed_point"] == g.size == 16
         assert counts["assemblers"] == 1
 
@@ -561,11 +565,18 @@ def parent_direct_g(mesh, mmap, amplitude, pec_regions=()):
     return 0.5 * (g + g.T)
 
 
-def refactored_g(mesh, models, mask, model, amplitude, **kwargs):
+def refactored_g(mesh, models, mask, model, amplitude):
     """The test matrix by relabelling and a fresh conductance matrix."""
     tm = qm.relabel_elements(mesh, mask, "test-domain")
     mmap = materials.MaterialMap({**models, "test-domain": model})
-    return tomo.conductance_matrix(tm, mmap, amplitude=amplitude, **kwargs)
+    return tomo.conductance_matrix(tm, mmap, amplitude=amplitude)
+
+
+def with_electrode_nodes(mesh, eid, nodes):
+    """``mesh`` with ``nodes`` added to electrode ``eid``, each tagged
+    through a zero-length boundary edge."""
+    rows = [[node, node, eid] for node in nodes]
+    return replace(mesh, boundary_edges=np.vstack([mesh.boundary_edges, rows]))
 
 
 def replayed_matrix(op, mask, model, scenario):
@@ -650,13 +661,12 @@ class TestConductanceOperator:
 
     def test_rejects_overlapping_electrodes(self, tagged_disk):
         # a node in two groups would be driven by two patterns at once
-        electrodes = dict(qm.electrode_nodes(tagged_disk))
-        electrodes[1] = np.append(electrodes[1], electrodes[0][0])
+        mesh = with_electrode_nodes(
+            tagged_disk, 1, qm.electrode_nodes(tagged_disk)[0][:1])
         with pytest.raises(ValueError, match="electrode node sets overlap"):
             tomo.ConductanceOperator(
-                tagged_disk,
-                materials.MaterialMap({"matrix": materials.linear(1.0)}),
-                amplitude=1.0, electrodes=electrodes)
+                mesh, materials.MaterialMap({"matrix": materials.linear(1.0)}),
+                amplitude=1.0)
 
     def test_cable_dictionary_matches_refactorization(self, tagged_cable,
                                                       cable_setup):
@@ -713,16 +723,15 @@ class TestConductanceOperator:
         element = next(e for e, tri in enumerate(tagged_disk.elements)
                        if not np.isin(tri, taken).any())
         corners = np.sort(tagged_disk.elements[element])
-        electrodes[len(electrodes)] = corners[:2]
-        electrodes[len(electrodes)] = corners[2:]
-        mask = np.arange(tagged_disk.element_count) == element
+        mesh = with_electrode_nodes(tagged_disk, len(electrodes), corners[:2])
+        mesh = with_electrode_nodes(mesh, len(electrodes) + 1, corners[2:])
+        mask = np.arange(mesh.element_count) == element
         models = {"matrix": materials.linear(1.0)}
-        op = tomo.ConductanceOperator(tagged_disk,
-                                      materials.MaterialMap(models),
-                                      amplitude=1.0, electrodes=electrodes)
+        op = tomo.ConductanceOperator(mesh, materials.MaterialMap(models),
+                                      amplitude=1.0)
+        assert op.background().size == len(electrodes) + 2
         g = op.matrix(mask, materials.linear(1e-3), "corner-element")
-        ref = refactored_g(tagged_disk, models, mask, materials.linear(1e-3),
-                           1.0, electrodes=electrodes)
+        ref = refactored_g(mesh, models, mask, materials.linear(1e-3), 1.0)
         assert relative_gap(g, ref) <= 1e-10
         assert not np.array_equal(g.matrix, op.background().matrix)
 

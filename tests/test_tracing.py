@@ -69,11 +69,12 @@ def test_tracer_sees_sigma_under_solves_and_conductance_matrices():
 
 
 # the imports, the tracer and the disk of PROBE, then a field-dependent
-# conductance matrix
+# conductance matrix: the disk has no inclusion to replace by a perfect
+# conductor, so its matrix material keeps its law
 NONLINEAR_PROBE = PROBE[:PROBE.index("nodes = ")] + r"""
 tomography.conductance_matrix(
     disk, materials.MaterialMap({"matrix": materials.weighted_power(1.0, 1.5)}),
-    amplitude=1.0, mode="nonlinear")
+    amplitude=1.0)
 
 roots = {}
 for name, _, _, parent, _ in tracer.spans:
