@@ -288,12 +288,12 @@ def build_material_models(tree, mesh):
         else:
             models[key] = built
     inclusion_set = set(mesh.inclusion_regions())
-    for label in sorted(set(mesh.region_table) - set(models)):
+    for label in sorted(set(mesh.region_elements()) - set(models)):
         if label in inclusion_set and fallback is not None:
             models[label] = fallback
         elif label not in mesh.defect_regions():
             block.fail(label, "no material model for this region")
-    for label in sorted(set(models) - set(mesh.region_table)):
+    for label in sorted(set(models) - set(mesh.region_elements())):
         block.fail(label, "no such region in the mesh")
     return models
 
@@ -310,7 +310,7 @@ def build_boundary(tree, mesh, require_electrodes=False):
         coverage = el.number("coverage", positive=True, below=1.0)
         rotation = math.radians(el.number("rotation_deg", default=0.0))
         el.done()
-        layout = qmesh.ElectrodeLayout.uniform(count, coverage, rotation)
+        layout = qmesh.ElectrodeLayout(count, coverage, rotation)
     block.done()
     radius = float(np.hypot(*mesh.nodes.T).max())
     f = solver.linear_profile(mesh, scale=amplitude / radius)
@@ -987,16 +987,14 @@ def cmd_tomo(config, digest, out, seed):
     operator = tomography.ConductanceOperator(
         mesh, materials.MaterialMap(models), amplitude=amplitude, mode=mode,
         config=cfg)
-    g_bg = operator.background("background")
+    g_bg = operator.background()
     g_v = operator.matrix(vmask, defect_model, "defect")
     dg_max = float(np.abs(g_v.matrix - g_bg.matrix).max())
     noise = tomography.goe_noise(g_v.size, eta, dg_max, seed=seed)
     if delta == "noise-norm":
         delta = tomography.spectral_norm(noise) if eta > 0 else 0.0
     measured = tomography.ConductanceMatrix(
-        g_v.matrix + noise, amplitude, g_v.electrode_ids, mode, "measured",
-        g_v.asymmetry,
-    )
+        g_v.matrix + noise, g_v.electrode_ids, g_v.asymmetry)
     if psd_tol == "solver-noise":
         psd_tol = 1e-9 * float(np.abs(g_bg.matrix).max())
 

@@ -247,7 +247,7 @@ class Assembler:
 
     def __init__(self, mesh, bc_nodes, pec_regions=(), excluded_regions=()):
         self.mesh = mesh
-        labels = set(mesh.region_table)
+        labels = mesh.region_elements()
         for lab in (*pec_regions, *excluded_regions):
             if lab not in labels:
                 raise ValueError(f"unknown region '{lab}'")

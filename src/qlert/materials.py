@@ -371,8 +371,6 @@ class ValidationReport:
     convex_ok: bool
     small_exponent: float
     large_exponent: float
-    claimed_small: float
-    claimed_large: float
     exponents_ok: bool
     a3_ok: bool
     a3_lower: float
@@ -443,8 +441,6 @@ def validate_assumptions(model, e_grid):
         convex_ok=convex_ok,
         small_exponent=small,
         large_exponent=large,
-        claimed_small=model.p0,
-        claimed_large=model.p,
         exponents_ok=exponents_ok,
         a3_ok=a3_ok,
         a3_lower=a3_lower,

@@ -16,7 +16,7 @@ untagged (insulated) stretch of boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -60,20 +60,18 @@ class Mesh:
     elements : (M, 3) int array
         Counterclockwise vertex triples.
     element_region : (M,) str array
-        Region label per element, e.g. ``"matrix"`` or ``"inclusion-3"``.
+        Region label per element. A label names its region's kind:
+        ``"matrix"`` is the matrix, ``"inclusion-<k>"`` an inclusion,
+        and any other label a defect.
     boundary_edges : (K, 3) int array
         Rows ``(i, j, electrode_id)``; the edge runs i -> j with the domain
         on the left. ``electrode_id`` is -1 where no electrode is attached.
-    region_table : dict
-        Maps each region label to a kind string: ``"matrix"``,
-        ``"inclusion-<k>"``, or ``"defect"``.
     """
 
     nodes: np.ndarray
     elements: np.ndarray
     element_region: np.ndarray
     boundary_edges: np.ndarray
-    region_table: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _frozen(self.nodes, np.float64))
@@ -92,12 +90,6 @@ class Mesh:
             raise MeshError("element_region must have one label per element")
         if self.boundary_edges.ndim != 2 or self.boundary_edges.shape[1] != 3:
             raise MeshError("boundary_edges must be a (K, 3) array")
-        known = np.zeros(len(self.element_region), dtype=bool)
-        for label in self.region_table:
-            known |= self.element_region == label
-        if not known.all():
-            missing = sorted(set(self.element_region[~known]))
-            raise MeshError(f"region_table missing labels: {missing}")
 
     @property
     def node_count(self):
@@ -132,14 +124,13 @@ class Mesh:
 
     def inclusion_regions(self):
         """Inclusion labels in component order (inclusion-1, inclusion-2, ...)."""
-        labs = [
-            k for k, v in self.region_table.items() if v.startswith("inclusion")
-        ]
+        labs = [k for k in self.region_elements() if k.startswith("inclusion-")]
         return sorted(labs, key=lambda s: (len(s), s))
 
     def defect_regions(self):
-        """Defect labels, sorted."""
-        return sorted(k for k, v in self.region_table.items() if v == "defect")
+        """Defect labels, sorted: all but the matrix and the inclusions."""
+        return sorted(set(self.region_elements())
+                      - {"matrix", *self.inclusion_regions()})
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +238,7 @@ def _signed_areas(nodes, elements):
     )
 
 
-def _make_mesh(nodes, elements, labels, region_table):
+def _make_mesh(nodes, elements, labels):
     nodes, elements = np.asarray(nodes), np.array(elements, dtype=np.int64)
     neg = _signed_areas(nodes, elements) < 0
     elements[neg] = elements[neg][:, ::-1]  # counterclockwise
@@ -258,7 +249,6 @@ def _make_mesh(nodes, elements, labels, region_table):
         elements=elements,
         element_region=np.asarray(labels),
         boundary_edges=_boundary_edges(elements, _neighbours(elements, len(nodes))),
-        region_table=dict(region_table),
     )
 
 
@@ -282,7 +272,7 @@ def generate_disk(radius, refinement):
     pts, rings = _spiderweb_points(radius, nrings)
     tris = _spiderweb_triangles(rings)
     labels = np.full(len(tris), "matrix")
-    return _make_mesh(pts, tris, labels, {"matrix": "matrix"})
+    return _make_mesh(pts, tris, labels)
 
 
 def generate_annulus(r_inner, r_outer, refinement):
@@ -302,7 +292,7 @@ def generate_annulus(r_inner, r_outer, refinement):
                         np.full(nr + 1, ntheta))
     tris = _ring_bands(rings)
     labels = np.full(len(tris), "matrix")
-    return _make_mesh(pts, tris, labels, {"matrix": "matrix"})
+    return _make_mesh(pts, tris, labels)
 
 
 def _centered_petal_mesh(outer_radius, petal_radius, refinement):
@@ -318,8 +308,7 @@ def _centered_petal_mesh(outer_radius, petal_radius, refinement):
     tris = _spiderweb_triangles(rings + shell_rings)
     # the core web's fan and bands hold 6 * ncore**2 elements
     labels = np.where(np.arange(len(tris)) < 6 * ncore**2, "inclusion-1", "matrix")
-    table = {"matrix": "matrix", "inclusion-1": "inclusion-1"}
-    return _make_mesh(np.concatenate([core, shell]), tris, labels, table)
+    return _make_mesh(np.concatenate([core, shell]), tris, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -882,8 +871,7 @@ def generate_petal_cable(outer_radius, petal_centers, petal_radius, refinement):
     names = ["matrix"] + [f"inclusion-{k + 1}" for k in range(len(centers))]
     return Mesh(nodes=pts, elements=elements,
                 element_region=np.array(names)[petal_of(elements) + 1],
-                boundary_edges=_boundary_edges(elements, nbr),
-                region_table={lab: lab for lab in names})
+                boundary_edges=_boundary_edges(elements, nbr))
 
 
 # ---------------------------------------------------------------------------
@@ -893,39 +881,29 @@ def generate_petal_cable(outer_radius, petal_centers, petal_radius, refinement):
 
 @dataclass(frozen=True)
 class ElectrodeLayout:
-    """Arc electrodes on the outer boundary circle.
-
-    ``offsets`` holds the arc center angles in radians; every arc spans
-    ``2*pi*coverage/count``, so ``coverage`` is the covered fraction of
-    the full circle. Arcs must be pairwise disjoint.
-    """
+    """``count`` equally spaced arc electrodes on the outer boundary
+    circle, the first centered at angle ``rotation`` (radians). Every arc
+    spans ``2*pi*coverage/count``, so ``coverage`` is the covered fraction
+    of the full circle; below 1, the arcs are disjoint."""
 
     count: int
     coverage: float
-    offsets: np.ndarray
+    rotation: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "offsets", _frozen(self.offsets, np.float64))
         if self.count < 2:
             raise MeshError("need at least 2 electrodes")
         if not 0 < self.coverage < 1:
             raise MeshError("coverage must lie strictly between 0 and 1")
-        if self.offsets.shape != (self.count,):
-            raise MeshError("offsets must hold one center angle per electrode")
-        w = self.arc_width
-        c = np.sort(np.mod(self.offsets, 2 * np.pi))
-        gaps = np.diff(np.append(c, c[0] + 2 * np.pi))
-        if np.any(gaps < w) or np.any(gaps == 0):
-            raise MeshError("electrode arcs overlap")
 
     @property
     def arc_width(self):
         return 2 * np.pi * self.coverage / self.count
 
-    @classmethod
-    def uniform(cls, count, coverage, rotation=0.0):
-        """Evenly spaced arcs, the first centered at angle ``rotation``."""
-        return cls(count, coverage, rotation + 2 * np.pi * np.arange(count) / count)
+    @property
+    def offsets(self):
+        """Arc center angles in radians."""
+        return self.rotation + 2 * np.pi * np.arange(self.count) / self.count
 
 
 def tag_electrodes(mesh, layout):
@@ -1059,20 +1037,14 @@ def region_interface_edges(mesh, label, pairs=None):
 
 
 def relabel_elements(mesh, mask, label):
-    """New mesh with ``label`` stamped on the masked elements, entered in
-    the region table as a defect. Used to carve defects and test
-    domains."""
+    """New mesh with the defect label ``label`` stamped on the masked
+    elements. Used to carve defects and test domains."""
+    if label == "matrix" or label.startswith("inclusion-"):
+        raise MeshError(f"'{label}' is not a defect label")
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (mesh.element_count,):
         raise MeshError("mask must have one entry per element")
     if not mask.any():
         raise MeshError("mask selects no elements")
-    labels = mesh.element_region.astype(object)
-    labels[mask] = label
-    table = dict(mesh.region_table)
-    table[label] = "defect"
-    present = set(labels.tolist())
-    table = {k: v for k, v in table.items() if k in present}
-    return replace(
-        mesh, element_region=np.asarray(labels, dtype=np.str_), region_table=table
-    )
+    return replace(mesh,
+                   element_region=np.where(mask, label, mesh.element_region))

@@ -362,7 +362,12 @@ def counterexample_energies(r, L=11.0, model=None, n_scales=4, rtol=1e-7):
     fields = annulus_fields(r)
     if model is None:
         model = build_counterexample(L, 1.0, n_terms=max(n_scales, 1))
-    sq = lambda g: (lambda x, y: g(x, y)[0] ** 2 + g(x, y)[1] ** 2)  # noqa: E731
+
+    def sq(g):
+        def squared(x, y):
+            gx, gy = g(x, y)
+            return gx ** 2 + gy ** 2
+        return squared
 
     v2, w2 = sq(fields.grad_v), sq(fields.grad_w)
     ell1 = 2.0 * _converged_polar_integral(

@@ -225,11 +225,11 @@ def heatmap(mesh, element_values, title="", comment="", outlines=()):
 
     # colorbar strip: 64 cells sampling the table
     bar_w, bar_h, bar_x = _MESH_WIDTH - 120.0, 10.0, 60.0
-    for k in range(64):
+    for k, color in enumerate(_color_index(np.arange(64) / 63.0).tolist()):
         body.append(
             f'<rect x="{_fmt(bar_x + k * bar_w / 64)}" y="{_fmt(bottom + 8)}" '
             f'width="{_fmt(bar_w / 64 + 0.5)}" height="{_fmt(bar_h)}" '
-            f'fill="{color_at(k / 63.0)}"/>'
+            f'fill="{_PALETTE[color]}"/>'
         )
     body.append(_text(bar_x, bottom + 32, _fmt(lo), anchor="middle"))
     body.append(_text(bar_x + bar_w, bottom + 32, _fmt(hi), anchor="middle"))

@@ -513,9 +513,6 @@ class LambdaSweep:
     status: tuple
     limit: fem.FieldSolution
     solutions: tuple
-    f_nodes: np.ndarray
-    f_values: np.ndarray
-    p0: float
 
     CSV_HEADER = ("lambda", "e2", "einf", "G0_lambda", "picard_iters")
 
@@ -676,5 +673,4 @@ def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, p0=2.0,
     return LambdaSweep(
         lambdas=lambda_grid, e2=e2, einf=einf, g0=g0, picard_iters=iters,
         status=tuple(status), limit=limit_solution, solutions=tuple(solutions),
-        f_nodes=nodes, f_values=values, p0=float(p0),
     )

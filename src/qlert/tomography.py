@@ -69,10 +69,7 @@ class ConductanceMatrix:
     symmetrization, relative to the largest matrix entry."""
 
     matrix: np.ndarray
-    amplitude: float
     electrode_ids: tuple
-    mode: str
-    scenario: str = ""
     asymmetry: float = 0.0
 
     def __post_init__(self):
@@ -114,8 +111,6 @@ class Reconstruction:
     raw_min_eigenvalues: np.ndarray
     accepted: tuple
     union_mask: np.ndarray
-    delta: float
-    tol: float
 
     def __post_init__(self):
         object.__setattr__(
@@ -363,9 +358,9 @@ class ConductanceOperator:
                 asm.raw_matrix(sig) @ np.nan_to_num(sol.nodal_potential))
         return g
 
-    def background(self, scenario=""):
+    def background(self):
         """The conductance matrix of the background material map."""
-        return self._results(self._g[None], [scenario])[0]
+        return self._results(self._g[None])[0]
 
     def matrix(self, mask, model, scenario=""):
         """``matrices`` for the one mask ``mask``, named ``scenario``."""
@@ -375,8 +370,8 @@ class ConductanceOperator:
         """The conductance matrix of each mask of ``masks`` with the
         field-independent ``model`` on its elements instead of their
         background material; no mask may reach into a perfect conductor.
-        ``scenarios`` holds one name per mask, used in its result, its
-        monitor contexts and its errors."""
+        ``scenarios`` holds one name per mask, used in its monitor
+        contexts and its errors."""
         masks = [np.asarray(mask, dtype=bool) for mask in masks]
         scenarios = list(scenarios)
         if len(scenarios) != len(masks):
@@ -407,7 +402,7 @@ class ConductanceOperator:
             return self._results(np.stack([self._fixed_point(
                 qmesh.relabel_elements(self.mesh, mask, "test-domain"),
                 test_map, active, where)
-                for mask, where in zip(masks, wheres)]), scenarios)
+                for mask, where in zip(masks, wheres)]))
 
         # each mask's elements, and N: the free dofs they touch, ascending,
         # from one np.unique over (mask, dof) keys
@@ -453,20 +448,16 @@ class ConductanceOperator:
             np.stack([lows.ravel(), highs.ravel()]),
             np.tile(bounds, len(masks)),
             [c for where in wheres for c in self._contexts(where)])
-        return self._results(g, scenarios)
+        return self._results(g)
 
-    def _results(self, g, scenarios):
+    def _results(self, g):
         """The symmetrized matrix of each of the (B, m, m) currents ``g``,
-        named by ``scenarios``, keeping its reciprocity violation as
-        ``asymmetry``."""
+        keeping its reciprocity violation as ``asymmetry``."""
         g_t = np.swapaxes(g, 1, 2)
         scale = np.maximum(np.max(np.abs(g), axis=(1, 2)), 1e-300)
         asymmetry = np.max(np.abs(g - g_t), axis=(1, 2)) / scale
-        return [ConductanceMatrix(
-            matrix=matrix, amplitude=self.amplitude, electrode_ids=self._ids,
-            mode=self.mode, scenario=scenario, asymmetry=value)
-            for matrix, value, scenario in zip(0.5 * (g + g_t),
-                                                asymmetry.tolist(), scenarios)]
+        return [ConductanceMatrix(matrix, self._ids, value)
+                for matrix, value in zip(0.5 * (g + g_t), asymmetry.tolist())]
 
     def _update(self, elements, dofs, sig_t):
         """Currents with conductivity ``sig_t`` on each row of the (B, E)
@@ -638,14 +629,20 @@ def disc_test_domains(mesh, radii, spacing=None):
     hi = mesh.nodes.max(axis=0)
     xs = np.arange(lo[0] + step / 2, hi[0], step)
     ys = np.arange(lo[1] + step / 2, hi[1], step)
-    # every centroid's distance to every grid point, rows y-major
-    dist = np.hypot(c[:, 0] - xs[None, :, None],
-                    c[:, 1] - ys[:, None, None]).reshape(-1, len(c))
+    # each radius's disc masks, rows y-major, from the distances of every
+    # centroid to the grid points of a block of grid rows, 8 MiB at a time
+    rows = max(1, 2**20 // (len(xs) * len(c)))
+    within = np.empty((len(radii), len(ys), len(xs), len(c)), dtype=bool)
+    for start in range(0, len(ys), rows):
+        dist = np.hypot(c[:, 0] - xs[None, :, None],
+                        c[:, 1] - ys[start:start + rows, None, None])
+        for r, block in zip(radii.tolist(), within[:, start:start + rows]):
+            np.less_equal(dist, r, out=block)
+            block &= in_matrix
     centers = [(x, y) for y in ys.tolist() for x in xs.tolist()]
     out = []
     seen = set()
-    for r in radii.tolist():
-        masks = (dist <= r) & in_matrix
+    for r, masks in zip(radii.tolist(), within.reshape(len(radii), -1, len(c))):
         for i in np.flatnonzero(masks.any(axis=1)).tolist():
             key = masks[i].tobytes()
             if key in seen:
@@ -712,6 +709,4 @@ def mpm_reconstruct(measured, tests, delta, tol=0.0):
         raw_min_eigenvalues=raw_min_eigs,
         accepted=tuple(int(k) for k in accepted),
         union_mask=union,
-        delta=float(delta),
-        tol=float(tol),
     )

@@ -48,14 +48,14 @@ def imaging_setup():
     background conductance, and the full test-domain dictionary (the
     dominant cost, built once)."""
     mesh = qm.tag_electrodes(
-        cable_mesh(3), qm.ElectrodeLayout.uniform(16, 0.5)
+        cable_mesh(3), qm.ElectrodeLayout(16, 0.5)
     )
     models = cable_models(mesh)
     defect_model = materials.linear(DEFECT_DROP * SIGMA_MATRIX)
     g_bg = tomo.ConductanceOperator(
         mesh, materials.MaterialMap(models), amplitude=AMPLITUDE,
         mode="pec-limit",
-    ).background("background")
+    ).background()
     domains = tomo.disc_test_domains(
         mesh, (0.05e-3, 0.08e-3), spacing=0.05e-3
     )
@@ -65,7 +65,7 @@ def imaging_setup():
         g_t = tomo.ConductanceOperator(
             tm, materials.MaterialMap({**models, "test-domain": defect_model}),
             amplitude=AMPLITUDE, mode="pec-limit",
-        ).background(dom.id)
+        ).background()
         tests.append((dom, g_t))
     return mesh, models, defect_model, g_bg, tests
 
@@ -126,8 +126,7 @@ def qhull_cable(mesh):
     codes = np.zeros(len(simplices), dtype=np.int64)
     for k, (cx, cy) in enumerate(PETAL_CENTERS):
         codes[np.hypot(cent[:, 0] - cx, cent[:, 1] - cy) < PETAL_RADIUS] = k + 1
-    return qm._make_mesh(mesh.nodes, simplices, np.array(names)[codes],
-                         {n: n for n in names})
+    return qm._make_mesh(mesh.nodes, simplices, np.array(names)[codes])
 
 
 @pytest.mark.parametrize("refinement, amplitudes", [
@@ -148,11 +147,11 @@ def test_stitch_moves_solves_by_rounding_only(refinement, amplitudes):
             for m in (mesh, ref))
         assert got.iterations == want.iterations
         assert abs(got.energy - want.energy) <= 1e-10 * abs(want.energy)
-    layout = qm.ElectrodeLayout.uniform(16, 0.5)
+    layout = qm.ElectrodeLayout(16, 0.5)
     got, want = (
         tomo.ConductanceOperator(m, materials.MaterialMap(cable_models(m)),
                                  amplitude=AMPLITUDE, mode="pec-limit",
-                                 ).background("background").matrix
+                                 ).background().matrix
         for m in (qm.tag_electrodes(mesh, layout), qm.tag_electrodes(ref, layout)))
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -196,7 +195,7 @@ def test_nested_defects_yield_ordered_conductance():
     # conductivity drop on a larger region can only lower the measured
     # conductance: G_small - G_large stays positive semidefinite
     mesh = qm.tag_electrodes(
-        qm.generate_disk(1.0, 3), qm.ElectrodeLayout.uniform(8, 0.5)
+        qm.generate_disk(1.0, 3), qm.ElectrodeLayout(8, 0.5)
     )
     matrix = materials.linear(1.0)
     low = materials.linear(DEFECT_DROP)
@@ -255,14 +254,12 @@ def test_noisy_reconstruction_upper_bounds_defect(imaging_setup):
         g_v = tomo.ConductanceOperator(
             dmesh, materials.MaterialMap({**models, "defect-1": defect_model}),
             amplitude=AMPLITUDE, mode="pec-limit",
-        ).background(name)
+        ).background()
         dg_max = float(np.abs(g_v.matrix - g_bg.matrix).max())
         for seed in (1, 2, 3):
             noise = tomo.goe_noise(g_v.size, 0.01, dg_max, seed=seed)
-            measured = tomo.ConductanceMatrix(
-                g_v.matrix + noise, AMPLITUDE, g_v.electrode_ids,
-                "pec-limit", f"{name}-seed{seed}",
-            )
+            measured = tomo.ConductanceMatrix(g_v.matrix + noise,
+                                              g_v.electrode_ids)
             rec = tomo.mpm_reconstruct(
                 measured, tests, tomo.spectral_norm(noise), tol=psd_tol
             )

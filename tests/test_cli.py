@@ -696,14 +696,14 @@ class TestTomoCommand:
 
         def per_domain(self, masks, model, scenarios):
             out = []
-            for mask, scenario, got in zip(
-                    masks, scenarios, shared(self, masks, model, scenarios)):
+            for mask, got in zip(masks,
+                                 shared(self, masks, model, scenarios)):
                 tm = qmesh.relabel_elements(self.mesh, mask, "test-domain")
                 want = tomography.ConductanceOperator(
                     tm, materials.MaterialMap({**self.models,
                                                "test-domain": model}),
                     amplitude=self.amplitude, mode=self.mode,
-                ).background(scenario)
+                ).background()
                 worst.append(np.abs(got.matrix - want.matrix).max()
                              / np.abs(want.matrix).max())
                 out.append(want)
@@ -765,7 +765,7 @@ class TestTomoCommand:
                                                "test-domain": model}),
                     amplitude=self.amplitude, mode=self.mode,
                     config=cli.build_solver_config(tree),
-                ).background(scenario))
+                ).background())
             return out
 
         # ``matrix`` (the defect) is the one-mask case of ``matrices``

@@ -1,13 +1,13 @@
 """Every name a qlert module exports through ``__all__`` exists, and each
-one is used by the package, the benchmark or the README; every option of
-a public callable is set by one of them."""
+one is used by the package, the benchmark or the README's Python
+example; every option of a public callable is set by one of them, and
+every field of a result type is read by one of them."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
-import re
 from pathlib import Path
 
 import pytest
@@ -22,9 +22,12 @@ MODULES = ["qlert"] + sorted(
 
 # exported for callers outside the package and the benchmark
 UNUSED_BY_DESIGN = {
-    # resets the VIOLATIONS registry between runs; tests/conftest.py calls
-    # it around every test
-    ("qlert.solver", "clear_violations"),
+    ("qlert.solver", "clear_violations"):
+        "resets the VIOLATIONS registry between runs; tests/conftest.py "
+        "calls it around every test",
+    ("qlert.materials", "tabulated"):
+        "builds an arbitrary law from samples; tests build laws with it, "
+        "such as the oracle's A4 counterexample in tests/test_oracle.py",
 }
 
 
@@ -37,11 +40,11 @@ def test_all_names_resolve(name):
     assert stale == []
 
 
-def _references(path):
+def _references(source):
     """(name, enclosing top-level definition or None) for every ``Name``
-    load and ``Attribute`` in one source file."""
+    load and ``Attribute`` in one source."""
     refs = set()
-    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+    for top in ast.parse(source).body:
         owner = getattr(top, "name", None)
         for node in ast.walk(top):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -54,8 +57,9 @@ def _references(path):
 def test_every_export_has_a_user():
     sources = sorted(Path(qlert.__file__).parent.glob("*.py"))
     bench = sorted((ROOT / "bench").glob("*.py"))
-    refs = {path.resolve(): _references(path) for path in sources + bench}
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    refs = {path.resolve(): _references(path.read_text(encoding="utf-8"))
+            for path in sources + bench}
+    refs[README] = _references(python_api_block())
     unused = []
     for module_name in MODULES:
         module = importlib.import_module(module_name)
@@ -64,10 +68,73 @@ def test_every_export_has_a_user():
             used = any(name == attr and (path != home or owner != attr)
                        for path, found in refs.items()
                        for name, owner in found)
-            if (not used and not re.search(rf"\b{re.escape(attr)}\b", readme)
-                    and (module_name, attr) not in UNUSED_BY_DESIGN):
-                unused.append(f"{module_name}.{attr}")
-    assert unused == []
+            if not used:
+                unused.append((module_name, attr))
+    assert sorted(set(unused) - UNUSED_BY_DESIGN.keys()) == []
+    # an export that gained a user leaves the list
+    assert sorted(UNUSED_BY_DESIGN.keys() - set(unused)) == []
+
+
+# result types: each field is read by the package, the benchmark or the
+# README's Python example
+RESULT_TYPES = [
+    ("qlert.fem", "FieldSolution"),
+    ("qlert.fem", "SolveResult"),
+    ("qlert.solver", "LambdaSweep"),
+    ("qlert.tomography", "ConductanceMatrix"),
+    ("qlert.tomography", "TestDomain"),
+    ("qlert.tomography", "Reconstruction"),
+    ("qlert.oracle", "EnergySeparation"),
+    ("qlert.materials", "ValidationReport"),
+]
+
+# fields that only the tests read, kept on purpose
+READ_BY_DESIGN = {
+    ("FieldSolution", "picard_energy"):
+        "traces the fixed-point energy, whose descent tests check",
+    ("SolveResult", "final_relative_residual"):
+        "the quantity conjugate gradients stop on, which tests check",
+    ("LambdaSweep", "solutions"):
+        "each point's full field, which tests compare across points",
+    ("ValidationReport", "large_exponent"):
+        "the fitted exponent behind exponents_ok, for diagnosis",
+    ("ValidationReport", "a3_lower"):
+        "the growth envelope's lower constant behind a3_ok",
+    ("ValidationReport", "a3_upper"):
+        "the growth envelope's upper constant behind a3_ok",
+    ("ValidationReport", "beta0"):
+        "the small-field weight limit; ROADMAP direction 12 plans a reader",
+    ("ValidationReport", "a4_oscillation"):
+        "how strongly Q/E**p0 oscillates when a4_ok fails, for diagnosis",
+}
+
+
+def _attribute_reads(source):
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_result_field_has_a_reader():
+    """Matches attributes by name: a field is read when an attribute of
+    that name is loaded anywhere in the package, the benchmark or the
+    README's Python example."""
+    sources = sorted(Path(qlert.__file__).parent.glob("*.py"))
+    bench = sorted((ROOT / "bench").glob("*.py"))
+    reads = set().union(
+        _attribute_reads(python_api_block()),
+        *(_attribute_reads(path.read_text("utf-8"))
+          for path in sources + bench))
+    unread = {(cls, field.name) for module, cls in RESULT_TYPES
+              for field in dataclasses.fields(
+                  getattr(importlib.import_module(module), cls))
+              if field.name not in reads}
+    unread_names = sorted(f"{cls}.{name}"
+                          for cls, name in unread - READ_BY_DESIGN.keys())
+    assert not unread_names, "fields no caller reads: " + ", ".join(
+        unread_names)
+    # a field that gained a reader leaves the list
+    assert sorted(READ_BY_DESIGN.keys() - unread) == []
 
 
 # options that no command, benchmark or example sets, kept on purpose

@@ -656,7 +656,7 @@ class TestCsrPlan:
 
     def test_tagged_disk_with_electrode_gaps(self):
         mesh = qm.tag_electrodes(qm.generate_disk(1.0, 3),
-                                 qm.ElectrodeLayout.uniform(8, 0.5))
+                                 qm.ElectrodeLayout(8, 0.5))
         nodes = np.concatenate(list(qm.electrode_nodes(mesh).values()))
         asm = fem.Assembler(mesh, nodes)
         sigma = 10.0 ** np.random.default_rng(7).uniform(
@@ -916,11 +916,11 @@ class TestDeflationBasis:
 
         monkeypatch.setattr(fem.Assembler, "deflation_basis",
                             property(refuse))
-        mesh = qm.tag_electrodes(self.MESH, qm.ElectrodeLayout.uniform(8, 0.5))
+        mesh = qm.tag_electrodes(self.MESH, qm.ElectrodeLayout(8, 0.5))
         models = {"matrix": materials.linear(5.55e7)}
         op = tomography.ConductanceOperator(
             mesh, materials.MaterialMap(models), amplitude=1e-3)
-        op.background("background")
+        op.background()
         mask = np.zeros(mesh.element_count, dtype=bool)
         mask[np.flatnonzero(mesh.element_region == "matrix")[:5]] = True
         op.matrix(mask, materials.linear(5.55e4), "disc")

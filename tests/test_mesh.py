@@ -171,30 +171,26 @@ class TestGeneratePetalCable:
 class TestElectrodes:
     def test_sixteen_electrodes_all_present(self):
         m = qm.generate_disk(1.0, 4)
-        tagged = qm.tag_electrodes(m, qm.ElectrodeLayout.uniform(16, 0.5))
+        tagged = qm.tag_electrodes(m, qm.ElectrodeLayout(16, 0.5))
         ids = set(tagged.boundary_edges[:, 2].tolist()) - {-1}
         assert ids == set(range(16))
 
     def test_full_coverage_rejected(self):
         with pytest.raises(qm.MeshError):
-            qm.ElectrodeLayout.uniform(2, 1.0)
-
-    def test_overlapping_arcs_rejected(self):
-        with pytest.raises(qm.MeshError):
-            qm.ElectrodeLayout(2, 0.9, np.array([0.0, 0.1]))
+            qm.ElectrodeLayout(2, 1.0)
 
     def test_four_electrodes_equal_edge_counts(self):
         m = qm.generate_disk(1.0, 3)
-        tagged = qm.tag_electrodes(m, qm.ElectrodeLayout.uniform(4, 0.5))
+        tagged = qm.tag_electrodes(m, qm.ElectrodeLayout(4, 0.5))
         ids = tagged.boundary_edges[:, 2]
         counts = [int((ids == k).sum()) for k in range(4)]
         assert len(set(counts)) == 1 and counts[0] > 0
 
     def test_rotation_by_one_pitch_permutes_ids(self):
         m = qm.generate_disk(1.0, 3)
-        base = qm.tag_electrodes(m, qm.ElectrodeLayout.uniform(4, 0.5))
+        base = qm.tag_electrodes(m, qm.ElectrodeLayout(4, 0.5))
         rot = qm.tag_electrodes(
-            m, qm.ElectrodeLayout.uniform(4, 0.5, rotation=2 * np.pi / 4)
+            m, qm.ElectrodeLayout(4, 0.5, rotation=2 * np.pi / 4)
         )
         a = base.boundary_edges[:, 2]
         b = rot.boundary_edges[:, 2]
@@ -205,13 +201,13 @@ class TestElectrodes:
 
     def test_gaps_stay_untagged(self):
         m = qm.generate_disk(1.0, 4)
-        tagged = qm.tag_electrodes(m, qm.ElectrodeLayout.uniform(8, 0.5))
+        tagged = qm.tag_electrodes(m, qm.ElectrodeLayout(8, 0.5))
         ids = tagged.boundary_edges[:, 2]
         assert (ids == -1).sum() > 0
 
     def test_annulus_inner_loop_never_tagged(self):
         m = qm.generate_annulus(1.0, 2.0, 3)
-        tagged = qm.tag_electrodes(m, qm.ElectrodeLayout.uniform(4, 0.5))
+        tagged = qm.tag_electrodes(m, qm.ElectrodeLayout(4, 0.5))
         inner = [lp for lp in qm.boundary_loops(tagged) if not lp["outer"]][0]
         inner_nodes = set(inner["nodes"].tolist())
         for i, j, eid in tagged.boundary_edges:
@@ -225,10 +221,25 @@ class TestRelabel:
         c = qm.element_centroids(m)
         mask = np.hypot(c[:, 0] - 0.4, c[:, 1]) < 0.2
         d = qm.relabel_elements(m, mask, "defect-1")
-        assert d.region_table["defect-1"] == "defect"
+        assert d.defect_regions() == ["defect-1"]
         assert int(d.region_mask("defect-1").sum()) == int(mask.sum())
         # original untouched
-        assert "defect-1" not in m.region_table
+        assert "defect-1" not in m.region_elements()
+
+    @pytest.mark.parametrize("label", ["matrix", "inclusion-2"])
+    def test_relabel_keeps_region_kinds(self, label):
+        # a matrix or inclusion label would change the region's kind
+        m = qm.generate_petal_cable(6.0, [(3.0, 0.0), (-3.0, 0.0)], 1.0, 2)
+        with pytest.raises(qm.MeshError, match="not a defect label"):
+            qm.relabel_elements(m, m.region_mask("matrix"), label)
+
+    def test_region_kinds_follow_the_labels(self):
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                          [2.0, 0.0]])
+        m = qm.Mesh(nodes, [[0, 1, 2], [1, 3, 2], [1, 4, 3]],
+                    ["matrix", "inclusion-2", "hole"], np.zeros((0, 3)))
+        assert m.inclusion_regions() == ["inclusion-2"]
+        assert m.defect_regions() == ["hole"]
 
     def test_empty_mask_rejected(self):
         m = qm.generate_disk(1.0, 2)
@@ -331,8 +342,7 @@ def _edge_fan():
                       [0.5, 2.0], [0.5, -2.0]])
     elements = [[0, 1, 2], [0, 1, 3], [0, 1, 4], [0, 1, 5]]
     labels = ["matrix", "inclusion-1", "matrix", "inclusion-1"]
-    return qm._make_mesh(nodes, elements, labels,
-                         {"matrix": "matrix", "inclusion-1": "inclusion"})
+    return qm._make_mesh(nodes, elements, labels)
 
 
 class TestInterfaceEdgesMatchLoop:
@@ -351,7 +361,7 @@ class TestInterfaceEdgesMatchLoop:
     @pytest.mark.parametrize("name", sorted(MESHES))
     def test_rows_equal_the_loop_for_every_region(self, name):
         m = self.MESHES[name]()
-        for label in m.region_table:
+        for label in m.region_elements():
             try:
                 expect = interface_edges_loop(m, label)
             except qm.MeshError as err:

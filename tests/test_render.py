@@ -111,7 +111,6 @@ class TestMatchesPerValueWriters:
             nodes=[[0.0, 0.0], [1.0, 0.0], [0.2, 0.7]], elements=[[0, 1, 2]],
             element_region=["matrix"],
             boundary_edges=[[0, 1, -1], [1, 2, -1], [2, 0, -1]],
-            region_table={"matrix": "matrix"},
         )
 
     def unused_node(self):
@@ -123,7 +122,6 @@ class TestMatchesPerValueWriters:
             elements=[[0, 1, 3], [0, 3, 4]],
             element_region=["matrix", "matrix"],
             boundary_edges=[[0, 1, -1], [1, 3, -1], [3, 4, -1], [4, 0, -1]],
-            region_table={"matrix": "matrix"},
         )
 
     def value_cases(self, mesh):

@@ -331,7 +331,7 @@ class TestWeightedPowerDamping:
         from qlert import tomography
 
         disk = qm.tag_electrodes(qm.generate_disk(1.0, 3),
-                                 qm.ElectrodeLayout.uniform(8, 0.5))
+                                 qm.ElectrodeLayout(8, 0.5))
         mmap = materials.MaterialMap({"matrix": materials.weighted_power(2.0, 3.0)})
         g = tomography.ConductanceOperator(disk, mmap, amplitude=1.0,
                                            mode="nonlinear").background()

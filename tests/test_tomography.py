@@ -19,7 +19,7 @@ SIGMA_BG = 5.55e7
 @pytest.fixture(scope="module")
 def tagged_disk():
     mesh = qm.generate_disk(1.0, 3)
-    return qm.tag_electrodes(mesh, qm.ElectrodeLayout.uniform(8, 0.5))
+    return qm.tag_electrodes(mesh, qm.ElectrodeLayout(8, 0.5))
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ def tagged_cable():
         for a in (np.arange(6) + 0.5) * np.pi / 3
     ]
     mesh = qm.generate_petal_cable(0.6e-3, centers, 0.12e-3, 3)
-    return qm.tag_electrodes(mesh, qm.ElectrodeLayout.uniform(16, 0.5))
+    return qm.tag_electrodes(mesh, qm.ElectrodeLayout(16, 0.5))
 
 
 def cable_map(mesh, **extra):
@@ -43,7 +43,7 @@ def cable_map(mesh, **extra):
 def fake_g(matrix, ids=None):
     matrix = np.asarray(matrix, dtype=float)
     ids = tuple(range(matrix.shape[0])) if ids is None else ids
-    return tomo.ConductanceMatrix(matrix, 1.0, ids, "pec-limit")
+    return tomo.ConductanceMatrix(matrix, ids)
 
 
 class TestConductanceMatrix:
@@ -51,7 +51,7 @@ class TestConductanceMatrix:
         # the disk triangulation is only approximately rotation
         # symmetric (ring transitions), so this holds at mesh accuracy
         mesh = qm.tag_electrodes(
-            qm.generate_disk(1.0, 3), qm.ElectrodeLayout.uniform(4, 0.5)
+            qm.generate_disk(1.0, 3), qm.ElectrodeLayout(4, 0.5)
         )
         mmap = materials.MaterialMap({"matrix": materials.linear(2.0)})
         g = tomo.ConductanceOperator(mesh, mmap, amplitude=1.0,
@@ -65,7 +65,7 @@ class TestConductanceMatrix:
     def test_annulus_four_electrodes_exactly_circulant(self):
         # this triangulation is invariant under one angular pitch
         mesh = qm.tag_electrodes(
-            qm.generate_annulus(0.5, 1.0, 3), qm.ElectrodeLayout.uniform(4, 0.5)
+            qm.generate_annulus(0.5, 1.0, 3), qm.ElectrodeLayout(4, 0.5)
         )
         mmap = materials.MaterialMap({"matrix": materials.linear(2.0)})
         g = tomo.ConductanceOperator(mesh, mmap, amplitude=1.0,
@@ -241,7 +241,7 @@ class TestScenarios:
     def test_disc_defect_lands_in_matrix(self, tagged_cable):
         mesh, mask = tomo.disc_defect(tagged_cable, (0.0, 0.0), 0.15e-3)
         assert mask.sum() > 0
-        assert mesh.region_table["defect-1"] == "defect"
+        assert mesh.defect_regions() == ["defect-1"]
         assert np.all(tagged_cable.element_region[mask] == "matrix")
         assert np.array_equal(mesh.region_mask("defect-1"), mask)
 
@@ -422,9 +422,8 @@ class TestReconstruction:
         dg_max = float(np.abs(g_v.matrix - g_bg.matrix).max())
         noise = tomo.goe_noise(g_v.size, 0.01, dg_max, seed=2)
         delta = tomo.spectral_norm(noise)
-        measured = tomo.ConductanceMatrix(
-            g_v.matrix + noise, 1.0, g_v.electrode_ids, "pec-limit", "measured"
-        )
+        measured = tomo.ConductanceMatrix(g_v.matrix + noise,
+                                          g_v.electrode_ids)
         tests = []
         for dom in tomo.disc_test_domains(tagged_disk, 0.2, spacing=0.2):
             tm = qm.relabel_elements(tagged_disk, dom.element_mask, "test-domain")
@@ -579,7 +578,7 @@ def with_electrode_nodes(mesh, eid, nodes):
     return replace(mesh, boundary_edges=np.vstack([mesh.boundary_edges, rows]))
 
 
-def replayed_matrix(op, mask, model, scenario):
+def replayed_matrix(op, mask, model):
     """The Woodbury update of one mask as ``ConductanceOperator.matrix``
     made it before dictionaries were batched: the mask's own K^-1
     columns in one ``lu.solve``, S and db summed by ``np.add.at``, the
@@ -622,8 +621,7 @@ def replayed_matrix(op, mask, model, scenario):
     g = op._g + energy / op.amplitude
     scale = max(float(np.max(np.abs(g))), 1e-300)
     return tomo.ConductanceMatrix(
-        matrix=0.5 * (g + g.T), amplitude=op.amplitude,
-        electrode_ids=op._ids, mode=op.mode, scenario=scenario,
+        matrix=0.5 * (g + g.T), electrode_ids=op._ids,
         asymmetry=float(np.max(np.abs(g - g.T))) / scale), u
 
 
@@ -687,7 +685,7 @@ class TestConductanceOperator:
             ref = refactored_g(tagged_cable, models, dom.element_mask,
                                self.LOW, 1e-3)
             assert relative_gap(g, ref) <= 1e-10, dom.id
-            assert g.scenario == dom.id and g.electrode_ids == ref.electrode_ids
+            assert g.electrode_ids == ref.electrode_ids
             assert g.asymmetry <= 1e-12
         # the right-hand-side change and merged petal dofs both occur
         assert touches_electrode > 0 and touches_petal > 0
@@ -838,7 +836,7 @@ class TestConductanceOperator:
     def test_fixed_point_matrices_name_their_matrix_in_monitors(
             self, monkeypatch):
         disk = qm.tag_electrodes(qm.generate_disk(1.0, 2),
-                                 qm.ElectrodeLayout.uniform(4, 0.5))
+                                 qm.ElectrodeLayout(4, 0.5))
         solver.clear_violations()
         monkeypatch.setattr(solver, "MAX_PRINCIPLE_RTOL", -1.0)
         op = tomo.ConductanceOperator(
@@ -934,9 +932,9 @@ class TestBatchedDictionary:
                           [d.id for d in domains])
         assert len(got) == len(domains) > 20
         for d, g in zip(domains, got):
-            want, _ = replayed_matrix(op, d.element_mask, low, d.id)
+            want, _ = replayed_matrix(op, d.element_mask, low)
             assert np.array_equal(g.matrix, want.matrix), d.id
-            assert (g.scenario, g.asymmetry) == (d.id, want.asymmetry)
+            assert g.asymmetry == want.asymmetry
         one = op.matrix(domains[5].element_mask, low, domains[5].id)
         assert np.array_equal(one.matrix, got[5].matrix)
 
@@ -989,9 +987,9 @@ class TestBatchedDictionary:
         else:
             assert sorted(sizes) == sorted(counts)
         for d, g in zip(domains, got):
-            want, _ = replayed_matrix(op, d.element_mask, low, d.id)
+            want, _ = replayed_matrix(op, d.element_mask, low)
             assert np.array_equal(g.matrix, want.matrix), d.id
-            assert (g.scenario, g.asymmetry) == (d.id, want.asymmetry)
+            assert g.asymmetry == want.asymmetry
 
     @pytest.mark.parametrize("name", ["disk", "cable"])
     def test_one_monitor_check_files_the_per_mask_breaches(
@@ -1004,7 +1002,7 @@ class TestBatchedDictionary:
         op = tomo.ConductanceOperator(mesh, mmap, amplitude, mode)
         # each mask's nodal potentials hold the same values as the
         # free-dof and boundary values the dictionary's check reads
-        potentials = [replayed_matrix(op, d.element_mask, low, d.id)[1]
+        potentials = [replayed_matrix(op, d.element_mask, low)[1]
                       for d in domains]
         monkeypatch.setattr(solver, "MAX_PRINCIPLE_RTOL", -1.0)
         scenarios = [d.id for d in domains]
@@ -1112,7 +1110,7 @@ class TestPecLimitTomoCommand:
         g = np.loadtxt(out / "measured_g.csv", delimiter=",", skiprows=2)
 
         mesh = qm.tag_electrodes(cli.build_mesh(tree),
-                                 qm.ElectrodeLayout.uniform(16, 0.5))
+                                 qm.ElectrodeLayout(16, 0.5))
         models = cli.build_material_models(tree, mesh)
         disc = tree["task"]["defects"][0]
         vmask = tomo.disc_mask(mesh, disc["center_m"], disc["radius_m"])

@@ -31,7 +31,7 @@ tracer.install({"cli": cli, "fem": fem, "materials": materials,
                 "mesh": mesh, "render": render, "solver": solver,
                 "tomography": tomography})
 disk = mesh.tag_electrodes(mesh.generate_disk(1.0, 2),
-                           mesh.ElectrodeLayout.uniform(4, 0.5))
+                           mesh.ElectrodeLayout(4, 0.5))
 nodes = mesh.outer_boundary_nodes(disk)
 solver.solve_nonlinear(
     disk, materials.MaterialMap({"matrix": materials.weighted_power(1.0, 1.5)}),
