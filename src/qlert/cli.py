@@ -14,12 +14,13 @@ Each command reads and checks its whole config, mesh-dependent checks
 included, before it creates the output directory or starts a solve.
 Physical quantities carry their unit in the key name (``radius_m``,
 ``amplitude_v``, ``sigma_s_per_m``) under a mandatory top-level
-``units: "SI"`` marker. Every artifact embeds the sha256 of the config
-file for provenance, and identical (config, seed) runs produce
-byte-identical outputs at the same BLAS thread count. The conjugate
-gradients' dot products go to BLAS, whose threaded reduction order
-depends on the thread count: the refinement-6 README cable at 1 mV
-writes potentials that differ by up to 3.6e-18 V between 1 and 2
+``units: "SI"`` marker. CSV cells are formatted by the byte-cell
+kernel of ``_cells``, SVGs by ``render``. Every artifact embeds the
+sha256 of the config file for provenance, and identical (config, seed)
+runs produce byte-identical outputs at the same BLAS thread count. The
+conjugate gradients' dot products go to BLAS, whose threaded reduction
+order depends on the thread count: the refinement-6 README cable at
+1 mV writes potentials that differ by up to 3.6e-18 V between 1 and 2
 OpenBLAS threads.
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence,
@@ -27,18 +28,16 @@ Exit codes: 0 success, 2 config error, 3 solver non-convergence,
 """
 
 import argparse
-import functools
 import hashlib
 import json
 import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
-from . import fem, materials, render, solver, tomography
+from . import _cells, fem, materials, render, solver, tomography
 from . import mesh as qmesh
 
 EXIT_OK = 0
@@ -357,296 +356,13 @@ def _ready(out, *readers):
 # ---------------------------------------------------------------------------
 
 
-#: CSV rows formatted per block; bounds the transient byte matrices.
-_CSV_BLOCK = 2048
-
-#: Pads every CSV cell to its column's fixed width. UTF-8 text never
-#: holds this byte, so each block is written with every copy removed.
-_PAD = 0xFF
-_PAD_BYTE = bytes([_PAD])
-
-# The float filter of ``_float_cells`` takes 10**j <= |x| < 10**(j+1) for
-# _J_LO <= j < _J_HI, the widest range in which none of its products or
-# Veltkamp splits overflows and every tail of a power of ten stays normal.
-_J_LO, _J_HI = -283, 299
-#: Veltkamp's splitter for float64: 2**27 + 1.
-_SPLIT = 134217729.0
-#: Half-width of the band around a rounding tie or an interval bound in
-#: which the filter decides nothing. Its own error is below 1e-13 on the
-#: scale of the 17th digit.
-_MARGIN = 2.0 ** -30
-
-
-def _pow10_table(lo, hi):
-    """10**n for lo <= n <= hi as two doubles each: the nearest double
-    and the nearest double to what it misses."""
-    head, tail = [], []
-    for n in range(lo, hi + 1):
-        if n >= 0:
-            exact = 10 ** n
-            h = float(exact)
-            t = float(exact - int(h))
-        else:
-            den = 10 ** -n
-            h = 1 / den
-            num, two = h.as_integer_ratio()
-            t = (two - num * den) / (two * den)
-        head.append(h)
-        tail.append(t)
-    return np.array(head), np.array(tail)
-
-
-def _words(rows):
-    """Rows of 8 bytes as one uint64 each."""
-    return np.ascontiguousarray(rows, dtype=np.uint8).view(np.uint64)[:, 0]
-
-
-@functools.cache
-def _csv_tables():
-    """The lookup tables of the CSV cell formatters, built on first use."""
-    # row v: the four digits of v, then spread out as "d\0d\0d\0d\0"
-    digits = 48 + np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T.copy()
-    spread = np.zeros((10_000, 8), np.uint8)
-    spread[:, ::2] = digits
-    trailing = np.zeros(10_000, np.uint8)  # trailing zeros of the four
-    for step in (10, 100, 1000, 10_000):
-        trailing[::step] += 1
-    # Float cell bytes 8-39 hold digits 2-17, each followed by one slot.
-    # Row keep * 17 + point pads the digits from keep + 1 on and every
-    # slot but the one after digit point + 1, which takes the point.
-    keep, point = np.divmod(np.arange(18 * 17), 17)
-    slot = np.arange(1, 17)
-    overlay = np.empty((18 * 17, 32), np.uint8)
-    overlay[:, ::2] = np.where(slot >= keep[:, None], _PAD, 0)
-    overlay[:, 1::2] = np.where(slot == point[:, None], 46, _PAD)
-    # Float cell bytes 0-7, row ((minus * 5 + zeros) * 10 + d) * 2 + dot:
-    # the sign, "0." and zeros - 1 zeros when zeros > 0, the first digit
-    # d, and the point after it when dot.
-    minus, zeros, d, dot = np.unravel_index(np.arange(200), (2, 5, 10, 2))
-    head = np.full((200, 8), _PAD, np.uint8)
-    head[minus == 1, 0] = 45
-    head[:, 1:6] = np.where(zeros[:, None] > (0, 0, 1, 2, 3),
-                            (48, 46, 48, 48, 48), _PAD)
-    head[:, 6] = 48 + d
-    head[dot == 1, 7] = 46
-    # Float cell bytes 40-47, row exponent + 400: "e-05", "e+100"; the
-    # last row is all pads.
-    power = np.abs(np.arange(-400, 400))
-    tail = np.full((801, 8), _PAD, np.uint8)
-    tail[:-1, :2] = (101, 45)
-    tail[400:-1, 1] = 43
-    tail[:-1, 2:5] = digits[power, 1:]
-    tail[:-1, 2][power < 100] = _PAD
-    # the first and last power of ten needed: 10**(16 - j) scales |x| and
-    # 10**(j+1) bounds its decade
-    lo, hi = min(16 - _J_HI, _J_LO + 1), max(16 - _J_LO, _J_HI)
-    p10, p10_tail = _pow10_table(lo, hi)
-    p10_hi = p10 * _SPLIT
-    p10_hi -= p10_hi - p10
-    return SimpleNamespace(
-        digits=digits.view(np.uint32)[:, 0],
-        spread=spread.view(np.uint64)[:, 0], trailing_zeros=trailing,
-        overlay=overlay.view(np.uint64), head=_words(head),
-        tail=_words(tail),
-        # integer cell digit slots by digit count: pads before the first
-        int_pads=np.where(np.arange(20) < 20 - np.arange(21)[:, None],
-                          _PAD, 0).astype(np.uint8),
-        pow10_u64=np.array([10 ** n for n in range(1, 20)], np.uint64),
-        # rows of 10**n from n = lowest: the nearest double, its tail, its
-        # Veltkamp halves, and the least double >= 10**n, so that a
-        # double x >= 10**n exactly when x >= ceil
-        lowest=lo, p10=p10, p10_tail=p10_tail, p10_hi=p10_hi,
-        p10_lo=p10 - p10_hi,
-        ceil=np.where(p10_tail > 0, np.nextafter(p10, np.inf), p10))
-
-
-def _repr_float(value):
-    """The exact fallback of ``_float_cells``."""
-    return repr(float(value))
-
-
-def _scaled(tab, a, e, j):
-    """y = a * 10**(16 - j) as big + r, big an int64 and r in [0, 1),
-    and half an ulp of a on the same scale as two doubles.
-
-    ``e`` is frexp's exponent of a and 10**j <= a < 10**(j+1), so y lies
-    in [1e16, 1e17). The product with the double-double power of ten is
-    error-free up to its tail (Dekker's TwoProduct over Veltkamp
-    splits), and y >= 1e16 > 2**53 makes its rounded part an integer."""
-    i = 16 - tab.lowest - j
-    ph, pl = tab.p10[i], tab.p10_tail[i]
-    p = a * ph
-    ah = a * _SPLIT
-    ah -= ah - a
-    al = a - ah
-    hh, hl = tab.p10_hi[i], tab.p10_lo[i]
-    t = ((ah * hh - p) + ah * hl + al * hh) + al * hl
-    t += a * pl
-    f = np.floor(t)
-    t -= f
-    big = p.astype(np.int64)
-    big += f.astype(np.int64)
-    e = e - 54
-    return big, t, np.ldexp(ph, e), np.ldexp(pl, e)
-
-
-def _nearest(rem, r, s, half_hi, half_lo):
-    """Round y = q * s + rem + r to a multiple of s: whether it rounds
-    up, whether that is a tie, and whether the rounded value lies inside
-    or outside a's rounding interval. A decision within ``_MARGIN`` of
-    its boundary is a tie, or neither inside nor outside."""
-    d = (rem - s / 2) + r
-    up = d > 0
-    g = np.abs((rem - s * up) + r)
-    g -= half_hi
-    g -= half_lo
-    return up, np.abs(d) <= _MARGIN, g < -_MARGIN, g > _MARGIN
-
-
-def _shortest(big, r, half_hi, half_lo):
-    """The shortest digits of y = big + r that read back as a, as repr
-    picks them: y rounded to 15, 16 or 17 digits as the 17-digit integer
-    v, its digit count when 16 or 17, whether it is the 15-digit
-    rounding, and the rows the filter leaves undecided.
-
-    Only one 15-digit decimal fits in a's rounding interval, so it is
-    the nearest if any is. Of the 16-digit ones inside, repr takes the
-    nearest, and the nearest 17-digit one is always inside."""
-    rem100 = big % 100
-    rem10 = rem100 % 10
-    up15, _, in15, out15 = _nearest(rem100, r, 100, half_hi, half_lo)
-    up16, tie16, in16, out16 = _nearest(rem10, r, 10, half_hi, half_lo)
-    use16 = out15 & in16
-    use17 = out15 & out16
-    unsure = ~(in15 | out15) | out15 & (tie16 | ~(in16 | out16))
-    unsure |= use17 & (np.abs(r - 0.5) <= _MARGIN)
-    v = big - in15 * (rem100 - 100 * up15)
-    v -= use16 * (rem10 - 10 * up16)
-    v += use17 & (r > 0.5)
-    return v, 15 + out15 + use17, in15, unsure
-
-
-def _float_cells(x):
-    """``repr`` of each value of float64 array x, as (len(x), 48) bytes
-    padded with ``_PAD``; byte 47 is left for a separator.
-
-    ``_scaled`` and ``_shortest`` find the digits, and whole-array table
-    lookups lay them out as repr does: positional when the rounded
-    magnitude lies in [1e-4, 1e16), else scientific. Zero, subnormals,
-    non-finite values, power-of-two significands (whose rounding
-    interval is lopsided), magnitudes outside the table and the rows the
-    filter leaves undecided take ``_repr_float``."""
-    tab = _csv_tables()
-    m = len(x)
-    a = np.abs(x)
-    mant, e = np.frexp(a)
-    j = (e - 1).astype(np.int64)
-    j *= 78913
-    j >>= 18  # floor(log10(2**(e-1))), exact for |e| < 1200
-    fast = (a >= 2.0 ** -1022) & (a < np.inf) & (mant != 0.5)
-    fast &= (j >= _J_LO) & (j < _J_HI)
-    if not fast.all():
-        a[~fast], e[~fast], j[~fast] = 1.5, 1, 0
-    j += a >= tab.ceil[j + 1 - tab.lowest]  # now 10**j <= a < 10**(j+1)
-    v, ndig, in15, unsure = _shortest(*_scaled(tab, a, e, j))
-    over = v == 10 ** 17  # rounded up to the next power of ten
-    v -= over * (9 * 10 ** 16)
-    point = j + 1 + over  # a = 0.d1d2... * 10**point
-    hi = v // 10 ** 8
-    lo = (v - hi * 10 ** 8).astype(np.int32)
-    hi = hi.astype(np.int32)
-    d1 = hi // 10 ** 8  # the first digit
-    hi -= d1 * 10 ** 8
-    groups = np.empty((m, 4), np.intp)  # digits 2-5, 6-9, 10-13, 14-17
-    groups[:, 0] = hi // 10 ** 4
-    groups[:, 1] = hi % 10 ** 4
-    groups[:, 2] = lo // 10 ** 4
-    groups[:, 3] = lo % 10 ** 4
-    rows = np.flatnonzero(in15)  # only a 15-digit pick has trailing zeros
-    if len(rows):
-        g = groups[rows]
-        z = tab.trailing_zeros[g]
-        tz = z[:, 3] + (g[:, 3] == 0) * (z[:, 2] + (g[:, 2] == 0) * (
-            z[:, 1] + (g[:, 1] == 0) * z[:, 0]))
-        ndig[rows] = 17 - tz
-    sci = (point <= -4) | (point > 16)
-    below = ~sci & (point <= 0)  # "0." and -point zeros before the digits
-    inside = ~sci & (point > 0)  # the point after digit `point`
-    # digits shown: an integer part's zeros and one after the point
-    keep = ndig + inside * np.maximum(point + 1 - ndig, 0)
-    head = d1 * 2
-    head += sci & (ndig > 1) | inside & (point == 1)
-    head += below * (20 - 20 * point)
-    head += (x < 0) * 100
-    words = np.empty((m, 6), np.uint64)
-    words[:, 0] = tab.head[head]
-    np.bitwise_or(tab.spread[groups],
-                  tab.overlay.take(keep * 17 + inside * (point - 1), axis=0),
-                  out=words[:, 1:5])
-    words[:, 5] = tab.tail[sci * (point - 401) + 800]
-    cells = words.view(np.uint8)
-    rows = np.flatnonzero(~fast | unsure)
-    if len(rows):
-        text = b"".join(_repr_float(v).encode().ljust(48, _PAD_BYTE)
-                        for v in x[rows].tolist())
-        cells[rows] = np.frombuffer(text, np.uint8).reshape(-1, 48)
-    return cells
-
-
-def _int_cells(column):
-    """``str`` of each integer as (n, 22) bytes: the sign, 20 digit
-    slots padded before the first digit, and a separator slot."""
-    tab = _csv_tables()
-    mag = column.astype(np.uint64)
-    neg = column < 0
-    np.negative(mag, out=mag, where=neg)
-    count = np.searchsorted(tab.pow10_u64, mag, side="right")
-    groups = np.empty((len(mag), 5), np.intp)
-    for col in range(4, 0, -1):
-        mag, groups[:, col] = np.divmod(mag, 10_000)
-    groups[:, 0] = mag
-    cells = np.full((len(mag), 22), _PAD, np.uint8)
-    cells[neg, 0] = 45
-    cells[:, 1:21] = tab.digits[groups].view(np.uint8)
-    cells[:, 1:21] |= tab.int_pads.take(count + 1, axis=0)
-    return cells
-
-
-def _str_cells(column):
-    """Each string's UTF-8 bytes, padded to the longest plus a
-    separator slot."""
-    text = [s.encode() for s in column.tolist()]
-    width = max(map(len, text)) + 1
-    return np.frombuffer(b"".join(t.ljust(width, _PAD_BYTE) for t in text),
-                         np.uint8).reshape(len(text), width)
-
-
-def _csv_block(columns):
-    """The bytes of one block of CSV rows. Every cell is formatted into
-    a fixed-width byte matrix, the floats of all columns by one
-    ``_float_cells`` call; the separators go into each cell's last
-    byte, and the padding is removed once."""
-    floats = [c for c in columns if c.dtype.kind == "f"]
-    if floats:
-        text = _float_cells(np.concatenate(floats, dtype=np.float64))
-        floats = iter(np.split(text, len(floats)))
-    cells = [next(floats) if c.dtype.kind == "f"
-             else _int_cells(c) if c.dtype.kind in "iu" else _str_cells(c)
-             for c in columns]
-    out = np.concatenate(cells, axis=1)
-    out[:, np.cumsum([c.shape[1] for c in cells]) - 1] = 44
-    out[:, -1] = 10
-    return out.tobytes().translate(None, _PAD_BYTE)
-
-
 def _write_csv(path, digest, header, columns):
     """CSV of equal-length columns (1-D arrays or lists of str) under a
     provenance comment and the header row.
 
-    Cells are formatted in numpy, ``_CSV_BLOCK`` rows at a time; their
-    bytes equal ``str`` of each integer and ``repr(float(v))`` of each
-    float, with ``repr`` itself as the exact fallback for the few floats
-    the filter leaves undecided."""
+    Cells are formatted in numpy by ``_cells._csv_block``,
+    ``_cells._CSV_BLOCK`` rows at a time; their bytes equal ``str`` of
+    each integer and ``repr(float(v))`` of each float."""
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(c.shape != (n,) for c in columns):
@@ -656,9 +372,10 @@ def _write_csv(path, digest, header, columns):
             raise TypeError(f"no CSV format for dtype {c.dtype}")
     with path.open("wb") as fh:
         fh.write(f"# config sha256:{digest}\n{','.join(header)}\n".encode())
-        for start in range(0, n, _CSV_BLOCK):
-            fh.write(_csv_block([c[start:start + _CSV_BLOCK]
-                                 for c in columns]))
+        block = _cells._CSV_BLOCK
+        for start in range(0, n, block):
+            fh.write(_cells._csv_block([c[start:start + block]
+                                        for c in columns]))
 
 
 def _jsonable(value):

@@ -8,12 +8,15 @@ golden-file comparisons are meaningful.
 Mesh-sized primitives are formatted from whole arrays: pixel coordinates
 come from one numpy expression per axis (``_Frame`` keeps the operation
 order, so every coordinate equals the per-point arithmetic bit for bit)
-and colors from one table lookup. A mesh view formats one coordinate
-string per node and joins each triangle from its three corners' strings;
-segments and polylines apply one ``%`` template to ``tolist()`` rows.
-Per-element lists are built in blocks of ``_BLOCK`` elements, each
-joined into one string, so the transient Python lists stay small, and a
-document is joined once, its final newline included.
+and colors from one table lookup. A mesh view prints its coordinates
+through the ``%.6g`` mode of the cell kernel (``_cells._g6_cells``),
+which gives the bytes of ``"%.6g" % x`` without a Python string per
+value: each node's pixel pair becomes one byte row, and each block of
+``_BLOCK`` triangles is one byte matrix of the polygon head, a gather of
+node rows per corner and a gather of the fill tails, stripped of its
+padding once; segments are laid out the same way. Polylines and labels
+apply ``%`` templates. A document is joined once, its final newline
+included.
 
 The colormap is fixed: 8 anchor colors interpolated linearly in RGB to a
 256-entry table. Values are mapped affinely from the range of the finite
@@ -21,6 +24,8 @@ data to table indices; NaN (excluded regions) renders as neutral gray.
 """
 
 import numpy as np
+
+from . import _cells
 
 # dark violet -> blue -> teal -> green -> yellow
 _ANCHORS = (
@@ -53,7 +58,10 @@ def _build_table():
 COLOR_TABLE = _build_table()
 #: COLOR_TABLE plus the NaN gray, the palette that ``_color_index`` indexes.
 _PALETTE = COLOR_TABLE + (_NAN_COLOR,)
-#: Elements formatted per block; bounds the transient row lists.
+#: A mask view's two fills: unflagged and flagged.
+_MASK_COLORS = ("#eef0f2", "#e8a33d")
+#: Elements or segments laid out per block; bounds the transient byte
+#: matrices.
 _BLOCK = 1024
 #: Figure sizes in pixels: mesh views, and line plots (width, height).
 _MESH_WIDTH = 480
@@ -128,9 +136,10 @@ class _Frame:
 
 def _mesh_frame(mesh, width, top):
     margin = 10.0
-    xy = mesh.nodes
-    x0, y0 = xy.min(axis=0)
-    x1, y1 = xy.max(axis=0)
+    # per column: a reduction over axis 0 of (n, 2) is many times slower
+    x, y = mesh.nodes.T
+    x0, x1 = x.min(), x.max()
+    y0, y1 = y.min(), y.max()
     span_x = (x1 - x0) or 1.0
     span_y = (y1 - y0) or 1.0
     pw = width - 2 * margin
@@ -146,38 +155,122 @@ def _pixel_rows(frame, x, y):
     return px.reshape(x.shape[0], 2 * x.shape[1]).tolist()
 
 
-def _triangles(frame, mesh, palette, index):
-    """One flat-shaded ``<polygon>`` line per element, filled with
-    ``palette[index[k]]``, the lines of each block of ``_BLOCK`` elements
-    joined into one string.
+def _node_rows(frame, xy):
+    """Each node's pixel pair as ``"%.6g,%.6g "``, right-aligned in a
+    byte row padded with ``_cells._PAD``.
 
-    Each node's pixel pair is formatted once, as ``"%.6g,%.6g"``, and an
-    element joins the strings of its three corners: the transform is
-    elementwise, so a node's pixel value is the same at every corner."""
+    The pairs are formatted ``4 * _BLOCK`` nodes at a time, each chunk
+    stripped of its padding once, and laid out as rows once."""
+    pixels = np.empty((len(xy), 2))
+    pixels[:, 0] = frame.x(xy[:, 0])
+    pixels[:, 1] = frame.y(xy[:, 1])
+    pixels = pixels.reshape(-1)
+    chunk = 8 * _BLOCK  # coordinates
+    text = []
+    for start in range(0, len(pixels), chunk):
+        cells = _cells._g6_cells(pixels[start:start + chunk])
+        pairs = cells.reshape(-1, 2, _cells._G6_WIDTH)
+        pairs[:, 0, -1] = 44  # the cells' separator bytes
+        pairs[:, 1, -1] = 32
+        text.append(pairs.tobytes().translate(None, _cells._PAD_BYTE))
+    text = np.frombuffer(b"".join(text), np.uint8)
+    length = np.diff(np.flatnonzero(text == 32), prepend=-1)
+    width = length.max()
+    rows = np.full((len(xy), width), _cells._PAD, np.uint8)
+    rows[np.arange(width) >= width - length[:, None]] = text
+    return rows
+
+
+def _padded(lines):
+    """Strings as rows of their UTF-8 bytes, padded in front with
+    ``_cells._PAD`` to the longest."""
+    lines = [s.encode() for s in lines]
+    width = max(map(len, lines))
+    return np.frombuffer(
+        b"".join(s.rjust(width, _cells._PAD_BYTE) for s in lines),
+        np.uint8).reshape(len(lines), width)
+
+
+def _fill_tails(palette):
+    """The end of a ``<polygon>`` line filled with each color of
+    ``palette``, newline included, as ``_padded`` rows."""
     # stroke in the fill color hides hairline antialiasing seams
-    tails = ['" fill="%s" stroke="%s" stroke-width="0.4"/>' % (c, c)
-             for c in palette]
-    xy = mesh.nodes
-    points = ["%.6g,%.6g" % p for p in zip(frame.x(xy[:, 0]).tolist(),
-                                          frame.y(xy[:, 1]).tolist())]
+    return _padded([' fill="%s" stroke="%s" stroke-width="0.4"/>\n' % (c, c)
+                    for c in palette])
+
+
+#: The fill tails of the heatmap palette and of the mask colors.
+_PALETTE_TAILS = _fill_tails(_PALETTE)
+_MASK_TAILS = _fill_tails(_MASK_COLORS)
+
+
+def _triangles(frame, mesh, tails, index):
+    """One flat-shaded ``<polygon>`` line per element, ended by
+    ``tails[index[k]]`` (see ``_fill_tails``), the lines of each block
+    of ``_BLOCK`` elements joined into one string.
+
+    Each node's pixel pair is formatted once into a byte row. A block of
+    lines is one byte matrix: the head, one gather of node rows per
+    corner and one gather of the fill tails, with the few pads left
+    between them removed once. The transform is elementwise, so a
+    node's pixel value is the same at every corner."""
+    pad = _cells._PAD_BYTE
+    head = b'<polygon points="'
+    rows = _node_rows(frame, mesh.nodes)
+    cut = [len(head), len(head) + 3 * rows.shape[1]]
+    lines = np.empty((min(_BLOCK, mesh.element_count),
+                      cut[1] + tails.shape[1]), np.uint8)
+    lines[:, :cut[0]] = np.frombuffer(head, np.uint8)
     out = []
     for start in range(0, mesh.element_count, _BLOCK):
-        # one list per corner, not one per element, and one string per
-        # block
-        first, second, third = mesh.elements[start:start + _BLOCK].T.tolist()
-        fills = index[start:start + _BLOCK].tolist()
-        out.append("\n".join([
-            f'<polygon points="{points[a]} {points[b]} {points[c]}{tails[i]}'
-            for a, b, c, i in zip(first, second, third, fills)]))
+        elements = mesh.elements[start:start + _BLOCK]
+        block = lines[:len(elements)]
+        block[:, cut[0]:cut[1]] = rows.take(elements, axis=0).reshape(
+            len(block), -1)
+        block[:, cut[1] - 1] = 34  # '"' for the third corner's space
+        block[:, cut[1]:] = tails.take(index[start:start + _BLOCK], axis=0)
+        # the block's last newline is the document's separator
+        text = block.reshape(-1)[:-1].tobytes()
+        out.append(text.replace(pad, b"").decode())
     return out
 
 
-def _segments(frame, segs, color, width):
-    segs = np.asarray(segs, dtype=float).reshape(-1, 4)
-    template = ('<line x1="%%.6g" y1="%%.6g" x2="%%.6g" y2="%%.6g" '
-                'stroke="%s" stroke-width="%s"/>' % (color, width))
-    rows = _pixel_rows(frame, segs[:, 0::2], segs[:, 1::2])
-    return [template % tuple(row) for row in rows]
+def _segments(frame, layers):
+    """The ``<line>`` elements of the segment arrays of each (arrays,
+    color, stroke width) layer, in order: one string per block of
+    ``_BLOCK`` segments.
+
+    The four pixel coordinates of each segment go through one
+    ``_cells._g6_cells`` call per block and are laid out, with the
+    layer's tail, in one byte matrix stripped of its padding once."""
+    segs = [np.asarray(s, dtype=float).reshape(-1, 4)
+            for arrays, _, _ in layers for s in arrays]
+    if not sum(map(len, segs)):
+        return []
+    tails = _padded(['" stroke="%s" stroke-width="%s"/>\n' % (color, width)
+                     for arrays, color, width in layers for _ in arrays])
+    tail = np.repeat(np.arange(len(segs)), [len(s) for s in segs])
+    segs = np.concatenate(segs)
+    pixels = np.empty_like(segs)
+    pixels[:, 0::2] = frame.x(segs[:, 0::2])
+    pixels[:, 1::2] = frame.y(segs[:, 1::2])
+    # each coordinate's cell follows its attribute; a cell's last byte
+    # is a pad
+    heads = [np.frombuffer(h.encode(), np.uint8)
+             for h in ('<line x1="', '" y1="', '" x2="', '" y2="')]
+    cut = np.cumsum([0] + [len(h) + _cells._G6_WIDTH for h in heads])
+    out = []
+    for start in range(0, len(segs), _BLOCK):
+        cells = _cells._g6_cells(pixels[start:start + _BLOCK].reshape(-1))
+        cells = cells.reshape(-1, 4, _cells._G6_WIDTH)
+        lines = np.empty((len(cells), cut[-1] + tails.shape[1]), np.uint8)
+        for k, h in enumerate(heads):
+            lines[:, cut[k]:cut[k] + len(h)] = h
+            lines[:, cut[k] + len(h):cut[k + 1]] = cells[:, k]
+        lines[:, cut[-1]:] = tails.take(tail[start:start + _BLOCK], axis=0)
+        text = lines.reshape(-1)[:-1].tobytes()
+        out.append(text.translate(None, _cells._PAD_BYTE).decode())
+    return out
 
 
 def edge_segments(mesh, edges):
@@ -188,17 +281,16 @@ def edge_segments(mesh, edges):
     return np.hstack([a, b])
 
 
-def _mesh_view(mesh, below, title, comment, palette, index, layers):
+def _mesh_view(mesh, below, title, comment, tails, index, layers):
     """A figure of ``mesh`` with ``below`` pixels of room under it: element
-    k filled with ``palette[index[k]]``, then the segment arrays of each
-    (arrays, color, stroke width) layer of ``layers`` drawn on top.
+    k ended by ``tails[index[k]]`` (see ``_fill_tails``), then the
+    segment arrays of each (arrays, color, stroke width) layer of
+    ``layers`` drawn on top.
     Returns the body and the pixel row of the mesh's bottom edge."""
     frame, bottom = _mesh_frame(mesh, _MESH_WIDTH, top=28.0)
     body = _figure(_MESH_WIDTH, int(bottom + below), title, comment)
-    body.extend(_triangles(frame, mesh, palette, index))
-    for arrays, color, stroke in layers:
-        for segs in arrays:
-            body.extend(_segments(frame, segs, color, width=stroke))
+    body.extend(_triangles(frame, mesh, tails, index))
+    body.extend(_segments(frame, layers))
     return body, bottom
 
 
@@ -220,17 +312,15 @@ def heatmap(mesh, element_values, title="", comment="", outlines=()):
 
     with np.errstate(all="ignore"):
         t = np.where(finite_mask, (values - lo) / (hi - lo), np.nan)
-    body, bottom = _mesh_view(mesh, 46, title, comment, _PALETTE,
+    body, bottom = _mesh_view(mesh, 46, title, comment, _PALETTE_TAILS,
                               _color_index(t), [(outlines, "#202020", 1.0)])
 
     # colorbar strip: 64 cells sampling the table
     bar_w, bar_h, bar_x = _MESH_WIDTH - 120.0, 10.0, 60.0
+    rect = ('<rect x="%%.6g" y="%s" width="%s" height="%s" fill="%%s"/>'
+            % (_fmt(bottom + 8), _fmt(bar_w / 64 + 0.5), _fmt(bar_h)))
     for k, color in enumerate(_color_index(np.arange(64) / 63.0).tolist()):
-        body.append(
-            f'<rect x="{_fmt(bar_x + k * bar_w / 64)}" y="{_fmt(bottom + 8)}" '
-            f'width="{_fmt(bar_w / 64 + 0.5)}" height="{_fmt(bar_h)}" '
-            f'fill="{_PALETTE[color]}"/>'
-        )
+        body.append(rect % (bar_x + k * bar_w / 64, _PALETTE[color]))
     body.append(_text(bar_x, bottom + 32, _fmt(lo), anchor="middle"))
     body.append(_text(bar_x + bar_w, bottom + 32, _fmt(hi), anchor="middle"))
     body.append("</svg>\n")
@@ -245,7 +335,7 @@ def mask_overlay(mesh, mask, true_boundary=(), outlines=(), title="",
     if mask.shape != (mesh.element_count,):
         raise ValueError("need one flag per element")
     body, _ = _mesh_view(
-        mesh, 8, title, comment, ("#eef0f2", "#e8a33d"), mask.astype(np.intp),
+        mesh, 8, title, comment, _MASK_TAILS, mask.astype(np.intp),
         [(outlines, "#9aa0a6", 0.8),
          ((true_boundary,) if len(true_boundary) else (), "#b02020", 1.6)])
     body.append("</svg>\n")

@@ -286,7 +286,7 @@ class ConductanceOperator:
         electrodes = qmesh.electrode_nodes(mesh)
         if not electrodes:
             raise ValueError("mesh has no tagged electrodes")
-        self.mesh, self.amplitude, self.mode = mesh, float(amplitude), mode
+        self.mesh, self.amplitude = mesh, float(amplitude)
         self._map, self._config = material_map, config
         # the electrode layout, nodes in ascending order (the Assembler's
         # bc_nodes); pattern j drives electrode self._ids[j]
@@ -641,10 +641,11 @@ def disc_test_domains(mesh, radii, spacing=None):
             block &= in_matrix
     centers = [(x, y) for y in ys.tolist() for x in xs.tolist()]
     out = []
-    seen = set()
+    seen = set()  # each kept mask packed 8 elements to a byte
     for r, masks in zip(radii.tolist(), within.reshape(len(radii), -1, len(c))):
+        packed = np.packbits(masks, axis=1)
         for i in np.flatnonzero(masks.any(axis=1)).tolist():
-            key = masks[i].tobytes()
+            key = packed[i].tobytes()
             if key in seen:
                 continue
             seen.add(key)

@@ -2,6 +2,7 @@
 byte-level determinism."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -16,8 +17,16 @@ from hypothesis import strategies as st
 
 import qlert
 import reference_writers as ref
-from qlert import cli, fem, materials, render, solver, tomography
+from qlert import _cells, cli, fem, materials, render, solver, tomography
 from qlert import mesh as qmesh
+
+
+def given_mode(init, *args, **kwargs):
+    """The ``mode`` that a call of ``ConductanceOperator.__init__`` with
+    these arguments gets."""
+    bound = inspect.signature(init).bind(*args, **kwargs)
+    bound.apply_defaults()
+    return bound.arguments["mode"]
 
 
 def write_config(tmp_path, tree, name="config.json"):
@@ -692,6 +701,8 @@ class TestTomoCommand:
 
         def keep_map(self, mesh, material_map, *args, **kwargs):
             self.models = material_map.models
+            self.given_mode = given_mode(init, self, mesh, material_map,
+                                         *args, **kwargs)
             init(self, mesh, material_map, *args, **kwargs)
 
         def per_domain(self, masks, model, scenarios):
@@ -702,7 +713,7 @@ class TestTomoCommand:
                 want = tomography.ConductanceOperator(
                     tm, materials.MaterialMap({**self.models,
                                                "test-domain": model}),
-                    amplitude=self.amplitude, mode=self.mode,
+                    amplitude=self.amplitude, mode=self.given_mode,
                 ).background()
                 worst.append(np.abs(got.matrix - want.matrix).max()
                              / np.abs(want.matrix).max())
@@ -754,6 +765,12 @@ class TestTomoCommand:
         assert len(assemblers) == report["test_domains"] + 2
 
         replaced = []
+        operator = tomography.ConductanceOperator
+        init = operator.__init__
+
+        def keep_mode(self, *args, **kwargs):
+            self.given_mode = given_mode(init, self, *args, **kwargs)
+            init(self, *args, **kwargs)
 
         def per_domain(self, masks, model, scenarios):
             out = []
@@ -763,14 +780,14 @@ class TestTomoCommand:
                 out.append(tomography.ConductanceOperator(
                     tm, materials.MaterialMap({**self._map.models,
                                                "test-domain": model}),
-                    amplitude=self.amplitude, mode=self.mode,
+                    amplitude=self.amplitude, mode=self.given_mode,
                     config=cli.build_solver_config(tree),
                 ).background())
             return out
 
         # ``matrix`` (the defect) is the one-mask case of ``matrices``
-        monkeypatch.setattr(tomography.ConductanceOperator, "matrices",
-                            per_domain)
+        monkeypatch.setattr(operator, "__init__", keep_mode)
+        monkeypatch.setattr(operator, "matrices", per_domain)
         assert run("tomo", path, tmp_path / "per-domain") == cli.EXIT_OK
         assert len(replaced) == report["test_domains"] + 1  # and the defect
         names = sorted(p.name for p in (tmp_path / "operator").iterdir())
@@ -813,7 +830,7 @@ class TestWriteCsv:
     def test_matrix_columns_and_blocks(self, tmp_path):
         g = np.random.default_rng(0).standard_normal((16, 16))
         self.both(tmp_path, [f"electrode_{i}" for i in range(16)], g.T)
-        n = 2 * cli._CSV_BLOCK + 5
+        n = 2 * _cells._CSV_BLOCK + 5
         text = self.both(tmp_path, ("k", "x"),
                          (np.arange(n), np.linspace(-1.0, 1.0, n)))
         assert len(text.splitlines()) == n + 2
@@ -858,9 +875,10 @@ class TestWriteCsv:
         values = np.concatenate([bits.view(np.float64), signed, -signed])
         values = np.resize(values, (8, -(-len(values) // 8)))
         text = self.both(tmp_path, [f"c{i}" for i in range(8)], values)
-        # With cli._MARGIN set to 0 the filter prints 1.0000000000000001e+23,
-        # the double above 1e23, as 1e+23: 10**23 lies half-way between it
-        # and the double below, and reads back as that one.
+        # With _cells._MARGIN set to 0 the filter prints
+        # 1.0000000000000001e+23, the double above 1e23, as 1e+23: 10**23
+        # lies half-way between it and the double below, and reads back as
+        # that one.
         cells = set(",".join(text.splitlines()[2:]).split(","))
         assert {"1.0000000000000001e+23", "9.999999999999999e-06",
                 "9.999999999999999e-05", "-0.0", "5e-324"} <= cells
@@ -873,18 +891,18 @@ class TestWriteCsv:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_any_floats_equal_repr(self, values):
-        text = cli._csv_block([np.array(values)]).decode()
+        text = _cells._csv_block([np.array(values)]).decode()
         assert text.splitlines() == [repr(v) for v in values]
 
     def count_fallbacks(self, monkeypatch):
         calls = []
-        exact = cli._repr_float
+        exact = _cells._repr_float
 
         def counted(value):
             calls.append(value)
             return exact(value)
 
-        monkeypatch.setattr(cli, "_repr_float", counted)
+        monkeypatch.setattr(_cells, "_repr_float", counted)
         return calls
 
     def test_fallback_takes_what_the_filter_cannot(self, tmp_path,
@@ -923,7 +941,7 @@ class TestWriteCsv:
         rng = np.random.default_rng(6)
         n = 24_708
         columns = (np.arange(n), *rng.standard_normal((5, n)) * 1e-3)
-        cli._csv_tables()  # built once per process and kept
+        _cells._tables()  # built once per process and kept
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -166,12 +166,23 @@ class TestMatchesPerValueWriters:
                 assert (render.mask_overlay(mesh, mask, **kwargs)
                         == ref.mask_overlay(mesh, mask, **kwargs))
 
-    @pytest.mark.parametrize("kind", ["cable-r5", "unused-node"])
+    @pytest.mark.parametrize("kind", ["cable-r5", "cable-r6", "unused-node",
+                                      "tall"])
     def test_node_strings_shared_by_corners(self, kind):
-        # one coordinate string per node, joined per element
-        if kind == "cable-r5":
-            mesh = readme_cable(5)
+        # one coordinate string per node, joined per element; refinement 6
+        # is the benchmark's largest mesh
+        if kind.startswith("cable"):
+            mesh = readme_cable(int(kind[-1]))
             lines = ref.region_outlines(mesh)
+        elif kind == "tall":
+            # pixel rows up to 4.6e8: scientific and out-of-table cells
+            mesh = qm.Mesh(
+                nodes=[[0.0, 0.0], [1e-6, 0.0], [0.0, 1.0], [1e-6, 0.3]],
+                elements=[[0, 1, 2], [1, 3, 2]],
+                element_region=["matrix", "matrix"],
+                boundary_edges=[[0, 1, -1], [1, 3, -1], [3, 2, -1],
+                                [2, 0, -1]])
+            lines = [render.edge_segments(mesh, mesh.elements[:, :2])]
         else:
             mesh = self.unused_node()
             lines = [render.edge_segments(mesh, mesh.elements[:, :2])]
@@ -203,8 +214,10 @@ class TestMatchesPerValueWriters:
         extra = [np.zeros((0, 4)), [(0.0, 0.0, 1e-4, -2e-4)]]
         for segs in ref.region_outlines(cable) + extra:
             for width in (1.0, 0.8, 2):
-                assert (render._segments(frame, segs, "#202020", width)
-                        == ref._segments(old_frame, segs, "#202020", width))
+                layers = [([segs], "#202020", width)]
+                assert ("\n".join(render._segments(frame, layers))
+                        == "\n".join(ref._segments(old_frame, segs,
+                                                    "#202020", width)))
 
     @pytest.mark.parametrize("series", [
         [("e2", XS, 3.0 * XS**1.7), ("einf", XS, np.sqrt(XS))],

@@ -276,6 +276,26 @@ class TestScenarios:
             assert (d.id, d.center, d.radius) == (w.id, w.center, w.radius)
             assert np.array_equal(d.element_mask, w.element_mask), d.id
 
+    def test_duplicate_masks_are_dropped(self, tagged_disk):
+        # discs of 0.1 on a 0.02 grid: neighbouring centres often cover the
+        # same elements, and only the first of each mask is kept
+        got = tomo.disc_test_domains(tagged_disk, (0.1, 0.12), spacing=0.02)
+        want = looped_disc_test_domains(tagged_disk, (0.1, 0.12), 0.02)
+        masks = [d.element_mask.tobytes() for d in got]
+        assert len(set(masks)) == len(masks)
+        c = qm.element_centroids(tagged_disk)
+        in_matrix = tagged_disk.element_region == "matrix"
+        grid = np.arange(-1.0 + 0.01, 1.0, 0.02)
+        overlapping = sum(
+            int(((np.hypot(c[:, 0] - grid[:, None], c[:, 1] - y) <= r)
+                 & in_matrix).any(axis=1).sum())
+            for r in (0.1, 0.12) for y in grid)
+        assert len(got) < overlapping / 2  # most grid points repeat a mask
+        assert len(got) == len(want)
+        for d, w in zip(got, want):
+            assert (d.id, d.center, d.radius) == (w.id, w.center, w.radius)
+            assert np.array_equal(d.element_mask, w.element_mask), d.id
+
     def test_rejects_bad_geometry(self, tagged_disk):
         with pytest.raises(ValueError):
             tomo.disc_test_domains(tagged_disk, -0.1)
