@@ -397,6 +397,14 @@ class Assembler:
                              "regions")
         return self._s_local[pos]
 
+    @property
+    def kept_regions(self):
+        """Labels of the regions that keep their material, neither merged
+        nor excluded, in ``mesh.region_elements()`` order."""
+        dropped = self.pec_regions + self.excluded_regions
+        return tuple(label for label in self.mesh.region_elements()
+                     if label not in dropped)
+
     @cached_property
     def deflation_basis(self):
         """Coarse vectors for ``solve_spd``: one array of free dofs per
@@ -409,10 +417,10 @@ class Assembler:
         dirichlet[self.bc_nodes] = True
         taken = np.zeros(self.n_free, dtype=bool)
         basis = []
-        dropped = set(self.pec_regions + self.excluded_regions)
-        for label, elements in mesh.region_elements().items():
-            nodes = mesh.elements[elements].ravel()
-            if label in dropped or dirichlet[nodes].any():
+        regions = mesh.region_elements()
+        for label in self.kept_regions:
+            nodes = mesh.elements[regions[label]].ravel()
+            if dirichlet[nodes].any():
                 continue
             dofs = np.unique(self.node_dof[nodes])
             dofs = dofs[dofs >= 0]

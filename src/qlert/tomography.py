@@ -245,16 +245,17 @@ class ConductanceOperator:
     few elements.
 
     Built once per (mesh, mode, background material map), on the
-    electrodes the mesh's tags define (``mesh.electrode_nodes``); in
-    pec-limit mode the mesh's inclusions are floating perfect conductors;
-    ``mode="nonlinear"`` keeps every material.
-    ``background()`` is the background matrix, and ``matrices(masks,
-    model, scenarios)`` gives one matrix per mask with ``model`` on the
-    masked elements (``matrix`` is its one-mask case). When an active
-    material of the map depends on the field, each matrix runs
-    ``solver.solve_nonlinear`` with ``config`` once per pattern on one
-    ``fem.Assembler``, on the mesh with the masked elements relabelled
-    ``test-domain``. Otherwise it holds one ``fem.Assembler``, one
+    electrodes the mesh's tags define (``mesh.electrode_nodes``), with
+    one ``fem.Assembler`` whose conductor split merges the mesh's
+    inclusions in pec-limit mode and keeps every material in
+    ``mode="nonlinear"``. ``background()`` is the background matrix, and
+    ``matrices(masks, model, scenarios)`` one matrix per mask with
+    ``model`` on the masked elements (``matrix`` is its one-mask case).
+    When a kept material depends on the field, each matrix runs
+    ``solver.solve_nonlinear`` with ``config`` once per pattern, the
+    background's on that Assembler and a mask's on one with its split on
+    the mesh with the masked elements relabelled ``test-domain``.
+    Otherwise it holds the Assembler, one
     sparse LU of the background free block K, the background free-dof
     potentials x of every pattern, and the background currents. A mask
     changes K only on the free dofs N of its elements (petal masters
@@ -304,21 +305,18 @@ class ConductanceOperator:
         self._incidence = sparse.csr_matrix(
             (np.ones(len(nodes)), (owner, self._nodes)),
             shape=(m, mesh.node_count))
-        self._pec = (tuple(mesh.inclusion_regions())
-                     if mode == "pec-limit" else ())
-        self._active = [lab for lab in mesh.region_elements()
-                        if lab not in self._pec]  # regions keeping material
-        self._in_pec = np.isin(mesh.element_region, self._pec)
+        asm = self._asm = fem.Assembler(
+            mesh, self._nodes,
+            pec_regions=mesh.inclusion_regions() if mode == "pec-limit" else ())
+        self._in_pec = np.isin(mesh.element_region, asm.pec_regions)
 
         self._factored = all(material_map.for_region(lab).field_independent
-                             for lab in self._active)
+                             for lab in asm.kept_regions)
         if not self._factored:
-            self._g = self._fixed_point(mesh, material_map, self._active, "")
+            self._g = self._fixed_point(asm, material_map, "")
             return
-        asm = self._asm = fem.Assembler(mesh, self._nodes,
-                                        pec_regions=self._pec)
         self._sigma = material_map.sigma_elements(
-            mesh, np.zeros(mesh.element_count), self._active)
+            mesh, np.zeros(mesh.element_count), asm.kept_regions)
         lu, k_fd = asm.factor(self._sigma)
         rhs = -k_fd @ self._patterns
         # the patterns take the one solve a direct matrix takes; only the
@@ -333,29 +331,31 @@ class ConductanceOperator:
         self._row[asm.bc_nodes] = asm.n_free + np.arange(len(asm.bc_nodes))
         solver.check_max_principle(self._u, self._patterns,
                                    self._contexts(""))
-        self._g = self._incidence @ (
-            asm.raw_matrix(self._sigma) @ np.nan_to_num(self._u))
+        self._g = self._currents(asm, self._sigma, self._u)
 
     def _contexts(self, where):
         """Monitor context of each pattern, prefixed by ``where``."""
         return [f"{where}conductance pattern {i}" for i in self._ids]
 
-    def _fixed_point(self, mesh, material_map, active, where):
-        """Currents of every pattern on ``mesh``, one fixed-point solve
-        each, with the regions ``active`` keeping their material;
-        ``where`` prefixes the monitor contexts."""
-        asm = fem.Assembler(mesh, self._nodes, pec_regions=self._pec)
+    def _currents(self, asm, sigma, u):
+        """Electrode currents, (m,) or (m, k), of the nodal potentials
+        ``u`` under the per-element conductivity ``sigma`` on ``asm``."""
+        return self._incidence @ (asm.raw_matrix(sigma) @ np.nan_to_num(u))
+
+    def _fixed_point(self, asm, material_map, where):
+        """Currents of every pattern on ``asm``'s mesh and conductor split,
+        one fixed-point solve each; ``where`` prefixes the monitor
+        contexts."""
+        mesh = asm.mesh
         g = np.zeros((len(self._ids), len(self._ids)))
         for j, context in enumerate(self._contexts(where)):
             sol = solver.solve_nonlinear(
                 mesh, material_map, (self._nodes, self._patterns[:, j]),
-                self._config, pec_regions=self._pec, context=context,
-                assembler=asm,
+                self._config, context=context, assembler=asm,
             )
             e_mag = np.hypot(*sol.element_gradient.T)
-            sig = material_map.sigma_elements(mesh, e_mag, active)
-            g[:, j] = self._incidence @ (
-                asm.raw_matrix(sig) @ np.nan_to_num(sol.nodal_potential))
+            sig = material_map.sigma_elements(mesh, e_mag, asm.kept_regions)
+            g[:, j] = self._currents(asm, sig, sol.nodal_potential)
         return g
 
     def background(self):
@@ -398,10 +398,11 @@ class ConductanceOperator:
         wheres = [f"{scenario} " if scenario else "" for scenario in scenarios]
         if not self._factored:
             test_map = MaterialMap({**self._map.models, "test-domain": model})
-            active = [*self._active, "test-domain"]
             return self._results(np.stack([self._fixed_point(
-                qmesh.relabel_elements(self.mesh, mask, "test-domain"),
-                test_map, active, where)
+                fem.Assembler(
+                    qmesh.relabel_elements(self.mesh, mask, "test-domain"),
+                    self._nodes, pec_regions=self._asm.pec_regions),
+                test_map, where)
                 for mask, where in zip(masks, wheres)]))
 
         # each mask's elements, and N: the free dofs they touch, ascending,
@@ -625,10 +626,10 @@ def disc_test_domains(mesh, radii, spacing=None):
         raise ValueError("spacing must be positive")
     c = qmesh.element_centroids(mesh)
     in_matrix = mesh.element_region == "matrix"
-    lo = mesh.nodes.min(axis=0)
-    hi = mesh.nodes.max(axis=0)
-    xs = np.arange(lo[0] + step / 2, hi[0], step)
-    ys = np.arange(lo[1] + step / 2, hi[1], step)
+    # per column: a reduction over axis 0 of (n, 2) is many times slower
+    px, py = mesh.nodes.T
+    xs = np.arange(px.min() + step / 2, px.max(), step)
+    ys = np.arange(py.min() + step / 2, py.max(), step)
     # each radius's disc masks, rows y-major, from the distances of every
     # centroid to the grid points of a block of grid rows, 8 MiB at a time
     rows = max(1, 2**20 // (len(xs) * len(c)))

@@ -1,5 +1,6 @@
 """Fixed-point solver, limiting solves, and sweep-driver tests."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -35,6 +36,27 @@ def disk_profile(mesh, values_of):
     return nodes, values_of(mesh.nodes[nodes, 0], mesh.nodes[nodes, 1])
 
 
+def warm_start(asm, u):
+    """``solve_nonlinear`` keywords that start it, as a sweep point
+    starts, from the free-dof values on ``asm`` of the nodal potentials
+    ``u``, with a last solve of its own."""
+    free = asm.node_dof >= 0
+    x = np.empty(asm.n_free)
+    x[asm.node_dof[free]] = u[free]
+    return {"_warm": (x, solver._LastSolve())}
+
+
+# the solves that take boundary data: the limit solves build their own
+# Assembler, with the holed disk's inclusion merged or excluded
+ENTRY_POINTS = {
+    "": solver.solve_nonlinear,
+    "pec-limit": functools.partial(solver.solve_pec_limit,
+                                   pec_regions=("inclusion-1",)),
+    "pei-limit": functools.partial(solver.solve_pei_limit,
+                                   pei_regions=("inclusion-1",)),
+}
+
+
 @pytest.fixture(scope="module")
 def disk3():
     return qm.generate_disk(1.0, 3)
@@ -50,7 +72,7 @@ class TestConfig:
     def test_defaults_are_valid(self):
         cfg = solver.NonlinearSolveConfig()
         assert cfg.max_picard_iter == 200
-        assert cfg.initial_guess is None
+        assert cfg.picard_tol == 1e-8
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -59,9 +81,6 @@ class TestConfig:
             {"picard_tol": -1e-10},
             {"max_picard_iter": 0},
             {"max_picard_iter": -1},
-            {"initial_guess": np.zeros((3, 2))},
-            {"initial_guess": "interpolate"},
-            {"initial_guess": "zero"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -97,7 +116,9 @@ class TestSolveNonlinear:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(fem, "solve_spd", counting)
-        sol = solver.solve_nonlinear(mesh, mmap, (nodes, values), **split)
+        sol = solver.solve_nonlinear(
+            mesh, mmap, (nodes, values),
+            assembler=fem.Assembler(mesh, nodes, **split))
         assert len(calls) == 1
         # the two-solve path: the initial iterate, then one step that
         # solves the same system again from zero and lands on it exactly
@@ -183,8 +204,9 @@ class TestSolveNonlinear:
         nodes, values = disk_profile(disk3, lambda x, y: x**2 - y**2)
         mmap = materials.MaterialMap({"matrix": materials.weighted_power(1.0, 1.5)})
         cold = solver.solve_nonlinear(disk3, mmap, (nodes, values))
-        cfg = solver.NonlinearSolveConfig(initial_guess=cold.nodal_potential)
-        warm = solver.solve_nonlinear(disk3, mmap, (nodes, values), cfg)
+        warm = solver.solve_nonlinear(
+            disk3, mmap, (nodes, values),
+            **warm_start(fem.Assembler(disk3, nodes), cold.nodal_potential))
         assert warm.iterations == 1
         diff = np.abs(warm.nodal_potential - cold.nodal_potential)
         assert diff.max() < 1e-8 * np.max(np.abs(cold.nodal_potential))
@@ -197,17 +219,21 @@ class TestSolveNonlinear:
         assert sol.energy == 0.0
         assert np.all(sol.nodal_potential == 2.5)
 
-    @pytest.mark.parametrize("values_of", [lambda x: np.full_like(x, 2.5),
-                                           lambda x: x],
-                             ids=["constant", "varying"])
-    def test_repeated_boundary_nodes_rejected_for_any_data(self, disk3,
-                                                           values_of):
-        nodes = qm.outer_boundary_nodes(disk3)
+    @pytest.mark.parametrize("case", ["-".join(filter(None, (data, entry)))
+                                      for data in ("constant", "varying")
+                                      for entry in ENTRY_POINTS])
+    def test_repeated_boundary_nodes_rejected_for_any_data(self, holed_disk,
+                                                           case):
+        data, _, entry = case.partition("-")
+        nodes = qm.outer_boundary_nodes(holed_disk)
         nodes = np.concatenate([nodes, nodes[:1]])
-        values = values_of(disk3.nodes[nodes, 0])
-        mmap = materials.MaterialMap({"matrix": materials.linear(1.0)})
-        with pytest.raises(ValueError, match="align"):
-            solver.solve_nonlinear(disk3, mmap, (nodes, values))
+        values = holed_disk.nodes[nodes, 0]
+        if data == "constant":
+            values = np.full_like(values, 2.5)
+        mmap = materials.MaterialMap({"matrix": materials.linear(1.0),
+                                      "inclusion-1": materials.linear(2.0)})
+        with pytest.raises(ValueError, match="bc_values must align"):
+            ENTRY_POINTS[entry](holed_disk, mmap, f=(nodes, values))
 
     def test_nonfinite_boundary_data_rejected(self, disk3):
         nodes = qm.outer_boundary_nodes(disk3)
@@ -216,13 +242,6 @@ class TestSolveNonlinear:
         mmap = materials.MaterialMap({"matrix": materials.linear(1.0)})
         with pytest.raises(ValueError, match="finite"):
             solver.solve_nonlinear(disk3, mmap, (nodes, values))
-
-    def test_wrong_guess_shape_rejected(self, disk3):
-        nodes, values = disk_profile(disk3, lambda x, y: x)
-        mmap = materials.MaterialMap({"matrix": materials.linear(1.0)})
-        cfg = solver.NonlinearSolveConfig(initial_guess=np.zeros(3))
-        with pytest.raises(ValueError, match="nodal"):
-            solver.solve_nonlinear(disk3, mmap, (nodes, values), cfg)
 
     def test_iteration_cap_raises_with_history(self, disk3):
         nodes, values = disk_profile(disk3, lambda x, y: x**2 - y**2)
@@ -384,8 +403,9 @@ class TestEjUndamped:
 
 
 def data_scale_start(mesh, material_map, f):
-    """The iterate a cold solve started from before the small-data
-    start: one linear solve with sigma frozen at the data-scale field."""
+    """``solve_nonlinear`` keywords that start it from the iterate a cold
+    solve started from before the small-data start: one linear solve with
+    sigma frozen at the data-scale field."""
     nodes, values = f
     order = np.argsort(nodes)
     nodes, values = nodes[order], values[order]
@@ -396,7 +416,7 @@ def data_scale_start(mesh, material_map, f):
         mesh, np.full(mesh.element_count, e_char))
     x = fem.solve_spd(asm.assemble(sig, values),
                       coarse=asm.deflation_basis).x
-    return solver.NonlinearSolveConfig(initial_guess=asm.expand(x, values))
+    return warm_start(asm, asm.expand(x, values))
 
 
 class TestSmallDataStart:
@@ -404,7 +424,7 @@ class TestSmallDataStart:
     # the data-scale sigma, the perfect-conductor limit of saturating
     # petals, and keeps it only when it is its own fixed point; otherwise
     # it starts from the data-scale iterate. The reference replays the
-    # data-scale path through initial_guess.
+    # data-scale path through the private start a sweep point takes.
 
     @staticmethod
     def cable_case(refinement, amplitude, *petal):
@@ -422,7 +442,7 @@ class TestSmallDataStart:
         mesh, mmap, f = self.cable_case(refinement, amplitude)
         new = solver.solve_nonlinear(mesh, mmap, f)
         ref = solver.solve_nonlinear(mesh, mmap, f,
-                                     data_scale_start(mesh, mmap, f))
+                                     **data_scale_start(mesh, mmap, f))
         assert new.iterations == 1
         assert np.array_equal(new.picard_change, [0.0])
         assert ref.iterations > 1
@@ -450,7 +470,7 @@ class TestSmallDataStart:
     def assert_replays_the_data_scale_path(mesh, mmap, f):
         new = solver.solve_nonlinear(mesh, mmap, f)
         ref = solver.solve_nonlinear(mesh, mmap, f,
-                                     data_scale_start(mesh, mmap, f))
+                                     **data_scale_start(mesh, mmap, f))
         assert new.iterations == ref.iterations > 1
         assert np.array_equal(new.picard_change, ref.picard_change)
         assert np.array_equal(new.nodal_potential, ref.nodal_potential)
@@ -478,9 +498,9 @@ class TestSmallDataStart:
         mesh, mmap, f = self.cable_case(
             3, 1e-3, materials.preset("YBCO-SP-SCS12050"))
         errors = []
-        for config in (None, data_scale_start(mesh, mmap, f)):
+        for start in ({}, data_scale_start(mesh, mmap, f)):
             with pytest.raises(solver.PicardNonConvergenceError) as info:
-                solver.solve_nonlinear(mesh, mmap, f, config)
+                solver.solve_nonlinear(mesh, mmap, f, **start)
             errors.append(info.value)
         new, ref = errors
         assert str(new) == str(ref)
@@ -768,11 +788,16 @@ class TestLambdaSweep:
 
     @staticmethod
     def unshared_sweep(monkeypatch, *args, **kwargs):
-        """``lambda_sweep`` with each point's solve_nonlinear given no
-        shared last solve: the same warm guesses, no reuse across points."""
+        """``lambda_sweep`` with each point's solve_nonlinear given a
+        fresh last solve instead of the shared one: the same starts, no
+        reuse across points."""
         solve = solver.solve_nonlinear
 
-        def alone(*a, _last_solve=None, **kw):
+        def alone(*a, _warm=None, **kw):
+            # a renamed private keyword would pass the shared state on
+            assert not any(key.startswith("_") for key in kw)
+            if _warm is not None:  # a point; the limit solve takes none
+                kw["_warm"] = (_warm[0], solver._LastSolve())
             return solve(*a, **kw)
 
         with monkeypatch.context() as patch:
@@ -874,8 +899,19 @@ class TestLambdaSweep:
     def test_rescaled_solves_agree_with_unshared_points(self, monkeypatch):
         # 1 V x lambda: the first two points move sigma, the rest share it
         args = self.saturated_cable_sweep(1.0)
+        solve = fem.solve_spd
+        calls = []
+
+        def counting(*a, **kw):
+            calls.append(a)
+            return solve(*a, **kw)
+
+        monkeypatch.setattr(fem, "solve_spd", counting)
         sweep = solver.lambda_sweep(*args)
+        shared = len(calls)
         ref = self.unshared_sweep(monkeypatch, *args)
+        # the reference solves what the sweep rescales
+        assert len(calls) - shared > shared
         assert sweep.all_ok
         self.assert_within_bounds(sweep, ref)
 
@@ -925,20 +961,27 @@ class TestSharedAssembler:
     def test_rejects_an_assembler_of_another_problem(self, holed_disk):
         nodes, values = disk_profile(holed_disk, lambda x, y: x)
         twin = qm.generate_petal_cable(1.0, [(0.0, 0.0)], 0.3, 3)
-        petal = ("inclusion-1",)
         cases = [
-            (fem.Assembler(twin, nodes), {}, "another mesh"),
-            (fem.Assembler(holed_disk, nodes[1:]), {},
-             "another boundary node set"),
-            (fem.Assembler(holed_disk, nodes, pec_regions=petal), {},
-             "another conductor split"),
-            (fem.Assembler(holed_disk, nodes), {"excluded_regions": petal},
-             "another conductor split"),
+            (fem.Assembler(twin, nodes), "another mesh"),
+            (fem.Assembler(holed_disk, nodes[1:]), "another boundary node set"),
         ]
-        for asm, split, what in cases:
+        for asm, what in cases:
             with pytest.raises(ValueError, match=what):
                 solver.solve_nonlinear(holed_disk, self.MAP, (nodes, values),
-                                       assembler=asm, **split)
+                                       assembler=asm)
+
+    @pytest.mark.parametrize("split, limit", [
+        ({"pec_regions": ("inclusion-1",)}, solver.solve_pec_limit),
+        ({"excluded_regions": ("inclusion-1",)}, solver.solve_pei_limit)])
+    def test_the_split_is_the_assemblers(self, holed_disk, split, limit):
+        nodes, values = disk_profile(holed_disk, lambda x, y: x)
+        asm = fem.Assembler(holed_disk, nodes, **split)
+        sol = solver.solve_nonlinear(holed_disk, self.MAP, (nodes, values),
+                                     assembler=asm)
+        ref = limit(holed_disk, self.MAP, ("inclusion-1",), (nodes, values))
+        assert np.array_equal(sol.nodal_potential, ref.nodal_potential,
+                              equal_nan=True)
+        assert sol.energy == ref.energy
 
     def test_eight_point_pec_sweep_builds_two_assemblers(self, holed_disk,
                                                          monkeypatch):

@@ -475,8 +475,9 @@ def fixed_point_g(mesh, mmap, amplitude, pec_regions=()):
     for j in range(m):
         values = np.full(len(all_nodes), -amplitude / m)
         values[np.isin(all_nodes, groups[j])] += amplitude
-        sol = solver.solve_nonlinear(mesh, mmap, (all_nodes, values),
-                                     pec_regions=pec_regions)
+        sol = solver.solve_nonlinear(
+            mesh, mmap, (all_nodes, values),
+            assembler=fem.Assembler(mesh, all_nodes, pec_regions=pec_regions))
         e_mag = np.hypot(*sol.element_gradient.T)
         reactions = (asm.raw_matrix(mmap.sigma_elements(mesh, e_mag))
                      @ np.nan_to_num(sol.nodal_potential))

@@ -108,3 +108,38 @@ def test_tracer_nests_nonlinear_matrix_solves_under_the_matrix():
     assert metrics["solver.solve_nonlinear.calls"] == 4  # one per electrode
     assert metrics["fem.assemblers_per_matrix"] == 1
     assert metrics["fem.solves_per_pattern"] > 1  # Picard steps
+
+
+# the imports and the tracer of PROBE, then a 3-point pec sweep on a small
+# holed disk: the sweep calls solve_nonlinear through the module, so the
+# tracer sees the limit solve and every point, and counts their steps
+SWEEP_PROBE = PROBE[:PROBE.index("disk = ")] + r"""
+disk = mesh.generate_petal_cable(1.0, [(0.0, 0.0)], 0.3, 2)
+mmap = materials.MaterialMap({"matrix": materials.weighted_power(1.0, 2.0),
+                              "inclusion-1": materials.weighted_power(1.0, 1.5)})
+sweep = solver.lambda_sweep(disk, mmap, solver.linear_profile(disk),
+                            [1.0, 0.1, 0.01], "pec")
+metrics = spans.layer_metrics(tracer, solver.VIOLATIONS)
+print(json.dumps({
+    "ok": sweep.all_ok,
+    "limit": sweep.limit.iterations,
+    "points": sweep.picard_iters.tolist(),
+    "metrics": {k: metrics[k] for k in (
+        "solver.solve_nonlinear.calls", "solver.picard_iterations")},
+}))
+"""
+
+
+def test_tracer_counts_every_sweep_point():
+    env = dict(os.environ, PYTHONPATH=str(Path(qlert.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", SWEEP_PROBE, str(REPO / "bench" / "spans.py")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(out.stdout)
+    assert result["ok"]
+    metrics = result["metrics"]
+    assert metrics["solver.solve_nonlinear.calls"] == 4  # limit + 3 points
+    assert metrics["solver.picard_iterations"] == (
+        result["limit"] + sum(result["points"]))
+    assert sum(result["points"]) > 3  # the inclusion's law moves sigma
