@@ -567,8 +567,11 @@ def cmd_oracle(config, digest, out, seed):
     refinements, rpath = task.raw("refinements", default=[2, 3, 4])
     if (not isinstance(refinements, list) or len(refinements) < 2
             or any(isinstance(v, bool) or not isinstance(v, int) or v < 1
-                   for v in refinements)):
-        _fail(rpath, "expected a list of at least two refinement levels")
+                   for v in refinements)
+            or len(set(refinements)) < len(refinements)):
+        # a repeated level has no observed order: log(h/h) = 0
+        _fail(rpath, "expected a list of at least two distinct refinement "
+                     "levels")
     cfg = build_solver_config(config)
     # a config shared with the other commands may hold their sections
     config.accept("geometry", "materials", "boundary")

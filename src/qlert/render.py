@@ -351,7 +351,9 @@ def _log_ticks(lo, hi):
 def line_plot(series, title="", xlabel="", ylabel="", comment=""):
     """Log-log polyline chart with decade gridlines. ``series`` is a list
     of (label, xs, ys); points that are not finite and positive in both
-    coordinates are dropped per series."""
+    coordinates are dropped per series. With no point left in any series
+    (an error curve that is exactly zero) the chart is the empty frame
+    with a "no positive values" note."""
     width, height = _PLOT_SIZE
     box = (64.0, 30.0, width - 84.0, height - 84.0)
     cleaned = []
@@ -361,18 +363,6 @@ def line_plot(series, title="", xlabel="", ylabel="", comment=""):
         keep = (0 < xs) & (xs < np.inf) & (0 < ys) & (ys < np.inf)
         if keep.any():
             cleaned.append((label, xs[keep], ys[keep]))
-    if not cleaned:
-        raise ValueError("no finite data to plot")
-
-    all_x = np.concatenate([xs for _, xs, _ in cleaned])
-    all_y = np.concatenate([ys for _, _, ys in cleaned])
-    xlim = (float(np.log10(all_x.min())), float(np.log10(all_x.max())))
-    ylim = (float(np.log10(all_y.min())), float(np.log10(all_y.max())))
-    if xlim[0] == xlim[1]:
-        xlim = (xlim[0] - 0.5, xlim[1] + 0.5)
-    if ylim[0] == ylim[1]:
-        ylim = (ylim[0] - 0.5, ylim[1] + 0.5)
-    frame = _Frame(xlim, ylim, box)
 
     body = _figure(width, height, title, comment)
     px, py, pw, ph = box
@@ -380,15 +370,31 @@ def line_plot(series, title="", xlabel="", ylabel="", comment=""):
         f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(pw)}" '
         f'height="{_fmt(ph)}" fill="none" stroke="#404040"/>'
     )
+    x_ticks = y_ticks = ()
+    if cleaned:
+        all_x = np.concatenate([xs for _, xs, _ in cleaned])
+        all_y = np.concatenate([ys for _, _, ys in cleaned])
+        xlim = (float(np.log10(all_x.min())), float(np.log10(all_x.max())))
+        ylim = (float(np.log10(all_y.min())), float(np.log10(all_y.max())))
+        if xlim[0] == xlim[1]:
+            xlim = (xlim[0] - 0.5, xlim[1] + 0.5)
+        if ylim[0] == ylim[1]:
+            ylim = (ylim[0] - 0.5, ylim[1] + 0.5)
+        frame = _Frame(xlim, ylim, box)
+        x_ticks = _log_ticks(all_x.min(), all_x.max())
+        y_ticks = _log_ticks(all_y.min(), all_y.max())
+    else:
+        body.append(_text(px + pw / 2.0, py + ph / 2.0, "no positive values",
+                          anchor="middle"))
 
-    for v in _log_ticks(all_x.min(), all_x.max()):
+    for v in x_ticks:
         gx = frame.x(np.log10(v))
         body.append(
             f'<line x1="{_fmt(gx)}" y1="{_fmt(py)}" x2="{_fmt(gx)}" '
             f'y2="{_fmt(py + ph)}" stroke="#d8d8d8" stroke-width="0.7"/>'
         )
         body.append(_text(gx, py + ph + 16, _fmt(v), size=10, anchor="middle"))
-    for v in _log_ticks(all_y.min(), all_y.max()):
+    for v in y_ticks:
         gy = frame.y(np.log10(v))
         body.append(
             f'<line x1="{_fmt(px)}" y1="{_fmt(gy)}" x2="{_fmt(px + pw)}" '

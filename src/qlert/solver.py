@@ -15,12 +15,15 @@ exactly. Each linearized solve still starts cold, from zero, so that a
 step is a fixed function of sigma and the loop stops once sigma stops
 changing; it also lets a step whose sigma equals the last solved one bit
 for bit reuse that solution, so a field-independent map takes one linear
-solve, and a sweep point whose sigma did not move rescales the last
-point's solution by the ratio of the data scales. A cold solve (any but
-a warm-started sweep point) starts from the small-data limit of the
-paper: sigma at zero field wherever it exceeds sigma at the data-scale
-field, which puts saturating petals at sigma_cap, the perfect conductor,
-and leaves every other region at its data-scale sigma. That start is
+solve. A sweep point solves the normalized problem for u/lambda on the
+unit profile, with sigma and the stored energy taken at the physical
+field, lambda times its own, so every point has the same data and a
+point whose sigma did not move reuses the last point's solution as it
+is. A cold solve (any but a warm-started sweep point) starts from the
+small-data limit of the paper: sigma at zero field wherever it exceeds
+sigma at the data-scale field, which puts saturating petals at
+sigma_cap, the perfect conductor, and leaves every other region at its
+data-scale sigma. That start is
 kept only if sigma at its own field equals it bit for bit, so that it is
 the exact fixed point of the regularized problem and one step confirms
 it with change 0; otherwise the solve starts from sigma frozen at the
@@ -210,47 +213,31 @@ def _check_assembler(asm, mesh, nodes):
         raise ValueError("assembler was built for another boundary node set")
 
 
-def _field(mesh, u):
-    """(element gradients, their magnitudes) of nodal potentials u."""
+def _field(mesh, u, lam):
+    """(element gradients, lam times their magnitudes) of nodal
+    potentials u: the physical field of u scaled by lam."""
     grads = fem.element_gradients(mesh, u)
-    return grads, np.hypot(grads[:, 0], grads[:, 1])
+    return grads, lam * np.hypot(grads[:, 0], grads[:, 1])
 
 
 class _LastSolve:
-    """The last linearized system solved, for systems whose boundary data
-    are ``scale`` times one fixed profile: its sigma, its scale and its
-    solution. The system is linear in the data, so one whose sigma equals
-    the last bit for bit is solved by that solution per unit of scale
-    times its own scale, and at the same scale by that solution itself.
-    A solve holds one for its own steps at scale 1; ``lambda_sweep``
-    shares one across its points, with ``scale`` set to each point's
-    lambda, and hands it to each point with the point's start."""
+    """The last linearized system solved: its sigma and its solution.
+    Every system that shares one has the same boundary data, so one whose
+    sigma equals the last bit for bit is solved by that solution. A solve
+    holds one for its own steps; ``lambda_sweep`` shares one across its
+    points, which all solve the unit profile."""
 
     def __init__(self):
-        self.scale = 1.0
         self._last = None
 
     def lookup(self, sigma):
-        """The solution at ``scale`` if ``sigma`` was the last solved,
-        else None."""
+        """The last solution if ``sigma`` was the last solved, else None."""
         if self._last is None or not np.array_equal(sigma, self._last[0]):
             return None
-        return self.at(self.scale)
-
-    def at(self, scale):
-        """The last solution rescaled to ``scale``; the solution itself at
-        the scale it was solved at."""
-        _, solved, x = self._last
-        return x if solved == scale else x / solved * scale
-
-    def rescaled(self, x, scale):
-        """True if ``x`` is the last solution rescaled, bit for bit, to
-        ``scale``, another scale than the one it was solved at."""
-        return (self._last is not None and self._last[1] != scale
-                and np.array_equal(x, self.at(scale)))
+        return self._last[1]
 
     def store(self, sigma, x):
-        self._last = (sigma, self.scale, x)
+        self._last = (sigma, x)
 
 
 def solve_nonlinear(mesh, material_map, f, config=None, context="nonlinear",
@@ -263,9 +250,11 @@ def solve_nonlinear(mesh, material_map, f, config=None, context="nonlinear",
     deflation basis; its ``pec_regions`` float, its ``excluded_regions``
     are dropped, and only its ``kept_regions`` need a material and set
     the damping (``NonlinearSolveConfig``). By default the solve builds
-    one that keeps every region. ``_warm`` is ``lambda_sweep``'s pair
-    (free-dof start, shared ``_LastSolve``) for a point; a solve of its
-    own starts cold with a fresh ``_LastSolve``.
+    one that keeps every region. ``_warm`` is ``lambda_sweep``'s triple
+    (free-dof start or None, shared ``_LastSolve``, lambda) for a point:
+    ``f`` is then the unit profile and the solution u/lambda, whose sigma
+    and stored energy are those of u. A solve of its own has lambda 1 and
+    starts cold with a fresh ``_LastSolve``.
     """
     config = config or NonlinearSolveConfig()
     nodes, values = _boundary_pair(f)
@@ -300,8 +289,9 @@ def solve_nonlinear(mesh, material_map, f, config=None, context="nonlinear",
     # sigma and the data, and a step whose sigma equals the last solved
     # one bit for bit reuses that answer (``_LastSolve``): a
     # field-independent map takes one linear solve, not two, and a sweep
-    # point whose sigma did not move rescales the last point's solve.
-    start, last = _warm if _warm is not None else (None, _LastSolve())
+    # point whose sigma did not move reuses the last point's solve.
+    start, last, lam = (_warm if _warm is not None
+                        else (None, _LastSolve(), 1.0))
 
     def linear_solve(sig):
         x_lin = last.lookup(sig)
@@ -327,7 +317,7 @@ def solve_nonlinear(mesh, material_map, f, config=None, context="nonlinear",
         # per column: a reduction over axis 0 of (n, 2) is many times slower
         px, py = mesh.nodes.T
         diam = float(max(px.max() - px.min(), py.max() - py.min()))
-        e_char = span / max(diam, 1e-300)
+        e_char = lam * span / max(diam, 1e-300)
         n_el = mesh.element_count
         sig_data = material_map.sigma_elements(
             mesh, np.full(n_el, e_char), active)
@@ -340,7 +330,7 @@ def solve_nonlinear(mesh, material_map, f, config=None, context="nonlinear",
         if np.all(np.isfinite(sig_small)):
             x = linear_solve(sig_small)
             u = asm.expand(x, values)
-            grads, e_mag = _field(mesh, u)
+            grads, e_mag = _field(mesh, u, lam)
             if np.all(np.isfinite(e_mag[kept])):
                 sig = material_map.sigma_elements(mesh, e_mag, active)
                 fixed = np.array_equal(sig, sig_small)
@@ -350,7 +340,7 @@ def solve_nonlinear(mesh, material_map, f, config=None, context="nonlinear",
         u = asm.expand(x, values)
         # each iterate's field feeds both its energy and the next step's
         # sigma
-        grads, e_mag = _field(mesh, u)
+        grads, e_mag = _field(mesh, u, lam)
         sig = None  # if any, of the rejected start's field
 
     energies = [energy_of(u, e_mag)]
@@ -383,7 +373,7 @@ def solve_nonlinear(mesh, material_map, f, config=None, context="nonlinear",
         else:
             x = x_new
             u = asm.expand(x, values)
-            grads, e_mag = _field(mesh, u)
+            grads, e_mag = _field(mesh, u, lam)
             sig = None  # of the old field
             energies.append(energy_of(u, e_mag))
         changes.append(change)
@@ -556,23 +546,25 @@ def _warn_exponent_mismatch(material_map, inclusion_regions, p0, limit_kind):
 
 def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, p0=2.0,
                  config=None):
-    """Solve at boundary data lam*f over a decreasing grid of lam and
-    compare normalized solutions against the stated limiting problem.
+    """Solve the normalized problems for u_lam/lam, u_lam the solution
+    at boundary data lam*f, over a decreasing grid of lam and compare
+    them against the stated limiting problem.
 
     The mesh's inclusions are the regions that the limit replaces: by
     perfect conductors when ``limit_kind`` is "pec", by perfect
     insulators when it is "pei". The limiting solution is solved here,
-    with ``config``, like every point. The data are lam * f, so each
-    linearized system is linear in lam: a step whose sigma equals the last
-    one solved in the sweep bit for bit (at every point where saturated
-    petals sit at ``sigma_cap`` and the rest is linear) takes that
-    solution times the ratio of the lambdas instead of a linear solve.
-    Each point after the first starts from the last converged point's
-    potential scaled to its lambda; when that point itself ended on such
-    a rescale, the start is the same solution rescaled the same way to
-    the new lambda, so that a point whose sigma does not move computes
-    one field and one energy. Individual failures are recorded in
-    ``status`` and do not abort the sweep."""
+    with ``config``, like every point. Each point solves for u_lam/lam
+    on the profile ``f`` itself, with sigma and the stored energy taken
+    at lam times its field, so every linearized system has the same data:
+    a step whose sigma equals the last one solved in the sweep bit for bit
+    (at every point where saturated petals sit at ``sigma_cap`` and the
+    rest is linear) takes that solution instead of a linear solve. Each
+    point after the first starts from the last converged point's
+    solution, so a point whose sigma does not move computes one field and
+    one energy. ``solutions`` holds the normalized fields; the ``energy``
+    of each is the stored energy of u_lam, which ``g0`` divides by
+    lam**p0. Individual failures are recorded in ``status`` and do not
+    abort the sweep."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.ndim != 1 or len(lambda_grid) == 0:
         raise ValueError("lambda grid must be a non-empty 1-d array")
@@ -603,7 +595,7 @@ def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, p0=2.0,
 
     # one assembler, and one deflation basis, for every point: they share
     # the mesh, the boundary nodes and the (empty) conductor split; and
-    # one last linear solve, at data scale lam for each point
+    # one last linear solve, since they share the data too
     asm = fem.Assembler(mesh, nodes)
     last = _LastSolve()
     n = len(lambda_grid)
@@ -613,35 +605,22 @@ def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, p0=2.0,
     iters = np.zeros(n, dtype=int)
     status = []
     solutions = []
-    prev = None
-    prev_lam = None
+    start = None  # the first point starts cold
     free = asm.node_dof >= 0
     for k, lam in enumerate(lambda_grid):
-        start = None  # a cold solve
-        if prev is not None:
-            x_prev = np.empty(asm.n_free)
-            x_prev[asm.node_dof[free]] = prev.nodal_potential[free]
-            if last.rescaled(x_prev, prev_lam):
-                # the last point ended on a rescaled solve: start this one
-                # on the rescale that its first step's lookup will return,
-                # so that the step leaves the iterate and its field alone
-                start = last.at(lam)
-            else:
-                start = x_prev * (lam / prev_lam)
-        last.scale = lam
         try:
             # a module global, so bench/spans.py's wrapper sees each point
             sol = solve_nonlinear(
-                mesh, material_map, (nodes, lam * values), config,
+                mesh, material_map, (nodes, values), config,
                 context=f"sweep lambda={lam:.3e}", assembler=asm,
-                _warm=(start, last),
+                _warm=(start, last, lam),
             )
         except (PicardNonConvergenceError, NumericalBreakdownError,
                 fem.NonConvergenceError) as err:
             status.append(f"error: {err}")
             solutions.append(None)
             continue
-        v = sol.nodal_potential / lam
+        v = sol.nodal_potential
         v_el = v[mesh.elements[mat_el]].mean(axis=1)
         e2[k] = float(np.sqrt(np.sum(area * (v_el - lim_el) ** 2))) / lim_l2
         einf[k] = float(np.max(np.abs(v[mat_nodes] - v_lim[mat_nodes]))) / lim_max
@@ -649,7 +628,8 @@ def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, p0=2.0,
         iters[k] = sol.iterations
         status.append("ok")
         solutions.append(sol)
-        prev, prev_lam = sol, lam
+        start = np.empty(asm.n_free)
+        start[asm.node_dof[free]] = v[free]
     return LambdaSweep(
         lambdas=lambda_grid, e2=e2, einf=einf, g0=g0, picard_iters=iters,
         status=tuple(status), limit=limit_solution, solutions=tuple(solutions),

@@ -630,6 +630,9 @@ def disc_test_domains(mesh, radii, spacing=None):
     px, py = mesh.nodes.T
     xs = np.arange(px.min() + step / 2, px.max(), step)
     ys = np.arange(py.min() + step / 2, py.max(), step)
+    if not (len(xs) and len(ys)):
+        raise ValueError(f"spacing {step:g} leaves no disc center inside "
+                         "the mesh")
     # each radius's disc masks, rows y-major, from the distances of every
     # centroid to the grid points of a block of grid rows, 8 MiB at a time
     rows = max(1, 2**20 // (len(xs) * len(c)))

@@ -137,7 +137,21 @@ def line_plot(series, title="", xlabel="", ylabel="", comment="", width=520,
         if keep.any():
             cleaned.append((label, xs[keep], ys[keep]))
     if not cleaned:
-        raise ValueError("no finite data to plot")
+        body = _figure(width, height, title, comment)
+        px, py, pw, ph = box
+        body.append(
+            f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(pw)}" '
+            f'height="{_fmt(ph)}" fill="none" stroke="#404040"/>'
+        )
+        body.append(_text(px + pw / 2.0, py + ph / 2.0, "no positive values",
+                          anchor="middle"))
+        if xlabel:
+            body.append(_text(px + pw / 2.0, height - 10, xlabel,
+                              anchor="middle"))
+        if ylabel:
+            body.append(_text(14, py - 10, ylabel))
+        body.append("</svg>")
+        return "\n".join(body) + "\n"
 
     all_x = np.concatenate([xs for _, xs, _ in cleaned])
     all_y = np.concatenate([ys for _, _, ys in cleaned])

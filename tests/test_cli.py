@@ -71,6 +71,22 @@ def sweep_config():
     }
 
 
+def power_sweep_config():
+    """A sweep whose error curves are positive: a centred weighted-power
+    inclusion whose small-field exponent 1.5 lies below the matrix's 2."""
+    tree = sweep_config()
+    tree["geometry"] = {
+        "shape": "cable",
+        "outer_radius_m": 1.0,
+        "petal_radius_m": 0.3,
+        "petals": {"centers_m": [[0.0, 0.0]]},
+        "refinement": 2,
+    }
+    tree["materials"]["inclusions"] = {"model": "weighted-power",
+                                       "theta": 1.0, "p": 1.5}
+    return tree
+
+
 def oracle_config():
     return {
         "units": "SI",
@@ -331,6 +347,7 @@ class TestConfigErrorTable:
         ("sweep", "task.lambda_high", 1e-3, "task.lambda_high"),
         ("oracle", "task.annulus_r", 5.0, "task.annulus_r"),
         ("oracle", "task.refinements", [2], "task.refinements"),
+        ("oracle", "task.refinements", [2, 2], "task.refinements"),
         ("oracle", "task.L", 5.0, "task.L"),
         ("tomo", "task.eta", -0.1, "task.eta"),
         ("tomo", "task.seed", -1, "task.seed"),
@@ -339,6 +356,7 @@ class TestConfigErrorTable:
         ("tomo", "task.defects", [], "task.defects"),
         ("tomo", "task.test_radii_m", "large", "task.test_radii_m"),
         ("tomo", "task.test_spacing_m", -0.1, "task.test_spacing_m"),
+        ("tomo", "task.test_spacing_m", 10.0, "task.test_radii_m"),
         ("tomo", "materials.matrix",
          {"model": "weighted-power", "theta": 1.0, "p": 3.0},
          "materials.matrix"),
@@ -361,9 +379,11 @@ class TestConfigErrorTable:
             "empty-centers", "centers-and-count", "material-entry-type",
             "unknown-preset", "coverage-at-one", "missing-geometry",
             "missing-task", "unknown-top-key", "lambda-order",
-            "annulus-r-below-10", "one-refinement", "L-at-most-10",
+            "annulus-r-below-10", "one-refinement", "repeated-refinement",
+            "L-at-most-10",
             "negative-eta", "negative-seed", "factor-at-one", "no-defects",
-            "radii-type", "negative-spacing", "nonlinear-matrix",
+            "radii-type", "negative-spacing", "empty-test-grid",
+            "nonlinear-matrix",
             "defect-entry-type", "defect-center", "unknown-disc-key",
             "defects-miss-mesh", "delta-word", "nan-eta",
             "infinite-amplitude", "infinite-center"])
@@ -376,7 +396,7 @@ class TestConfigErrorTable:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert f"{path}: " in err
-        assert not any(out.glob("*"))
+        assert not out.exists()
 
 
 class TestNonFiniteNumbers:
@@ -566,13 +586,26 @@ class TestSweepCommand:
         assert lines[1] == "lambda,e2,einf,G0_lambda,picard_iters"
         data = np.array([line.split(",") for line in lines[2:]], dtype=float)
         assert data.shape == (3, 5)
-        # quadratic material: the normalized solution is scale-free
-        assert np.all(data[:, 1] <= 1e-9)
+        # quadratic material: every point solves the limit's own problem
+        assert np.all(data[:, 1] == 0.0)
         svg = (out / "sweep.svg").read_text()
-        assert svg.startswith("<svg") and "polyline" in svg
+        assert svg.startswith("<svg") and "polyline" not in svg
+        assert "no positive values" in svg
         report = json.loads((out / "report.json").read_text())
         assert report["all_ok"] is True
         assert report["status"] == ["ok", "ok", "ok"]
+
+    def test_power_law_inclusion_plots_both_error_curves(self, tmp_path):
+        path = write_config(tmp_path, power_sweep_config())
+        out = tmp_path / "out"
+        assert run("sweep", path, out) == cli.EXIT_OK
+        lines = (out / "sweep.csv").read_text().splitlines()
+        data = np.array([line.split(",") for line in lines[2:]], dtype=float)
+        # the inclusion approaches the perfect conductor as lambda falls
+        assert np.all(data[:, 1] > 0) and np.all(np.diff(data[:, 1]) < 0)
+        svg = (out / "sweep.svg").read_text()
+        assert svg.count("<polyline") == 2
+        assert "no positive values" not in svg
 
 
 class TestOracleCommand:

@@ -226,7 +226,8 @@ class TestMatchesPerValueWriters:
         [("one", [0.5], [0.25])],
         [("s", [1.0, 2.0, 3.0], [1.0, np.inf, 3.0]),
          *[(f"k{k}", XS, XS + k) for k in range(5)]],
-    ], ids=["sweep", "dropped-points", "one-point", "many-series"])
+        [("e2", XS, XS * 0.0), ("einf", XS, np.full_like(XS, np.nan))],
+    ], ids=["sweep", "dropped-points", "one-point", "many-series", "empty"])
     def test_line_plot(self, series):
         kwargs = dict(title="t", xlabel="x", ylabel="y", comment="c")
         assert (render.line_plot(series, **kwargs)
@@ -277,9 +278,11 @@ class TestLinePlot:
         assert svg.count(",") >= 2
         minidom.parseString(svg)
 
-    def test_rejects_all_nan_series(self):
-        with pytest.raises(ValueError, match="finite"):
-            render.line_plot([("s", [1.0], [np.nan])])
+    def test_all_nan_series_draws_an_empty_frame(self):
+        svg = render.line_plot([("s", [1.0], [np.nan])], xlabel="x")
+        assert "no positive values" in svg and ">x</text>" in svg
+        assert "<polyline" not in svg
+        minidom.parseString(svg)
 
     def test_multiple_series_get_distinct_colors(self):
         xs = np.arange(4.0)

@@ -39,11 +39,11 @@ def disk_profile(mesh, values_of):
 def warm_start(asm, u):
     """``solve_nonlinear`` keywords that start it, as a sweep point
     starts, from the free-dof values on ``asm`` of the nodal potentials
-    ``u``, with a last solve of its own."""
+    ``u``, with a last solve of its own, at lambda 1."""
     free = asm.node_dof >= 0
     x = np.empty(asm.n_free)
     x[asm.node_dof[free]] = u[free]
-    return {"_warm": (x, solver._LastSolve())}
+    return {"_warm": (x, solver._LastSolve(), 1.0)}
 
 
 # the solves that take boundary data: the limit solves build their own
@@ -782,22 +782,25 @@ class TestLambdaSweep:
         assert columns[0][0] == 1.0
         assert columns[4][1] == sweep.picard_iters[1]
 
-    # Points of a sweep share their last linear solve: a step whose sigma
-    # equals it bit for bit rescales it to the point's lambda. The
-    # reference replays the sweep with every point solved on its own.
+    # Points of a sweep share their last linear solve: every point solves
+    # the unit profile, so a step whose sigma equals it bit for bit takes
+    # it as it is. The reference replays the sweep with every point solved
+    # on its own, and since a linear solve is a fixed function of sigma,
+    # it matches bit for bit.
 
     @staticmethod
     def unshared_sweep(monkeypatch, *args, **kwargs):
         """``lambda_sweep`` with each point's solve_nonlinear given a
-        fresh last solve instead of the shared one: the same starts, no
-        reuse across points."""
+        fresh last solve instead of the shared one: the same starts and
+        lambdas, no reuse across points."""
         solve = solver.solve_nonlinear
 
         def alone(*a, _warm=None, **kw):
             # a renamed private keyword would pass the shared state on
             assert not any(key.startswith("_") for key in kw)
             if _warm is not None:  # a point; the limit solve takes none
-                kw["_warm"] = (_warm[0], solver._LastSolve())
+                start, _, lam = _warm
+                kw["_warm"] = (start, solver._LastSolve(), lam)
             return solve(*a, **kw)
 
         with monkeypatch.context() as patch:
@@ -815,24 +818,16 @@ class TestLambdaSweep:
         return mesh, mmap, f, grid, "pec"
 
     @staticmethod
-    def assert_within_bounds(sweep, ref):
+    def assert_bit_for_bit(sweep, ref):
         assert sweep.status == ref.status
-        assert np.array_equal(sweep.picard_iters, ref.picard_iters)
-        ok = np.isfinite(ref.e2)
-        assert np.array_equal(np.isfinite(sweep.e2), ok)
-        for got, want, rtol in ((sweep.e2, ref.e2, 1e-7),
-                                (sweep.einf, ref.einf, 1e-7),
-                                (sweep.g0, ref.g0, 1e-12)):
-            assert np.all(np.abs(got[ok] - want[ok])
-                          <= rtol * np.abs(want[ok]))
-        # up to the first converged point nothing is shared yet
-        first = int(np.argmax(ok))
-        for got, want in ((sweep.e2, ref.e2), (sweep.einf, ref.einf),
-                          (sweep.g0, ref.g0)):
-            assert np.array_equal(got[:first + 1], want[:first + 1],
-                                  equal_nan=True)
-        assert np.array_equal(sweep.solutions[first].nodal_potential,
-                              ref.solutions[first].nodal_potential)
+        for got, want in zip(sweep.columns(), ref.columns()):
+            assert np.array_equal(got, want, equal_nan=True)
+        for got, want in zip(sweep.solutions, ref.solutions):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got.nodal_potential,
+                                      want.nodal_potential)
+                assert got.energy == want.energy
 
     def test_points_that_share_sigma_rescale_the_last_solve(
             self, monkeypatch):
@@ -891,10 +886,10 @@ class TestLambdaSweep:
         # 1 mV x lambda: every point lies below saturation
         sweep = solver.lambda_sweep(*self.saturated_cable_sweep(1e-3))
         assert sweep.all_ok
-        # the limit and the first point solve; the second point, the first
-        # rescale, starts from the first point's potential scaled and
-        # moves once; every later point starts on its rescale and keeps it
-        assert per_solve == [(1, 1), (1, 1), (2, 2)] + [(1, 1)] * 6
+        # the limit and the first point solve; every later point starts on
+        # the last point's solution, which its first step's lookup returns,
+        # and keeps it
+        assert per_solve == [(1, 1)] * 9
 
     def test_rescaled_solves_agree_with_unshared_points(self, monkeypatch):
         # 1 V x lambda: the first two points move sigma, the rest share it
@@ -910,10 +905,10 @@ class TestLambdaSweep:
         sweep = solver.lambda_sweep(*args)
         shared = len(calls)
         ref = self.unshared_sweep(monkeypatch, *args)
-        # the reference solves what the sweep rescales
+        # the reference solves what the sweep reuses
         assert len(calls) - shared > shared
         assert sweep.all_ok
-        self.assert_within_bounds(sweep, ref)
+        self.assert_bit_for_bit(sweep, ref)
 
     def test_moving_sigma_matches_unshared_points_bit_for_bit(
             self, holed_disk, monkeypatch):
@@ -926,10 +921,21 @@ class TestLambdaSweep:
         sweep = solver.lambda_sweep(*args)
         ref = self.unshared_sweep(monkeypatch, *args)
         assert len(grid) == 8 and sweep.all_ok
-        for got, want in zip(sweep.columns(), ref.columns()):
-            assert np.array_equal(got, want)
-        for got, want in zip(sweep.solutions, ref.solutions):
-            assert np.array_equal(got.nodal_potential, want.nodal_potential)
+        self.assert_bit_for_bit(sweep, ref)
+
+    def test_points_match_plain_solves_of_the_scaled_data(self):
+        # each point is the normalized solution: a cold solve at data
+        # lam*f, divided by lam, up to the Picard and CG tolerances
+        mesh, mmap, (nodes, values), _, kind = self.saturated_cable_sweep(1.0)
+        grid = solver.log_grid(1e-1, 1e-6, per_decade=2)
+        sweep = solver.lambda_sweep(mesh, mmap, (nodes, values), grid, kind)
+        assert sweep.all_ok
+        for lam, sol in zip(grid, sweep.solutions):
+            plain = solver.solve_nonlinear(mesh, mmap, (nodes, lam * values))
+            want = plain.nodal_potential / lam
+            assert (np.max(np.abs(sol.nodal_potential - want))
+                    <= 1e-7 * np.max(np.abs(want)))
+            assert abs(sol.energy - plain.energy) <= 1e-10 * plain.energy
 
     def test_failed_point_leaves_later_points_correct(self, monkeypatch):
         # one step per point: the 0.1 V point, above saturation, fails;
@@ -940,7 +946,7 @@ class TestLambdaSweep:
         ref = self.unshared_sweep(monkeypatch, *args, config=starved)
         assert sweep.status[0].startswith("error:")
         assert sweep.status[1:] == ("ok",) * 7
-        self.assert_within_bounds(sweep, ref)
+        self.assert_bit_for_bit(sweep, ref)
 
 
 class TestSharedAssembler:

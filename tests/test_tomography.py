@@ -301,6 +301,9 @@ class TestScenarios:
             tomo.disc_test_domains(tagged_disk, -0.1)
         with pytest.raises(ValueError):
             tomo.disc_test_domains(tagged_disk, 0.3, spacing=0.0)
+        # a spacing wider than the mesh leaves an empty grid of centers
+        with pytest.raises(ValueError, match="no disc center"):
+            tomo.disc_test_domains(tagged_disk, 0.3, spacing=10.0)
         with pytest.raises(ValueError):
             tomo.TestDomain("empty", np.zeros(5, bool), (0.0, 0.0), 1.0)
 
