@@ -425,13 +425,11 @@ def cmd_solve(config, digest, out, seed):
     _ready(out, task, config)
 
     seen = len(solver.VIOLATIONS)  # the registry spans the process
-    regions = mesh.inclusion_regions()
-    if mode == "pec-limit":
-        sol = solver.solve_pec_limit(mesh, mmap, regions, f, cfg)
-    elif mode == "pei-limit":
-        sol = solver.solve_pei_limit(mesh, mmap, regions, f, cfg)
-    else:
+    if mode == "nonlinear":
         sol = solver.solve_nonlinear(mesh, mmap, f, cfg)
+    else:
+        sol = solver.solve_limit(mesh, mmap, f, mode.removesuffix("-limit"),
+                                 cfg)
 
     u = sol.nodal_potential
     grad = sol.element_gradient
@@ -483,7 +481,6 @@ def cmd_sweep(config, digest, out, seed):
     if not high > low:
         task.fail("lambda_high", "must exceed lambda_low")
     per_decade = task.integer("per_decade", default=9, minimum=1)
-    p0 = task.number("p0", default=2.0, positive=True)
     mesh = build_mesh(config)
     mmap = materials.MaterialMap(build_material_models(config, mesh))
     f, _, _ = build_boundary(config, mesh)
@@ -491,8 +488,7 @@ def cmd_sweep(config, digest, out, seed):
     _ready(out, task, config)
 
     grid = solver.log_grid(high, low, per_decade)
-    sweep = solver.lambda_sweep(mesh, mmap, f, grid, limit_kind, p0=p0,
-                                config=cfg)
+    sweep = solver.lambda_sweep(mesh, mmap, f, grid, limit_kind, config=cfg)
     bad = sum(s != "ok" for s in sweep.status)
     if bad == len(grid):
         return _solver_error(f"all {bad} sweep points failed, the first with "
@@ -533,14 +529,14 @@ def annulus_validation(refinements, r=10.0, config=None):
     from . import oracle  # only the oracle command loads the references
 
     fields = oracle.annulus_fields(r)
+    mmap = materials.MaterialMap({"matrix": materials.linear(1.0)})
     rows = []
     prev = None
     for ref in refinements:
         mesh = qmesh.generate_petal_cable(r, [(0.0, 0.0)], 1.0, ref)
         nodes = qmesh.outer_boundary_nodes(mesh)
         f = (nodes, fields.gamma * mesh.nodes[nodes, 0])
-        sol = solver.solve_pec_limit(mesh, materials.linear(1.0),
-                                     mesh.inclusion_regions(), f, config)
+        sol = solver.solve_limit(mesh, mmap, f, "pec", config)
         keep = mesh.region_mask("matrix")
         areas = qmesh.element_areas(mesh)[keep]
         cx, cy = qmesh.element_centroids(mesh)[keep].T
@@ -691,17 +687,21 @@ def cmd_tomo(config, digest, out, seed):
     mesh = _tag_distinct_electrodes(mesh, layout)
     cfg = build_solver_config(config)
     matrix_model = models["matrix"]
-    if matrix_model.kind != "linear":
+    if not matrix_model.field_independent:
         _fail("materials.matrix",
               "defect imaging needs a linear matrix model")
-    defect_model = materials.linear(factor * matrix_model.sigma0)
+    defect_model = materials.linear(factor * matrix_model.theta)
     vmask = np.zeros(mesh.element_count, dtype=bool)
     for center, radius in discs:
         vmask |= tomography.disc_mask(mesh, center, radius)
     if not vmask.any():
         _fail(dpath, "defect discs select no matrix elements")
-    with _blame(rpath):
+    try:
         domains = tomography.disc_test_domains(mesh, radii, spacing=spacing)
+    except ValueError as exc:
+        # the grid's step is the spacing when one is set
+        spaced = spacing is not None and str(exc).startswith("spacing")
+        _fail(task.key("test_spacing_m") if spaced else rpath, str(exc))
     _ready(out, task, config)
 
     operator = tomography.ConductanceOperator(

@@ -7,16 +7,20 @@ sigma(xi)*xi over those same pieces, so the differential consistency
 dQ/dE = sigma(E)*E holds for precisely the function the solver sees, not
 for an idealized cousin of it.
 
-Built-in kinds
---------------
+Built-in laws
+-------------
+Every factory but ``tabulated`` builds one weighted power law,
+sigma(E) = theta * E**m, with energy theta*E**(m+2)/(m+2):
+
 linear
-    sigma(E) = sigma0.
-weighted-power
-    sigma(E) = theta * E**(p-2); energy theta*E**p/p.
-ej-power-law
+    m = 0, theta = sigma0.
+weighted_power
+    m = p - 2; sigma(E) = theta * E**(p-2).
+ej_power_law
     sigma(E) = (jc/e0) * (E/e0)**((1-n)/n), the standard superconductor
-    E-J characterization. Its energy grows like E**(1/n+1).
-custom-tabulated
+    E-J characterization: m = (1-n)/n, theta = (jc/e0) * e0**(-m). Its
+    energy grows like E**(1/n+1).
+tabulated
     Piecewise-linear sigma between samples, constant beyond the ends.
 
 Regularization: evaluation uses max(E, e_floor) and caps sigma at
@@ -94,7 +98,9 @@ class _Piece:
 
 @dataclass(frozen=True)
 class MaterialModel:
-    """Immutable isotropic conductivity law with growth metadata.
+    """Immutable isotropic conductivity law with growth metadata: the
+    weighted power law sigma = theta * E**m, or the table
+    (``e_table``, ``sigma_table``) when one is given.
 
     ``p`` and ``p0`` are the claimed large- and small-field growth
     exponents of the energy density; factories fill them in for the
@@ -102,11 +108,8 @@ class MaterialModel:
     (the power-law criterion field for superconductors).
     """
 
-    kind: str
-    sigma0: float = 0.0
     theta: float = 0.0
-    jc: float = 0.0
-    n: float = 0.0
+    m: float = 0.0
     e0: float = 1.0
     e_table: np.ndarray | None = None
     sigma_table: np.ndarray | None = None
@@ -140,16 +143,12 @@ class MaterialModel:
         cuts = {0.0, np.inf}
         if floor > 0:
             cuts.add(floor)
-        if self.kind == "linear":
-            pass
-        elif self.kind in ("weighted-power", "ej-power-law"):
-            theta, m = self._power_law()
-            if m != 0.0 and np.isfinite(cap) and theta > 0:
-                ecap = (cap / theta) ** (1.0 / m)
-                if np.isfinite(ecap) and ecap > 0:
-                    cuts.add(ecap)
-        elif self.kind == "custom-tabulated":
+        if self.e_table is not None:
             cuts.update(float(e) for e in self.e_table if e > 0)
+        elif self.m != 0.0 and np.isfinite(cap) and self.theta > 0:
+            ecap = (cap / self.theta) ** (1.0 / self.m)
+            if np.isfinite(ecap) and ecap > 0:
+                cuts.add(ecap)
         bounds = np.array(sorted(cuts))
         pieces = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -166,20 +165,11 @@ class MaterialModel:
                 cum[i + 1] = np.inf
         return bounds, pieces, cum
 
-    def _power_law(self):
-        """(theta, m) with sigma = theta * E**m, for the two power laws."""
-        if self.kind == "weighted-power":
-            return self.theta, self.p - 2.0
-        m = (1.0 - self.n) / self.n
-        return (self.jc / self.e0) * self.e0 ** (-m), m
-
     def _classify(self, lo, hi, mid):
         cap, floor = self.sigma_cap, self.e_floor
         e_eff = max(mid, floor)
-        if self.kind == "linear":
-            return _Piece(lo, hi, _CONST, min(self.sigma0, cap), 0.0)
-        if self.kind in ("weighted-power", "ej-power-law"):
-            theta, m = self._power_law()
+        if self.e_table is None:
+            theta, m = self.theta, self.m
             val = theta * e_eff**m if e_eff > 0 else np.inf
             if mid < floor or m == 0.0:
                 return _Piece(lo, hi, _CONST, min(val, cap), 0.0)
@@ -199,11 +189,9 @@ class MaterialModel:
 
     @property
     def field_independent(self):
-        """True when sigma is one constant for every field: linear, or
-        weighted power with exponent 2."""
-        return self.kind == "linear" or (
-            self.kind == "weighted-power" and self.p == 2.0
-        )
+        """True when sigma is one constant for every field: a power law
+        with exponent m = 0 (linear, or weighted power with p = 2)."""
+        return self.e_table is None and self.m == 0.0
 
 
 def _check_field(E):
@@ -249,19 +237,15 @@ def energy_density(model, E):
 def linear(sigma0):
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
-    return MaterialModel(kind="linear", sigma0=float(sigma0), p=2.0, p0=2.0)
+    return MaterialModel(theta=float(sigma0), m=0.0, p=2.0, p0=2.0)
 
 
 def weighted_power(theta, p):
     """sigma(E) = theta * E**(p-2), energy theta*E**p/p."""
     if theta <= 0 or p <= 1:
         raise ValueError("need theta > 0 and p > 1")
-    return MaterialModel(
-        kind="weighted-power",
-        theta=float(theta),
-        p=float(p),
-        p0=float(p),
-    )
+    p = float(p)
+    return MaterialModel(theta=float(theta), m=p - 2.0, p=p, p0=p)
 
 
 def ej_power_law(jc, n, e0=1e-4):
@@ -272,22 +256,17 @@ def ej_power_law(jc, n, e0=1e-4):
     """
     if jc <= 0 or n <= 1 or e0 <= 0:
         raise ValueError("need jc > 0, n > 1, e0 > 0")
+    jc, n, e0 = float(jc), float(n), float(e0)
+    # m is not p - 2: for n = 27, (1 + 1/n) - 2 != (1 - n)/n in floats
+    m = (1.0 - n) / n
     g = 1.0 + 1.0 / n
-    return MaterialModel(
-        kind="ej-power-law",
-        jc=float(jc),
-        n=float(n),
-        e0=float(e0),
-        p=g,
-        p0=g,
-    )
+    return MaterialModel(theta=(jc / e0) * e0 ** (-m), m=m, e0=e0, p=g, p0=g)
 
 
 def tabulated(e_values, sigma_values, p=2.0, p0=2.0):
     """Piecewise-linear sigma through the given samples, constant beyond
     the ends. ``p`` and ``p0`` are the claimed growth exponents."""
     return MaterialModel(
-        kind="custom-tabulated",
         e_table=np.asarray(e_values, dtype=float),
         sigma_table=np.asarray(sigma_values, dtype=float),
         p=float(p),
@@ -400,7 +379,7 @@ def validate_assumptions(model, e_grid):
     if e[0] > ref * 1e-4 or e[-1] < ref * 1e4:
         raise ValueError("grid too small: must span e0/1e4 .. e0*1e4")
 
-    probe = model if model.kind == "custom-tabulated" else model.without_regularization()
+    probe = model if model.e_table is not None else model.without_regularization()
     q = energy_density(probe, e)
     s = np.diff(q) / np.diff(e)  # secant slopes; convexity = nondecreasing
     scale = np.maximum(np.abs(s[:-1]), np.abs(s[1:]))

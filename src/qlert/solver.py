@@ -32,7 +32,7 @@ about 20 mV at refinement 3) this replaces 5 to 40 steps by one linear
 solve. Each iterate's field is computed once and read by both its energy
 and the next step's sigma; a step that leaves the iterate unchanged bit
 for bit keeps it. A solve's conductor split is that of its
-``fem.Assembler``: the limit solves build theirs, ``lambda_sweep``
+``fem.Assembler``: ``solve_limit`` builds its own, ``lambda_sweep``
 shares one across its points, ``tomography.ConductanceOperator`` one
 across the patterns of each field-dependent matrix. Every converged
 solve runs two cheap monitors — energy descent along the iterates and
@@ -66,8 +66,7 @@ __all__ = [
     "clear_violations",
     "check_max_principle",
     "solve_nonlinear",
-    "solve_pec_limit",
-    "solve_pei_limit",
+    "solve_limit",
     "lambda_sweep",
     "log_grid",
     "linear_profile",
@@ -145,7 +144,7 @@ def _boundary_pair(f):
 def _auto_damping(material_map, labels):
     for lab in labels:
         model = material_map.for_region(lab)
-        if model.kind == "weighted-power" and model.p > 2.0:
+        if model.e_table is None and model.m > 0.0:
             return 0.7
     return 1.0
 
@@ -398,34 +397,21 @@ def solve_nonlinear(mesh, material_map, f, config=None, context="nonlinear",
     )
 
 
-def _as_map(mesh, matrix_material, hidden_regions):
-    from .materials import MaterialMap, MaterialModel
-
-    if isinstance(matrix_material, MaterialModel):
-        return MaterialMap({lab: matrix_material
-                            for lab in mesh.region_elements()
-                            if lab not in hidden_regions})
-    return matrix_material
-
-
-def solve_pec_limit(mesh, matrix_material, pec_regions, f, config=None):
-    """Limiting solve with the inclusions replaced by perfect conductors.
-
-    ``matrix_material`` is a single model applied to every non-merged
-    region, or a full MaterialMap. The Assembler of the solve merges
-    ``pec_regions``. A field-independent model (linear, or weighted
-    power with exponent 2) converges in one step."""
-    asm = fem.Assembler(mesh, f[0], pec_regions=pec_regions)
-    return solve_nonlinear(mesh, _as_map(mesh, matrix_material, pec_regions),
-                           f, config, "pec-limit", asm)
-
-
-def solve_pei_limit(mesh, matrix_material, pei_regions, f, config=None):
-    """Limiting solve with the inclusions replaced by perfect insulators,
-    ``solve_pec_limit`` with ``pei_regions`` excluded instead."""
-    asm = fem.Assembler(mesh, f[0], excluded_regions=pei_regions)
-    return solve_nonlinear(mesh, _as_map(mesh, matrix_material, pei_regions),
-                           f, config, "pei-limit", asm)
+def solve_limit(mesh, material_map, f, limit_kind, config=None):
+    """Limiting solve with the mesh's inclusions replaced by perfect
+    conductors (``limit_kind`` "pec": its Assembler merges them) or by
+    perfect insulators ("pei": its Assembler excludes them). Only the
+    other regions need a material; a field-independent map converges in
+    one step."""
+    regions = tuple(mesh.inclusion_regions())
+    if limit_kind == "pec":
+        asm = fem.Assembler(mesh, f[0], pec_regions=regions)
+    elif limit_kind == "pei":
+        asm = fem.Assembler(mesh, f[0], excluded_regions=regions)
+    else:
+        raise ValueError("limit_kind must be 'pec' or 'pei'")
+    return solve_nonlinear(mesh, material_map, f, config,
+                           f"{limit_kind}-limit", asm)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +530,17 @@ def _warn_exponent_mismatch(material_map, inclusion_regions, p0, limit_kind):
             )
 
 
-def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, p0=2.0,
-                 config=None):
+def _declared_p0(material_map, labels):
+    """The small-field exponent p0 that the laws of ``labels`` declare;
+    ValueError unless they declare one."""
+    declared = {lab: material_map.for_region(lab).p0 for lab in labels}
+    if len(set(declared.values())) != 1:
+        raise ValueError(f"the regions outside the inclusions must declare "
+                         f"one small-field exponent p0, got {declared}")
+    return next(iter(declared.values()))
+
+
+def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, config=None):
     """Solve the normalized problems for u_lam/lam, u_lam the solution
     at boundary data lam*f, over a decreasing grid of lam and compare
     them against the stated limiting problem.
@@ -563,8 +558,10 @@ def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, p0=2.0,
     solution, so a point whose sigma does not move computes one field and
     one energy. ``solutions`` holds the normalized fields; the ``energy``
     of each is the stored energy of u_lam, which ``g0`` divides by
-    lam**p0. Individual failures are recorded in ``status`` and do not
-    abort the sweep."""
+    lam**p0, p0 the small-field exponent that the laws of the regions
+    outside the inclusions declare (ValueError, before any solve, unless
+    they declare one). Individual failures are recorded in ``status``
+    and do not abort the sweep."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.ndim != 1 or len(lambda_grid) == 0:
         raise ValueError("lambda grid must be a non-empty 1-d array")
@@ -577,13 +574,13 @@ def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, p0=2.0,
     _check_zero_mean(mesh, nodes, values)
 
     inclusion_regions = tuple(mesh.inclusion_regions())
-    _warn_exponent_mismatch(material_map, inclusion_regions, p0, limit_kind)
-
     matrix_labels = [lab for lab in mesh.region_elements()
                      if lab not in inclusion_regions]
-    limit = solve_pec_limit if limit_kind == "pec" else solve_pei_limit
-    limit_solution = limit(mesh, material_map, inclusion_regions,
-                           (nodes, values), config)
+    p0 = _declared_p0(material_map, matrix_labels)
+    _warn_exponent_mismatch(material_map, inclusion_regions, p0, limit_kind)
+
+    limit_solution = solve_limit(mesh, material_map, (nodes, values),
+                                 limit_kind, config)
 
     mat_el = np.isin(mesh.element_region, matrix_labels)
     area = qmesh.element_areas(mesh)[mat_el]

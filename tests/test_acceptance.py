@@ -314,16 +314,14 @@ def test_monitor_battery_logs_no_violations():
     cmap = materials.MaterialMap(cable_models(cable))
     f = x_profile(cable, AMPLITUDE)
     solver.solve_nonlinear(cable, cmap, f, context="battery-cable")
-    solver.solve_pec_limit(cable, cmap, cable.inclusion_regions(), f)
-    solver.solve_pei_limit(cable, cmap, cable.inclusion_regions(), f)
+    solver.solve_limit(cable, cmap, f, "pec")
+    solver.solve_limit(cable, cmap, f, "pei")
 
     holed = qm.generate_petal_cable(1.0, [(0.3, -0.2)], 0.25, 3)
     hmap = materials.MaterialMap({"matrix": materials.linear(2.0)})
     hnodes = qm.outer_boundary_nodes(holed)
     hx = holed.nodes[hnodes, 0]
-    solver.solve_pec_limit(holed, hmap, holed.inclusion_regions(),
-                           (hnodes, hx))
-    solver.solve_pei_limit(holed, hmap, holed.inclusion_regions(),
-                           (hnodes, hx))
+    solver.solve_limit(holed, hmap, (hnodes, hx), "pec")
+    solver.solve_limit(holed, hmap, (hnodes, hx), "pei")
 
     assert solver.VIOLATIONS == [], solver.VIOLATIONS

@@ -356,7 +356,7 @@ class TestConfigErrorTable:
         ("tomo", "task.defects", [], "task.defects"),
         ("tomo", "task.test_radii_m", "large", "task.test_radii_m"),
         ("tomo", "task.test_spacing_m", -0.1, "task.test_spacing_m"),
-        ("tomo", "task.test_spacing_m", 10.0, "task.test_radii_m"),
+        ("tomo", "task.test_spacing_m", 10.0, "task.test_spacing_m"),
         ("tomo", "materials.matrix",
          {"model": "weighted-power", "theta": 1.0, "p": 3.0},
          "materials.matrix"),
@@ -445,6 +445,18 @@ class TestFailBeforeWork:
         assert code == cli.EXIT_CONFIG
         assert f"config error: task.{key}: " in capsys.readouterr().err
         assert not any(out.glob("*"))
+
+    def test_tomo_names_the_spacing_that_leaves_no_center(self, tmp_path,
+                                                          capsys):
+        # the README cable is 1.2 mm across: a 1 cm grid has no point in it
+        tree = cable_tomo_config()
+        tree["task"]["test_spacing_m"] = 0.01
+        out = tmp_path / "out"
+        code = run("tomo", write_config(tmp_path, tree), out)
+        assert code == cli.EXIT_CONFIG
+        assert ("config error: task.test_spacing_m: spacing 0.01 leaves no "
+                "disc center inside the mesh") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oracle_checks_l_before_the_annulus_solves(self, tmp_path,
                                                        capsys, monkeypatch):
@@ -607,6 +619,16 @@ class TestSweepCommand:
         assert svg.count("<polyline") == 2
         assert "no positive values" not in svg
 
+    def test_p0_is_not_a_key(self, tmp_path, capsys):
+        # g0's exponent is the one the matrix law declares
+        tree = sweep_config()
+        tree["task"]["p0"] = 2.0
+        out = tmp_path / "out"
+        assert run("sweep", write_config(tmp_path, tree),
+                   out) == cli.EXIT_CONFIG
+        assert "config error: task.p0: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracleCommand:
     def test_validation_report(self, tmp_path):
@@ -680,6 +702,23 @@ class TestTomoCommand:
             lines = [(tmp_path / out / name).read_text().splitlines()[1:]
                      for out in ("list", "scalar")]
             assert lines[0] == lines[1]
+
+    def test_weighted_power_matrix_with_p_2_is_the_linear_matrix(
+            self, tmp_path):
+        names = ("background_g.csv", "measured_g.csv", "reconstruction.csv",
+                 "reconstruction.svg", "report.json", "domains.csv")
+        artifacts = []
+        for law in ({"model": "linear", "sigma_s_per_m": 2.5},
+                    {"model": "weighted-power", "theta": 2.5, "p": 2}):
+            tree = tomo_config()
+            tree["materials"]["matrix"] = law
+            path = write_config(tmp_path, tree, f"{law['model']}.json")
+            out = tmp_path / law["model"]
+            assert run("tomo", path, out) == cli.EXIT_OK
+            digest = cli.load_config(path)[1].encode()
+            artifacts.append([(out / name).read_bytes().replace(digest, b"")
+                              for name in names])
+        assert artifacts[0] == artifacts[1]
 
     def test_seed_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, tomo_config())

@@ -86,6 +86,7 @@ RESULT_TYPES = [
     ("qlert.tomography", "Reconstruction"),
     ("qlert.oracle", "EnergySeparation"),
     ("qlert.materials", "ValidationReport"),
+    ("qlert.materials", "MaterialModel"),
 ]
 
 # fields that only the tests read, kept on purpose

@@ -160,8 +160,9 @@ class TestPresets:
 
     def test_units_converted_to_si(self):
         m = qmat.preset("BSCCO-EAS")
-        assert m.jc == pytest.approx(85e6)
-        assert m.n == 17
+        # 85 A/mm^2 = 85e6 A/m^2 carried at the criterion field e0
+        assert qmat.sigma(m, 1e-4) == pytest.approx(85e6 / 1e-4, rel=1e-12)
+        assert m.p0 == 1.0 + 1.0 / 17
         assert m.e0 == 1e-4
 
     def test_unknown_preset(self):
@@ -346,6 +347,93 @@ class TestOneLookup:
         for fn in (qmat.sigma, qmat.energy_density):
             with pytest.raises(ValueError):
                 fn(model, np.nan)
+
+
+# ---------------------------------------------------------------------------
+# every built-in law is one weighted power law theta * E**m: pinned bit for
+# bit to the per-kind formulas each factory's law was evaluated by before
+# ---------------------------------------------------------------------------
+
+
+def kind_law(theta, m, E):
+    """(sigma, energy density) of the regularized law theta * E**m on the
+    pieces of the per-kind evaluator: cuts at 0, e_floor, the cap field
+    (cap/theta)**(1/m) and infinity; sigma frozen at its floor value below
+    e_floor, clipped at sigma_cap, theta * E**m elsewhere; the energy the
+    exact integral of sigma * E, summed piece by piece from zero."""
+    floor, cap = qmat.DEFAULT_E_FLOOR, qmat.DEFAULT_SIGMA_CAP
+    cuts = {0.0, floor, np.inf}
+    if m != 0.0:
+        cuts.add((cap / theta) ** (1.0 / m))
+    bounds = np.array(sorted(cuts))
+    sig, q = np.empty_like(E), np.empty_like(E)
+    below = 0.0  # the energy at the lower end of the piece
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if np.isinf(hi):
+            mid = 2 * lo if lo > 0 else 1.0
+        else:
+            mid = 0.5 * hi if lo == 0 else 0.5 * (lo + hi)
+        value = theta * max(mid, floor) ** m
+        sel = (E >= lo) & (E < hi)
+        if mid < floor or m == 0.0 or value > cap:
+            c = min(value, cap)
+            sig[sel] = c
+            q[sel] = below + 0.5 * c * (E[sel] ** 2 - lo**2)
+            whole = 0.5 * c * (hi**2 - lo**2)
+        else:
+            g = m + 2.0
+            sig[sel] = theta * E[sel] ** m
+            q[sel] = below + theta * (E[sel] ** g - lo**g) / g
+            whole = theta * (hi**g - lo**g) / g
+        below = below + whole if np.isfinite(hi) else np.inf
+    return sig, q
+
+
+def ej_theta_m(jc, n, e0):
+    m = (1.0 - n) / n
+    return (jc / e0) * e0 ** (-m), m
+
+
+# each factory's law and the (theta, m) its kind stated: linear sigma0 and
+# 0, weighted power theta and p - 2, E-J from (jc, n, e0)
+KIND_LAWS = {
+    "linear": (qmat.linear(5.55e7), (5.55e7, 0.0)),
+    "weighted-p1.5": (qmat.weighted_power(2.0, 1.5), (2.0, 1.5 - 2.0)),
+    "weighted-p2": (qmat.weighted_power(3.0, 2.0), (3.0, 2.0 - 2.0)),
+    "weighted-p3": (qmat.weighted_power(3e9, 3.0), (3e9, 3.0 - 2.0)),
+    "ej": (qmat.ej_power_law(8e9, 27, 1e-4), ej_theta_m(8e9, 27.0, 1e-4)),
+    "preset": (qmat.preset("YBCO-AMSC"), ej_theta_m(136.0 * 1e6, 28.0, 1e-4)),
+}
+
+
+class TestOneWeightedPowerLaw:
+    @pytest.mark.parametrize("name", sorted(KIND_LAWS))
+    def test_laws_equal_the_per_kind_formulas_bit_for_bit(self, name):
+        model, (theta, m) = KIND_LAWS[name]
+        assert (model.theta, model.m) == (theta, m)
+        cap_field = (model.sigma_cap / theta) ** (1.0 / m) if m else 1.0
+        cuts = np.array([model.e_floor, cap_field])
+        # from below the floor to past the cap, and across every cut
+        e = np.concatenate([
+            [0.0], cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, np.inf),
+            np.geomspace(1e-40, 1e20, 3001),
+        ])
+        sig, q = kind_law(theta, m, e)
+        np.testing.assert_array_equal(qmat.sigma(model, e), sig)
+        np.testing.assert_array_equal(qmat.energy_density(model, e), q)
+
+    def test_ej_exponent_is_not_p_minus_2(self):
+        # (1 + 1/n) - 2 and (1 - n)/n differ in the last bit for n = 27
+        model = qmat.ej_power_law(8e9, 27)
+        assert model.m == (1.0 - 27.0) / 27.0
+        assert model.m != model.p - 2.0
+
+    @pytest.mark.parametrize("name", sorted(KIND_LAWS) + ["table"])
+    def test_field_independent_is_exponent_zero(self, name):
+        # a constant table is no power law
+        model = (qmat.tabulated([1.0, 2.0], [3.0, 3.0]) if name == "table"
+                 else KIND_LAWS[name][0])
+        assert model.field_independent is (name in ("linear", "weighted-p2"))
 
 
 class TestSigmaElements:

@@ -46,15 +46,16 @@ def warm_start(asm, u):
     return {"_warm": (x, solver._LastSolve(), 1.0)}
 
 
-# the solves that take boundary data: the limit solves build their own
+# the solves that take boundary data: the limit solve builds its own
 # Assembler, with the holed disk's inclusion merged or excluded
 ENTRY_POINTS = {
     "": solver.solve_nonlinear,
-    "pec-limit": functools.partial(solver.solve_pec_limit,
-                                   pec_regions=("inclusion-1",)),
-    "pei-limit": functools.partial(solver.solve_pei_limit,
-                                   pei_regions=("inclusion-1",)),
+    "pec-limit": functools.partial(solver.solve_limit, limit_kind="pec"),
+    "pei-limit": functools.partial(solver.solve_limit, limit_kind="pei"),
 }
+
+# a unit linear matrix, all that a limit solve on the holed disk reads
+UNIT_MATRIX = materials.MaterialMap({"matrix": materials.linear(1.0)})
 
 
 @pytest.fixture(scope="module")
@@ -555,10 +556,8 @@ class TestMaxPrinciple:
 class TestLimitSolves:
     def test_pec_zero_data_gives_zero_solution(self, holed_disk):
         nodes = qm.outer_boundary_nodes(holed_disk)
-        sol = solver.solve_pec_limit(
-            holed_disk, materials.linear(1.0), ("inclusion-1",),
-            (nodes, np.zeros(len(nodes))),
-        )
+        sol = solver.solve_limit(
+            holed_disk, UNIT_MATRIX, (nodes, np.zeros(len(nodes))), "pec")
         assert np.all(sol.nodal_potential == 0.0)
         assert sol.energy == 0.0
         assert sol.iterations == 0
@@ -571,13 +570,9 @@ class TestLimitSolves:
         pitch = 2.0 * np.pi / len(outer)
         c, s = np.cos(pitch), np.sin(pitch)
         x, y = mesh.nodes[outer, 0], mesh.nodes[outer, 1]
-        base = solver.solve_pec_limit(
-            mesh, materials.linear(1.0), ("inclusion-1",), (outer, 7.12 * x)
-        )
-        turned = solver.solve_pec_limit(
-            mesh, materials.linear(1.0), ("inclusion-1",),
-            (outer, 7.12 * (c * x + s * y)),
-        )
+        base = solver.solve_limit(mesh, UNIT_MATRIX, (outer, 7.12 * x), "pec")
+        turned = solver.solve_limit(
+            mesh, UNIT_MATRIX, (outer, 7.12 * (c * x + s * y)), "pec")
         rotated = np.column_stack(
             [c * mesh.nodes[:, 0] - s * mesh.nodes[:, 1],
              s * mesh.nodes[:, 0] + c * mesh.nodes[:, 1]]
@@ -589,21 +584,17 @@ class TestLimitSolves:
         diff = np.abs(turned.nodal_potential[perm] - base.nodal_potential)
         assert diff[~petal].max() < 1e-8
 
-    def test_pei_with_no_inclusions_is_a_plain_solve(self, holed_disk):
-        nodes, values = disk_profile(holed_disk, lambda x, y: x)
-        mmap = materials.MaterialMap(
-            {"matrix": materials.linear(2.0), "inclusion-1": materials.linear(2.0)}
-        )
-        excluded = solver.solve_pei_limit(holed_disk, mmap, (), (nodes, values))
-        plain = solver.solve_nonlinear(holed_disk, mmap, (nodes, values))
+    def test_pei_with_no_inclusions_is_a_plain_solve(self, disk3):
+        nodes, values = disk_profile(disk3, lambda x, y: x)
+        mmap = materials.MaterialMap({"matrix": materials.linear(2.0)})
+        excluded = solver.solve_limit(disk3, mmap, (nodes, values), "pei")
+        plain = solver.solve_nonlinear(disk3, mmap, (nodes, values))
         assert np.array_equal(excluded.nodal_potential, plain.nodal_potential)
         assert excluded.energy == plain.energy
 
     def test_pei_hole_boundary_carries_no_flux(self, holed_disk):
         nodes, values = disk_profile(holed_disk, lambda x, y: x)
-        sol = solver.solve_pei_limit(
-            holed_disk, materials.linear(1.0), ("inclusion-1",), (nodes, values)
-        )
+        sol = solver.solve_limit(holed_disk, UNIT_MATRIX, (nodes, values), "pei")
         asm = fem.Assembler(
             holed_disk, nodes, excluded_regions=("inclusion-1",)
         )
@@ -619,13 +610,15 @@ class TestLimitSolves:
         # restricted to the matrix, every conductor-limit trial function
         # is admissible for the insulator limit, so its minimum is lower
         nodes, values = disk_profile(holed_disk, lambda x, y: x)
-        pec = solver.solve_pec_limit(
-            holed_disk, materials.linear(1.0), ("inclusion-1",), (nodes, values)
-        )
-        pei = solver.solve_pei_limit(
-            holed_disk, materials.linear(1.0), ("inclusion-1",), (nodes, values)
-        )
+        pec = solver.solve_limit(holed_disk, UNIT_MATRIX, (nodes, values), "pec")
+        pei = solver.solve_limit(holed_disk, UNIT_MATRIX, (nodes, values), "pei")
         assert pec.energy >= pei.energy > 0.0
+
+    def test_rejects_unknown_limit_kind(self, holed_disk):
+        nodes, values = disk_profile(holed_disk, lambda x, y: x)
+        with pytest.raises(ValueError, match="limit_kind"):
+            solver.solve_limit(holed_disk, UNIT_MATRIX, (nodes, values),
+                               "dirichlet")
 
 
 class TestLambdaSweep:
@@ -680,6 +673,48 @@ class TestLambdaSweep:
         nodes, values = disk_profile(holed_disk, lambda x, y: x)
         with pytest.warns(UserWarning, match="perfect-conductor"):
             solver.lambda_sweep(holed_disk, mmap, (nodes, values),
+                                np.array([1.0, 0.1]), "pec")
+
+    def test_p0_is_the_one_the_matrix_law_declares(self):
+        # a p = 3 matrix: the q0 = 2.5 inclusion grows slower at small
+        # fields, so the conductor limit applies without a warning, and
+        # g0 divides by lambda**3, approaching the limit energy
+        mesh = qm.generate_petal_cable(1.0, [(0.0, 0.0)], 0.3, 2)
+        mmap = materials.MaterialMap(
+            {"matrix": materials.weighted_power(1.0, 3.0),
+             "inclusion-1": materials.weighted_power(1.0, 2.5)})
+        nodes, values = disk_profile(mesh, lambda x, y: x)
+        grid = np.array([1.0, 0.1, 0.01])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = solver.lambda_sweep(mesh, mmap, (nodes, values), grid,
+                                        "pec")
+        assert sweep.all_ok
+        energies = np.array([sol.energy for sol in sweep.solutions])
+        assert sweep.g0 == pytest.approx(energies / grid**3, rel=1e-14)
+        assert sweep.g0 == pytest.approx([1.054, 1.194, 1.322], abs=1e-3)
+        assert sweep.limit.energy == pytest.approx(1.511, abs=1e-3)
+        assert np.all(np.diff(sweep.g0) > 0)
+        assert sweep.g0[-1] < sweep.limit.energy
+
+    def test_regions_that_disagree_on_p0_are_refused(self, holed_disk,
+                                                     monkeypatch):
+        # a defect region outside the inclusions declares p0 = 3, the
+        # matrix p0 = 2: the sweep has no one g0 exponent and never solves
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(solver, "solve_nonlinear", refuse)
+        centers = qm.element_centroids(holed_disk)
+        mesh = qm.relabel_elements(holed_disk, centers[:, 0] > 0.8,
+                                   "defect-1")
+        mmap = materials.MaterialMap(
+            {"matrix": materials.linear(1.0),
+             "defect-1": materials.weighted_power(1.0, 3.0),
+             "inclusion-1": materials.weighted_power(1.0, 1.5)})
+        nodes, values = disk_profile(mesh, lambda x, y: x)
+        with pytest.raises(ValueError, match="one small-field exponent p0"):
+            solver.lambda_sweep(mesh, mmap, (nodes, values),
                                 np.array([1.0, 0.1]), "pec")
 
     def test_petals_that_share_a_model_are_checked_once(self, monkeypatch):
@@ -977,14 +1012,14 @@ class TestSharedAssembler:
                                        assembler=asm)
 
     @pytest.mark.parametrize("split, limit", [
-        ({"pec_regions": ("inclusion-1",)}, solver.solve_pec_limit),
-        ({"excluded_regions": ("inclusion-1",)}, solver.solve_pei_limit)])
+        ({"pec_regions": ("inclusion-1",)}, "pec"),
+        ({"excluded_regions": ("inclusion-1",)}, "pei")])
     def test_the_split_is_the_assemblers(self, holed_disk, split, limit):
         nodes, values = disk_profile(holed_disk, lambda x, y: x)
         asm = fem.Assembler(holed_disk, nodes, **split)
         sol = solver.solve_nonlinear(holed_disk, self.MAP, (nodes, values),
                                      assembler=asm)
-        ref = limit(holed_disk, self.MAP, ("inclusion-1",), (nodes, values))
+        ref = solver.solve_limit(holed_disk, self.MAP, (nodes, values), limit)
         assert np.array_equal(sol.nodal_potential, ref.nodal_potential,
                               equal_nan=True)
         assert sol.energy == ref.energy

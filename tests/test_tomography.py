@@ -829,7 +829,7 @@ class TestConductanceOperator:
         with pytest.raises(ValueError, match=f"{dom.id}: .*field"):
             op.matrix(dom.element_mask, materials.weighted_power(1.0, 3.0),
                       dom.id)
-        bad = materials.MaterialModel(kind="linear", sigma0=-1.0)
+        bad = materials.MaterialModel(theta=-1.0)
         with pytest.raises(ValueError, match=f"{dom.id}: .*positive"):
             op.matrix(dom.element_mask, bad, dom.id)
         with pytest.raises(ValueError, match=f"{dom.id}: mask"):
