@@ -10,18 +10,20 @@ for an idealized cousin of it.
 Built-in laws
 -------------
 Every factory but ``tabulated`` builds one weighted power law,
-sigma(E) = theta * E**m, with energy theta*E**(m+2)/(m+2):
+sigma(E) = theta * E**m, with energy theta*E**(m+2)/(m+2), so both its
+growth exponents p and p0 are m + 2:
 
 linear
-    m = 0, theta = sigma0.
+    m = 0, theta = sigma0; p = p0 = 2.
 weighted_power
     m = p - 2; sigma(E) = theta * E**(p-2).
 ej_power_law
     sigma(E) = (jc/e0) * (E/e0)**((1-n)/n), the standard superconductor
     E-J characterization: m = (1-n)/n, theta = (jc/e0) * e0**(-m). Its
-    energy grows like E**(1/n+1).
+    energy grows like E**(1/n+1): p = p0 = m + 2.
 tabulated
-    Piecewise-linear sigma between samples, constant beyond the ends.
+    Piecewise-linear sigma between samples, constant beyond the ends,
+    so its energy grows like E**2 at both ends: p = p0 = 2.
 
 Regularization: evaluation uses max(E, e_floor) and caps sigma at
 sigma_cap (``DEFAULT_E_FLOOR`` and ``DEFAULT_SIGMA_CAP`` for every
@@ -98,14 +100,14 @@ class _Piece:
 
 @dataclass(frozen=True)
 class MaterialModel:
-    """Immutable isotropic conductivity law with growth metadata: the
-    weighted power law sigma = theta * E**m, or the table
-    (``e_table``, ``sigma_table``) when one is given.
+    """Immutable isotropic conductivity law: the weighted power law
+    sigma = theta * E**m, or the table (``e_table``, ``sigma_table``)
+    when one is given.
 
-    ``p`` and ``p0`` are the claimed large- and small-field growth
-    exponents of the energy density; factories fill them in for the
-    built-in laws. ``e0`` is the field scale used for growth comparisons
-    (the power-law criterion field for superconductors).
+    ``p`` and ``p0``, the large- and small-field growth exponents of the
+    energy density, follow from the law (module docstring). ``e0`` is the
+    field scale used for growth comparisons (the power-law criterion
+    field for superconductors).
     """
 
     theta: float = 0.0
@@ -113,8 +115,6 @@ class MaterialModel:
     e0: float = 1.0
     e_table: np.ndarray | None = None
     sigma_table: np.ndarray | None = None
-    p: float = 2.0
-    p0: float = 2.0
     e_floor: float = DEFAULT_E_FLOOR
     sigma_cap: float = DEFAULT_SIGMA_CAP
 
@@ -188,6 +188,14 @@ class MaterialModel:
         return replace(self, e_floor=0.0, sigma_cap=np.inf)
 
     @property
+    def p(self):
+        """Growth exponent of the energy density at large and small fields
+        alike: m + 2, or 2 for a table, constant beyond its samples."""
+        return 2.0 if self.e_table is not None else self.m + 2.0
+
+    p0 = p
+
+    @property
     def field_independent(self):
         """True when sigma is one constant for every field: a power law
         with exponent m = 0 (linear, or weighted power with p = 2)."""
@@ -237,40 +245,36 @@ def energy_density(model, E):
 def linear(sigma0):
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
-    return MaterialModel(theta=float(sigma0), m=0.0, p=2.0, p0=2.0)
+    return MaterialModel(theta=float(sigma0), m=0.0)
 
 
 def weighted_power(theta, p):
     """sigma(E) = theta * E**(p-2), energy theta*E**p/p."""
     if theta <= 0 or p <= 1:
         raise ValueError("need theta > 0 and p > 1")
-    p = float(p)
-    return MaterialModel(theta=float(theta), m=p - 2.0, p=p, p0=p)
+    return MaterialModel(theta=float(theta), m=float(p) - 2.0)
 
 
 def ej_power_law(jc, n, e0=1e-4):
     """Superconductor power law: sigma(E) = (jc/e0)*(E/e0)**((1-n)/n).
 
     ``jc`` in A/m^2, ``e0`` in V/m. The energy density grows like
-    E**(1/n + 1), so the claimed exponents are p = p0 = 1 + 1/n.
+    E**(1/n + 1): p = p0 = m + 2 with m = (1-n)/n.
     """
     if jc <= 0 or n <= 1 or e0 <= 0:
         raise ValueError("need jc > 0, n > 1, e0 > 0")
     jc, n, e0 = float(jc), float(n), float(e0)
     # m is not p - 2: for n = 27, (1 + 1/n) - 2 != (1 - n)/n in floats
     m = (1.0 - n) / n
-    g = 1.0 + 1.0 / n
-    return MaterialModel(theta=(jc / e0) * e0 ** (-m), m=m, e0=e0, p=g, p0=g)
+    return MaterialModel(theta=(jc / e0) * e0 ** (-m), m=m, e0=e0)
 
 
-def tabulated(e_values, sigma_values, p=2.0, p0=2.0):
+def tabulated(e_values, sigma_values):
     """Piecewise-linear sigma through the given samples, constant beyond
-    the ends. ``p`` and ``p0`` are the claimed growth exponents."""
+    the ends, so both growth exponents are 2."""
     return MaterialModel(
         e_table=np.asarray(e_values, dtype=float),
         sigma_table=np.asarray(sigma_values, dtype=float),
-        p=float(p),
-        p0=float(p0),
     )
 
 

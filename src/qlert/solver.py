@@ -54,7 +54,6 @@ from . import fem
 from . import mesh as qmesh
 # bench/spans.py checks and wraps this binding; nothing here calls it
 from .materials import sigma as material_sigma  # noqa: F401
-from .materials import validate_assumptions
 
 __all__ = [
     "NonlinearSolveConfig",
@@ -144,7 +143,7 @@ def _boundary_pair(f):
 def _auto_damping(material_map, labels):
     for lab in labels:
         model = material_map.for_region(lab)
-        if model.e_table is None and model.m > 0.0:
+        if model.p > 2.0:
             return 0.7
     return 1.0
 
@@ -495,49 +494,33 @@ def _check_zero_mean(mesh, nodes, values):
         )
 
 
-def _warn_exponent_mismatch(material_map, inclusion_regions, p0, limit_kind):
-    reports = {}  # one check per model object, shared by its regions
+def _limit_exponent(material_map, matrix_labels, inclusion_regions,
+                    limit_kind):
+    """The small-field exponent p0 that the laws of ``matrix_labels``
+    share; ValueError unless they share one, KeyError for a region with
+    no material. Warns once per inclusion whose small-field exponent q0
+    is not below p0 ("pec") or not above it ("pei"), where the limit
+    may not apply."""
+    declared = {lab: material_map.for_region(lab).p0 for lab in matrix_labels}
+    if len(set(declared.values())) != 1:
+        raise ValueError(f"the regions outside the inclusions must declare "
+                         f"one small-field exponent p0, got {declared}")
+    p0 = next(iter(declared.values()))
     for lab in inclusion_regions:
-        try:
-            model = material_map.for_region(lab)
-        except KeyError:
-            continue  # no material for the region
-        if id(model) not in reports:
-            try:
-                ref = model.e0 if model.e0 > 0 else 1.0
-                grid = np.geomspace(ref * 1e-5, ref * 1e5, 121)
-                reports[id(model)] = validate_assumptions(model, grid)
-            except ValueError:
-                reports[id(model)] = None  # a law the check cannot sample
-        report = reports[id(model)]
-        if report is None:
-            continue
-        q0 = report.small_exponent
-        if not np.isfinite(q0):
-            continue
-        tol = report.EXPONENT_TOL
-        if limit_kind == "pec" and q0 >= p0 - tol:
+        q0 = material_map.for_region(lab).p0
+        if limit_kind == "pec" and q0 >= p0:
             warnings.warn(
                 f"region '{lab}' has small-field exponent {q0:.3f}, not below "
                 f"p0={p0}; the perfect-conductor limit may not apply",
                 stacklevel=3,
             )
-        if limit_kind == "pei" and q0 <= p0 + tol:
+        if limit_kind == "pei" and q0 <= p0:
             warnings.warn(
                 f"region '{lab}' has small-field exponent {q0:.3f}, not above "
                 f"p0={p0}; the perfect-insulator limit may not apply",
                 stacklevel=3,
             )
-
-
-def _declared_p0(material_map, labels):
-    """The small-field exponent p0 that the laws of ``labels`` declare;
-    ValueError unless they declare one."""
-    declared = {lab: material_map.for_region(lab).p0 for lab in labels}
-    if len(set(declared.values())) != 1:
-        raise ValueError(f"the regions outside the inclusions must declare "
-                         f"one small-field exponent p0, got {declared}")
-    return next(iter(declared.values()))
+    return p0
 
 
 def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, config=None):
@@ -560,8 +543,10 @@ def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, config=None):
     of each is the stored energy of u_lam, which ``g0`` divides by
     lam**p0, p0 the small-field exponent that the laws of the regions
     outside the inclusions declare (ValueError, before any solve, unless
-    they declare one). Individual failures are recorded in ``status``
-    and do not abort the sweep."""
+    they declare one; KeyError, also before any solve, for a region with
+    no material). Each inclusion whose own exponent is not strictly on
+    the limit's side of p0 warns. Individual failures are recorded in
+    ``status`` and do not abort the sweep."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.ndim != 1 or len(lambda_grid) == 0:
         raise ValueError("lambda grid must be a non-empty 1-d array")
@@ -576,8 +561,8 @@ def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, config=None):
     inclusion_regions = tuple(mesh.inclusion_regions())
     matrix_labels = [lab for lab in mesh.region_elements()
                      if lab not in inclusion_regions]
-    p0 = _declared_p0(material_map, matrix_labels)
-    _warn_exponent_mismatch(material_map, inclusion_regions, p0, limit_kind)
+    p0 = _limit_exponent(material_map, matrix_labels, inclusion_regions,
+                         limit_kind)
 
     limit_solution = solve_limit(mesh, material_map, (nodes, values),
                                  limit_kind, config)

@@ -28,6 +28,9 @@ UNUSED_BY_DESIGN = {
     ("qlert.materials", "tabulated"):
         "builds an arbitrary law from samples; tests build laws with it, "
         "such as the oracle's A4 counterexample in tests/test_oracle.py",
+    ("qlert.materials", "validate_assumptions"):
+        "the paper's A3/A4 growth checker; tests check every law with it, "
+        "and ROADMAP direction 12 plans a caller",
 }
 
 
@@ -97,6 +100,8 @@ READ_BY_DESIGN = {
         "the quantity conjugate gradients stop on, which tests check",
     ("LambdaSweep", "solutions"):
         "each point's full field, which tests compare across points",
+    ("ValidationReport", "small_exponent"):
+        "the fitted exponent behind exponents_ok, for diagnosis",
     ("ValidationReport", "large_exponent"):
         "the fitted exponent behind exponents_ok, for diagnosis",
     ("ValidationReport", "a3_lower"):
@@ -145,10 +150,6 @@ OPTIONS_BY_DESIGN = {
         "another tolerance",
     ("qlert.fem", "solve_spd", "max_iter"):
         "tests drive the non-convergence path with it",
-    ("qlert.materials", "tabulated", "p"):
-        "a user's law states its own large-field growth exponent",
-    ("qlert.materials", "tabulated", "p0"):
-        "a user's law states its own small-field growth exponent",
 }
 
 

@@ -196,8 +196,6 @@ class TestValidateAssumptions:
         m = replace(qmat.tabulated(
             np.geomspace(1e-6, 1e6, 600),
             1.0 + np.geomspace(1e-6, 1e6, 600),
-            p=3.0,
-            p0=2.0,
         ), e_floor=0.0)
         rep = qmat.validate_assumptions(m, np.geomspace(1e-5, 1e5, 500))
         assert rep.small_exponent == pytest.approx(2.0, abs=0.05)
@@ -423,10 +421,21 @@ class TestOneWeightedPowerLaw:
         np.testing.assert_array_equal(qmat.energy_density(model, e), q)
 
     def test_ej_exponent_is_not_p_minus_2(self):
-        # (1 + 1/n) - 2 and (1 - n)/n differ in the last bit for n = 27
+        # m is (1 - n)/n, not (1 + 1/n) - 2, which differs in the last bit
+        # for n = 27; the growth exponent is m + 2, not 1 + 1/n either
         model = qmat.ej_power_law(8e9, 27)
         assert model.m == (1.0 - 27.0) / 27.0
-        assert model.m != model.p - 2.0
+        assert model.m != (1.0 + 1.0 / 27.0) - 2.0
+        assert model.p0 == model.m + 2.0 == 1.0370370370370372
+
+    @pytest.mark.parametrize("name", sorted(KIND_LAWS) + ["table"])
+    def test_exponents_are_derived_from_the_law(self, name):
+        model = (LAWS["tabulated"] if name == "table"
+                 else KIND_LAWS[name][0])
+        want = 2.0 if name == "table" else model.m + 2.0
+        assert model.p0 == model.p == want
+        grid = np.geomspace(model.e0 * 1e-5, model.e0 * 1e5, 400)
+        assert qmat.validate_assumptions(model, grid).exponents_ok
 
     @pytest.mark.parametrize("name", sorted(KIND_LAWS) + ["table"])
     def test_field_independent_is_exponent_zero(self, name):

@@ -34,8 +34,7 @@ def counterexample_material(model):
         es.append(np.geomspace(lo * (1 + 1e-9), hi, 24))
     es.append(np.geomspace(b[-1] * (1 + 1e-9), b[-1] * 10, 8))
     e = np.unique(np.concatenate(es))
-    return qmat.tabulated(e, model.sigma_psi(e), p=2.0,
-                          p0=2.0).without_regularization()
+    return qmat.tabulated(e, model.sigma_psi(e)).without_regularization()
 
 
 class TestAnnulusFields:

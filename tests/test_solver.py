@@ -717,44 +717,58 @@ class TestLambdaSweep:
             solver.lambda_sweep(mesh, mmap, (nodes, values),
                                 np.array([1.0, 0.1]), "pec")
 
-    def test_petals_that_share_a_model_are_checked_once(self, monkeypatch):
-        # one validate_assumptions call for the six petals' one linear
-        # model, and still one warning per petal
+    def test_linear_inclusion_warns_against_the_insulator_limit(
+            self, holed_disk):
+        # small-field exponent 2 = p0: the inclusion does not undergrow
+        # the matrix either, so the perfect-insulator limit is unsure too
+        mmap = materials.MaterialMap(
+            {"matrix": materials.weighted_power(2.0, 2.0),
+             "inclusion-1": materials.linear(5.0)}
+        )
+        nodes, values = disk_profile(holed_disk, lambda x, y: x)
+        with pytest.warns(UserWarning, match="perfect-insulator"):
+            solver.lambda_sweep(holed_disk, mmap, (nodes, values),
+                                np.array([1.0, 0.1]), "pei")
+
+    def test_exponent_just_below_p0_does_not_warn(self, holed_disk):
+        # q0 = 1.97 < p0 = 2: the comparison is exact, with no tolerance
+        mmap = materials.MaterialMap(
+            {"matrix": materials.linear(1.0),
+             "inclusion-1": materials.weighted_power(1.0, 1.97)}
+        )
+        nodes, values = disk_profile(holed_disk, lambda x, y: x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = solver.lambda_sweep(holed_disk, mmap, (nodes, values),
+                                        np.array([1.0, 0.1]), "pec")
+        assert sweep.all_ok
+
+    def test_inclusion_without_a_material_fails_before_any_solve(
+            self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(solver, "solve_nonlinear", refuse)
+        mesh = qm.generate_petal_cable(1.0, [(0.0, 0.0)], 0.3, 2)
+        mmap = materials.MaterialMap({"matrix": materials.linear(1.0)})
+        nodes, values = disk_profile(mesh, lambda x, y: x)
+        with pytest.raises(KeyError, match="no material for region "
+                                           "'inclusion-1'"):
+            solver.lambda_sweep(mesh, mmap, (nodes, values),
+                                np.array([1.0, 0.1]), "pec")
+
+    def test_petals_that_share_a_model_are_checked_once(self):
+        # the six petals' one linear model warns once for each petal
         mesh = cable_mesh(3)
         mmap = cable_materials(mesh, petal=materials.linear(1e8))
-        validate = solver.validate_assumptions
-        checked = []
-
-        def counting(model, grid):
-            checked.append(model)
-            return validate(model, grid)
-
-        monkeypatch.setattr(solver, "validate_assumptions", counting)
         f = solver.linear_profile(mesh, 1e-3 / CABLE_RADIUS)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             solver.lambda_sweep(mesh, mmap, f, np.array([1.0, 0.1]), "pec")
-        assert checked == [mmap.for_region("inclusion-1")]
         assert [str(w.message).split("'")[1] for w in caught] == [
             f"inclusion-{k}" for k in range(1, 7)]
         assert all("perfect-conductor limit may not apply" in str(w.message)
                    for w in caught)
-
-    def test_unexpected_error_in_the_exponent_check_propagates(
-            self, holed_disk, monkeypatch):
-        # only a missing material or an unsampleable law skips the check
-        def broken(model, grid):
-            raise RuntimeError("bug in validate_assumptions")
-
-        monkeypatch.setattr(solver, "validate_assumptions", broken)
-        mmap = materials.MaterialMap(
-            {"matrix": materials.weighted_power(2.0, 2.0),
-             "inclusion-1": materials.weighted_power(1.0, 1.5)}
-        )
-        nodes, values = disk_profile(holed_disk, lambda x, y: x)
-        with pytest.raises(RuntimeError, match="bug in validate_assumptions"):
-            solver.lambda_sweep(holed_disk, mmap, (nodes, values),
-                                np.array([1.0, 0.1]), "pec")
 
     @pytest.mark.parametrize(
         "grid",
