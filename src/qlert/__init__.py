@@ -22,8 +22,13 @@ oracle
     counterexample material.
 tomography
     Electrode conductance matrices and monotonicity reconstruction.
+render
+    Deterministic SVG heatmaps, masks and log-log line plots.
 cli
     ``qlert`` command line entry point.
+_cells
+    (private) Exact decimal text of numpy arrays for the CSV and SVG
+    artifacts.
 """
 
 __version__ = "0.1.0"

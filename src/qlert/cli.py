@@ -572,8 +572,7 @@ def cmd_oracle(config, digest, out, seed):
     # a config shared with the other commands may hold their sections
     config.accept("geometry", "materials", "boundary")
     with _blame(task.key("L")):
-        model = oracle.build_counterexample(big_l, 1.0,
-                                            n_terms=max(n_scales, 4))
+        model = oracle.CounterexampleModel(big_l, 1.0, max(n_scales, 4))
     _ready(out, task, config)
 
     rows = annulus_validation(refinements, r=r, config=cfg)
@@ -596,8 +595,8 @@ def cmd_oracle(config, digest, out, seed):
     convex = bool(np.all(np.diff(slopes[order]) > -1e-12 * slopes.max()))
 
     try:
-        sep = oracle.counterexample_energies(r, L=big_l, model=model,
-                                             n_scales=n_scales, rtol=rtol)
+        sep = oracle.counterexample_energies(r, model, n_scales=n_scales,
+                                             rtol=rtol)
     except oracle.QuadratureError as exc:
         return _solver_error(exc)
     _write_csv(out / "oracle.csv", digest,

@@ -12,7 +12,10 @@ no-flux condition on the interface. Element geometry is computed once per
 mesh and shared by every assembler, gradient and energy on it.
 
 An ``Assembler`` is built once per (mesh, boundary nodes, conductor split)
-and serves any number of conductivities: it keeps a CSR plan of the free
+and is the one place outside ``mesh`` that classifies elements by region:
+its ``kept_regions`` and ``kept`` elements are those whose material a
+solve evaluates, for the conductivity and for ``dirichlet_energy`` alike.
+It serves any number of conductivities: it keeps a CSR plan of the free
 block and of its coupling to the fixed dofs, so that assembling is one
 gather and one ``np.bincount``. The plan sums every matrix entry in the
 order scipy's COO -> CSR conversion does, so the matrices are the ones
@@ -585,26 +588,16 @@ def solve_spd(system, tol=1e-10, max_iter=None, coarse=()):
     return SolveResult(x, it, np.array(history), res / b_norm)
 
 
-def dirichlet_energy(mesh, material_map, u, skip_regions=(), e_mag=None):
-    """Total stored energy of the nodal potentials ``u``: sum over
-    elements of area * Q(|grad u|), with each element's own material law.
-    Elements in ``skip_regions`` and elements whose potential is
-    undefined (inside excluded regions) contribute nothing; skipped
-    regions need no material. ``e_mag``, the per-element |grad u|,
-    saves computing it again when the caller already has it. Regions
-    that share one model object take one ``energy_density`` call; the
-    total is still summed region by region, in mesh order."""
-    if e_mag is None:
-        grads = element_gradients(mesh, u)
-        e_mag = np.hypot(grads[:, 0], grads[:, 1])
+def dirichlet_energy(mesh, material_map, e_mag, labels):
+    """Total stored energy of the per-element field magnitudes ``e_mag``
+    over the regions ``labels``: the sum over their elements of
+    area * Q(e_mag), with each region's own material law. Only those
+    regions need a material, and only their fields are read. Regions that
+    share one model object take one ``energy_density`` call; the total is
+    still summed region by region, in ``labels`` order."""
     _, _, area = element_geometry(mesh)
-    ok = np.isfinite(e_mag)
-    skip = set(skip_regions)
-    regions = []
-    for label, elements in mesh.region_elements().items():
-        m = elements[ok[elements]]
-        if label not in skip and len(m):
-            regions.append((label, m))
+    index = mesh.region_elements()
+    regions = [(label, index[label]) for label in labels]
     dens = np.empty(len(e_mag))
     for model, m in material_map._by_model(regions):
         dens[m] = energy_density(model, e_mag[m])

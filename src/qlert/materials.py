@@ -59,8 +59,6 @@ __all__ = [
 DEFAULT_E_FLOOR = 1e-12  # V/m
 DEFAULT_SIGMA_CAP = 1e16  # S/m
 
-_NO_ELEMENTS = np.empty(0, dtype=np.int64)
-
 # critical current density in A/mm^2 and power-law index n
 PRESET_TABLE = {
     "BSCCO-EAS": (85.0, 17.0),
@@ -319,18 +317,15 @@ class MaterialMap:
         return [(model, parts[0] if len(parts) == 1 else np.concatenate(parts))
                 for model, parts in groups.values()]
 
-    def sigma_elements(self, mesh, E_elements, labels=None):
+    def sigma_elements(self, mesh, E_elements, labels):
         """Per-element conductivity for per-element field magnitudes.
 
-        Evaluates the regions in ``labels`` (every mesh region by default)
-        and looks up no other; their elements get the placeholder 1, and
-        their fields are never read, so they may be NaN. Regions that
-        share one model object take one ``sigma`` call on their elements
-        together."""
+        Evaluates the regions in ``labels`` and looks up no other; the
+        elements of the others get the placeholder 1, and their fields are
+        never read, so they may be NaN. Regions that share one model
+        object take one ``sigma`` call on their elements together."""
         index = mesh.region_elements()
-        if labels is None:
-            labels = index
-        regions = [(label, index.get(label, _NO_ELEMENTS)) for label in labels]
+        regions = [(label, index[label]) for label in labels]
         out = np.ones(mesh.element_count)
         for model, m in self._by_model(regions):
             out[m] = sigma(model, E_elements[m])

@@ -320,13 +320,12 @@ def _centered_petal_mesh(outer_radius, petal_radius, refinement):
 # terms' magnitudes: (3 + 16 u) u and (10 + 96 u) u (Shewchuk, "Adaptive
 # precision floating-point arithmetic and fast robust geometric
 # predicates", 1997). A determinant within its bound of zero is computed
-# again in extended precision and, if still that close, exactly, so every
-# decision of the stitch is exact; an exactly cocircular quadrilateral
-# keeps the diagonal it was built with, which makes the mesh a function of
-# the inputs alone.
-_U = (np.finfo(np.float64).eps / 2, np.finfo(np.longdouble).eps / 2)
-_ORIENT_ERR = tuple((3 + 16 * u) * u for u in _U)
-_INCIRCLE_ERR = tuple((10 + 96 * u) * u for u in _U)
+# again exactly, in integers, so every decision of the stitch is exact; an
+# exactly cocircular quadrilateral keeps the diagonal it was built with,
+# which makes the mesh a function of the inputs alone.
+_U = np.finfo(np.float64).eps / 2
+_ORIENT_ERR = (3 + 16 * _U) * _U
+_INCIRCLE_ERR = (10 + 96 * _U) * _U
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
@@ -443,19 +442,15 @@ def _incircle_det(a, b, c, d):
 def _exact_sign(det_of, err, exact, *points):
     """Sign of the determinant ``det_of`` takes of the coordinate arrays
     ``points`` (..., 2), exactly: in double precision where it clears its
-    rounding bound, else in extended precision, else in integers."""
+    rounding bound, else in integers."""
     det, bound = det_of(*points)
     sign = np.sign(det).astype(np.int64)
-    unsure = np.abs(det) <= err[0] * bound
+    unsure = np.abs(det) <= err * bound
     if unsure.any():
-        close = [np.broadcast_to(x, unsure.shape + (2,))[unsure] for x in points]
-        det, bound = det_of(*(x.astype(np.longdouble) for x in close))
-        wide = np.sign(det).astype(np.int64)
-        still = np.abs(det) <= err[1] * bound
-        if still.any():
-            rows = np.concatenate([x[still] for x in close], axis=1)
-            wide[still] = [exact(*row) for row in rows.tolist()]
-        sign[unsure] = wide
+        rows = np.concatenate(
+            [np.broadcast_to(x, unsure.shape + (2,))[unsure] for x in points],
+            axis=1)
+        sign[unsure] = [exact(*row) for row in rows.tolist()]
     return sign
 
 

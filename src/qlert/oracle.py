@@ -34,7 +34,6 @@ __all__ = [
     "EnergySeparation",
     "QuadratureError",
     "annulus_fields",
-    "build_counterexample",
     "counterexample_energies",
     "C1",
     "C2",
@@ -264,11 +263,6 @@ class CounterexampleModel:
                              lambda e, a: 2.0 + 4.0 * a / e)
 
 
-def build_counterexample(L, lambda_double_1, n_terms=8):
-    """Scale cascade and energy density per the tangent-bridge recipe."""
-    return CounterexampleModel(float(L), float(lambda_double_1), int(n_terms))
-
-
 # ---------------------------------------------------------------------------
 # quadrature and the separation report
 # ---------------------------------------------------------------------------
@@ -354,14 +348,12 @@ def _psi_functional(fields, model, lam, which, rtol):
     return total / lam**2
 
 
-def counterexample_energies(r, L=11.0, model=None, n_scales=4, rtol=1e-7):
+def counterexample_energies(r, model, n_scales=4, rtol=1e-7):
     """Quadrature evaluation of the weighted energies ell1 and ell2 and of
-    the scaled Psi-functionals along the first ``n_scales`` entries of
-    each scale sequence. Raises QuadratureError when the Richardson check
-    fails."""
+    the scaled Psi-functionals of ``model``, a ``CounterexampleModel``,
+    along the first ``n_scales`` entries of each of its scale sequences.
+    Raises QuadratureError when the Richardson check fails."""
     fields = annulus_fields(r)
-    if model is None:
-        model = build_counterexample(L, 1.0, n_terms=max(n_scales, 1))
 
     def sq(g):
         def squared(x, y):

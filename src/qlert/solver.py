@@ -32,13 +32,16 @@ about 20 mV at refinement 3) this replaces 5 to 40 steps by one linear
 solve. Each iterate's field is computed once and read by both its energy
 and the next step's sigma; a step that leaves the iterate unchanged bit
 for bit keeps it. A solve's conductor split is that of its
-``fem.Assembler``: ``solve_limit`` builds its own, ``lambda_sweep``
-shares one across its points, ``tomography.ConductanceOperator`` one
-across the patterns of each field-dependent matrix. Every converged
-solve runs two cheap monitors — energy descent along the iterates and
-the discrete maximum principle — and files anything suspicious in the
-module-level ``VIOLATIONS`` registry so a test session can assert that
-nothing was ever silently wrong.
+``fem.Assembler``, and sigma and the stored energy are evaluated on its
+``kept_regions`` alone: ``solve_limit`` and ``lambda_sweep`` build the
+limit's through one helper, and the sweep reads its matrix regions and
+elements from it; ``lambda_sweep`` shares one more across its points,
+``tomography.ConductanceOperator`` one across the patterns of each
+field-dependent matrix. Every converged solve runs two cheap monitors —
+energy descent along the iterates and the discrete maximum principle —
+and files anything suspicious in the module-level ``VIOLATIONS``
+registry so a test session can assert that nothing was ever silently
+wrong.
 
 ``iterations`` on a returned FieldSolution counts fixed-point steps.
 """
@@ -259,16 +262,15 @@ def solve_nonlinear(mesh, material_map, f, config=None, context="nonlinear",
     if assembler is not None:
         _check_assembler(assembler, mesh, nodes)
     asm = assembler or fem.Assembler(mesh, nodes)
-    skip = asm.pec_regions + asm.excluded_regions
     active = asm.kept_regions
     for lab in active:
         material_map.for_region(lab)  # fail early on a missing material
     damping = _auto_damping(material_map, active)
     kept = asm.kept
 
-    def energy_of(u, e_mag):
-        return fem.dirichlet_energy(mesh, material_map, u, skip_regions=skip,
-                                    e_mag=e_mag)
+    def energy_of(e_mag):
+        _check_finite_field(e_mag, kept, context)
+        return fem.dirichlet_energy(mesh, material_map, e_mag, active)
 
     span = float(values.max() - values.min())
     if span == 0.0:
@@ -341,11 +343,10 @@ def solve_nonlinear(mesh, material_map, f, config=None, context="nonlinear",
         grads, e_mag = _field(mesh, u, lam)
         sig = None  # if any, of the rejected start's field
 
-    energies = [energy_of(u, e_mag)]
+    energies = [energy_of(e_mag)]
     changes = []
     converged = False
     for _ in range(config.max_picard_iter):
-        _check_finite_field(e_mag, kept, context)
         if sig is None:
             sig = material_map.sigma_elements(mesh, e_mag, active)
         # Start from zero, not from x: CG stops at a relative residual of
@@ -357,7 +358,10 @@ def solve_nonlinear(mesh, material_map, f, config=None, context="nonlinear",
         # each step stays a fixed function of sigma.
         x_lin = linear_solve(sig)
         if not np.all(np.isfinite(x_lin)):
-            el = kept[0] if len(kept) else 0
+            # an element touching the first non-finite free dof
+            dof = np.argmin(np.isfinite(x_lin))
+            touches = asm.node_dof[mesh.elements[kept]] == dof
+            el = kept[np.argmax(touches.any(axis=1))]
             raise NumericalBreakdownError(
                 f"{context}: linear solve produced a non-finite value", el
             )
@@ -373,7 +377,7 @@ def solve_nonlinear(mesh, material_map, f, config=None, context="nonlinear",
             u = asm.expand(x, values)
             grads, e_mag = _field(mesh, u, lam)
             sig = None  # of the old field
-            energies.append(energy_of(u, e_mag))
+            energies.append(energy_of(e_mag))
         changes.append(change)
         if change <= config.picard_tol:
             converged = True
@@ -402,15 +406,21 @@ def solve_limit(mesh, material_map, f, limit_kind, config=None):
     perfect insulators ("pei": its Assembler excludes them). Only the
     other regions need a material; a field-independent map converges in
     one step."""
-    regions = tuple(mesh.inclusion_regions())
-    if limit_kind == "pec":
-        asm = fem.Assembler(mesh, f[0], pec_regions=regions)
-    elif limit_kind == "pei":
-        asm = fem.Assembler(mesh, f[0], excluded_regions=regions)
-    else:
-        raise ValueError("limit_kind must be 'pec' or 'pei'")
     return solve_nonlinear(mesh, material_map, f, config,
-                           f"{limit_kind}-limit", asm)
+                           f"{limit_kind}-limit",
+                           _limit_assembler(mesh, f[0], limit_kind))
+
+
+def _limit_assembler(mesh, nodes, limit_kind):
+    """The Assembler of the limit ``limit_kind`` on the boundary
+    ``nodes``: the mesh's inclusions merged ("pec") or excluded ("pei"),
+    so that its kept regions and elements are the rest, the matrix."""
+    inclusions = tuple(mesh.inclusion_regions())
+    if limit_kind == "pec":
+        return fem.Assembler(mesh, nodes, pec_regions=inclusions)
+    if limit_kind == "pei":
+        return fem.Assembler(mesh, nodes, excluded_regions=inclusions)
+    raise ValueError("limit_kind must be 'pec' or 'pei'")
 
 
 # ---------------------------------------------------------------------------
@@ -552,22 +562,19 @@ def lambda_sweep(mesh, material_map, f, lambda_grid, limit_kind, config=None):
         raise ValueError("lambda grid must be a non-empty 1-d array")
     if np.any(lambda_grid <= 0) or np.any(np.diff(lambda_grid) >= 0):
         raise ValueError("lambda grid must be positive and strictly decreasing")
-    if limit_kind not in ("pec", "pei"):
-        raise ValueError("limit_kind must be 'pec' or 'pei'")
 
     nodes, values = _boundary_pair(f)
     _check_zero_mean(mesh, nodes, values)
+    limit_asm = _limit_assembler(mesh, nodes, limit_kind)
+    p0 = _limit_exponent(material_map, limit_asm.kept_regions,
+                         mesh.inclusion_regions(), limit_kind)
 
-    inclusion_regions = tuple(mesh.inclusion_regions())
-    matrix_labels = [lab for lab in mesh.region_elements()
-                     if lab not in inclusion_regions]
-    p0 = _limit_exponent(material_map, matrix_labels, inclusion_regions,
-                         limit_kind)
+    # a module global, so bench/spans.py's wrapper sees the limit solve
+    limit_solution = solve_nonlinear(mesh, material_map, (nodes, values),
+                                     config, f"{limit_kind}-limit", limit_asm)
 
-    limit_solution = solve_limit(mesh, material_map, (nodes, values),
-                                 limit_kind, config)
-
-    mat_el = np.isin(mesh.element_region, matrix_labels)
+    mat_el = limit_asm.kept
+    del limit_asm  # freed before the points' Assembler is built
     area = qmesh.element_areas(mesh)[mat_el]
     mat_nodes = np.unique(mesh.elements[mat_el])
     v_lim = limit_solution.nodal_potential

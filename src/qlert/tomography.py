@@ -308,7 +308,9 @@ class ConductanceOperator:
         asm = self._asm = fem.Assembler(
             mesh, self._nodes,
             pec_regions=mesh.inclusion_regions() if mode == "pec-limit" else ())
-        self._in_pec = np.isin(mesh.element_region, asm.pec_regions)
+        # the split merges, never excludes: what it does not keep conducts
+        self._in_pec = np.ones(mesh.element_count, dtype=bool)
+        self._in_pec[asm.kept] = False
 
         self._factored = all(material_map.for_region(lab).field_independent
                              for lab in asm.kept_regions)
@@ -599,7 +601,7 @@ def disc_mask(mesh, center, radius):
     inside it. May select nothing."""
     c = qmesh.element_centroids(mesh)
     d = np.hypot(c[:, 0] - center[0], c[:, 1] - center[1])
-    return (d <= radius) & (mesh.element_region == "matrix")
+    return (d <= radius) & mesh.region_mask("matrix")
 
 
 def disc_defect(mesh, center, radius):
@@ -625,7 +627,7 @@ def disc_test_domains(mesh, radii, spacing=None):
     if step <= 0:
         raise ValueError("spacing must be positive")
     c = qmesh.element_centroids(mesh)
-    in_matrix = mesh.element_region == "matrix"
+    in_matrix = mesh.region_mask("matrix")
     # per column: a reduction over axis 0 of (n, 2) is many times slower
     px, py = mesh.nodes.T
     xs = np.arange(px.min() + step / 2, px.max(), step)

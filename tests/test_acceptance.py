@@ -81,7 +81,7 @@ def test_pec_limit_matches_annulus_closed_form():
 
 
 def test_energy_separation_ingredients():
-    model = oracle.build_counterexample(11.0, 1.0, n_terms=8)
+    model = oracle.CounterexampleModel(11.0, 1.0, n_terms=8)
     L, ld, lp = model.L, model.lambda_double, model.lambda_prime
 
     # scale sequences: interleaved plateaus with an exact geometric ratio

@@ -161,7 +161,7 @@ class TestBandEnergies:
 
 class TestCounterexampleModel:
     def setup_method(self):
-        self.m = qo.build_counterexample(11.0, 1.0, n_terms=6)
+        self.m = qo.CounterexampleModel(11.0, 1.0, n_terms=6)
 
     def test_first_prime_scale(self):
         assert self.m.lambda_prime[0] == pytest.approx(1 / (qo.C2 * 11), rel=1e-14)
@@ -223,9 +223,9 @@ class TestCounterexampleModel:
 
     def test_small_L_rejected(self):
         with pytest.raises(ValueError):
-            qo.build_counterexample(10.0, 1.0)
+            qo.CounterexampleModel(10.0, 1.0)
         with pytest.raises(ValueError):
-            qo.build_counterexample(11.0, -1.0)
+            qo.CounterexampleModel(11.0, -1.0)
 
     def test_material_view_fails_small_field_limit_only(self):
         mat = counterexample_material(self.m)
@@ -243,13 +243,15 @@ class TestCounterexampleModel:
 
 class TestEnergyComparison:
     def test_quadrature_matches_closed_forms(self):
-        rep = qo.counterexample_energies(10.0, n_scales=1, rtol=1e-7)
+        model = qo.CounterexampleModel(11.0, 1.0, n_terms=1)
+        rep = qo.counterexample_energies(10.0, model, n_scales=1, rtol=1e-7)
         assert rep.ell1 == pytest.approx(rep.ell1_exact, rel=1e-6)
         assert rep.ell2 == pytest.approx(rep.ell2_exact, rel=1e-6)
         assert rep.separated
 
     def test_scaled_functionals_bracket_the_energies(self):
-        rep = qo.counterexample_energies(10.0, n_scales=2, rtol=2e-4)
+        model = qo.CounterexampleModel(11.0, 1.0, n_terms=2)
+        rep = qo.counterexample_energies(10.0, model, n_scales=2, rtol=2e-4)
         # v rides the 2E^2 plateau: its functional never exceeds ell1
         for g in rep.g_prime:
             assert g <= rep.ell1_exact * (1 + 1e-3)
@@ -259,5 +261,6 @@ class TestEnergyComparison:
             assert h >= rep.ell2_exact * (1 - 1e-3)
 
     def test_functional_gap_certifies_two_limits(self):
-        rep = qo.counterexample_energies(10.0, n_scales=2, rtol=2e-4)
+        model = qo.CounterexampleModel(11.0, 1.0, n_terms=2)
+        rep = qo.counterexample_energies(10.0, model, n_scales=2, rtol=2e-4)
         assert max(rep.g_prime) < min(rep.h_double)

@@ -126,16 +126,15 @@ class TestSolveNonlinear:
         asm = fem.Assembler(mesh, nodes, **split)
         bv = values[np.argsort(nodes)]
         sig = mmap.sigma_elements(mesh, np.ones(mesh.element_count),
-                                  [lab for lab in mesh.region_elements()
-                                   if lab not in asm.pec_regions])
+                                  asm.kept_regions)
         first, second = (
             solve(asm.assemble(sig, bv), coarse=asm.deflation_basis).x
             for _ in range(2)
         )
         assert np.array_equal(first, second)
         u = asm.expand(second, bv)
-        energy = fem.dirichlet_energy(mesh, mmap, u,
-                                      skip_regions=asm.pec_regions)
+        e_mag = np.hypot(*fem.element_gradients(mesh, u).T)
+        energy = fem.dirichlet_energy(mesh, mmap, e_mag, asm.kept_regions)
         assert np.array_equal(sol.nodal_potential, u)
         assert np.array_equal(sol.element_gradient,
                               fem.element_gradients(mesh, u))
@@ -260,6 +259,34 @@ class TestSolveNonlinear:
             solver._check_finite_field(field, np.arange(3), "probe")
         assert info.value.element == 1
         assert "element 1" in str(info.value)
+
+    def test_non_finite_solve_names_an_element_at_its_dof(self, disk3,
+                                                          monkeypatch):
+        nodes, values = disk_profile(disk3, lambda x, y: x**2 - y**2)
+        mmap = materials.MaterialMap(
+            {"matrix": materials.weighted_power(1.0, 3.0)})
+        asm = fem.Assembler(disk3, nodes)
+        dof = asm.n_free // 2
+        corner_dofs = asm.node_dof[disk3.elements[asm.kept]]
+        assert dof not in corner_dofs[0]  # the first element is no answer
+        solve = fem.solve_spd
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            # the start solves cleanly; the first step's solve has a NaN
+            result = solve(*args, **kwargs)
+            calls.append(result)
+            if len(calls) > 1:
+                result.x[dof] = np.nan
+            return result
+
+        monkeypatch.setattr(fem, "solve_spd", poisoned)
+        with pytest.raises(solver.NumericalBreakdownError,
+                           match="non-finite value") as info:
+            solver.solve_nonlinear(disk3, mmap, (nodes, values),
+                                   assembler=asm)
+        assert len(calls) == 2
+        assert dof in asm.node_dof[disk3.elements[info.value.element]]
 
 
 def cli_cable_solve(phase_deg, amplitude_v):
@@ -414,7 +441,7 @@ def data_scale_start(mesh, material_map, f):
     diam = float(np.max(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)))
     e_char = float(values.max() - values.min()) / diam
     sig = material_map.sigma_elements(
-        mesh, np.full(mesh.element_count, e_char))
+        mesh, np.full(mesh.element_count, e_char), asm.kept_regions)
     x = fem.solve_spd(asm.assemble(sig, values),
                       coarse=asm.deflation_basis).x
     return warm_start(asm, asm.expand(x, values))

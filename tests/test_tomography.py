@@ -482,7 +482,8 @@ def fixed_point_g(mesh, mmap, amplitude, pec_regions=()):
             mesh, mmap, (all_nodes, values),
             assembler=fem.Assembler(mesh, all_nodes, pec_regions=pec_regions))
         e_mag = np.hypot(*sol.element_gradient.T)
-        reactions = (asm.raw_matrix(mmap.sigma_elements(mesh, e_mag))
+        reactions = (asm.raw_matrix(mmap.sigma_elements(mesh, e_mag,
+                                                        asm.kept_regions))
                      @ np.nan_to_num(sol.nodal_potential))
         g[:, j] = [reactions[gr].sum() for gr in groups]
     return 0.5 * (g + g.T)
